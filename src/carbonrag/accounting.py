@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -160,9 +161,9 @@ class EmissionFactor:
     source_note: str = ""
 
     def __post_init__(self):
-        if self.factor < 0:
+        if not math.isfinite(self.factor) or self.factor < 0:
             raise ValueError(
-                f"emission factor for {self.activity!r} must be nonnegative, "
+                f"emission factor for {self.activity!r} must be finite and nonnegative, "
                 f"got {self.factor}"
             )
 
@@ -322,13 +323,16 @@ def compute_footprint(
     for item in items:
         factor = factors.get(item.activity)
         assert factor is not None
-        converted = convert_unit(item.quantity, item.unit, factor.canonical_unit, units)
-        assert isinstance(converted, Quantity)
-        contribution = converted.scale(factor.factor)
+        try:
+            converted = convert_unit(item.quantity, item.unit, factor.canonical_unit, units)
+            assert isinstance(converted, Quantity)
+            contribution = converted.scale(factor.factor)
+            total = total + contribution
+        except ValueError as exc:  # a bound overflowed to infinity
+            raise AccountingError(f"footprint of {item.activity!r} overflows: {exc}") from None
         contributions.append(
             ItemContribution(item.activity, contribution, item.lifecycle_stage)
         )
-        total = total + contribution
     return FootprintResult(
         total=total,
         per_item=tuple(contributions),

@@ -23,15 +23,8 @@ from .config import RunConfig
 from .corpus import Catalog, classify_datasource
 from .embedding import TrainingPair, encoder_from_spec, save_encoder, train_dual_tower
 from .errors import CarbonRagError, ConfigError, FormatError
-from .evaluation import MetricsReport, run_benchmark
-from .fusion import (
-    Strategy,
-    build_prompt,
-    fragments_from_documents,
-    fragments_from_hits,
-    select_strategy,
-)
-from .generation import parse_extraction
+from .evaluation import MetricsReport, answer_query, run_benchmark
+from .fusion import Strategy, select_strategy
 from .index import VectorIndex, build_index
 from .quantity import Quantity
 
@@ -103,39 +96,19 @@ def cmd_train_encoder(args) -> int:
     return 0
 
 
-def _print_facts(facts, warnings) -> None:
-    if not facts:
+def _print_result(result, catalog) -> None:
+    for hit in result.hits:
+        excerpt = catalog.resolve_chunk(hit.chunk_id).text[:100].replace("\n", " ")
+        print(f"[{hit.rank}] {hit.similarity:.4f} {hit.chunk_id}  {excerpt}")
+    for note in result.prompt.notes:
+        print(f"note: {note}", file=sys.stderr)
+    if not result.facts:
         print("no facts extracted")
-    for fact in facts:
+    for fact in result.facts:
         sources = f"  (sources: {', '.join(fact.provenance)})" if fact.provenance else ""
         print(f"{fact.fact_key} = {fact.value} {fact.unit}{sources}")
-    for w in warnings:
+    for w in result.warnings:
         print(f"warning: {w.code}: {w.message}", file=sys.stderr)
-
-
-def _answer_one(question: str, catalog, index, encoder, backend, config: RunConfig) -> None:
-    docs = catalog.documents
-    strategy = select_strategy(classify_datasource(docs, config.length_threshold))
-    if strategy is Strategy.RAG_LONG:
-        if index is None:
-            raise ConfigError(
-                "datasource is long: retrieval needs --index (build one with 'index build')"
-            )
-        hits = index.top_k(encoder.embed(question), config.k)
-        fragments = fragments_from_hits(hits, lambda cid: catalog.resolve_chunk(cid).text)
-        for hit, frag in zip(hits, fragments):
-            excerpt = frag.text[:100].replace("\n", " ")
-            print(f"[{hit.rank}] {hit.similarity:.4f} {hit.chunk_id}  {excerpt}")
-    elif strategy is Strategy.SHORT_DIRECT:
-        fragments = fragments_from_documents(docs)
-    else:
-        fragments = []
-    prompt = build_prompt(question, strategy, fragments, budget=config.prompt_budget)
-    for note in prompt.notes:
-        print(f"note: {note}", file=sys.stderr)
-    raw = backend.generate(prompt)
-    facts, warnings = parse_extraction(raw)
-    _print_facts(facts, warnings)
 
 
 def cmd_query(args) -> int:
@@ -144,19 +117,39 @@ def cmd_query(args) -> int:
     index = VectorIndex.load(config.index_path) if config.index_path else None
     encoder = config.build_encoder()
     backend = config.build_backend()
+    strategy = select_strategy(classify_datasource(catalog.documents, config.length_threshold))
+
+    def answer(question: str) -> None:
+        if strategy is Strategy.RAG_LONG and index is None:
+            raise ConfigError(
+                "datasource is long: retrieval needs --index (build one with 'index build')"
+            )
+        _print_result(
+            answer_query(
+                question,
+                strategy,
+                catalog=catalog,
+                index=index,
+                encoder=encoder,
+                backend=backend,
+                config=config,
+            ),
+            catalog,
+        )
+
     if args.interactive:
         for line in sys.stdin:
             question = line.strip()
             if not question:
                 continue
             try:
-                _answer_one(question, catalog, index, encoder, backend, config)
+                answer(question)
             except CarbonRagError as exc:
                 print(f"[{exc.stage_name}] {exc}", file=sys.stderr)
         return 0
     if not args.question:
         raise ConfigError("provide a question or use --interactive")
-    _answer_one(args.question, catalog, index, encoder, backend, config)
+    answer(args.question)
     return 0
 
 
@@ -224,31 +217,10 @@ def cmd_report(args) -> int:
     return 0
 
 
-_CONFIG_FLAG_FIELDS = (
-    "catalog_path",
-    "index_path",
-    "factor_db_path",
-    "benchmark_path",
-    "report_out",
-    "encoder",
-    "k",
-    "chunk_size",
-    "overlap",
-    "length_threshold",
-    "backend",
-    "model",
-    "prompt_budget",
-)
-
-
 def _effective_config(args) -> RunConfig:
+    """The config file, or the defaults, overridden by every flag given."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in _CONFIG_FLAG_FIELDS
-        if getattr(args, name, None) is not None
-    }
-    return config.merged(overrides)
+    return config.merged({name: getattr(args, name, None) for name in RunConfig.field_names()})
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, *, with_paths=True) -> None:
@@ -272,6 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Retrieval-augmented carbon footprint accounting pipeline.",
     )
     parser.add_argument("--verbose", action="store_true", help="log at DEBUG level")
+    defaults = RunConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="add datasource documents to a catalog")
@@ -292,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = index_sub.add_parser("build", help="chunk a catalog and embed every chunk")
     p.add_argument("--catalog", required=True)
     p.add_argument("--out", required=True, help="index JSON to write")
-    p.add_argument("--encoder", default="lexical")
-    p.add_argument("--chunk-size", dest="chunk_size", type=int, default=None)
-    p.add_argument("--overlap", dest="overlap", type=int, default=None)
-    p.set_defaults(func=cmd_index_build_defaults)
+    p.add_argument("--encoder", default=defaults.encoder)
+    p.add_argument("--chunk-size", dest="chunk_size", type=int, default=defaults.chunk_size)
+    p.add_argument("--overlap", dest="overlap", type=int, default=defaults.overlap)
+    p.set_defaults(func=cmd_index_build)
 
     p = sub.add_parser("train-encoder", help="fit the dual-tower encoder on labeled pairs")
     p.add_argument("--pairs", required=True, help="JSON array of {text_a, text_b, related}")
@@ -339,15 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     return parser
-
-
-def cmd_index_build_defaults(args) -> int:
-    # Index build shares chunking defaults with RunConfig without requiring one.
-    if args.chunk_size is None:
-        args.chunk_size = RunConfig().chunk_size
-    if args.overlap is None:
-        args.overlap = RunConfig().overlap
-    return cmd_index_build(args)
 
 
 def main(argv=None) -> int:

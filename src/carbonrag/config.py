@@ -25,7 +25,6 @@ from .index import DEFAULT_K
 class RunConfig:
     catalog_path: str | None = None
     index_path: str | None = None
-    factor_db_path: str | None = None
     benchmark_path: str | None = None
     report_out: str | None = None
     encoder: str = "lexical"

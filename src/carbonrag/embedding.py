@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import re
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -23,7 +21,8 @@ from typing import Protocol, Sequence
 import numpy as np
 import requests
 
-from .errors import ConfigError, FormatError, InputError, TransportError
+from ._http import post_json
+from .errors import ConfigError, FormatError, InputError
 
 logger = logging.getLogger(__name__)
 
@@ -284,51 +283,20 @@ class RemoteEncoder:
 
     kind = "remote"
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
-    def _post(self, payload: dict) -> dict:
-        http = self.session or requests
-        last_error = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                response = http.post(
-                    self.endpoint, json=payload, headers=self._headers(), timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = str(exc)
-            else:
-                if response.status_code >= 500:
-                    last_error = f"HTTP {response.status_code}"
-                elif response.status_code >= 400:
-                    raise TransportError(
-                        f"embedding endpoint rejected the request: HTTP {response.status_code}",
-                        attempts=attempt,
-                        stage="embedding",
-                    )
-                else:
-                    try:
-                        return response.json()
-                    except ValueError as exc:  # body was not JSON; retrying cannot help
-                        raise FormatError(
-                            f"embedding endpoint returned non-JSON: {exc}"
-                        ) from None
-            if attempt < self.max_attempts:
-                time.sleep(self.backoff_base * 2 ** (attempt - 1))
-        raise TransportError(
-            f"embedding endpoint unreachable after {self.max_attempts} attempts: {last_error}",
-            attempts=self.max_attempts,
-            stage="embedding",
-        )
-
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         for t in texts:
             _require_text(t)
-        data = self._post({"input": list(texts)})
+        response = post_json(
+            self,
+            {"input": list(texts)},
+            name="embedding endpoint",
+            gave_up="unreachable",
+            stage="embedding",
+        )
+        try:
+            data = response.json()
+        except ValueError as exc:  # body was not JSON; retrying cannot help
+            raise FormatError(f"embedding endpoint returned non-JSON: {exc}") from None
         vectors = data.get("embeddings")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise FormatError(

@@ -39,14 +39,15 @@ from .config import RunConfig
 from .corpus import Catalog, classify_datasource
 from .errors import AccountingError, BenchmarkError, CarbonRagError, FormatError
 from .fusion import (
+    Prompt,
     Strategy,
     build_prompt,
     fragments_from_documents,
     fragments_from_hits,
     select_strategy,
 )
-from .generation import ExtractedFact, parse_extraction
-from .index import build_index
+from .generation import ExtractedFact, ParseWarning, RawAnswer, parse_extraction
+from .index import RetrievalHit, VectorIndex, build_index
 from .quantity import Quantity
 
 logger = logging.getLogger(__name__)
@@ -476,6 +477,56 @@ def _stage(name: str):
         raise
 
 
+@dataclass(frozen=True)
+class QueryResult:
+    """Everything one question produced on its way through the pipeline."""
+
+    strategy: Strategy
+    hits: tuple[RetrievalHit, ...]
+    prompt: Prompt
+    raw: RawAnswer
+    facts: tuple[ExtractedFact, ...]
+    warnings: tuple[ParseWarning, ...]
+
+
+def answer_query(
+    question: str,
+    strategy: Strategy,
+    *,
+    catalog: Catalog,
+    index: VectorIndex | None,
+    encoder,
+    backend,
+    config: RunConfig,
+    query_key: str | None = None,
+    expected_keys: Sequence[str] | None = None,
+) -> QueryResult:
+    """Retrieve, fuse, generate and parse for one already-routed question.
+
+    ``index`` is needed only for the ``rag_long`` strategy. Failures carry
+    the stage they came from: retrieve, prompt, generate or parse.
+    """
+    hits, fragments = [], []
+    if strategy is Strategy.RAG_LONG:
+        with _stage("retrieve"):
+            hits = index.top_k(encoder.embed(question), config.k)
+            fragments = fragments_from_hits(hits, lambda cid: catalog.resolve_chunk(cid).text)
+    elif strategy is Strategy.SHORT_DIRECT:
+        fragments = fragments_from_documents(catalog.documents)
+
+    with _stage("prompt"):
+        prompt = build_prompt(
+            question, strategy, fragments, budget=config.prompt_budget, query_key=query_key
+        )
+
+    with _stage("generate"):
+        raw = backend.generate(prompt)
+
+    with _stage("parse"):
+        facts, warnings = parse_extraction(raw, expected_keys=expected_keys)
+    return QueryResult(strategy, tuple(hits), prompt, raw, tuple(facts), tuple(warnings))
+
+
 def run_benchmark(
     config: RunConfig,
     *,
@@ -534,43 +585,27 @@ def run_benchmark(
 
     facts_by_key: dict[str, ExtractedFact] = {}
     for query in bench.queries:
-        if strategy is Strategy.RAG_LONG:
-            with _stage("retrieve"):
-                hits = index.top_k(encoder.embed(query.query_text), config.k)
-                fragments = fragments_from_hits(
-                    hits, lambda cid: catalog.resolve_chunk(cid).text
+        result = answer_query(
+            query.query_text,
+            strategy,
+            catalog=catalog,
+            index=index,
+            encoder=encoder,
+            backend=backend,
+            config=config,
+            query_key=query.query_id,
+            expected_keys=query.fact_keys,
+        )
+        warnings.extend(f"{query.query_id}: {note}" for note in result.prompt.notes)
+        warnings.extend(f"{query.query_id}: {w.code}: {w.message}" for w in result.warnings)
+        for fact in result.facts:
+            if fact.fact_key in facts_by_key:
+                warnings.append(
+                    f"{query.query_id}: fact {fact.fact_key!r} already extracted "
+                    "by an earlier query; keeping the first"
                 )
-        elif strategy is Strategy.SHORT_DIRECT:
-            fragments = fragments_from_documents(docs)
-        else:
-            fragments = []
-
-        with _stage("prompt"):
-            prompt = build_prompt(
-                query.query_text,
-                strategy,
-                fragments,
-                budget=config.prompt_budget,
-                query_key=query.query_id,
-            )
-            warnings.extend(f"{query.query_id}: {note}" for note in prompt.notes)
-
-        with _stage("generate"):
-            raw = backend.generate(prompt)
-
-        with _stage("parse"):
-            facts, parse_warnings = parse_extraction(raw, expected_keys=query.fact_keys)
-            warnings.extend(
-                f"{query.query_id}: {w.code}: {w.message}" for w in parse_warnings
-            )
-            for fact in facts:
-                if fact.fact_key in facts_by_key:
-                    warnings.append(
-                        f"{query.query_id}: fact {fact.fact_key!r} already extracted "
-                        "by an earlier query; keeping the first"
-                    )
-                    continue
-                facts_by_key[fact.fact_key] = fact
+                continue
+            facts_by_key[fact.fact_key] = fact
 
     truth_map = {t.fact_key: t for t in bench.truths}
 

@@ -9,25 +9,24 @@ are not present in the raw text.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
-import os
 import re
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import requests
 
+from ._http import post_json
 from .errors import (
     ExtractionError,
     FormatError,
     InputError,
     MockMissError,
-    TransportError,
 )
 from .quantity import Quantity
 
@@ -151,16 +150,15 @@ class RemoteChatBackend:
         self._slots = threading.BoundedSemaphore(max_in_flight)
         self._audit_lock = threading.Lock()
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env, "")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
-    def _audit(self, record: dict) -> None:
+    def _audit(self, sha256: str, attempt: int, status: int | str, latency_ms: float) -> None:
         if self.audit_log_path is None:
             return
+        record = {
+            "request_sha256": sha256,
+            "attempt": attempt,
+            "status": status,
+            "latency_ms": round(latency_ms, 3),
+        }
         line = json.dumps(record, sort_keys=True)
         with self._audit_lock:
             with open(self.audit_log_path, "a", encoding="utf-8") as fh:
@@ -175,48 +173,14 @@ class RemoteChatBackend:
             "temperature": 0,
         }
         request_hash = hashlib.sha256(prompt.rendered.encode("utf-8")).hexdigest()
-        http = self.session or requests
-        last_error = None
         with self._slots:
-            for attempt in range(1, self.max_attempts + 1):
-                started = time.monotonic()
-                status: int | str
-                try:
-                    response = http.post(
-                        self.endpoint, json=body, headers=self._headers(), timeout=self.timeout
-                    )
-                    status = response.status_code
-                except requests.RequestException as exc:
-                    last_error = str(exc)
-                    status = "unreachable"
-                    response = None
-                latency_ms = (time.monotonic() - started) * 1000.0
-                self._audit(
-                    {
-                        "request_sha256": request_hash,
-                        "attempt": attempt,
-                        "status": status,
-                        "latency_ms": round(latency_ms, 3),
-                    }
-                )
-                if response is not None:
-                    if response.status_code >= 500:
-                        last_error = f"HTTP {response.status_code}"
-                    elif response.status_code >= 400:
-                        raise TransportError(
-                            f"generation endpoint rejected the request: HTTP {response.status_code}",
-                            attempts=attempt,
-                        )
-                    else:
-                        return self._parse_response(response)
-                if attempt < self.max_attempts:
-                    time.sleep(self.backoff_base * 2 ** (attempt - 1))
-        raise TransportError(
-            f"generation endpoint failed after {self.max_attempts} attempts: {last_error}",
-            attempts=self.max_attempts,
-        )
-
-    def _parse_response(self, response) -> RawAnswer:
+            response = post_json(
+                self,
+                body,
+                name="generation endpoint",
+                gave_up="failed",
+                on_attempt=functools.partial(self._audit, request_hash),
+            )
         try:
             data = response.json()
             content = data["choices"][0]["message"]["content"]

@@ -8,11 +8,12 @@ similarities break ties by ascending chunk id deterministically.
 
 from __future__ import annotations
 
+import bisect
 import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -38,25 +39,32 @@ class RetrievalHit:
 class VectorIndex:
     """Store unit vectors by chunk id and answer exact top-K queries.
 
-    Concurrent readers are safe; insertion takes an internal lock and a
-    query never observes a partially inserted entry.
+    The index holds one ``(ids, matrix)`` pair with rows in chunk-id order.
+    Writers build a new pair and swap it in under a lock; readers take the
+    pair once, so concurrent readers are safe and a query never observes a
+    partially inserted entry.
     """
 
-    def __init__(self, dims: int | None = None):
+    def __init__(
+        self, dims: int | None = None, *, rows: Mapping[str, np.ndarray] | None = None
+    ):
+        """An empty index, or one holding ``rows``: unit vectors of width
+        ``dims`` by chunk id, stored bit for bit as given."""
         if dims is not None and dims <= 0:
             raise InputError(f"dims must be positive, got {dims}")
         self._dims = dims
-        self._vectors: dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
-        self._ids: list[str] = []
-        self._matrix: np.ndarray | None = None
-        self._dirty = False
+        ids = sorted(rows or ())
+        matrix = np.stack([rows[i] for i in ids]) if ids else np.empty((0, dims or 0))
+        if ids and matrix.shape[1] != dims:
+            raise InputError(f"rows have {matrix.shape[1]} dims, index has {dims}")
+        self._rows = (ids, matrix)
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._rows[0])
 
     def __contains__(self, chunk_id: str) -> bool:
-        return chunk_id in self._vectors
+        return chunk_id in self._rows[0]
 
     @property
     def dims(self) -> int | None:
@@ -64,35 +72,18 @@ class VectorIndex:
 
     def insert(self, entry: IndexEntry) -> None:
         """Insert or replace the vector stored under ``entry.chunk_id``."""
-        vector = np.asarray(entry.vector, dtype=np.float64)
-        if vector.ndim != 1:
-            raise InputError(f"vector for {entry.chunk_id!r} must be 1-D")
-        if not np.all(np.isfinite(vector)):
-            raise InputError(f"vector for {entry.chunk_id!r} has non-finite values")
-        norm = float(np.linalg.norm(vector))
-        if norm == 0.0:
-            raise InputError(f"vector for {entry.chunk_id!r} is all zeros")
+        chunk_id = entry.chunk_id
         with self._lock:
-            if self._dims is None:
-                self._dims = int(vector.shape[0])
-            elif vector.shape[0] != self._dims:
-                raise InputError(
-                    f"vector for {entry.chunk_id!r} has {vector.shape[0]} dims, index has {self._dims}"
-                )
-            self._vectors[entry.chunk_id] = vector / norm
-            self._dirty = True
-
-    def _snapshot(self) -> tuple[list[str], np.ndarray | None]:
-        with self._lock:
-            if self._dirty or self._matrix is None:
-                self._ids = sorted(self._vectors)
-                self._matrix = (
-                    np.stack([self._vectors[i] for i in self._ids])
-                    if self._ids
-                    else None
-                )
-                self._dirty = False
-            return self._ids, self._matrix
+            row = _unit_row(chunk_id, entry.vector, self._dims)
+            self._dims = row.shape[0]
+            ids, matrix = self._rows
+            pos = bisect.bisect_left(ids, chunk_id)
+            end = pos + (ids[pos : pos + 1] == [chunk_id])  # replace an equal id
+            matrix = matrix.reshape(-1, self._dims)  # an index made without dims starts 0 x 0
+            self._rows = (
+                [*ids[:pos], chunk_id, *ids[end:]],
+                np.concatenate([matrix[:pos], row[np.newaxis], matrix[end:]]),
+            )
 
     def top_k(self, query: np.ndarray, k: int = DEFAULT_K) -> list[RetrievalHit]:
         """The ``min(k, size)`` most similar entries, similarity descending,
@@ -110,8 +101,8 @@ class VectorIndex:
         if norm == 0.0:
             raise InputError("query vector is all zeros")
 
-        ids, matrix = self._snapshot()
-        if matrix is None:
+        ids, matrix = self._rows
+        if not ids:
             return []
         sims = np.clip(matrix @ (query / norm), -1.0, 1.0)
         # Stable sort over id-ordered rows: equal similarities keep id order.
@@ -122,13 +113,11 @@ class VectorIndex:
         ]
 
     def entries(self) -> Iterable[IndexEntry]:
-        ids, matrix = self._snapshot()
-        if matrix is None:
-            return []
+        ids, matrix = self._rows
         return [IndexEntry(chunk_id=i, vector=matrix[row]) for row, i in enumerate(ids)]
 
     def save(self, path: str | Path) -> None:
-        ids, matrix = self._snapshot()
+        ids, matrix = self._rows
         obj = {
             "dims": self._dims,
             "entries": [
@@ -145,46 +134,52 @@ class VectorIndex:
             obj = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise FormatError(f"cannot load index {path}: {exc}") from None
-        if not isinstance(obj, dict) or "entries" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
             raise FormatError(f"index {path} is missing the entries array")
         dims = obj.get("dims")
-        index = cls(dims=dims if dims is not None else None)
-        seen: set[str] = set()
+        rows: dict[str, np.ndarray] = {}
         for i, rec in enumerate(obj["entries"]):
             try:
                 chunk_id = rec["chunk_id"]
                 vector = np.asarray(rec["vector"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"index {path}, entry {i}: {exc}") from None
-            if chunk_id in seen:
+            if chunk_id in rows:
                 raise FormatError(f"index {path}, entry {i}: duplicate chunk_id {chunk_id!r}")
-            seen.add(chunk_id)
-            if dims is not None and vector.shape != (dims,):
+            if vector.ndim != 1 or (dims is not None and vector.shape[0] != dims):
                 raise FormatError(
                     f"index {path}, entry {chunk_id!r}: vector shape {vector.shape} != ({dims},)"
                 )
+            dims = vector.shape[0]  # without a "dims" key the first entry fixes the width
             if abs(float(np.linalg.norm(vector)) - 1.0) > _NORM_TOLERANCE:
                 raise FormatError(
                     f"index {path}, entry {chunk_id!r}: vector is not unit-norm"
                 )
-            # Stored vectors are already unit-norm; bypass insert's
+            # Stored vectors are already unit-norm; they are kept without
             # re-normalization so save/load round-trips bit-exactly.
-            with index._lock:
-                if index._dims is None:
-                    index._dims = int(vector.shape[0])
-                elif vector.shape[0] != index._dims:
-                    raise FormatError(
-                        f"index {path}, entry {chunk_id!r}: vector has {vector.shape[0]} dims,"
-                        f" index has {index._dims}"
-                    )
-                index._vectors[chunk_id] = vector
-                index._dirty = True
-        return index
+            rows[chunk_id] = vector
+        return cls(dims=dims, rows=rows)
+
+
+def _unit_row(chunk_id: str, vector, dims: int | None) -> np.ndarray:
+    """Check the vector for ``chunk_id`` and scale it to unit norm."""
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.ndim != 1:
+        raise InputError(f"vector for {chunk_id!r} must be 1-D")
+    if not np.all(np.isfinite(vector)):
+        raise InputError(f"vector for {chunk_id!r} has non-finite values")
+    norm = float(np.linalg.norm(vector))
+    if norm == 0.0:
+        raise InputError(f"vector for {chunk_id!r} is all zeros")
+    if dims is not None and vector.shape[0] != dims:
+        raise InputError(f"vector for {chunk_id!r} has {vector.shape[0]} dims, index has {dims}")
+    return vector / norm
 
 
 def build_index(chunks, encoder) -> VectorIndex:
-    """Embed every chunk text and insert it under its chunk id."""
-    index = VectorIndex(dims=encoder.dims)
-    for chunk in chunks:
-        index.insert(IndexEntry(chunk_id=chunk.chunk_id, vector=encoder.embed(chunk.text)))
-    return index
+    """Embed every chunk text and index it under its chunk id."""
+    rows = {
+        chunk.chunk_id: _unit_row(chunk.chunk_id, encoder.embed(chunk.text), encoder.dims)
+        for chunk in chunks
+    }
+    return VectorIndex(dims=encoder.dims, rows=rows)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import http.server
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,31 @@ def aluminum_catalog():
     for doc_id, title, body in fixtures.CORPUS_DOCS:
         catalog.ingest("raw_text", body, {"doc_id": doc_id, "title": title})
     return catalog
+
+
+@pytest.fixture()
+def http_server():
+    """Factory: ``http_server(handler_class)`` starts a loopback server.
+
+    Each server starts with an empty ``requests`` list for handlers that
+    record what they receive, and is shut down and closed on teardown.
+    """
+    started = []
+
+    def start(handler_class):
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler_class)
+        server.requests = []
+        # A short poll keeps shutdown() from waiting out the 0.5 s default.
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        started.append((server, thread))
+        return server
+
+    yield start
+    for server, thread in started:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()

@@ -76,8 +76,9 @@ class TestInventoryValidation:
             InventoryItem("electricity", Quantity.point(-1.0), "kWh")
 
     def test_negative_factor_rejected(self):
-        with pytest.raises(ValueError):
-            EmissionFactor("electricity", -0.5, "kWh")
+        for factor in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                EmissionFactor("electricity", factor, "kWh")
 
     def test_default_stage_is_raw_material(self):
         item = InventoryItem("electricity", Quantity.point(1.0), "kWh")

@@ -6,7 +6,14 @@ import json
 import pytest
 
 import fixtures
-from carbonrag import DualTowerEncoder, MetricsReport, VectorIndex, load_encoder
+from carbonrag import (
+    ConfigError,
+    DualTowerEncoder,
+    MetricsReport,
+    RunConfig,
+    VectorIndex,
+    load_encoder,
+)
 from carbonrag.cli import main
 
 _QUESTION = "How much electricity does the smelter use?"
@@ -217,7 +224,7 @@ class TestQuery:
         captured = capsys.readouterr()
         assert code == 0
         assert "electricity_use = 13500 kWh" in captured.out
-        assert "[generation]" in captured.err
+        assert "[generate]" in captured.err
 
     def test_question_or_interactive_is_required(self, pipeline_files, capsys):
         code = main(
@@ -310,6 +317,32 @@ class TestAccount:
         assert code == 1
         assert "[accounting]" in err and "unpriced_activity" in err
 
+    def test_overflow_and_nan_factor_report_their_stage(self, tmp_path, capsys):
+        facts = tmp_path / "huge.json"
+        facts.write_text(
+            json.dumps([{"key": "electricity_use", "value": 1e308, "unit": "kWh"}]),
+            encoding="utf-8",
+        )
+        factors = tmp_path / "factors.csv"
+        factors.write_text(
+            "activity,factor_kgco2e,canonical_unit,source_note\n"
+            "electricity_use,10,kWh,grid\n",
+            encoding="utf-8",
+        )
+        code = main(["account", "--facts", str(facts), "--factors", str(factors)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "[accounting]" in err and "electricity_use" in err
+        factors.write_text(
+            "activity,factor_kgco2e,canonical_unit,source_note\n"
+            "electricity_use,nan,kWh,grid\n",
+            encoding="utf-8",
+        )
+        code = main(["account", "--facts", str(facts), "--factors", str(factors)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "[load]" in err and ":2:" in err
+
 
 class TestBenchAndReport:
     def test_bench_prints_the_summary_and_writes_outputs(self, benchmark_tree, tmp_path, capsys):
@@ -376,6 +409,20 @@ class TestBenchAndReport:
         report = MetricsReport.load(report_path)
         assert report.metadata["k"] == 7
         assert report.metadata["config"]["k"] == 7
+
+    def test_config_file_rejects_factor_db_path(self, benchmark_tree, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(
+                {
+                    "benchmark_path": str(benchmark_tree.benchmark),
+                    "factor_db_path": str(benchmark_tree.factors),
+                }
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="unknown keys: factor_db_path"):
+            RunConfig.from_file(config_path)
 
     def test_missing_benchmark_reports_its_stage(self, tmp_path, capsys):
         code = main(["bench", "--benchmark", str(tmp_path / "absent.json")])

@@ -3,7 +3,6 @@
 import http.server
 import json
 import string
-import threading
 
 import numpy as np
 import pytest
@@ -204,12 +203,8 @@ class _TextHandler(http.server.BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def text_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _TextHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
+def text_server(http_server):
+    return f"http://127.0.0.1:{http_server(_TextHandler).server_address[1]}"
 
 
 class TestCatalogUrlFetch:

@@ -2,7 +2,6 @@
 
 import http.server
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -308,13 +307,8 @@ class _EmbedHandler(http.server.BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def embed_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _EmbedHandler)
-    server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
+def embed_server(http_server):
+    return http_server(_EmbedHandler)
 
 
 def _url(server, path):

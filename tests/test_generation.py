@@ -3,7 +3,6 @@
 import hashlib
 import http.server
 import json
-import threading
 
 import pytest
 
@@ -250,13 +249,8 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def chat_server():
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
-    server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
+def chat_server(http_server):
+    return http_server(_ChatHandler)
 
 
 def _url(server, path):

@@ -170,6 +170,16 @@ class TestPersistence:
         with pytest.raises(FormatError):
             VectorIndex.load(path)
 
+    def test_load_without_dims_rejects_mixed_widths(self, tmp_path):
+        path = tmp_path / "index.json"
+        entries = [
+            {"chunk_id": "c:0", "vector": [1.0, 0.0]},
+            {"chunk_id": "c:1", "vector": [1.0, 0.0, 0.0]},
+        ]
+        path.write_text(json.dumps({"entries": entries}), encoding="utf-8")
+        with pytest.raises(FormatError, match="entry 'c:1'"):
+            VectorIndex.load(path)
+
     def test_load_rejects_missing_entries(self, tmp_path):
         path = tmp_path / "index.json"
         path.write_text(json.dumps({"dims": 3}), encoding="utf-8")
