@@ -95,6 +95,5 @@ class RunConfig:
     def build_encoder(self):
         return encoder_from_spec(self.encoder)
 
-    def build_backend(self, *, audit_log_path: str | Path | None = None):
-        spec = self.require("backend")
-        return backend_from_spec(spec, audit_log_path=audit_log_path, model=self.model)
+    def build_backend(self):
+        return backend_from_spec(self.require("backend"), model=self.model)

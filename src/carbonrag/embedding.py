@@ -1,6 +1,7 @@
 """Text encoders over one shared vector space, plus cosine similarity.
 
-Every encoder emits unit-norm float64 vectors. The lexical baseline and
+Every encoder implements ``embed_batch``: one unit-norm float64 row per
+text, each row computed from its own text only. The lexical baseline and
 the trained dual-tower encoder are fully deterministic across runs and
 platforms; the remote encoder wraps an HTTP endpoint and re-normalizes
 whatever it returns.
@@ -57,20 +58,21 @@ def hashed_token_counts(text: str, dims: int, seed: int = DEFAULT_HASH_SEED) -> 
     return counts
 
 
-def _basis_e0(dims: int) -> np.ndarray:
-    v = np.zeros(dims, dtype=np.float64)
-    v[0] = 1.0
-    return v
+def _unit_rows(vectors: Sequence[np.ndarray], texts: Sequence[str], dims: int) -> np.ndarray:
+    """Stack ``vectors`` as rows, each scaled to unit norm on its own.
 
-
-def _unit_or_e0(vector: np.ndarray, context: str) -> np.ndarray:
-    # Guard: an all-zero vector cannot be normalized; fall back to e_0 so
-    # downstream cosines stay finite.
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        logger.warning("%s produced a zero vector; embedding as basis e_0", context)
-        return _basis_e0(vector.shape[0])
-    return vector / norm
+    An all-zero vector cannot be normalized; it becomes the basis vector
+    e_0 so downstream cosines stay finite.
+    """
+    rows = np.zeros((len(vectors), dims), dtype=np.float64)
+    for row, vector, text in zip(rows, vectors, texts):
+        norm = float(np.linalg.norm(vector))
+        if norm == 0.0:
+            logger.warning("embedding of %r is a zero vector; using basis e_0", text[:40])
+            row[0] = 1.0
+        else:
+            row[:] = vector / norm
+    return rows
 
 
 def _require_text(text: str) -> str:
@@ -93,14 +95,21 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class Encoder(Protocol):
+    """Encoders subclass this to inherit ``embed`` from ``embed_batch``."""
+
     kind: str
     dims: int
 
-    def embed(self, text: str) -> np.ndarray: ...
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """One unit-norm row per text, shape ``(len(texts), dims)``."""
+        ...
+
+    def embed(self, text: str) -> np.ndarray:
+        return self.embed_batch([text])[0]
 
 
 @dataclass(frozen=True)
-class LexicalEncoder:
+class LexicalEncoder(Encoder):
     """Deterministic hashed bag-of-words baseline."""
 
     dims: int = DEFAULT_DIMS
@@ -112,18 +121,17 @@ class LexicalEncoder:
         if self.dims <= 0:
             raise ConfigError(f"dims must be positive, got {self.dims}")
 
-    def embed(self, text: str) -> np.ndarray:
-        _require_text(text)
-        counts = hashed_token_counts(text, self.dims, self.seed)
-        return _unit_or_e0(counts, f"lexical embedding of {text[:40]!r}")
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        counts = [hashed_token_counts(_require_text(t), self.dims, self.seed) for t in texts]
+        return _unit_rows(counts, texts, self.dims)
 
 
 @dataclass(frozen=True, eq=False)
-class DualTowerEncoder:
+class DualTowerEncoder(Encoder):
     """Shared linear map over hashed token features.
 
-    Both towers are the same matrix (Siamese weight sharing), so
-    ``embed_query`` and ``embed_passage`` are aliases of ``embed``.
+    Both towers are the same matrix (Siamese weight sharing), so queries
+    and passages are embedded alike.
     """
 
     matrix: np.ndarray  # (dims, feature_dims)
@@ -136,6 +144,8 @@ class DualTowerEncoder:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2:
             raise ConfigError(f"tower matrix must be 2-D, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ConfigError("tower matrix has non-finite values")
         m = np.ascontiguousarray(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -153,19 +163,10 @@ class DualTowerEncoder:
         norm = float(np.linalg.norm(counts))
         return counts / norm if norm > 0.0 else counts
 
-    def embed(self, text: str) -> np.ndarray:
-        _require_text(text)
-        f = self.features(text)
-        if not f.any():
-            logger.warning("no tokens in %r; embedding as basis e_0", text[:40])
-            return _basis_e0(self.dims)
-        return _unit_or_e0(self.matrix @ f, f"tower embedding of {text[:40]!r}")
-
-    def embed_query(self, text: str) -> np.ndarray:
-        return self.embed(text)
-
-    def embed_passage(self, text: str) -> np.ndarray:
-        return self.embed(text)
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        # A tokenless text has zero features, so its projection is zero too.
+        projections = [self.matrix @ self.features(_require_text(t)) for t in texts]
+        return _unit_rows(projections, texts, self.dims)
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ def train_dual_tower(
 
 
 @dataclass
-class RemoteEncoder:
+class RemoteEncoder(Encoder):
     """Client for a remote embedding endpoint.
 
     Wire contract: ``POST {"input": [texts]}`` returns
@@ -283,9 +284,12 @@ class RemoteEncoder:
 
     kind = "remote"
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """All ``texts`` in one request; an empty batch sends none."""
         for t in texts:
             _require_text(t)
+        if not texts:
+            return _unit_rows([], texts, self.dims)
         response = post_json(
             self,
             {"input": list(texts)},
@@ -297,7 +301,7 @@ class RemoteEncoder:
             data = response.json()
         except ValueError as exc:  # body was not JSON; retrying cannot help
             raise FormatError(f"embedding endpoint returned non-JSON: {exc}") from None
-        vectors = data.get("embeddings")
+        vectors = data.get("embeddings") if isinstance(data, dict) else None
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise FormatError(
                 f"embedding endpoint returned {len(vectors) if isinstance(vectors, list) else 'no'}"
@@ -305,16 +309,18 @@ class RemoteEncoder:
             )
         out = []
         for i, values in enumerate(vectors):
-            v = np.asarray(values, dtype=np.float64)
+            try:
+                v = np.asarray(values, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"embedding {i} is not numeric: {exc}") from None
             if v.ndim != 1 or v.shape[0] != self.dims:
                 raise FormatError(
                     f"embedding {i} has shape {v.shape}, expected ({self.dims},)"
                 )
-            out.append(_unit_or_e0(v, f"remote embedding {i}"))
-        return out
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
+            if not np.all(np.isfinite(v)):
+                raise FormatError(f"embedding {i} has non-finite values")
+            out.append(v)
+        return _unit_rows(out, texts, self.dims)
 
 
 def save_encoder(encoder, path: str | Path) -> None:
@@ -359,7 +365,7 @@ def load_encoder(path: str | Path):
             )
         if kind == "remote":
             return RemoteEncoder(endpoint=obj["endpoint"], dims=int(obj["dims"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise FormatError(f"encoder {path} is malformed: {exc}") from None
     raise FormatError(f"encoder {path} has unknown kind {kind!r}")
 

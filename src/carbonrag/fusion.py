@@ -80,16 +80,6 @@ def fragments_from_documents(docs: Iterable[Document]) -> list[PromptFragment]:
     return [PromptFragment(ref=d.doc_id, text=d.body) for d in docs]
 
 
-def _coerce_fragment(obj) -> PromptFragment:
-    if isinstance(obj, PromptFragment):
-        return obj
-    if isinstance(obj, (tuple, list)) and len(obj) in (2, 3):
-        ref, text = obj[0], obj[1]
-        similarity = obj[2] if len(obj) == 3 else None
-        return PromptFragment(ref=str(ref), text=str(text), similarity=similarity)
-    raise InputError(f"cannot interpret {obj!r} as a prompt fragment")
-
-
 def _render(query: str, fragments: Sequence[PromptFragment], schema_instruction: str) -> str:
     # Question first, then references: the prompt concatenates the query with
     # the selected fragments in that order.
@@ -106,7 +96,7 @@ def _render(query: str, fragments: Sequence[PromptFragment], schema_instruction:
 def build_prompt(
     query: str,
     strategy: Strategy,
-    fragments: Sequence = (),
+    fragments: Sequence[PromptFragment] = (),
     *,
     budget: int = DEFAULT_PROMPT_BUDGET,
     query_key: str | None = None,
@@ -123,14 +113,16 @@ def build_prompt(
         raise InputError("query must be non-empty")
     if budget <= 0:
         raise InputError(f"prompt budget must be positive, got {budget}")
-    coerced = [_coerce_fragment(f) for f in fragments]
-    if strategy is Strategy.NO_DATASOURCE and coerced:
+    for frag in fragments:
+        if not isinstance(frag, PromptFragment):
+            raise InputError(f"cannot interpret {frag!r} as a prompt fragment")
+    if strategy is Strategy.NO_DATASOURCE and fragments:
         raise InputError("the no-datasource strategy takes no fragments")
 
     notes: list[str] = []
     kept: list[PromptFragment] = []
     seen_texts: dict[str, str] = {}
-    for frag in coerced:
+    for frag in fragments:
         if frag.text in seen_texts:
             notes.append(
                 f"collapsed duplicate fragment {frag.ref} "

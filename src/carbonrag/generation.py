@@ -49,6 +49,7 @@ ANSWER_SCHEMA_INSTRUCTION = (
 )
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*\n(.*?)```", re.DOTALL)
+_DECODER = json.JSONDecoder()
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ class RemoteChatBackend:
         return RawAnswer(text=content, backend_kind=self.kind, usage=usage)
 
 
-def backend_from_spec(spec: str, *, audit_log_path: str | Path | None = None, model: str = "default"):
+def backend_from_spec(spec: str, *, model: str = "default"):
     """Build a backend from a CLI-style spec string.
 
     Accepted forms: ``mock:<script.json>`` or ``remote:<url>``.
@@ -200,51 +201,32 @@ def backend_from_spec(spec: str, *, audit_log_path: str | Path | None = None, mo
     if spec.startswith("mock:"):
         return ScriptedMockBackend.from_file(spec.split(":", 1)[1])
     if spec.startswith("remote:"):
-        return RemoteChatBackend(
-            spec.split(":", 1)[1], model=model, audit_log_path=audit_log_path
-        )
+        return RemoteChatBackend(spec.split(":", 1)[1], model=model)
     raise InputError(
         f"unknown backend spec {spec!r} (expected 'mock:<script.json>' or 'remote:<url>')"
     )
 
 
-def _candidate_json_objects(text: str):
-    for match in _FENCE_RE.finditer(text):
-        yield match.group(1)
-    yield text
-    # Last resort: first balanced top-level object in free text.
+def _json_candidates(text: str):
+    """Values decoded from each fenced block, then the whole text, then an
+    object starting at each ``{``. Input too deeply nested to decode is no
+    candidate."""
+    for candidate in [*(m.group(1) for m in _FENCE_RE.finditer(text)), text]:
+        try:
+            yield json.loads(candidate)
+        except (json.JSONDecodeError, RecursionError):
+            pass
     start = text.find("{")
     while start != -1:
-        depth = 0
-        in_string = False
-        escape = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escape:
-                    escape = False
-                elif ch == "\\":
-                    escape = True
-                elif ch == '"':
-                    in_string = False
-            elif ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    yield text[start : i + 1]
-                    break
+        try:
+            yield _DECODER.raw_decode(text, start)[0]
+        except (json.JSONDecodeError, RecursionError):
+            pass
         start = text.find("{", start + 1)
 
 
 def _find_facts_block(text: str) -> list | None:
-    for candidate in _candidate_json_objects(text):
-        try:
-            obj = json.loads(candidate)
-        except json.JSONDecodeError:
-            continue
+    for obj in _json_candidates(text):
         if isinstance(obj, dict) and isinstance(obj.get("facts"), list):
             return obj["facts"]
     return None

@@ -137,6 +137,8 @@ class VectorIndex:
         if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
             raise FormatError(f"index {path} is missing the entries array")
         dims = obj.get("dims")
+        if dims is not None and (type(dims) is not int or dims <= 0):
+            raise FormatError(f"index {path}: dims {dims!r} is not a positive integer")
         rows: dict[str, np.ndarray] = {}
         for i, rec in enumerate(obj["entries"]):
             try:
@@ -144,6 +146,10 @@ class VectorIndex:
                 vector = np.asarray(rec["vector"], dtype=np.float64)
             except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"index {path}, entry {i}: {exc}") from None
+            if not isinstance(chunk_id, str):
+                raise FormatError(
+                    f"index {path}, entry {i}: chunk_id {chunk_id!r} is not a string"
+                )
             if chunk_id in rows:
                 raise FormatError(f"index {path}, entry {i}: duplicate chunk_id {chunk_id!r}")
             if vector.ndim != 1 or (dims is not None and vector.shape[0] != dims):
@@ -151,9 +157,11 @@ class VectorIndex:
                     f"index {path}, entry {chunk_id!r}: vector shape {vector.shape} != ({dims},)"
                 )
             dims = vector.shape[0]  # without a "dims" key the first entry fixes the width
-            if abs(float(np.linalg.norm(vector)) - 1.0) > _NORM_TOLERANCE:
+            norm = float(np.linalg.norm(vector))
+            # A NaN or infinite entry makes the norm NaN or inf, which fails this test.
+            if not abs(norm - 1.0) <= _NORM_TOLERANCE:
                 raise FormatError(
-                    f"index {path}, entry {chunk_id!r}: vector is not unit-norm"
+                    f"index {path}, entry {chunk_id!r}: vector is not unit-norm (norm {norm})"
                 )
             # Stored vectors are already unit-norm; they are kept without
             # re-normalization so save/load round-trips bit-exactly.
@@ -177,9 +185,9 @@ def _unit_row(chunk_id: str, vector, dims: int | None) -> np.ndarray:
 
 
 def build_index(chunks, encoder) -> VectorIndex:
-    """Embed every chunk text and index it under its chunk id."""
-    rows = {
-        chunk.chunk_id: _unit_row(chunk.chunk_id, encoder.embed(chunk.text), encoder.dims)
-        for chunk in chunks
-    }
+    """Embed all chunk texts in one ``embed_batch`` call and index each row,
+    as the encoder returned it, under its chunk id."""
+    chunks = list(chunks)
+    matrix = encoder.embed_batch([chunk.text for chunk in chunks])
+    rows = {chunk.chunk_id: row for chunk, row in zip(chunks, matrix)}
     return VectorIndex(dims=encoder.dims, rows=rows)

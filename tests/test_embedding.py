@@ -2,6 +2,7 @@
 
 import http.server
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from carbonrag import (
     RemoteEncoder,
     TrainingPair,
     TransportError,
+    build_index,
     cosine_similarity,
     encoder_from_spec,
     load_encoder,
@@ -121,11 +123,6 @@ class TestDualTowerEncoder:
         with pytest.raises(ValueError):
             enc.matrix[0, 0] = 1.0
 
-    def test_query_and_passage_towers_share_weights(self):
-        enc = self._encoder()
-        text = "alumina purity at the silos"
-        np.testing.assert_array_equal(enc.embed_query(text), enc.embed_passage(text))
-
     def test_embeddings_are_unit_norm(self):
         enc = self._encoder()
         for text in ("bath ratio", "current efficiency", "rail freight distance"):
@@ -134,6 +131,38 @@ class TestDualTowerEncoder:
     def test_non_2d_matrix_rejected(self):
         with pytest.raises(ConfigError):
             DualTowerEncoder(matrix=np.ones(3))
+
+    def test_non_finite_matrix_rejected(self, tmp_path):
+        for bad in (np.nan, np.inf):
+            matrix = np.ones((2, 3))
+            matrix[1, 2] = bad
+            with pytest.raises(ConfigError, match="non-finite"):
+                DualTowerEncoder(matrix=matrix)
+            path = tmp_path / "tower.json"
+            obj = {"kind": "toy_dual_tower", "dims": 2, "seed": 0, "matrix": matrix.tolist()}
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            with pytest.raises(FormatError, match="non-finite"):
+                load_encoder(path)
+
+
+_BATCH = ["bath ratio", "anode carbon consumption", "!!!", "rail freight distance"]
+
+
+@pytest.mark.parametrize(
+    "encoder",
+    [
+        LexicalEncoder(dims=16),
+        DualTowerEncoder(matrix=np.random.default_rng(5).normal(size=(8, 32))),
+    ],
+    ids=["lexical", "dual_tower"],
+)
+def test_embed_is_bit_identical_to_its_batch_row(encoder):
+    matrix = encoder.embed_batch(_BATCH)
+    assert matrix.shape == (len(_BATCH), encoder.dims)
+    for i, text in enumerate(_BATCH):
+        np.testing.assert_array_equal(encoder.embed(text), matrix[i])
+        np.testing.assert_array_equal(encoder.embed_batch(_BATCH[i:])[0], matrix[i])
+    assert encoder.embed_batch([]).shape == (0, encoder.dims)
 
 
 class TestPairGradient:
@@ -278,6 +307,14 @@ class _EmbedHandler(http.server.BaseHTTPRequestHandler):
         texts = body.get("input", [])
         if self.path == "/embed":
             self._send(200, {"embeddings": [[2.0, 0.0, 0.0, 0.0] for _ in texts]})
+        elif self.path == "/varied":
+            self._send(200, {"embeddings": [[len(t), 1.0, 3.0, ord(t[0])] for t in texts]})
+        elif self.path == "/nan":
+            self._send(200, {"embeddings": [[float("nan"), 1.0, 0.0, 0.0] for _ in texts]})
+        elif self.path == "/words":
+            self._send(200, {"embeddings": [["a", "b", "c", "d"] for _ in texts]})
+        elif self.path == "/array":
+            self._send(200, [[1.0, 0.0, 0.0, 0.0] for _ in texts])
         elif self.path == "/short":
             self._send(200, {"embeddings": []})
         elif self.path == "/notjson":
@@ -328,6 +365,35 @@ class TestRemoteEncoder:
         vectors = enc.embed_batch(["a", "b", "c"])
         assert len(vectors) == 3
         assert embed_server.requests[-1]["body"] == {"input": ["a", "b", "c"]}
+
+    def test_embed_is_bit_identical_to_its_batch_row(self, embed_server):
+        enc = RemoteEncoder(_url(embed_server, "/varied"), dims=4)
+        matrix = enc.embed_batch(_BATCH)
+        assert matrix.shape == (len(_BATCH), 4)
+        for i, text in enumerate(_BATCH):
+            np.testing.assert_array_equal(enc.embed(text), matrix[i])
+            np.testing.assert_array_equal(enc.embed_batch(_BATCH[i:])[0], matrix[i])
+
+    def test_build_index_sends_one_request(self, embed_server):
+        enc = RemoteEncoder(_url(embed_server, "/varied"), dims=4)
+        chunks = [SimpleNamespace(chunk_id=f"d:{i:08d}", text=t) for i, t in enumerate(_BATCH)]
+        index = build_index(chunks, enc)
+        assert len(index) == len(_BATCH)
+        assert [r["body"] for r in embed_server.requests] == [{"input": _BATCH}]
+        assert len(build_index([], enc)) == 0
+        with pytest.raises(InputError):
+            enc.embed_batch(["potline", "  "])
+        assert len(embed_server.requests) == 1
+
+    def test_malformed_reply_is_a_format_error(self, embed_server):
+        for path, message in (
+            ("/nan", "non-finite"),
+            ("/words", "not numeric"),
+            ("/array", "no embeddings"),
+        ):
+            enc = RemoteEncoder(_url(embed_server, path), dims=4)
+            with pytest.raises(FormatError, match=message):
+                enc.embed_batch(["x", "y"])
 
     def test_bearer_token_from_environment(self, embed_server, monkeypatch):
         monkeypatch.setenv("EMBEDDING_API_KEY", "sk-test")

@@ -106,15 +106,10 @@ class TestFragmentSources:
         assert frag.text == "whole text"
         assert frag.similarity is None
 
-    def test_pairs_and_triples_coerce(self):
-        prompt = build_prompt(
-            "q", Strategy.RAG_LONG, [("r1", "text one"), ("r2", "text two", 0.5)]
-        )
-        assert [f.similarity for f in prompt.fragments] == [None, 0.5]
-
     def test_uninterpretable_fragment_rejected(self):
-        with pytest.raises(InputError):
-            build_prompt("q", Strategy.RAG_LONG, [42])
+        for bad in (42, ("r1", "text one")):
+            with pytest.raises(InputError):
+                build_prompt("q", Strategy.RAG_LONG, [bad])
 
 
 class TestGuards:

@@ -3,6 +3,7 @@
 import hashlib
 import http.server
 import json
+import time
 
 import pytest
 
@@ -136,6 +137,19 @@ class TestParseExtraction:
         with pytest.raises(ExtractionError) as err:
             parse_extraction("Sorry, I cannot help with that.")
         assert err.value.raw_text == "Sorry, I cannot help with that."
+
+    def test_hostile_answers_fail_fast(self):
+        """Unmatched braces, truncated objects and nesting deeper than the
+        recursion limit end in ExtractionError, each within a second; a
+        facts object after such a nest is still found."""
+        for text in ("{" * 4000, '{"a": [1,2,3' * 2000, '{"a":' * 4000):
+            start = time.perf_counter()
+            with pytest.raises(ExtractionError):
+                parse_extraction(text)
+            assert time.perf_counter() - start < 1.0
+        block = '{"facts": [{"key": "k", "value": 2, "unit": "t"}]}'
+        facts, _ = parse_extraction('{"a":' * 4000 + block)
+        assert facts[0].fact_key == "k"
 
     def test_unit_whitespace_is_trimmed(self):
         text = json.dumps({"facts": [{"key": "k", "value": 1, "unit": " kWh "}]})

@@ -158,17 +158,30 @@ class TestPersistence:
 
     def test_load_rejects_non_unit_vectors(self, tmp_path):
         path = tmp_path / "index.json"
-        obj = {"dims": 2, "entries": [{"chunk_id": "c:0", "vector": [3.0, 4.0]}]}
-        path.write_text(json.dumps(obj), encoding="utf-8")
-        with pytest.raises(FormatError, match="unit-norm"):
-            VectorIndex.load(path)
+        for vector, norm in (
+            ([3.0, 4.0], "5.0"),
+            ([float("nan"), 0.0], "nan"),
+            ([float("inf"), 0.0], "inf"),
+        ):
+            obj = {"dims": 2, "entries": [{"chunk_id": "c:0", "vector": vector}]}
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            with pytest.raises(FormatError, match=rf"entry 'c:0'.*unit-norm \(norm {norm}\)"):
+                VectorIndex.load(path)
 
     def test_load_rejects_wrong_shape(self, tmp_path):
         path = tmp_path / "index.json"
-        obj = {"dims": 3, "entries": [{"chunk_id": "c:0", "vector": [1.0, 0.0]}]}
-        path.write_text(json.dumps(obj), encoding="utf-8")
-        with pytest.raises(FormatError):
-            VectorIndex.load(path)
+        entry = {"chunk_id": "c:0", "vector": [1.0, 0.0]}
+        for obj, message in (
+            ({"dims": 3, "entries": [entry]}, "entry 'c:0'"),
+            ({"dims": "4", "entries": []}, "dims '4'"),
+            ({"dims": "2", "entries": [entry]}, "dims '2'"),
+            ({"dims": 0, "entries": []}, "dims 0"),
+            ({"dims": 2, "entries": [{**entry, "chunk_id": ["c", 0]}]}, "entry 0: chunk_id"),
+            ({"dims": 2, "entries": [{**entry, "chunk_id": 7}]}, "entry 0: chunk_id"),
+        ):
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            with pytest.raises(FormatError, match=message):
+                VectorIndex.load(path)
 
     def test_load_without_dims_rejects_mixed_widths(self, tmp_path):
         path = tmp_path / "index.json"
@@ -202,6 +215,9 @@ class TestBuildIndex:
         ]
         index = build_index(chunks, encoder)
         assert len(index) == 2
+        for chunk, entry in zip(chunks, index.entries()):
+            assert entry.chunk_id == chunk.chunk_id
+            np.testing.assert_array_equal(entry.vector, encoder.embed(chunk.text))
         (hit, _) = index.top_k(encoder.embed("anode carbon"), k=2)
         assert hit.chunk_id == "d:00000000-00000005"
         assert hit.similarity == pytest.approx(1.0, abs=1e-12)
