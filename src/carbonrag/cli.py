@@ -80,6 +80,8 @@ def cmd_train_encoder(args) -> int:
         raise FormatError(
             f"training pairs {args.pairs}: each entry needs text_a, text_b, related ({exc})"
         ) from None
+    if not all(isinstance(p.text_a, str) and isinstance(p.text_b, str) for p in pairs):
+        raise FormatError(f"training pairs {args.pairs}: text_a and text_b must be strings")
     result = train_dual_tower(
         pairs,
         dims=args.dims,
@@ -172,6 +174,8 @@ def _parse_fact_entries(path: str) -> list[InventoryItem]:
             quantity = Quantity.from_json_value(e.get("value"))
             stage = LifecycleStage(e.get("lifecycle_stage", "raw_material"))
             unit = e["unit"]
+            if not isinstance(unit, str):
+                raise ValueError(f"unit {unit!r} is not a string")
             items.append(InventoryItem(activity, quantity, unit, stage))
         except (ValueError, KeyError) as exc:
             raise FormatError(f"facts {path}: entry {i} ({activity}): {exc}") from None
@@ -223,17 +227,13 @@ def _effective_config(args) -> RunConfig:
     return config.merged({name: getattr(args, name, None) for name in RunConfig.field_names()})
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, *, with_paths=True) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The run-config flags shared by ``query`` and ``bench``."""
     parser.add_argument("--config", help="JSON run configuration (flags override it)")
-    if with_paths:
-        parser.add_argument("--catalog", dest="catalog_path", help="document catalog JSON")
-        parser.add_argument("--index", dest="index_path", help="vector index JSON")
     parser.add_argument("--encoder", help="encoder spec: lexical, lexical:<dims>, remote:<url>, or a saved encoder file")
     parser.add_argument("--backend", help="generation backend: mock:<script.json> or remote:<url>")
     parser.add_argument("--model", help="model name sent to a remote backend")
     parser.add_argument("--k", type=int, help="fragments to retrieve per query")
-    parser.add_argument("--chunk-size", dest="chunk_size", type=int)
-    parser.add_argument("--overlap", dest="overlap", type=int)
     parser.add_argument("--length-threshold", dest="length_threshold", type=int)
     parser.add_argument("--prompt-budget", dest="prompt_budget", type=int)
 
@@ -284,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("question", nargs="?", help="the question (omit with --interactive)")
     p.add_argument("--interactive", action="store_true", help="read questions line by line from stdin")
     _add_config_flags(p)
+    p.add_argument("--catalog", dest="catalog_path", help="document catalog JSON")
+    p.add_argument("--index", dest="index_path", help="vector index JSON")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("account", help="compute a footprint from extracted facts")
@@ -300,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_account)
 
     p = sub.add_parser("bench", help="run a benchmark file and score it")
-    _add_config_flags(p, with_paths=False)
+    _add_config_flags(p)
+    p.add_argument("--chunk-size", dest="chunk_size", type=int)
+    p.add_argument("--overlap", dest="overlap", type=int)
     p.add_argument("--benchmark", dest="benchmark_path", help="benchmark JSON")
     p.add_argument("--out", dest="report_out", help="write the report JSON here")
     p.add_argument("--csv", help="write the per-fact CSV here")

@@ -38,6 +38,12 @@ class RunConfig:
     template_version: str = TEMPLATE_VERSION
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # Every field is a string or an int, and only None-default fields may be None.
+            kind = str if f.default is None else type(f.default)
+            if not (type(value) is kind or (value is None and f.default is None)):
+                raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.k <= 0:
             raise ConfigError(f"k must be positive, got {self.k}")
         if self.chunk_size <= self.overlap:

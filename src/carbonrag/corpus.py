@@ -283,6 +283,8 @@ class Catalog:
         catalog = cls()
         for i, rec in enumerate(records):
             try:
+                if not isinstance(rec["body"], str):
+                    raise TypeError("body is not a string")
                 catalog.add(
                     Document(
                         doc_id=rec["doc_id"],

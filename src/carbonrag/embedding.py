@@ -348,6 +348,8 @@ def load_encoder(path: str | Path):
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot load encoder {path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"encoder {path} must be a JSON object")
     kind = obj.get("kind")
     try:
         if kind == "lexical_baseline":

@@ -292,8 +292,11 @@ def load_benchmark(path: str | Path) -> Benchmark:
             raise BenchmarkError(f"{where}: 'inventory_keys' must be a list of strings")
         inventory_keys = tuple(inventory_keys)
 
+    raw_stages = obj.get("lifecycle_stages", {})
+    if not isinstance(raw_stages, dict):
+        raise BenchmarkError(f"{where}: 'lifecycle_stages' must be an object")
     stages = {}
-    for activity, stage_text in obj.get("lifecycle_stages", {}).items():
+    for activity, stage_text in raw_stages.items():
         try:
             stages[activity] = LifecycleStage(stage_text)
         except ValueError:

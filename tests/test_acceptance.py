@@ -18,7 +18,6 @@ from carbonrag import (
     EmissionFactor,
     EmissionFactorDb,
     GroundTruthRecord,
-    IndexEntry,
     InventoryItem,
     LexicalEncoder,
     LifecycleStage,
@@ -50,13 +49,11 @@ def test_retrieval_oracle_equivalence():
     dims, n, k = 64, 1000, 10
 
     vectors = {f"c:{i:04d}": rng.normal(size=dims) for i in range(n)}
-    index = VectorIndex(dims=dims)
-    for chunk_id, v in vectors.items():
-        index.insert(IndexEntry(chunk_id=chunk_id, vector=v))
 
     # Independent oracle: normalize, score with a plain dot product, full
     # sort by (similarity descending, chunk id ascending), truncate.
     unit = {cid: v / np.linalg.norm(v) for cid, v in vectors.items()}
+    index = VectorIndex(list(unit), np.stack(list(unit.values())))
     for _ in range(100):
         q = rng.normal(size=dims)
         q_hat = q / np.linalg.norm(q)
@@ -72,13 +69,11 @@ def test_retrieval_oracle_equivalence():
             assert hit.similarity == pytest.approx(sim, abs=1e-12)
 
     # Constructed ties: identical vectors must rank by ascending chunk id.
-    tie_index = VectorIndex(dims=4)
     near = np.array([1.0, 0.0, 0.0, 0.0])
     far = np.array([0.0, 1.0, 0.0, 0.0])
-    for chunk_id in ("t:04", "t:01", "t:03", "t:00", "t:02"):
-        tie_index.insert(IndexEntry(chunk_id=chunk_id, vector=near))
-    for chunk_id in ("u:01", "u:00"):
-        tie_index.insert(IndexEntry(chunk_id=chunk_id, vector=far))
+    tie_index = VectorIndex(
+        ["t:04", "t:01", "t:03", "t:00", "t:02", "u:01", "u:00"], [near] * 5 + [far] * 2
+    )
     ids = [h.chunk_id for h in tie_index.top_k(np.array([2.0, 1.0, 0.0, 0.0]), k=7)]
     assert ids == ["t:00", "t:01", "t:02", "t:03", "t:04", "u:00", "u:01"]
 

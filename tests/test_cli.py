@@ -163,10 +163,14 @@ class TestTrainEncoder:
 
     def test_malformed_pairs_file_reports_the_load_stage(self, tmp_path, capsys):
         bad = tmp_path / "pairs.json"
-        bad.write_text(json.dumps([{"text_a": "only half"}]), encoding="utf-8")
-        code = main(["train-encoder", "--pairs", str(bad), "--out", str(tmp_path / "e.json")])
-        assert code == 1
-        assert "[load]" in capsys.readouterr().err
+        for pairs in (
+            [{"text_a": "only half"}],
+            [{"text_a": 5, "text_b": "anode carbon", "related": True}],
+        ):
+            bad.write_text(json.dumps(pairs), encoding="utf-8")
+            code = main(["train-encoder", "--pairs", str(bad), "--out", str(tmp_path / "e.json")])
+            assert code == 1
+            assert "[load]" in capsys.readouterr().err
 
 
 class TestQuery:
@@ -342,6 +346,13 @@ class TestAccount:
         err = capsys.readouterr().err
         assert code == 1
         assert "[load]" in err and ":2:" in err
+        facts.write_text(
+            json.dumps([{"key": "electricity_use", "value": 1, "unit": 5}]), encoding="utf-8"
+        )
+        code = main(["account", "--facts", str(facts), "--factors", str(factors)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "[load]" in err and "unit 5 is not a string" in err
 
 
 class TestBenchAndReport:
@@ -410,7 +421,7 @@ class TestBenchAndReport:
         assert report.metadata["k"] == 7
         assert report.metadata["config"]["k"] == 7
 
-    def test_config_file_rejects_factor_db_path(self, benchmark_tree, tmp_path):
+    def test_config_file_rejects_factor_db_path(self, benchmark_tree, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(
             json.dumps(
@@ -423,6 +434,24 @@ class TestBenchAndReport:
         )
         with pytest.raises(ConfigError, match="unknown keys: factor_db_path"):
             RunConfig.from_file(config_path)
+        for bad, message in (
+            ({"encoder": 5}, "encoder must be str"),
+            ({"k": 2.5}, "k must be int"),
+        ):
+            config_path.write_text(json.dumps(bad), encoding="utf-8")
+            code = main(
+                [
+                    "bench",
+                    "--config",
+                    str(config_path),
+                    "--benchmark",
+                    str(benchmark_tree.benchmark),
+                    "--backend",
+                    f"mock:{benchmark_tree.mock_perfect}",
+                ]
+            )
+            assert code == 1
+            assert f"[config] {message}" in capsys.readouterr().err
 
     def test_missing_benchmark_reports_its_stage(self, tmp_path, capsys):
         code = main(["bench", "--benchmark", str(tmp_path / "absent.json")])
@@ -440,6 +469,11 @@ class TestUsage:
     def test_unknown_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
+        assert err.value.code == 2
+
+    def test_query_takes_no_chunking_flags(self):
+        with pytest.raises(SystemExit) as err:
+            main(["query", "--chunk-size", "5", "How much electricity?"])
         assert err.value.code == 2
 
     def test_bench_requires_a_backend(self, benchmark_tree, capsys):

@@ -256,9 +256,11 @@ class TestCatalogPersistence:
 
     def test_load_names_the_offending_record(self, tmp_path):
         path = tmp_path / "catalog.json"
-        path.write_text(json.dumps([{"title": "missing ids"}]), encoding="utf-8")
-        with pytest.raises(FormatError, match="record 0"):
-            Catalog.load(path)
+        record = {"doc_id": "a", "title": "t", "source": "raw_text", "fetched_at": "x"}
+        for records in ([{"title": "missing ids"}], [{**record, "body": ["not", "text"]}]):
+            path.write_text(json.dumps(records), encoding="utf-8")
+            with pytest.raises(FormatError, match="record 0"):
+                Catalog.load(path)
 
     def test_load_rejects_non_array(self, tmp_path):
         path = tmp_path / "catalog.json"

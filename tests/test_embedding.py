@@ -267,9 +267,10 @@ class TestEncoderPersistence:
 
     def test_load_rejects_unknown_kind(self, tmp_path):
         path = tmp_path / "enc.json"
-        path.write_text(json.dumps({"kind": "mystery", "dims": 4}), encoding="utf-8")
-        with pytest.raises(FormatError):
-            load_encoder(path)
+        for obj in ({"kind": "mystery", "dims": 4}, []):
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            with pytest.raises(FormatError):
+                load_encoder(path)
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "enc.json"

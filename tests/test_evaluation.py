@@ -190,11 +190,10 @@ class TestLoadBenchmark:
             load_benchmark(path)
 
     def test_unknown_lifecycle_stage_rejected(self, tmp_path):
-        path = self._write(
-            tmp_path, lambda o: o.update(lifecycle_stages={"electricity_use": "cradle"})
-        )
-        with pytest.raises(BenchmarkError, match="lifecycle"):
-            load_benchmark(path)
+        for stages in ({"electricity_use": "cradle"}, []):
+            path = self._write(tmp_path, lambda o: o.update(lifecycle_stages=stages))
+            with pytest.raises(BenchmarkError, match="lifecycle"):
+                load_benchmark(path)
 
     def test_bad_json_rejected(self, tmp_path):
         path = tmp_path / "benchmark.json"

@@ -8,7 +8,6 @@ import pytest
 
 from carbonrag import (
     FormatError,
-    IndexEntry,
     InputError,
     LexicalEncoder,
     VectorIndex,
@@ -17,10 +16,9 @@ from carbonrag import (
 
 
 def _random_index(rng, n, dims):
-    index = VectorIndex(dims=dims)
-    for i in range(n):
-        index.insert(IndexEntry(chunk_id=f"doc:{i:08d}", vector=rng.normal(size=dims)))
-    return index
+    rows = rng.normal(size=(n, dims))
+    unit_rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    return VectorIndex([f"doc:{i:08d}" for i in range(n)], unit_rows)
 
 
 def _brute_force(index, query, k):
@@ -57,10 +55,8 @@ class TestTopK:
         assert sims == sorted(sims, reverse=True)
 
     def test_equal_similarities_break_ties_by_ascending_id(self):
-        index = VectorIndex(dims=4)
         v = np.array([1.0, 0.0, 0.0, 0.0])
-        for chunk_id in ("b:0", "a:0", "c:0"):
-            index.insert(IndexEntry(chunk_id=chunk_id, vector=v))
+        index = VectorIndex(["b:0", "a:0", "c:0"], np.stack([v, v, v]))
         hits = index.top_k(v, k=3)
         assert [h.chunk_id for h in hits] == ["a:0", "b:0", "c:0"]
         assert all(h.similarity == 1.0 for h in hits)
@@ -71,34 +67,12 @@ class TestTopK:
         assert len(index.top_k(rng.normal(size=8), k=50)) == 6
 
     def test_empty_index_returns_no_hits(self):
-        assert VectorIndex(dims=4).top_k(np.ones(4), k=3) == []
-
-    def test_insert_normalizes_so_scale_does_not_matter(self):
-        a = VectorIndex(dims=3)
-        b = VectorIndex(dims=3)
-        rng = np.random.default_rng(24)
-        for i in range(10):
-            v = rng.normal(size=3)
-            a.insert(IndexEntry(chunk_id=f"c:{i}", vector=v))
-            b.insert(IndexEntry(chunk_id=f"c:{i}", vector=1000.0 * v))
-        query = rng.normal(size=3)
-        for ha, hb in zip(a.top_k(query, k=10), b.top_k(query, k=10)):
-            assert ha.chunk_id == hb.chunk_id
-            np.testing.assert_allclose(ha.similarity, hb.similarity, atol=1e-12)
-
-    def test_reinserting_an_id_replaces_the_vector(self):
-        index = VectorIndex(dims=2)
-        index.insert(IndexEntry(chunk_id="c:0", vector=np.array([1.0, 0.0])))
-        index.insert(IndexEntry(chunk_id="c:0", vector=np.array([0.0, 1.0])))
-        assert len(index) == 1
-        (hit,) = index.top_k(np.array([0.0, 1.0]), k=1)
-        assert hit.similarity == 1.0
+        assert VectorIndex([], np.empty((0, 4))).top_k(np.ones(4), k=3) == []
 
 
 class TestValidation:
     def test_query_errors(self):
-        index = VectorIndex(dims=4)
-        index.insert(IndexEntry(chunk_id="c:0", vector=np.ones(4)))
+        index = VectorIndex(["c:0"], np.full((1, 4), 0.5))
         with pytest.raises(InputError):
             index.top_k(np.ones(4), k=0)
         with pytest.raises(InputError):
@@ -108,23 +82,33 @@ class TestValidation:
         with pytest.raises(InputError):
             index.top_k(np.ones((2, 2)), k=1)
 
-    def test_insert_errors(self):
-        index = VectorIndex(dims=4)
-        with pytest.raises(InputError):
-            index.insert(IndexEntry(chunk_id="c:0", vector=np.zeros(4)))
-        with pytest.raises(InputError):
-            index.insert(IndexEntry(chunk_id="c:0", vector=np.array([1.0, np.nan, 0.0, 0.0])))
-        with pytest.raises(InputError):
-            index.insert(IndexEntry(chunk_id="c:0", vector=np.ones(5)))
-        with pytest.raises(InputError):
-            index.insert(IndexEntry(chunk_id="c:0", vector=np.ones((2, 2))))
+    def test_constructor_errors(self):
+        e0 = [1.0, 0.0, 0.0, 0.0]
+        for ids, matrix, message in (
+            (["c:0"], np.zeros((1, 4)), r"entry 'c:0' is not unit-norm \(norm 0.0\)"),
+            (["c:0"], [[1.0, np.nan, 0.0, 0.0]], r"entry 'c:0' is not unit-norm \(norm nan\)"),
+            (["c:0", "c:1"], [e0, [1.0, 0.0, 0.0, 0.0, 0.0]], "not a numeric matrix"),
+            (["c:0"], np.ones((1, 2, 2)), r"shape \(1, 2, 2\)"),
+            (["c:0", "c:1"], [e0], r"2 chunk ids need a \(2, dims\) matrix"),
+            (["c:1", "c:0", "c:1"], [e0, e0, e0], "duplicate chunk id 'c:1'"),
+            (["c:0", 7], [e0, e0], "chunk id 7 is not a string"),
+            (["c:0", "c:1"], [e0, [0.6, 0.0, 0.0, 0.0]], r"entry 'c:1' is not unit-norm"),
+        ):
+            with pytest.raises(InputError, match=message):
+                VectorIndex(ids, matrix)
 
-    def test_dims_are_locked_by_first_insert(self):
-        index = VectorIndex()
-        index.insert(IndexEntry(chunk_id="c:0", vector=np.ones(6)))
-        assert index.dims == 6
-        with pytest.raises(InputError):
-            index.insert(IndexEntry(chunk_id="c:1", vector=np.ones(4)))
+    def test_rows_are_sorted_by_id_and_read_only(self):
+        rows = np.eye(3)
+        index = VectorIndex(["c:2", "c:0", "c:1"], rows)
+        assert [e.chunk_id for e in index.entries()] == ["c:0", "c:1", "c:2"]
+        np.testing.assert_array_equal(
+            np.stack([e.vector for e in index.entries()]), rows[[1, 2, 0]]
+        )
+        assert index.dims == 3
+        rows[0, 0] = 0.0  # the caller's matrix is not the index's
+        assert index.top_k(np.array([1.0, 0.0, 0.0]), k=1)[0].chunk_id == "c:2"
+        with pytest.raises(ValueError):
+            next(iter(index.entries())).vector[0] = 2.0
 
 
 class TestPersistence:
@@ -176,22 +160,13 @@ class TestPersistence:
             ({"dims": "4", "entries": []}, "dims '4'"),
             ({"dims": "2", "entries": [entry]}, "dims '2'"),
             ({"dims": 0, "entries": []}, "dims 0"),
-            ({"dims": 2, "entries": [{**entry, "chunk_id": ["c", 0]}]}, "entry 0: chunk_id"),
-            ({"dims": 2, "entries": [{**entry, "chunk_id": 7}]}, "entry 0: chunk_id"),
+            ({"dims": 2, "entries": [{**entry, "chunk_id": ["c", 0]}]}, r"chunk id \['c', 0\]"),
+            ({"dims": 2, "entries": [{**entry, "chunk_id": 7}]}, "chunk id 7"),
+            ({"entries": [entry]}, "dims None"),
         ):
             path.write_text(json.dumps(obj), encoding="utf-8")
             with pytest.raises(FormatError, match=message):
                 VectorIndex.load(path)
-
-    def test_load_without_dims_rejects_mixed_widths(self, tmp_path):
-        path = tmp_path / "index.json"
-        entries = [
-            {"chunk_id": "c:0", "vector": [1.0, 0.0]},
-            {"chunk_id": "c:1", "vector": [1.0, 0.0, 0.0]},
-        ]
-        path.write_text(json.dumps({"entries": entries}), encoding="utf-8")
-        with pytest.raises(FormatError, match="entry 'c:1'"):
-            VectorIndex.load(path)
 
     def test_load_rejects_missing_entries(self, tmp_path):
         path = tmp_path / "index.json"
@@ -221,3 +196,11 @@ class TestBuildIndex:
         (hit, _) = index.top_k(encoder.embed("anode carbon"), k=2)
         assert hit.chunk_id == "d:00000000-00000005"
         assert hit.similarity == pytest.approx(1.0, abs=1e-12)
+
+    def test_duplicate_chunk_id_is_rejected(self):
+        chunks = [
+            SimpleNamespace(chunk_id="d:00000000-00000005", text="anode carbon"),
+            SimpleNamespace(chunk_id="d:00000000-00000005", text="potline power"),
+        ]
+        with pytest.raises(InputError, match="duplicate chunk id 'd:00000000-00000005'"):
+            build_index(chunks, LexicalEncoder(dims=16))
