@@ -162,10 +162,22 @@ class TestPersistence:
             ({"dims": 0, "entries": []}, "dims 0"),
             ({"dims": 2, "entries": [{**entry, "chunk_id": ["c", 0]}]}, r"chunk id \['c', 0\]"),
             ({"dims": 2, "entries": [{**entry, "chunk_id": 7}]}, "chunk id 7"),
-            ({"entries": [entry]}, "dims None"),
         ):
             path.write_text(json.dumps(obj), encoding="utf-8")
             with pytest.raises(FormatError, match=message):
+                VectorIndex.load(path)
+
+    def test_load_without_dims_rejects_mixed_widths(self, tmp_path):
+        # A file without "dims" is rejected before any entry is read, so
+        # entries of differing widths cannot slip in through it.
+        path = tmp_path / "index.json"
+        entries = [
+            {"chunk_id": "c:0", "vector": [1.0, 0.0]},
+            {"chunk_id": "c:1", "vector": [1.0, 0.0, 0.0]},
+        ]
+        for obj in ({"entries": entries}, {"entries": entries[:1]}):
+            path.write_text(json.dumps(obj), encoding="utf-8")
+            with pytest.raises(FormatError, match="dims None"):
                 VectorIndex.load(path)
 
     def test_load_rejects_missing_entries(self, tmp_path):
