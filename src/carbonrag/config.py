@@ -76,7 +76,7 @@ class RunConfig:
             raise ConfigError(f"config {path} has unknown keys: {', '.join(unknown)}")
         try:
             return cls(**obj)
-        except TypeError as exc:
+        except (TypeError, ConfigError) as exc:
             raise ConfigError(f"config {path}: {exc}") from None
 
     def merged(self, overrides: Mapping[str, Any]) -> "RunConfig":

@@ -283,8 +283,11 @@ class Catalog:
         catalog = cls()
         for i, rec in enumerate(records):
             try:
-                if not isinstance(rec["body"], str):
-                    raise TypeError("body is not a string")
+                for key in ("title", "body", "fetched_at"):
+                    if not isinstance(rec[key], str):
+                        raise TypeError(f"{key} is not a string")
+                if not isinstance(rec.get("industry_tag"), (str, type(None))):
+                    raise TypeError("industry_tag is neither a string nor null")
                 catalog.add(
                     Document(
                         doc_id=rec["doc_id"],

@@ -8,6 +8,9 @@ whatever it returns.
 
 Token features are hashed bag-of-words: lowercase, split on
 non-alphanumerics, FNV-1a 64-bit bucket assignment with a fixed seed.
+``hashed_counts`` counts a whole batch: each distinct token is hashed once
+per call, through a token -> bucket dict that lives only for that call, so
+no cache outlives it and each row still depends on its own text only.
 """
 
 from __future__ import annotations
@@ -51,11 +54,24 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def hashed_token_counts(text: str, dims: int, seed: int = DEFAULT_HASH_SEED) -> np.ndarray:
-    counts = np.zeros(dims, dtype=np.float64)
-    for token in tokenize(text):
-        counts[_fnv1a64(token.encode("utf-8"), seed) % dims] += 1.0
+def hashed_counts(texts: Sequence[str], dims: int, seed: int = DEFAULT_HASH_SEED) -> np.ndarray:
+    """Hashed token counts, one float64 row per text, shape ``(len(texts), dims)``.
+
+    Rows are filled one text at a time, so only one text's tokens are held
+    at once; the token -> bucket dict is shared by the rows of this call.
+    """
+    counts = np.zeros((len(texts), dims), dtype=np.float64)
+    buckets: dict[str, int] = {}
+    for row, text in zip(counts, texts):
+        tokens = tokenize(text)
+        for token in set(tokens).difference(buckets):
+            buckets[token] = _fnv1a64(token.encode("utf-8"), seed) % dims
+        row[:] = np.bincount([buckets[t] for t in tokens], minlength=dims)
     return counts
+
+
+def hashed_token_counts(text: str, dims: int, seed: int = DEFAULT_HASH_SEED) -> np.ndarray:
+    return hashed_counts([text], dims, seed)[0]
 
 
 def _unit_rows(vectors: Sequence[np.ndarray], texts: Sequence[str], dims: int) -> np.ndarray:
@@ -122,7 +138,7 @@ class LexicalEncoder(Encoder):
             raise ConfigError(f"dims must be positive, got {self.dims}")
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        counts = [hashed_token_counts(_require_text(t), self.dims, self.seed) for t in texts]
+        counts = hashed_counts([_require_text(t) for t in texts], self.dims, self.seed)
         return _unit_rows(counts, texts, self.dims)
 
 
@@ -158,14 +174,21 @@ class DualTowerEncoder(Encoder):
     def feature_dims(self) -> int:
         return int(self.matrix.shape[1])
 
-    def features(self, text: str) -> np.ndarray:
-        counts = hashed_token_counts(text, self.feature_dims, self.hash_seed)
-        norm = float(np.linalg.norm(counts))
-        return counts / norm if norm > 0.0 else counts
+    def features(self, texts: Sequence[str]) -> np.ndarray:
+        """Hashed token counts scaled to unit norm, one row per text.
+
+        A tokenless text keeps its all-zero row.
+        """
+        counts = hashed_counts(texts, self.feature_dims, self.hash_seed)
+        norms = np.linalg.norm(counts, axis=1)
+        nonzero = norms > 0.0
+        counts[nonzero] /= norms[nonzero, None]
+        return counts
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         # A tokenless text has zero features, so its projection is zero too.
-        projections = [self.matrix @ self.features(_require_text(t)) for t in texts]
+        features = self.features([_require_text(t) for t in texts])
+        projections = [self.matrix @ f for f in features]
         return _unit_rows(projections, texts, self.dims)
 
 
@@ -247,7 +270,9 @@ def train_dual_tower(
     W = rng.normal(0.0, 1.0 / np.sqrt(feature_dims), size=(dims, feature_dims))
 
     probe = DualTowerEncoder(matrix=W, seed=seed, hash_seed=hash_seed)
-    feats = [(probe.features(p.text_a), probe.features(p.text_b), p.related) for p in pairs]
+    feats_a = probe.features([p.text_a for p in pairs])
+    feats_b = probe.features([p.text_b for p in pairs])
+    feats = [(fa, fb, p.related) for fa, fb, p in zip(feats_a, feats_b, pairs)]
 
     losses = [_dataset_loss(W, feats, margin)]
     for _ in range(epochs):

@@ -437,6 +437,7 @@ class TestBenchAndReport:
         for bad, message in (
             ({"encoder": 5}, "encoder must be str"),
             ({"k": 2.5}, "k must be int"),
+            ({"k": 0}, "k must be positive, got 0"),
         ):
             config_path.write_text(json.dumps(bad), encoding="utf-8")
             code = main(
@@ -451,7 +452,7 @@ class TestBenchAndReport:
                 ]
             )
             assert code == 1
-            assert f"[config] {message}" in capsys.readouterr().err
+            assert f"[config] config {config_path}: {message}" in capsys.readouterr().err
 
     def test_missing_benchmark_reports_its_stage(self, tmp_path, capsys):
         code = main(["bench", "--benchmark", str(tmp_path / "absent.json")])

@@ -256,11 +256,20 @@ class TestCatalogPersistence:
 
     def test_load_names_the_offending_record(self, tmp_path):
         path = tmp_path / "catalog.json"
-        record = {"doc_id": "a", "title": "t", "source": "raw_text", "fetched_at": "x"}
-        for records in ([{"title": "missing ids"}], [{**record, "body": ["not", "text"]}]):
+        record = {"doc_id": "a", "title": "t", "source": "raw_text", "body": "b", "fetched_at": "x"}
+        for records, message in (
+            ([{"title": "missing ids"}], "record 0"),
+            ([{**record, "body": ["not", "text"]}], "record 0: body is not a string"),
+            ([record, {**record, "doc_id": "b", "title": 5}], "record 1: title is not a string"),
+            ([{**record, "fetched_at": None}], "record 0: fetched_at is not a string"),
+            ([{**record, "industry_tag": 3}], "record 0: industry_tag is neither"),
+            ([{**record, "industry_tag": ["steel"]}], "record 0: industry_tag is neither"),
+        ):
             path.write_text(json.dumps(records), encoding="utf-8")
-            with pytest.raises(FormatError, match="record 0"):
+            with pytest.raises(FormatError, match=message):
                 Catalog.load(path)
+        path.write_text(json.dumps([{**record, "industry_tag": None}]), encoding="utf-8")
+        assert Catalog.load(path).get("a").industry_tag is None
 
     def test_load_rejects_non_array(self, tmp_path):
         path = tmp_path / "catalog.json"

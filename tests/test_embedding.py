@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbonrag import (
     DualTowerEncoder,
@@ -26,6 +28,7 @@ from carbonrag.embedding import (
     _dataset_loss,
     _fnv1a64,
     _pair_cosine_grad,
+    hashed_counts,
     hashed_token_counts,
     tokenize,
 )
@@ -147,8 +150,7 @@ class TestDualTowerEncoder:
 
 _BATCH = ["bath ratio", "anode carbon consumption", "!!!", "rail freight distance"]
 
-
-@pytest.mark.parametrize(
+_LOCAL_ENCODERS = pytest.mark.parametrize(
     "encoder",
     [
         LexicalEncoder(dims=16),
@@ -156,6 +158,9 @@ _BATCH = ["bath ratio", "anode carbon consumption", "!!!", "rail freight distanc
     ],
     ids=["lexical", "dual_tower"],
 )
+
+
+@_LOCAL_ENCODERS
 def test_embed_is_bit_identical_to_its_batch_row(encoder):
     matrix = encoder.embed_batch(_BATCH)
     assert matrix.shape == (len(_BATCH), encoder.dims)
@@ -163,6 +168,80 @@ def test_embed_is_bit_identical_to_its_batch_row(encoder):
         np.testing.assert_array_equal(encoder.embed(text), matrix[i])
         np.testing.assert_array_equal(encoder.embed_batch(_BATCH[i:])[0], matrix[i])
     assert encoder.embed_batch([]).shape == (0, encoder.dims)
+
+
+_WORDS = ["bath", "ratio", "CO₂", "émission", "电池", "kWh_3", "!!!", "anode"]
+_TEXTS = st.lists(
+    st.lists(st.sampled_from(_WORDS) | st.text(max_size=6), min_size=1, max_size=12)
+    .map(" ".join)
+    .filter(str.strip),
+    max_size=8,
+)
+
+
+@_LOCAL_ENCODERS
+@settings(max_examples=60, deadline=None)
+@given(texts=_TEXTS)
+def test_every_batch_row_is_bit_identical_to_embed(encoder, texts):
+    """Rows share one token -> bucket dict per call, yet each equals its own embed."""
+    matrix = encoder.embed_batch(texts)
+    assert matrix.shape == (len(texts), encoder.dims)
+    for text, row in zip(texts, matrix):
+        assert encoder.embed(text).tobytes() == row.tobytes()
+
+
+def _oracle_counts(text, dims, seed):
+    """Hash every token occurrence on its own: the loop `hashed_counts` replaced."""
+    counts = np.zeros(dims, dtype=np.float64)
+    for token in tokenize(text):
+        counts[_fnv1a64(token.encode("utf-8"), seed) % dims] += 1.0
+    return counts
+
+
+def _oracle_unit(vector):
+    norm = float(np.linalg.norm(vector))
+    if norm == 0.0:
+        return np.eye(len(vector))[0]
+    return vector / norm
+
+
+class TestHashedCountsOracle:
+    # Multi-byte UTF-8 tokens, tokens repeated within and across rows, and a
+    # tokenless row.
+    _UNICODE_BATCH = ["CO₂ émission 电池", "电池 émission émission co₂", "!!!", "CO₂ co₂ bath"]
+
+    @pytest.fixture()
+    def batches(self, aluminum_catalog):
+        chunks = [c.text for c in aluminum_catalog.chunk_all(1000, 200)]
+        return [chunks, self._UNICODE_BATCH]
+
+    @pytest.mark.parametrize("dims,seed", [(64, 0), (7, 3), (256, 1)])
+    def test_counts_match_the_oracle(self, batches, dims, seed):
+        for texts in batches:
+            expected = np.stack([_oracle_counts(t, dims, seed) for t in texts])
+            np.testing.assert_array_equal(hashed_counts(texts, dims, seed), expected)
+            for text, row in zip(texts, expected):
+                np.testing.assert_array_equal(hashed_token_counts(text, dims, seed), row)
+        assert hashed_counts([], dims, seed).shape == (0, dims)
+
+    def test_lexical_rows_match_the_oracle(self, batches):
+        enc = LexicalEncoder(dims=64, seed=2)
+        for texts in batches:
+            expected = np.stack([_oracle_unit(_oracle_counts(t, 64, 2)) for t in texts])
+            assert enc.embed_batch(texts).tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(enc.embed("!!!"), np.eye(64)[0])
+
+    def test_dual_tower_rows_match_the_oracle(self, batches):
+        matrix = np.random.default_rng(11).normal(size=(16, 96))
+        enc = DualTowerEncoder(matrix=matrix, hash_seed=4)
+        for texts in batches:
+            rows = []
+            for text in texts:
+                counts = _oracle_counts(text, 96, 4)
+                norm = float(np.linalg.norm(counts))
+                features = counts / norm if norm > 0.0 else counts
+                rows.append(_oracle_unit(matrix @ features))
+            assert enc.embed_batch(texts).tobytes() == np.stack(rows).tobytes()
 
 
 class TestPairGradient:
