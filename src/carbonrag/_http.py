@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.cookiejar
 import os
 import time
 from typing import Callable
@@ -9,6 +10,13 @@ from typing import Callable
 import requests
 
 from .errors import TransportError
+
+# One keep-alive session for every remote client in the process, created at
+# import so that setting up a client builds no Session and frees no pooled
+# sockets. It keeps no cookies: a cookie set by one endpoint's reply would
+# otherwise ride along on every other client's requests.
+_SESSION = requests.Session()
+_SESSION.cookies.set_policy(http.cookiejar.DefaultCookiePolicy(allowed_domains=[]))
 
 
 def post_json(
@@ -22,10 +30,12 @@ def post_json(
 ) -> requests.Response:
     """POST ``body`` to ``client.endpoint``; return the first reply below 400.
 
-    ``client`` supplies ``endpoint``, ``session``, ``timeout``,
-    ``max_attempts``, ``backoff_base`` and ``api_key_env``, whose variable,
-    when set, becomes a bearer token. Connection errors and 5xx replies are
-    retried with exponential backoff; a 4xx reply fails at once.
+    ``client`` supplies ``endpoint``, ``timeout``, ``max_attempts``,
+    ``backoff_base`` and ``api_key_env``, whose variable, when set, becomes
+    a bearer token. Every request goes through the one shared keep-alive
+    session, so connections to an endpoint are reused. Connection errors
+    and 5xx replies are retried with exponential backoff; a 4xx reply fails
+    at once.
     ``on_attempt(attempt, status, latency_ms)`` sees every attempt, with
     status ``"unreachable"`` when no reply came.
     """
@@ -33,12 +43,13 @@ def post_json(
     key = os.environ.get(client.api_key_env, "")
     if key:
         headers["Authorization"] = f"Bearer {key}"
-    http = client.session or requests
     last_error = None
     for attempt in range(1, client.max_attempts + 1):
         started = time.monotonic()
         try:
-            response = http.post(client.endpoint, json=body, headers=headers, timeout=client.timeout)
+            response = _SESSION.post(
+                client.endpoint, json=body, headers=headers, timeout=client.timeout
+            )
         except requests.RequestException as exc:
             response, status, last_error = None, "unreachable", str(exc)
         else:

@@ -23,7 +23,7 @@ from .config import RunConfig
 from .corpus import Catalog, classify_datasource
 from .embedding import TrainingPair, encoder_from_spec, save_encoder, train_dual_tower
 from .errors import CarbonRagError, ConfigError, FormatError
-from .evaluation import MetricsReport, answer_query, run_benchmark
+from .evaluation import MetricsReport, answer_query, embed_questions, run_benchmark
 from .fusion import Strategy, select_strategy
 from .index import VectorIndex, build_index
 from .quantity import Quantity
@@ -126,13 +126,16 @@ def cmd_query(args) -> int:
             raise ConfigError(
                 "datasource is long: retrieval needs --index (build one with 'index build')"
             )
+        vector = None
+        if strategy is Strategy.RAG_LONG:
+            vector = embed_questions([question], encoder)[0]
         _print_result(
             answer_query(
                 question,
                 strategy,
                 catalog=catalog,
                 index=index,
-                encoder=encoder,
+                query_vector=vector,
                 backend=backend,
                 config=config,
             ),

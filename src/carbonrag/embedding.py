@@ -18,12 +18,11 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
-import requests
 
 from ._http import post_json
 from .errors import ConfigError, FormatError, InputError
@@ -305,7 +304,6 @@ class RemoteEncoder(Encoder):
     max_attempts: int = 3
     backoff_base: float = 0.5
     api_key_env: str = "EMBEDDING_API_KEY"
-    session: requests.Session | None = field(default=None, repr=False)
 
     kind = "remote"
 

@@ -19,10 +19,13 @@ import csv
 import datetime as _dt
 import json
 import logging
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .accounting import (
     EmissionFactorDb,
@@ -319,6 +322,27 @@ def load_benchmark(path: str | Path) -> Benchmark:
     )
 
 
+_JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
+
+
+def _typed(obj: Mapping, key: str, kind: type, where: str = "", *, nullable: bool = False):
+    """``obj[key]`` if it is a JSON boolean, integer or number as ``kind``
+    asks (a boolean is neither of the others), else a ``FormatError``."""
+    value = obj[key]
+    if value is None and nullable:
+        return None
+    if kind is bool:
+        ok = isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not ok:
+        wanted = _JSON_TYPE_NAMES[kind] + (" or null" if nullable else "")
+        raise FormatError(f"not a metrics report: {where}{key} must be {wanted}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     industry: str
@@ -355,6 +379,9 @@ class MetricsReport:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "MetricsReport":
+        """Rebuild a report, checking that every numeric field is a JSON
+        number (``id_pct`` and ``deviation_pct`` may be null), the counts
+        integers and ``retrieved`` a boolean; a failure names the field."""
         try:
             fp = obj["footprint"]
             footprint = FootprintResult(
@@ -374,29 +401,31 @@ class MetricsReport:
             per_fact = tuple(
                 PerFactRecord(
                     fact_key=r["fact_key"],
-                    retrieved=r["retrieved"],
-                    deviation_pct=r["deviation_pct"],
-                    true_value=r["true_value"],
+                    retrieved=_typed(r, "retrieved", bool, f"per_fact[{i}]."),
+                    deviation_pct=_typed(
+                        r, "deviation_pct", float, f"per_fact[{i}].", nullable=True
+                    ),
+                    true_value=_typed(r, "true_value", float, f"per_fact[{i}]."),
                     true_unit=r["true_unit"],
                     extracted_value=r.get("extracted_value"),
                     extracted_unit=r.get("extracted_unit"),
                 )
-                for r in obj["per_fact"]
+                for i, r in enumerate(obj["per_fact"])
             )
             return cls(
                 industry=obj["industry"],
-                irr_pct=obj["irr_pct"],
-                id_pct=obj["id_pct"],
+                irr_pct=_typed(obj, "irr_pct", float),
+                id_pct=_typed(obj, "id_pct", float, nullable=True),
                 ad=AccountingDeviation(
-                    at_lower_pct=ad["at_lower_pct"],
-                    at_upper_pct=ad["at_upper_pct"],
-                    ad_pct=ad["ad_pct"],
+                    at_lower_pct=_typed(ad, "at_lower_pct", float, "ad."),
+                    at_upper_pct=_typed(ad, "at_upper_pct", float, "ad."),
+                    ad_pct=_typed(ad, "ad_pct", float, "ad."),
                 ),
-                retrieved_count=obj["retrieved_count"],
-                truth_count=obj["truth_count"],
+                retrieved_count=_typed(obj, "retrieved_count", int),
+                truth_count=_typed(obj, "truth_count", int),
                 per_fact=per_fact,
                 footprint=footprint,
-                true_footprint=obj["true_footprint"],
+                true_footprint=_typed(obj, "true_footprint", float),
                 warnings=tuple(obj.get("warnings", [])),
                 metadata=obj.get("metadata", {}),
                 generated_at=obj.get("generated_at", ""),
@@ -492,13 +521,20 @@ class QueryResult:
     warnings: tuple[ParseWarning, ...]
 
 
+def embed_questions(questions: Sequence[str], encoder) -> np.ndarray:
+    """Query vectors for ``questions`` from one ``embed_batch`` call, tagged
+    with the retrieve stage. Row ``i`` equals ``encoder.embed(questions[i])``."""
+    with _stage("retrieve"):
+        return encoder.embed_batch(list(questions))
+
+
 def answer_query(
     question: str,
     strategy: Strategy,
     *,
     catalog: Catalog,
     index: VectorIndex | None,
-    encoder,
+    query_vector: np.ndarray | None,
     backend,
     config: RunConfig,
     query_key: str | None = None,
@@ -506,13 +542,15 @@ def answer_query(
 ) -> QueryResult:
     """Retrieve, fuse, generate and parse for one already-routed question.
 
-    ``index`` is needed only for the ``rag_long`` strategy. Failures carry
-    the stage they came from: retrieve, prompt, generate or parse.
+    ``index`` and ``query_vector`` (from ``embed_questions``) are needed
+    only for the ``rag_long`` strategy. Failures carry the stage they came
+    from: retrieve, prompt, generate or parse. Safe to call from several
+    threads at once.
     """
     hits, fragments = [], []
     if strategy is Strategy.RAG_LONG:
         with _stage("retrieve"):
-            hits = index.top_k(encoder.embed(question), config.k)
+            hits = index.top_k(query_vector, config.k)
             fragments = fragments_from_hits(hits, lambda cid: catalog.resolve_chunk(cid).text)
     elif strategy is Strategy.SHORT_DIRECT:
         fragments = fragments_from_documents(catalog.documents)
@@ -539,9 +577,14 @@ def run_benchmark(
 ) -> MetricsReport:
     """Run the full pipeline over a benchmark file and score it.
 
-    Queries are evaluated in file order; the report is independent of that
-    order because facts are keyed and the first extraction of a key wins.
-    Any failure aborts with the owning stage's name attached.
+    For the ``rag_long`` strategy all questions are embedded in one
+    ``embed_batch`` call first. Questions are then answered up to the
+    backend's ``max_in_flight`` at a time (one when it declares none) and
+    their results merged in file order, so the first extraction of a key
+    wins and the report is the same as one from answering them one by one.
+    Any failure aborts with the owning stage's name attached; when several
+    questions fail, the first in file order is reported, and questions not
+    yet started are cancelled.
     """
     with _stage("benchmark"):
         bench = load_benchmark(config.require("benchmark_path", must_exist=True))
@@ -586,19 +629,36 @@ def run_benchmark(
         with _stage("index"):
             index = build_index(chunks, encoder)
 
-    facts_by_key: dict[str, ExtractedFact] = {}
-    for query in bench.queries:
-        result = answer_query(
+    vectors = [None] * len(bench.queries)
+    if strategy is Strategy.RAG_LONG:
+        vectors = embed_questions([q.query_text for q in bench.queries], encoder)
+
+    def answer(query: BenchmarkQuery, vector) -> QueryResult:
+        return answer_query(
             query.query_text,
             strategy,
             catalog=catalog,
             index=index,
-            encoder=encoder,
+            query_vector=vector,
             backend=backend,
             config=config,
             query_key=query.query_id,
             expected_keys=query.fact_keys,
         )
+
+    # Questions start in file order, so when one fails every question before
+    # it has started; those still queued are cancelled at once, and reading
+    # the results in file order raises the first failure among the rest.
+    pool = ThreadPoolExecutor(max_workers=getattr(backend, "max_in_flight", 1))
+    try:
+        futures = [pool.submit(answer, q, v) for q, v in zip(bench.queries, vectors)]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    results = [f.result() for f in futures]
+
+    facts_by_key: dict[str, ExtractedFact] = {}
+    for query, result in zip(bench.queries, results):
         warnings.extend(f"{query.query_id}: {note}" for note in result.prompt.notes)
         warnings.extend(f"{query.query_id}: {w.code}: {w.message}" for w in result.warnings)
         for fact in result.facts:

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-import requests
-
 from ._http import post_json
 from .errors import (
+    ConfigError,
     ExtractionError,
     FormatError,
     InputError,
@@ -83,6 +82,7 @@ class ScriptedMockBackend:
     """
 
     kind = "scripted_mock"
+    max_in_flight = 1  # answered one at a time, so ``calls`` stays in request order
 
     def __init__(self, script: Mapping[str, str], fallback: str | None = None):
         self._script = dict(script)
@@ -121,8 +121,10 @@ class RemoteChatBackend:
 
     Wire contract: ``POST {"model", "messages": [{"role", "content"}],
     "temperature": 0}``; the answer is the first choice's message content.
-    Temperature is pinned to 0. In-flight requests are bounded and every
-    call is appended to the audit log (request hash, status, latency).
+    Temperature is pinned to 0. At most ``max_in_flight`` requests are in
+    flight at once, which is also how many questions ``run_benchmark``
+    answers concurrently, and every call is appended to the audit log
+    (request hash, status, latency).
     """
 
     kind = "remote"
@@ -138,8 +140,9 @@ class RemoteChatBackend:
         max_in_flight: int = 4,
         api_key_env: str = "GENERATION_API_KEY",
         audit_log_path: str | Path | None = None,
-        session: requests.Session | None = None,
     ):
+        if max_in_flight < 1:
+            raise ConfigError(f"max_in_flight must be at least 1, got {max_in_flight}")
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
@@ -147,7 +150,7 @@ class RemoteChatBackend:
         self.backoff_base = backoff_base
         self.api_key_env = api_key_env
         self.audit_log_path = Path(audit_log_path) if audit_log_path else None
-        self.session = session
+        self.max_in_flight = max_in_flight
         self._slots = threading.BoundedSemaphore(max_in_flight)
         self._audit_lock = threading.Lock()
 
@@ -207,28 +210,56 @@ def backend_from_spec(spec: str, *, model: str = "default"):
     )
 
 
-def _json_candidates(text: str):
-    """Values decoded from each fenced block, then the whole text, then an
-    object starting at each ``{``. Input too deeply nested to decode is no
-    candidate."""
-    for candidate in [*(m.group(1) for m in _FENCE_RE.finditer(text)), text]:
-        try:
-            yield json.loads(candidate)
-        except (json.JSONDecodeError, RecursionError):
-            pass
-    start = text.find("{")
-    while start != -1:
-        try:
-            yield _DECODER.raw_decode(text, start)[0]
-        except (json.JSONDecodeError, RecursionError):
-            pass
-        start = text.find("{", start + 1)
+def _facts_list(obj) -> list | None:
+    if isinstance(obj, dict) and isinstance(obj.get("facts"), list):
+        return obj["facts"]
+    return None
 
 
 def _find_facts_block(text: str) -> list | None:
-    for obj in _json_candidates(text):
-        if isinstance(obj, dict) and isinstance(obj.get("facts"), list):
-            return obj["facts"]
+    """The ``facts`` list of the first object that has one: from a fenced
+    block, then the whole text, then an object starting at a ``{``, taken
+    in text order. Input too deeply nested to decode is no candidate."""
+    for candidate in [*(m.group(1) for m in _FENCE_RE.finditer(text)), text]:
+        try:
+            facts = _facts_list(json.loads(candidate))
+        except (json.JSONDecodeError, RecursionError):
+            continue
+        if facts is not None:
+            return facts
+    # The ``{`` between two ``}`` are all still open at the second one, so
+    # each lies inside the one before it and an outer probe decodes the
+    # inner one on its way: once an inner probe fails at or after that
+    # ``}``, every outer one fails too. Probing each run innermost first and
+    # stopping there keeps a nest of n ``{`` to one failed probe instead of
+    # n probes each as deep as the recursion limit. A probe that fails
+    # before the ``}`` may have started inside a string, so the walk goes
+    # on; the outermost hit of a run is the first in text order.
+    start = 0
+    while start <= len(text):
+        end = text.find("}", start)
+        if end == -1:
+            end = len(text)
+        opens = []
+        brace = text.find("{", start, end)
+        while brace != -1:
+            opens.append(brace)
+            brace = text.find("{", brace + 1, end)
+        outermost = None
+        for brace in reversed(opens):
+            try:
+                facts = _facts_list(_DECODER.raw_decode(text, brace)[0])
+            except RecursionError:
+                break
+            except json.JSONDecodeError as exc:
+                if exc.pos >= end:
+                    break
+                continue
+            if facts is not None:
+                outermost = facts
+        if outermost is not None:
+            return outermost
+        start = end + 1
     return None
 
 

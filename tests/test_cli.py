@@ -400,6 +400,47 @@ class TestBenchAndReport:
         assert "IRR: 90.00% (9/10 truth facts retrieved)" in out
         assert "Warnings: 1" in out
 
+    def test_report_rejects_mistyped_fields(self, benchmark_tree, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        main(
+            [
+                "bench",
+                "--benchmark",
+                str(benchmark_tree.benchmark),
+                "--backend",
+                f"mock:{benchmark_tree.mock_variant}",
+                "--out",
+                str(report_path),
+            ]
+        )
+        capsys.readouterr()
+        saved = json.loads(report_path.read_text(encoding="utf-8"))
+        csv_path = tmp_path / "per_fact.csv"
+        for field, edit in (
+            ("irr_pct", lambda o: o.update(irr_pct="abc")),
+            ("id_pct", lambda o: o.update(id_pct=True)),
+            ("ad.ad_pct", lambda o: o["ad"].update(ad_pct=None)),
+            ("retrieved_count", lambda o: o.update(retrieved_count=9.0)),
+            ("truth_count", lambda o: o.update(truth_count="10")),
+            ("true_footprint", lambda o: o.update(true_footprint=[1])),
+            ("per_fact[0].deviation_pct", lambda o: o["per_fact"][0].update(deviation_pct="zz")),
+            ("per_fact[1].retrieved", lambda o: o["per_fact"][1].update(retrieved=1)),
+            ("per_fact[2].true_value", lambda o: o["per_fact"][2].update(true_value=None)),
+        ):
+            obj = json.loads(json.dumps(saved))
+            edit(obj)
+            report_path.write_text(json.dumps(obj), encoding="utf-8")
+            code = main(["report", "--in", str(report_path), "--csv", str(csv_path)])
+            err = capsys.readouterr().err
+            assert code == 1, field
+            assert err.startswith("[load] not a metrics report: " + field + " must be"), err
+            assert not csv_path.exists()
+        # null is a valid id_pct and deviation_pct
+        saved["id_pct"] = saved["per_fact"][0]["deviation_pct"] = None
+        report_path.write_text(json.dumps(saved), encoding="utf-8")
+        assert main(["report", "--in", str(report_path)]) == 0
+        assert "ID: n/a" in capsys.readouterr().out
+
     def test_flags_override_the_config_file(self, benchmark_tree, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(

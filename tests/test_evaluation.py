@@ -1,7 +1,12 @@
 """Metric definitions, benchmark loading, and the end-to-end runner."""
 
+import http.server
 import json
 import logging
+import re
+import sys
+import threading
+import time
 
 import pytest
 
@@ -9,6 +14,7 @@ import fixtures
 from carbonrag import (
     AccountingDeviation,
     BenchmarkError,
+    CarbonRagError,
     ConfigError,
     ExtractedFact,
     FormatError,
@@ -17,6 +23,8 @@ from carbonrag import (
     MetricsReport,
     MockMissError,
     Quantity,
+    RemoteChatBackend,
+    RemoteEncoder,
     RunConfig,
     ScriptedMockBackend,
     Scope,
@@ -468,3 +476,172 @@ class TestMetricsReport:
         report = run_benchmark(config, backend=backend)
         assert report.id_pct is None
         assert "ID: n/a" in report.summary_text()
+
+
+class _RemoteHandler(http.server.BaseHTTPRequestHandler):
+    """Embedding and chat endpoints over HTTP/1.1 keep-alive.
+
+    ``/embed`` answers with lexical vectors. ``/chat`` looks the prompt's
+    question up in ``server.answers``; an ``int`` there is sent as that
+    status. It records each question as its request arrives, counts
+    connections and the peak number of chat requests in flight, and holds
+    each question for its ``server.delays`` entry.
+    """
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5  # idle keep-alive connections end after the test
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        server = self.server
+        if self.path == "/embed":
+            with server.lock:
+                server.embed_requests += 1
+            vectors = LexicalEncoder(dims=64).embed_batch(body["input"])
+            self._send(200, {"embeddings": vectors.tolist()})
+            return
+        rendered = body["messages"][0]["content"]
+        question = re.search(r"^Question: (.*)$", rendered, re.MULTILINE).group(1)
+        with server.lock:
+            server.chat_log.append(question)
+            server.in_flight += 1
+            server.peak = max(server.peak, server.in_flight)
+        try:
+            time.sleep(server.delays.get(question, 0.0))
+            answer = server.answers[question]
+        finally:
+            with server.lock:
+                server.in_flight -= 1
+        if isinstance(answer, int):
+            self._send(answer, {"error": "refused"})
+        else:
+            self._send(200, {"choices": [{"message": {"content": answer}}]})
+
+    def _send(self, status, obj):
+        data = json.dumps(obj).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def _concurrent_benchmark(root):
+    """The fixture benchmark with ten questions whose answers produce
+    duplicate-key, missing-fact and unexpected-key warnings; earlier
+    questions are held longer, so answers arrive out of file order."""
+    obj = fixtures.benchmark_obj()
+    script = dict(fixtures.VARIANT_SCRIPT)
+    queries = list(fixtures.QUERIES)
+    fact = fixtures._fact
+    extra = {
+        "q_gas_again": (["natural_gas_use"], [fact("natural_gas_use", 1, "kWh", [1])]),
+        "q_fluoride": (["fluoride_consumption"], [fact("fluoride_consumption", 21, "kg", [1])] * 2),
+        "q_power": (["electricity_use", "power_factor"], [fact("bath_ratio", 2, "ratio", [1])]),
+        "q_distance": (["transport_distance"], [fact("transport_distance", 510, "km", [2])]),
+        "q_temp": (["smelting_temperature"], []),
+        "q_anode": (["anode_consumption"], [fact("anode_consumption", 0.4, "t", [1])]),
+        "q_alumina": (["alumina_consumption"], [fact("alumina_consumption", 2, "t", [1])]),
+    }
+    for qid, (keys, facts) in extra.items():
+        text = f"Report {qid} for the smelter."
+        queries.append({"query_id": qid, "query_text": text, "fact_keys": keys})
+        script[qid] = fixtures._answer(facts)
+    obj["queries"] = queries
+    tree = fixtures.write_benchmark_tree(root)
+    tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
+    answers = {q["query_text"]: script[q["query_id"]] for q in queries}
+    delays = {q["query_text"]: 0.004 * (len(queries) - i) for i, q in enumerate(queries)}
+    return RunConfig(benchmark_path=str(tree.benchmark), prompt_budget=2500), answers, delays
+
+
+class TestConcurrentRemoteRun:
+    """``run_benchmark`` over the remote encoder and chat backend answers up
+    to ``max_in_flight`` questions at once over kept-alive connections."""
+
+    @pytest.fixture()
+    def remote(self, http_server, tmp_path):
+        config, answers, delays = _concurrent_benchmark(tmp_path)
+
+        def run(max_in_flight, failures=None, fast=()):
+            """One run on a fresh server; returns it with the report or error."""
+            server = http_server(_RemoteHandler)
+            server.lock = threading.Lock()
+            server.connections = server.embed_requests = server.in_flight = server.peak = 0
+            server.chat_log = []
+            server.answers = {**answers, **(failures or {})}
+            server.delays = {q: 0.0 if q in fast else d for q, d in delays.items()}
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            backend = RemoteChatBackend(url + "/chat", max_in_flight=max_in_flight, max_attempts=1)
+            encoder = RemoteEncoder(url + "/embed", dims=64)
+            try:
+                report = run_benchmark(config, encoder=encoder, backend=backend)
+            except CarbonRagError as exc:
+                return server, exc
+            return server, report
+
+        run.questions = list(answers)
+        return run
+
+    @staticmethod
+    def _text(report):
+        obj = report.to_json_obj()
+        obj.pop("generated_at")
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_report_equals_the_serial_run(self, remote):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            serial_server, serial = remote(1)
+            server, report = remote(4)
+        finally:
+            sys.setswitchinterval(previous)
+        assert self._text(report) == self._text(serial)
+        warnings = "\n".join(report.warnings)
+        for expected in (
+            "already extracted",
+            "duplicate_key",
+            "missing_fact",
+            "unexpected_key",
+            "dropped fragment",
+        ):
+            assert expected in warnings
+        assert serial_server.peak == 1
+        assert 1 < server.peak <= 4
+        # one request for the chunks, one for every question
+        assert server.embed_requests == serial_server.embed_requests == 2
+        requests_sent = server.embed_requests + len(server.chat_log)
+        assert server.connections < requests_sent
+        assert serial_server.connections < requests_sent
+
+    @pytest.mark.parametrize(
+        "failures, stage",
+        [
+            ({4: 401}, "generate"),
+            ({4: "no facts here"}, "parse"),
+            # both start at once and the later one fails first; the earlier
+            # one is still the one reported
+            ({1: 503, 3: "no facts here"}, "generate"),
+        ],
+    )
+    def test_first_failure_in_file_order_is_reported(self, remote, failures, stage):
+        by_text = {remote.questions[i]: answer for i, answer in failures.items()}
+        fast = {remote.questions[max(failures)]}
+        _, serial = remote(1, by_text, fast)
+        server, error = remote(4, by_text, fast)
+        assert isinstance(serial, CarbonRagError) and isinstance(error, CarbonRagError)
+        assert (error.stage, str(error)) == (serial.stage, str(serial))
+        assert error.stage == stage
+        # once a question has failed, at most the other workers' questions follow
+        failed_first = server.chat_log.index(remote.questions[max(failures)])
+        assert len(server.chat_log) - failed_first - 1 <= 4
+        assert len(server.chat_log) < len(remote.questions)

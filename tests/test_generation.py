@@ -8,6 +8,7 @@ import time
 import pytest
 
 from carbonrag import (
+    ConfigError,
     ExtractionError,
     FormatError,
     InputError,
@@ -125,9 +126,16 @@ class TestParseExtraction:
         assert facts[0].fact_key == "k"
 
     def test_finds_the_object_inside_prose(self):
-        text = 'As requested: {"facts": [{"key": "k", "value": 2, "unit": "t"}]} -- done.'
-        facts, _ = parse_extraction(text)
-        assert facts[0].value == Quantity.point(2)
+        entry = '{"key": "k", "value": 2, "unit": "t"}'
+        for text in (
+            'As requested: {"facts": [' + entry + "]} -- done.",
+            # a "{" inside a string opens no object of its own
+            'See {"note": "{", "facts": [' + entry + "]} -- done.",
+            # the first object in the text wins, outer before inner
+            '{"facts": [' + entry + '], "inner": {"facts": []}} and {"facts": []}',
+        ):
+            facts, _ = parse_extraction(text)
+            assert [f.value for f in facts] == [Quantity.point(2)], text
 
     def test_accepts_raw_answer_objects(self):
         facts, _ = parse_extraction(RawAnswer(text=_ANSWER, backend_kind="scripted_mock"))
@@ -140,13 +148,20 @@ class TestParseExtraction:
 
     def test_hostile_answers_fail_fast(self):
         """Unmatched braces, truncated objects and nesting deeper than the
-        recursion limit end in ExtractionError, each within a second; a
-        facts object after such a nest is still found."""
-        for text in ("{" * 4000, '{"a": [1,2,3' * 2000, '{"a":' * 4000):
+        recursion limit end in a parse-stage ExtractionError, each within a
+        second and a 100 kB nest within 50 ms; a facts object after such a
+        nest is still found."""
+        for text, bound_s in (
+            ("{" * 4000, 1.0),
+            ('{"a": [1,2,3' * 2000, 1.0),
+            ('{"a":' * 4000, 1.0),
+            ('{"a":' * 20000, 0.05),
+        ):
             start = time.perf_counter()
-            with pytest.raises(ExtractionError):
+            with pytest.raises(ExtractionError) as err:
                 parse_extraction(text)
-            assert time.perf_counter() - start < 1.0
+            assert time.perf_counter() - start < bound_s
+            assert err.value.stage_name == "parse"
         block = '{"facts": [{"key": "k", "value": 2, "unit": "t"}]}'
         facts, _ = parse_extraction('{"a":' * 4000 + block)
         assert facts[0].fact_key == "k"
@@ -224,7 +239,12 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
         self.server.requests.append(
-            {"path": self.path, "body": body, "auth": self.headers.get("Authorization")}
+            {
+                "path": self.path,
+                "body": body,
+                "auth": self.headers.get("Authorization"),
+                "cookie": self.headers.get("Cookie"),
+            }
         )
         if self.path == "/chat":
             self._send(
@@ -254,6 +274,7 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
 
     def _send_raw(self, status, data):
         self.send_response(status)
+        self.send_header("Set-Cookie", "session=abc; Path=/")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -287,6 +308,12 @@ class TestRemoteChat:
         monkeypatch.setenv("GENERATION_API_KEY", "sk-chat")
         RemoteChatBackend(_url(chat_server, "/chat")).generate(_prompt())
         assert chat_server.requests[-1]["auth"] == "Bearer sk-chat"
+
+    def test_replies_set_no_cookies_on_later_requests(self, chat_server):
+        backend = RemoteChatBackend(_url(chat_server, "/chat"))
+        backend.generate(_prompt())
+        backend.generate(_prompt())
+        assert [r["cookie"] for r in chat_server.requests] == [None, None]
 
     def test_server_errors_are_retried_until_recovery(self, chat_server):
         _ChatHandler.flaky_failures = 2
@@ -338,6 +365,12 @@ class TestRemoteChat:
         assert [r["status"] for r in records] == [500, 200]
         assert all(r["request_sha256"] == expected_hash for r in records)
         assert all(r["latency_ms"] >= 0.0 for r in records)
+
+
+    def test_max_in_flight_must_be_positive(self):
+        assert RemoteChatBackend("http://127.0.0.1:1/chat").max_in_flight == 4
+        with pytest.raises(ConfigError, match="max_in_flight must be at least 1, got 0"):
+            RemoteChatBackend("http://127.0.0.1:1/chat", max_in_flight=0)
 
 
 class TestBackendSpecs:
