@@ -118,6 +118,11 @@ def cmd_query(args) -> int:
     catalog = Catalog.load(config.catalog_path) if config.catalog_path else Catalog()
     index = VectorIndex.load(config.index_path) if config.index_path else None
     encoder = config.build_encoder()
+    if index is not None and index.encoder_spec not in (None, encoder.spec):
+        raise FormatError(
+            f"index {config.index_path} was built with encoder {index.encoder_spec}, "
+            f"but this query embeds with {encoder.spec}"
+        )
     backend = config.build_backend()
     strategy = select_strategy(classify_datasource(catalog.documents, config.length_threshold))
 
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     index_sub = p_index.add_subparsers(dest="index_command", required=True)
     p = index_sub.add_parser("build", help="chunk a catalog and embed every chunk")
     p.add_argument("--catalog", required=True)
-    p.add_argument("--out", required=True, help="index JSON to write")
+    p.add_argument("--out", required=True, help="index file (.npz archive) to write")
     p.add_argument("--encoder", default=defaults.encoder)
     p.add_argument("--chunk-size", dest="chunk_size", type=int, default=defaults.chunk_size)
     p.add_argument("--overlap", dest="overlap", type=int, default=defaults.overlap)
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interactive", action="store_true", help="read questions line by line from stdin")
     _add_config_flags(p)
     p.add_argument("--catalog", dest="catalog_path", help="document catalog JSON")
-    p.add_argument("--index", dest="index_path", help="vector index JSON")
+    p.add_argument("--index", dest="index_path", help="vector index file from 'index build'")
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("account", help="compute a footprint from extracted facts")

@@ -15,6 +15,7 @@ no cache outlives it and each row still depends on its own text only.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
@@ -110,10 +111,15 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class Encoder(Protocol):
-    """Encoders subclass this to inherit ``embed`` from ``embed_batch``."""
+    """Encoders subclass this to inherit ``embed`` from ``embed_batch``.
+
+    ``spec`` is a JSON object naming everything that decides the vectors;
+    an index records it, so it can refuse a query embedded another way.
+    """
 
     kind: str
     dims: int
+    spec: dict
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """One unit-norm row per text, shape ``(len(texts), dims)``."""
@@ -135,6 +141,10 @@ class LexicalEncoder(Encoder):
     def __post_init__(self):
         if self.dims <= 0:
             raise ConfigError(f"dims must be positive, got {self.dims}")
+
+    @property
+    def spec(self) -> dict:
+        return {"kind": self.kind, "dims": self.dims, "seed": self.seed}
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         counts = hashed_counts([_require_text(t) for t in texts], self.dims, self.seed)
@@ -172,6 +182,15 @@ class DualTowerEncoder(Encoder):
     @property
     def feature_dims(self) -> int:
         return int(self.matrix.shape[1])
+
+    @property
+    def spec(self) -> dict:
+        return {
+            "kind": self.kind,
+            "dims": self.dims,
+            "hash_seed": self.hash_seed,
+            "matrix_sha256": hashlib.sha256(self.matrix.tobytes()).hexdigest(),
+        }
 
     def features(self, texts: Sequence[str]) -> np.ndarray:
         """Hashed token counts scaled to unit norm, one row per text.
@@ -307,6 +326,10 @@ class RemoteEncoder(Encoder):
 
     kind = "remote"
 
+    @property
+    def spec(self) -> dict:
+        return {"kind": self.kind, "dims": self.dims, "endpoint": self.endpoint}
+
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         """All ``texts`` in one request; an empty batch sends none."""
         for t in texts:
@@ -348,8 +371,8 @@ class RemoteEncoder(Encoder):
 
 def save_encoder(encoder, path: str | Path) -> None:
     """Persist an encoder spec as JSON."""
-    if isinstance(encoder, LexicalEncoder):
-        obj = {"kind": encoder.kind, "dims": encoder.dims, "seed": encoder.seed}
+    if isinstance(encoder, (LexicalEncoder, RemoteEncoder)):
+        obj = encoder.spec
     elif isinstance(encoder, DualTowerEncoder):
         obj = {
             "kind": encoder.kind,
@@ -358,8 +381,6 @@ def save_encoder(encoder, path: str | Path) -> None:
             "hash_seed": encoder.hash_seed,
             "matrix": encoder.matrix.tolist(),
         }
-    elif isinstance(encoder, RemoteEncoder):
-        obj = {"kind": encoder.kind, "dims": encoder.dims, "endpoint": encoder.endpoint}
     else:
         raise InputError(f"cannot persist encoder of type {type(encoder).__name__}")
     Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")

@@ -7,11 +7,19 @@ chunk-id order and ranking uses a stable sort, so two entries whose
 similarities are bitwise equal rank by ascending chunk id. Mathematically
 equal cosines can still differ by an ulp of rounding, and are then ordered
 by that rounding.
+
+An index file is one uncompressed numpy ``.npz`` archive with two
+entries: ``matrix``, the float64 rows in chunk-id order, and ``manifest``,
+a JSON string with the format name and version, the chunk ids in row order
+and the spec of the encoder that built the index (null when unknown).
+Saving one index twice gives the same bytes. JSON index files are not read.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,6 +30,13 @@ from .errors import FormatError, InputError
 
 DEFAULT_K = 5
 _NORM_TOLERANCE = 1e-6
+_FORMAT = {"format": "carbonrag-index", "version": 1}
+_ZIP_MAGIC = b"PK\x03\x04"
+# What np.load and reading its entries raise on a damaged archive: a
+# truncated archive or a bad CRC is a BadZipFile, a missing entry a
+# KeyError, an object array or a cut .npy entry a ValueError, a corrupt
+# deflated entry a zlib.error.
+_READ_ERRORS = (OSError, KeyError, ValueError, zipfile.BadZipFile, zlib.error)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,10 +56,11 @@ class VectorIndex:
     """Unit vectors by chunk id, answering exact top-K queries.
 
     The index is immutable: one ``(ids, matrix)`` pair with rows in chunk-id
-    order, so any number of readers may share it.
+    order, so any number of readers may share it. ``encoder_spec`` is the
+    ``spec`` of the encoder that made the rows, or None when unknown.
     """
 
-    def __init__(self, ids: Sequence[str], matrix):
+    def __init__(self, ids: Sequence[str], matrix, *, encoder_spec: dict | None = None):
         """Index row ``i`` of ``matrix`` under ``ids[i]``.
 
         Rows are stored bit for bit as given; each must be finite and
@@ -77,6 +93,7 @@ class VectorIndex:
         matrix.flags.writeable = False
         self._ids = ids
         self._matrix = matrix
+        self.encoder_spec = encoder_spec
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -117,44 +134,46 @@ class VectorIndex:
         ]
 
     def save(self, path: str | Path) -> None:
-        obj = {
-            "dims": self.dims,
-            "entries": [
-                {"chunk_id": chunk_id, "vector": self._matrix[row].tolist()}
-                for row, chunk_id in enumerate(self._ids)
-            ],
-        }
-        Path(path).write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        manifest = {**_FORMAT, "ids": self._ids, "encoder": self.encoder_spec}
+        # Given a name rather than a file, np.savez would append ".npz" to it.
+        with open(path, "wb") as fh:
+            np.savez(fh, matrix=self._matrix, manifest=np.array(json.dumps(manifest)))
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
         path = Path(path)
         try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            with open(path, "rb") as fh:
+                if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+                    raise FormatError(
+                        f"index {path} is not a binary index; "
+                        "rebuild it with 'carbonrag index build'"
+                    )
+                fh.seek(0)
+                with np.load(fh, allow_pickle=False) as archive:
+                    matrix, manifest = archive["matrix"], archive["manifest"]
+        except _READ_ERRORS as exc:
             raise FormatError(f"cannot load index {path}: {exc}") from None
-        if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
-            raise FormatError(f"index {path} is missing the entries array")
-        dims = obj.get("dims")
-        if type(dims) is not int or dims <= 0:
-            raise FormatError(f"index {path}: dims {dims!r} is not a positive integer")
-        ids, rows = [], []
-        for i, rec in enumerate(obj["entries"]):
-            try:
-                chunk_id = rec["chunk_id"]
-                vector = np.asarray(rec["vector"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"index {path}, entry {i}: {exc}") from None
-            if vector.shape != (dims,):
-                raise FormatError(
-                    f"index {path}, entry {chunk_id!r}: vector shape {vector.shape} != ({dims},)"
-                )
-            ids.append(chunk_id)
-            rows.append(vector)
+        # An entry that is not a .npy array comes back as raw bytes.
+        if not isinstance(matrix, np.ndarray) or matrix.dtype != np.float64:
+            raise FormatError(f"index {path}: matrix is not a float64 array")
+        if not isinstance(manifest, np.ndarray) or manifest.dtype.kind != "U" or manifest.ndim:
+            raise FormatError(f"index {path}: manifest is not a string")
+        try:
+            meta = json.loads(manifest.item())
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"index {path}: manifest is not JSON: {exc}") from None
+        if not isinstance(meta, dict) or any(meta.get(k) != v for k, v in _FORMAT.items()):
+            raise FormatError(f"index {path}: manifest does not declare {_FORMAT}")
+        ids, spec = meta.get("ids"), meta.get("encoder")
+        if not isinstance(ids, list):
+            raise FormatError(f"index {path}: manifest ids {ids!r:.40} is not a list")
+        if spec is not None and not isinstance(spec, dict):
+            raise FormatError(f"index {path}: manifest encoder {spec!r:.40} is not an object")
         # Stored vectors are kept without re-normalization, so save/load
         # round-trips bit-exactly.
         try:
-            return cls(ids, np.stack(rows) if rows else np.empty((0, dims)))
+            return cls(ids, matrix, encoder_spec=spec)
         except InputError as exc:
             raise FormatError(f"index {path}: {exc}") from None
 
@@ -164,4 +183,4 @@ def build_index(chunks, encoder) -> VectorIndex:
     as the encoder returned it, under its chunk id."""
     chunks = list(chunks)
     matrix = encoder.embed_batch([chunk.text for chunk in chunks])
-    return VectorIndex([chunk.chunk_id for chunk in chunks], matrix)
+    return VectorIndex([chunk.chunk_id for chunk in chunks], matrix, encoder_spec=encoder.spec)

@@ -3,16 +3,19 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 import fixtures
 from carbonrag import (
     ConfigError,
     DualTowerEncoder,
+    LexicalEncoder,
     MetricsReport,
     RunConfig,
     VectorIndex,
     load_encoder,
+    save_encoder,
 )
 from carbonrag.cli import main
 
@@ -229,6 +232,60 @@ class TestQuery:
         assert code == 0
         assert "electricity_use = 13500 kWh" in captured.out
         assert "[generate]" in captured.err
+
+    def test_index_built_with_another_encoder_is_refused(self, pipeline_files, tmp_path, capsys):
+        # Each encoder here has the index's width (64), so top_k alone would
+        # accept its vectors and return the wrong chunks.
+        lexical_seed_1 = tmp_path / "lexical1.json"
+        save_encoder(LexicalEncoder(dims=64, seed=1), lexical_seed_1)
+        tower = tmp_path / "tower.json"
+        save_encoder(DualTowerEncoder(matrix=np.eye(64, 256)), tower)
+        query = [
+            "query",
+            _QUESTION,
+            "--catalog",
+            str(pipeline_files["catalog"]),
+            "--index",
+            str(pipeline_files["index"]),
+            "--backend",
+            f"mock:{pipeline_files['script']}",
+        ]
+        built_with = "{'kind': 'lexical_baseline', 'dims': 64, 'seed': 0}"
+        for encoder, embeds_with in (
+            (lexical_seed_1, "{'kind': 'lexical_baseline', 'dims': 64, 'seed': 1}"),
+            (tower, "{'kind': 'toy_dual_tower', 'dims': 64, 'hash_seed': 0, 'matrix_sha256': '"),
+            ("remote:http://127.0.0.1:9/embed", "{'kind': 'remote', 'dims': 64, 'endpoint': '"),
+        ):
+            assert main([*query, "--encoder", str(encoder)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"[load] index {pipeline_files['index']} was built")
+            assert f"built with encoder {built_with}, but this query embeds with {embeds_with}" in (
+                captured.err
+            )
+        # The same encoder, spelled another way, is accepted.
+        assert main([*query, "--encoder", "lexical:64"]) == 0
+        assert "electricity_use = 13500 kWh" in capsys.readouterr().out
+
+    def test_json_index_reports_the_load_stage(self, pipeline_files, tmp_path, capsys):
+        old = tmp_path / "old-index.json"
+        old.write_text('{"dims": 2, "entries": []}\n', encoding="utf-8")
+        code = main(
+            [
+                "query",
+                _QUESTION,
+                "--catalog",
+                str(pipeline_files["catalog"]),
+                "--index",
+                str(old),
+                "--backend",
+                f"mock:{pipeline_files['script']}",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"[load] index {old} is not a binary index; rebuild it with 'carbonrag index build'\n"
+        )
 
     def test_question_or_interactive_is_required(self, pipeline_files, capsys):
         code = main(

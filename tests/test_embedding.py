@@ -1,5 +1,6 @@
 """Hashing, cosine, encoders, and the contrastive trainer."""
 
+import hashlib
 import http.server
 import json
 from types import SimpleNamespace
@@ -373,6 +374,50 @@ class TestEncoderPersistence:
         path = tmp_path / "enc.json"
         save_encoder(LexicalEncoder(dims=16), path)
         assert encoder_from_spec(str(path)).dims == 16
+
+
+class TestEncoderProvenance:
+    def test_spec_is_a_json_object_read_without_a_call(self, tmp_path):
+        tower = train_dual_tower(_PAIRS, dims=8, epochs=2, feature_dims=32, seed=1).encoder
+        for enc, spec in (
+            (LexicalEncoder(dims=32, seed=4), {"kind": "lexical_baseline", "dims": 32, "seed": 4}),
+            (
+                RemoteEncoder("http://localhost:9/embed", dims=8),
+                {"kind": "remote", "dims": 8, "endpoint": "http://localhost:9/embed"},
+            ),
+            (
+                tower,
+                {
+                    "kind": "toy_dual_tower",
+                    "dims": 8,
+                    "hash_seed": 0,
+                    "matrix_sha256": hashlib.sha256(tower.matrix.tobytes()).hexdigest(),
+                },
+            ),
+        ):
+            # Not a method: a proxy that times every method call must see a value.
+            assert enc.spec == spec and not callable(enc.spec)
+            assert json.loads(json.dumps(enc.spec)) == spec
+            path = tmp_path / "enc.json"
+            save_encoder(enc, path)
+            assert load_encoder(path).spec == spec
+
+    def test_spec_tells_apart_encoders_of_one_width(self):
+        matrix = np.eye(8, 32)
+        nudged = matrix.copy()
+        nudged[0, 0] = np.nextafter(1.0, 2.0)
+        specs = [
+            LexicalEncoder(dims=8).spec,
+            LexicalEncoder(dims=8, seed=1).spec,
+            DualTowerEncoder(matrix=matrix).spec,
+            DualTowerEncoder(matrix=nudged).spec,
+            DualTowerEncoder(matrix=matrix, hash_seed=1).spec,
+            RemoteEncoder("http://a/embed", dims=8).spec,
+            RemoteEncoder("http://b/embed", dims=8).spec,
+        ]
+        assert all(a != b for i, a in enumerate(specs) for b in specs[i + 1 :])
+        # The training seed does not change the vectors, so it is not part of the spec.
+        assert DualTowerEncoder(matrix=matrix, seed=5).spec == DualTowerEncoder(matrix=matrix).spec
 
 
 class _EmbedHandler(http.server.BaseHTTPRequestHandler):

@@ -1,6 +1,9 @@
 """Exact retrieval: oracle equivalence, tie-breaks, and persistence."""
 
 import json
+import struct
+import time
+import zipfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,6 +114,22 @@ class TestValidation:
             next(iter(index.entries())).vector[0] = 2.0
 
 
+def _manifest(ids, **fields):
+    return json.dumps(
+        {"format": "carbonrag-index", "version": 1, "ids": ids, "encoder": None, **fields}
+    )
+
+
+def _write_archive(path, **entries):
+    """An ``.npz`` holding ``entries`` as given, whatever their type."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **entries)
+
+
+def _write_index(path, ids, matrix):
+    _write_archive(path, matrix=np.asarray(matrix), manifest=np.array(_manifest(ids)))
+
+
 class TestPersistence:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(25)
@@ -133,10 +152,55 @@ class TestPersistence:
             query = rng.normal(size=12)
             assert index.top_k(query, k=8) == loaded.top_k(query, k=8)
 
+    def test_save_writes_exactly_the_given_path(self, tmp_path):
+        index = _random_index(np.random.default_rng(27), 3, 4)
+        for name in ("index.json", "index"):
+            index.save(str(tmp_path / name))
+            index.save(tmp_path / name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index", "index.json"]
+
+    def test_two_saves_are_byte_identical(self, tmp_path, monkeypatch):
+        index = build_index(
+            [SimpleNamespace(chunk_id=f"d:{i:08d}", text=f"anode {i} potline") for i in range(5)],
+            LexicalEncoder(dims=16),
+        )
+        index.save(tmp_path / "a")
+        # A save a day later: no clock reading may reach the archive.
+        later = time.time() + 86_400
+        localtime = time.localtime
+        monkeypatch.setattr(time, "time", lambda: later)
+        monkeypatch.setattr(
+            time, "localtime", lambda secs=None: localtime(later if secs is None else secs)
+        )
+        index.save(tmp_path / "b")
+        VectorIndex.load(tmp_path / "b").save(tmp_path / "c")
+        first = (tmp_path / "a").read_bytes()
+        assert (tmp_path / "b").read_bytes() == first
+        assert (tmp_path / "c").read_bytes() == first
+
+    def test_non_ascii_ids_round_trip_exactly(self, tmp_path):
+        ids = ["électricité:0", "电池:00000000-00000010", "c\x00", "c:0\x00\x00", "x\ud800", "CO₂"]
+        index = VectorIndex(ids, np.eye(len(ids)))
+        index.save(tmp_path / "index.json")
+        loaded = VectorIndex.load(tmp_path / "index.json")
+        assert [e.chunk_id for e in loaded.entries()] == sorted(ids)
+        for i, chunk_id in enumerate(ids):
+            assert loaded.top_k(np.eye(len(ids))[i], k=1)[0].chunk_id == chunk_id
+
+    def test_encoder_spec_round_trips(self, tmp_path):
+        encoder = LexicalEncoder(dims=16, seed=3)
+        chunks = [SimpleNamespace(chunk_id="d:00000000-00000005", text="anode carbon")]
+        for index, spec in (
+            (build_index(chunks, encoder), {"kind": "lexical_baseline", "dims": 16, "seed": 3}),
+            (VectorIndex(["c:0"], [[1.0, 0.0]]), None),
+        ):
+            assert index.encoder_spec == spec
+            index.save(tmp_path / "index.json")
+            assert VectorIndex.load(tmp_path / "index.json").encoder_spec == spec
+
     def test_load_rejects_duplicate_ids(self, tmp_path):
         path = tmp_path / "index.json"
-        entry = {"chunk_id": "c:0", "vector": [1.0, 0.0]}
-        path.write_text(json.dumps({"dims": 2, "entries": [entry, entry]}), encoding="utf-8")
+        _write_index(path, ["c:0", "c:0"], [[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(FormatError, match="duplicate"):
             VectorIndex.load(path)
 
@@ -147,49 +211,137 @@ class TestPersistence:
             ([float("nan"), 0.0], "nan"),
             ([float("inf"), 0.0], "inf"),
         ):
-            obj = {"dims": 2, "entries": [{"chunk_id": "c:0", "vector": vector}]}
-            path.write_text(json.dumps(obj), encoding="utf-8")
+            _write_index(path, ["c:0"], [vector])
             with pytest.raises(FormatError, match=rf"entry 'c:0'.*unit-norm \(norm {norm}\)"):
                 VectorIndex.load(path)
 
     def test_load_rejects_wrong_shape(self, tmp_path):
         path = tmp_path / "index.json"
-        entry = {"chunk_id": "c:0", "vector": [1.0, 0.0]}
-        for obj, message in (
-            ({"dims": 3, "entries": [entry]}, "entry 'c:0'"),
-            ({"dims": "4", "entries": []}, "dims '4'"),
-            ({"dims": "2", "entries": [entry]}, "dims '2'"),
-            ({"dims": 0, "entries": []}, "dims 0"),
-            ({"dims": 2, "entries": [{**entry, "chunk_id": ["c", 0]}]}, r"chunk id \['c', 0\]"),
-            ({"dims": 2, "entries": [{**entry, "chunk_id": 7}]}, "chunk id 7"),
+        e0 = [1.0, 0.0]
+        for ids, matrix, message in (
+            (["c:0"], [e0, e0], r"1 chunk ids need a \(1, dims\) matrix, got shape \(2, 2\)"),
+            (["c:0", "c:1"], [e0], r"2 chunk ids need a \(2, dims\) matrix"),
+            ([], np.empty((0, 0)), r"shape \(0, 0\)"),
+            (["c:0"], np.empty((1, 0)), r"shape \(1, 0\)"),
+            (["c:0"], np.array(e0), r"shape \(2,\)"),
+            (["c:0"], np.ones((1, 1, 1)), r"shape \(1, 1, 1\)"),
+            (["c:0"], np.array([[1, 0]]), "matrix is not a float64 array"),
+            (["c:0"], np.array([[1.0, 0.0]], dtype=np.float32), "matrix is not a float64 array"),
+            (["c:0"], np.array([[True, False]]), "matrix is not a float64 array"),
+            ([["c", 0]], [e0], r"chunk id \['c', 0\]"),
+            ([7], [e0], "chunk id 7"),
+            (["c:0", None], [e0, e0], "chunk id None"),
         ):
-            path.write_text(json.dumps(obj), encoding="utf-8")
+            _write_index(path, ids, matrix)
             with pytest.raises(FormatError, match=message):
                 VectorIndex.load(path)
 
     def test_load_without_dims_rejects_mixed_widths(self, tmp_path):
-        # A file without "dims" is rejected before any entry is read, so
-        # entries of differing widths cannot slip in through it.
+        # An archive has no dims field: the width is the matrix's. Rows of
+        # mixed widths can only be stored as an object array, which is
+        # refused without being unpickled, and an archive with no matrix is
+        # refused before its ids are read.
         path = tmp_path / "index.json"
-        entries = [
-            {"chunk_id": "c:0", "vector": [1.0, 0.0]},
-            {"chunk_id": "c:1", "vector": [1.0, 0.0, 0.0]},
-        ]
-        for obj in ({"entries": entries}, {"entries": entries[:1]}):
-            path.write_text(json.dumps(obj), encoding="utf-8")
-            with pytest.raises(FormatError, match="dims None"):
-                VectorIndex.load(path)
+        ragged = np.empty(2, dtype=object)
+        ragged[:] = [[1.0, 0.0], [1.0, 0.0, 0.0]]
+        manifest = np.array(_manifest(["c:0", "c:1"]))
+        _write_archive(path, matrix=ragged, manifest=manifest)
+        with pytest.raises(FormatError, match="Object arrays cannot be loaded"):
+            VectorIndex.load(path)
+        _write_archive(path, manifest=manifest)
+        with pytest.raises(FormatError, match="matrix is not a file in the archive"):
+            VectorIndex.load(path)
 
     def test_load_rejects_missing_entries(self, tmp_path):
         path = tmp_path / "index.json"
-        path.write_text(json.dumps({"dims": 3}), encoding="utf-8")
-        with pytest.raises(FormatError, match="entries"):
-            VectorIndex.load(path)
+        matrix = np.eye(2)
+        manifest = np.array(_manifest(["c:0", "c:1"]))
+        for entries, missing in (
+            ({"matrix": matrix}, "manifest"),
+            ({"rows": matrix, "manifest": manifest}, "matrix"),
+            ({"arr_0": matrix}, "matrix"),
+        ):
+            _write_archive(path, **entries)
+            with pytest.raises(FormatError, match=f"{missing} is not a file in the archive"):
+                VectorIndex.load(path)
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "index.json"
-        path.write_text("[not json", encoding="utf-8")
-        with pytest.raises(FormatError):
+        for manifest, message in (
+            ("[not json", "manifest is not JSON"),
+            ("[" * 100_000, "manifest is not JSON"),
+            ("[]", "manifest does not declare"),
+            (json.dumps({"format": "carbonrag-index", "version": 2, "ids": []}), "not declare"),
+            (json.dumps({"ids": []}), "does not declare"),
+            (_manifest("c:0"), "manifest ids 'c:0' is not a list"),
+            (_manifest({"c:0": 0}), "manifest ids .* is not a list"),
+            (_manifest(None), "manifest ids None is not a list"),
+            (_manifest(["c:0"], encoder="lexical"), "manifest encoder 'lexical' is not an object"),
+        ):
+            _write_archive(path, matrix=np.array([[1.0, 0.0]]), manifest=np.array(manifest))
+            with pytest.raises(FormatError, match=message):
+                VectorIndex.load(path)
+
+    def test_json_index_is_refused_with_a_rebuild_hint(self, tmp_path):
+        path = tmp_path / "index.json"
+        old = {"dims": 2, "entries": [{"chunk_id": "c:0", "vector": [1.0, 0.0]}]}
+        for text in (json.dumps(old), "[not json", ""):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(
+                FormatError,
+                match=r"is not a binary index; rebuild it with 'carbonrag index build'",
+            ):
+                VectorIndex.load(path)
+        np.save(path.with_suffix(".npy"), np.eye(2))
+        with pytest.raises(FormatError, match="is not a binary index"):
+            VectorIndex.load(path.with_suffix(".npy"))
+
+    def test_damaged_files_are_format_errors(self, tmp_path):
+        path = tmp_path / "index.json"
+        _random_index(np.random.default_rng(28), 20, 8).save(path)
+        whole = path.read_bytes()
+        for cut in (4, 30, len(whole) // 2, len(whole) - 10):
+            path.write_bytes(whole[:cut])
+            with pytest.raises(FormatError, match="cannot load index"):
+                VectorIndex.load(path)
+        with pytest.raises(FormatError, match="cannot load index"):
+            VectorIndex.load(tmp_path / "absent.json")
+        with pytest.raises(FormatError, match="cannot load index"):
+            VectorIndex.load(tmp_path)
+
+    def test_entries_of_the_wrong_kind_are_format_errors(self, tmp_path):
+        path = tmp_path / "index.json"
+        matrix = np.array([[1.0, 0.0]])
+        text = _manifest(["c:0"])
+        for entries, message in (
+            ({"matrix": matrix, "manifest": np.array([text], dtype=object)}, "Object arrays"),
+            ({"matrix": matrix, "manifest": np.array([text])}, "manifest is not a string"),
+            ({"matrix": matrix, "manifest": np.array(text.encode())}, "manifest is not a string"),
+            ({"matrix": matrix, "manifest": np.array(5)}, "manifest is not a string"),
+        ):
+            _write_archive(path, **entries)
+            with pytest.raises(FormatError, match=message):
+                VectorIndex.load(path)
+        # An entry that is not a .npy file at all comes back as raw bytes.
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("matrix.npy", b"not an array")
+            archive.writestr("manifest.npy", b"not an array")
+        with pytest.raises(FormatError, match="matrix is not a float64 array"):
+            VectorIndex.load(path)
+        # A .npy entry cut short inside its header.
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("matrix.npy", b"\x93NUMPY\x01")
+            archive.writestr("manifest.npy", b"\x93NUMPY\x01")
+        with pytest.raises(FormatError, match="cannot load index"):
+            VectorIndex.load(path)
+        # A deflated entry whose stream starts with an invalid block type.
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, matrix=matrix, manifest=np.array(text))
+        raw = bytearray(path.read_bytes())
+        name_len, extra_len = struct.unpack_from("<HH", raw, 26)
+        raw[30 + name_len + extra_len] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="cannot load index .*invalid block type"):
             VectorIndex.load(path)
 
 
