@@ -197,11 +197,9 @@ class EmissionFactorDb:
     def from_csv(cls, path: str | Path) -> "EmissionFactorDb":
         path = Path(path)
         try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+            rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise FormatError(f"cannot read factor database {path}: {exc}") from None
-        reader = csv.reader(text.splitlines())
-        rows = list(reader)
         if not rows or rows[0] != FACTOR_CSV_HEADER:
             raise FormatError(
                 f"factor database {path} must start with header "

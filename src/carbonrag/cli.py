@@ -7,11 +7,11 @@ Every subcommand is a thin wrapper over library calls; failures surface as
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
 
+from ._json import read_json
 from .accounting import (
     EmissionFactorDb,
     InventoryItem,
@@ -65,23 +65,15 @@ def cmd_index_build(args) -> int:
     return 0
 
 
+def _read_training_pairs(path: str) -> list[TrainingPair]:
+    return [
+        TrainingPair(p.get("text_a", str), p.get("text_b", str), p.get("related", bool))
+        for p in read_json(path, "training pairs", FormatError).elements()
+    ]
+
+
 def cmd_train_encoder(args) -> int:
-    try:
-        raw = json.loads(Path(args.pairs).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot load training pairs {args.pairs}: {exc}") from None
-    if not isinstance(raw, list):
-        raise FormatError(f"training pairs {args.pairs} must be a JSON array")
-    try:
-        pairs = [
-            TrainingPair(p["text_a"], p["text_b"], bool(p["related"])) for p in raw
-        ]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(
-            f"training pairs {args.pairs}: each entry needs text_a, text_b, related ({exc})"
-        ) from None
-    if not all(isinstance(p.text_a, str) and isinstance(p.text_b, str) for p in pairs):
-        raise FormatError(f"training pairs {args.pairs}: text_a and text_b must be strings")
+    pairs = _read_training_pairs(args.pairs)
     result = train_dual_tower(
         pairs,
         dims=args.dims,
@@ -164,29 +156,17 @@ def cmd_query(args) -> int:
 
 
 def _parse_fact_entries(path: str) -> list[InventoryItem]:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot load facts {path}: {exc}") from None
-    entries = obj.get("facts") if isinstance(obj, dict) else obj
-    if not isinstance(entries, list):
-        raise FormatError(f"facts {path} must be a JSON array or {{'facts': [...]}}")
+    root = read_json(path, "facts", FormatError)
     items = []
-    for i, e in enumerate(entries):
-        if not isinstance(e, dict):
-            raise FormatError(f"facts {path}: entry {i} must be an object")
-        activity = e.get("activity") or e.get("key")
-        if not isinstance(activity, str):
-            raise FormatError(f"facts {path}: entry {i} needs an 'activity' or 'key'")
+    for entry in (root.at("facts") if isinstance(root.value, dict) else root).elements():
+        activity = entry.get("activity", str, default=None) or entry.get("key", str)
+        quantity = entry.get("value", Quantity.from_json_value)
+        unit = entry.get("unit", str)
+        stage = entry.get("lifecycle_stage", LifecycleStage, default=LifecycleStage.RAW_MATERIAL)
         try:
-            quantity = Quantity.from_json_value(e.get("value"))
-            stage = LifecycleStage(e.get("lifecycle_stage", "raw_material"))
-            unit = e["unit"]
-            if not isinstance(unit, str):
-                raise ValueError(f"unit {unit!r} is not a string")
             items.append(InventoryItem(activity, quantity, unit, stage))
-        except (ValueError, KeyError) as exc:
-            raise FormatError(f"facts {path}: entry {i} ({activity}): {exc}") from None
+        except ValueError as exc:
+            entry.fail(str(exc))
     return items
 
 

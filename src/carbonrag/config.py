@@ -8,11 +8,11 @@ be reproduced from its report alone.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
+from ._json import read_json
 from .corpus import DEFAULT_CHUNK_SIZE, DEFAULT_LENGTH_THRESHOLD, DEFAULT_OVERLAP
 from .embedding import encoder_from_spec
 from .errors import ConfigError
@@ -64,20 +64,14 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        path = Path(path)
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot load config {path}: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
-        unknown = sorted(set(obj) - set(cls.field_names()))
+        root = read_json(path, "config", ConfigError)
+        unknown = sorted(set(root.expect(dict)) - set(cls.field_names()))
         if unknown:
-            raise ConfigError(f"config {path} has unknown keys: {', '.join(unknown)}")
+            root.fail(f"unknown keys: {', '.join(unknown)}")
         try:
-            return cls(**obj)
-        except (TypeError, ConfigError) as exc:
-            raise ConfigError(f"config {path}: {exc}") from None
+            return cls(**root.value)
+        except ConfigError as exc:
+            root.fail(str(exc))
 
     def merged(self, overrides: Mapping[str, Any]) -> "RunConfig":
         """New config with non-None override values applied (flags win)."""

@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Mapping
 
 import requests
 
+from ._json import read_json
 from .errors import ConfigError, EncodingError, FetchError, FormatError, InputError
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -273,31 +274,18 @@ class Catalog:
 
     @classmethod
     def load(cls, path: str | Path) -> "Catalog":
-        path = Path(path)
-        try:
-            records = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FormatError(f"cannot load catalog {path}: {exc}") from None
-        if not isinstance(records, list):
-            raise FormatError(f"catalog {path} must be a JSON array of documents")
         catalog = cls()
-        for i, rec in enumerate(records):
+        for rec in read_json(path, "catalog", FormatError).elements():
+            doc = Document(
+                doc_id=rec.get("doc_id", str),
+                title=rec.get("title", str),
+                source=rec.get("source", SourceKind),
+                body=rec.get("body", str),
+                fetched_at=rec.get("fetched_at", str),
+                industry_tag=rec.get("industry_tag", str, default=None, nullable=True),
+            )
             try:
-                for key in ("title", "body", "fetched_at"):
-                    if not isinstance(rec[key], str):
-                        raise TypeError(f"{key} is not a string")
-                if not isinstance(rec.get("industry_tag"), (str, type(None))):
-                    raise TypeError("industry_tag is neither a string nor null")
-                catalog.add(
-                    Document(
-                        doc_id=rec["doc_id"],
-                        title=rec["title"],
-                        source=SourceKind(rec["source"]),
-                        body=rec["body"],
-                        fetched_at=rec["fetched_at"],
-                        industry_tag=rec.get("industry_tag"),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, InputError) as exc:
-                raise FormatError(f"catalog {path}, record {i}: {exc}") from None
+                catalog.add(doc)
+            except InputError as exc:
+                rec.fail(str(exc))
         return catalog

@@ -26,6 +26,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ._http import post_json
+from ._json import parse_json, read_json
 from .errors import ConfigError, FormatError, InputError
 
 logger = logging.getLogger(__name__)
@@ -167,8 +168,8 @@ class DualTowerEncoder(Encoder):
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2:
-            raise ConfigError(f"tower matrix must be 2-D, got shape {m.shape}")
+        if m.ndim != 2 or 0 in m.shape:
+            raise ConfigError(f"tower matrix must be 2-D and non-empty, got shape {m.shape}")
         if not np.all(np.isfinite(m)):
             raise ConfigError("tower matrix has non-finite values")
         m = np.ascontiguousarray(m)
@@ -326,6 +327,10 @@ class RemoteEncoder(Encoder):
 
     kind = "remote"
 
+    def __post_init__(self):
+        if self.dims <= 0:
+            raise ConfigError(f"dims must be positive, got {self.dims}")
+
     @property
     def spec(self) -> dict:
         return {"kind": self.kind, "dims": self.dims, "endpoint": self.endpoint}
@@ -343,30 +348,11 @@ class RemoteEncoder(Encoder):
             gave_up="unreachable",
             stage="embedding",
         )
-        try:
-            data = response.json()
-        except ValueError as exc:  # body was not JSON; retrying cannot help
-            raise FormatError(f"embedding endpoint returned non-JSON: {exc}") from None
-        vectors = data.get("embeddings") if isinstance(data, dict) else None
-        if not isinstance(vectors, list) or len(vectors) != len(texts):
-            raise FormatError(
-                f"embedding endpoint returned {len(vectors) if isinstance(vectors, list) else 'no'}"
-                f" embeddings for {len(texts)} inputs"
-            )
-        out = []
-        for i, values in enumerate(vectors):
-            try:
-                v = np.asarray(values, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"embedding {i} is not numeric: {exc}") from None
-            if v.ndim != 1 or v.shape[0] != self.dims:
-                raise FormatError(
-                    f"embedding {i} has shape {v.shape}, expected ({self.dims},)"
-                )
-            if not np.all(np.isfinite(v)):
-                raise FormatError(f"embedding {i} has non-finite values")
-            out.append(v)
-        return _unit_rows(out, texts, self.dims)
+        reply = parse_json(response.content, "embedding endpoint reply", FormatError)
+        vectors = reply.get("embeddings", list[list[float]])
+        if len(vectors) != len(texts) or any(len(v) != self.dims for v in vectors):
+            reply.fail(f"expected {len(texts)} embeddings of width {self.dims}, got {len(vectors)}")
+        return _unit_rows(np.asarray(vectors, dtype=np.float64), texts, self.dims)
 
 
 def save_encoder(encoder, path: str | Path) -> None:
@@ -387,33 +373,29 @@ def save_encoder(encoder, path: str | Path) -> None:
 
 
 def load_encoder(path: str | Path):
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot load encoder {path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise FormatError(f"encoder {path} must be a JSON object")
-    kind = obj.get("kind")
+    root = read_json(path, "encoder", FormatError)
+    kind = root.get("kind", str)
     try:
         if kind == "lexical_baseline":
-            return LexicalEncoder(dims=int(obj["dims"]), seed=int(obj["seed"]))
+            return LexicalEncoder(dims=root.get("dims", int), seed=root.get("seed", int))
         if kind == "toy_dual_tower":
-            matrix = np.asarray(obj["matrix"], dtype=np.float64)
-            if matrix.ndim != 2 or matrix.shape[0] != int(obj["dims"]):
-                raise FormatError(
-                    f"encoder {path}: matrix shape {matrix.shape} does not match dims {obj['dims']}"
-                )
+            dims = root.get("dims", int)
+            try:
+                matrix = np.asarray(root.get("matrix", list[list[float]]), dtype=np.float64)
+            except ValueError as exc:  # rows of different lengths
+                root.at("matrix").fail(str(exc))
+            if matrix.ndim != 2 or matrix.shape[0] != dims:
+                root.fail(f"matrix shape {matrix.shape} does not match dims {dims}")
             return DualTowerEncoder(
                 matrix=matrix,
-                seed=int(obj["seed"]),
-                hash_seed=int(obj.get("hash_seed", DEFAULT_HASH_SEED)),
+                seed=root.get("seed", int),
+                hash_seed=root.get("hash_seed", int, default=DEFAULT_HASH_SEED),
             )
         if kind == "remote":
-            return RemoteEncoder(endpoint=obj["endpoint"], dims=int(obj["dims"]))
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise FormatError(f"encoder {path} is malformed: {exc}") from None
-    raise FormatError(f"encoder {path} has unknown kind {kind!r}")
+            return RemoteEncoder(endpoint=root.get("endpoint", str), dims=root.get("dims", int))
+    except ConfigError as exc:
+        root.fail(str(exc))
+    root.fail(f"unknown kind {kind!r}")
 
 
 def encoder_from_spec(spec: str):

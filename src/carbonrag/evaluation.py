@@ -19,6 +19,7 @@ import csv
 import datetime as _dt
 import json
 import logging
+from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._json import Node, read_json
 from .accounting import (
     EmissionFactorDb,
     FootprintResult,
@@ -209,138 +211,49 @@ class Benchmark:
     base_dir: Path = Path(".")
 
 
-def _require(obj: Mapping, key: str, kind, where: str):
-    if key not in obj:
-        raise BenchmarkError(f"{where} is missing {key!r}")
-    value = obj[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise BenchmarkError(f"{where}: {key!r} must be a number")
-        return float(value)
-    if not isinstance(value, kind):
-        raise BenchmarkError(f"{where}: {key!r} must be {kind.__name__}")
-    return value
-
-
 def load_benchmark(path: str | Path) -> Benchmark:
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BenchmarkError(f"cannot load benchmark {path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise BenchmarkError(f"benchmark {path} must be a JSON object")
-    where = f"benchmark {path}"
-
-    industry = _require(obj, "industry", str, where)
-    datasources = obj.get("datasources", [])
-    if not isinstance(datasources, list) or not all(isinstance(d, dict) for d in datasources):
-        raise BenchmarkError(f"{where}: 'datasources' must be a list of objects")
-
-    raw_queries = _require(obj, "queries", list, where)
-    if not raw_queries:
-        raise BenchmarkError(f"{where}: 'queries' must not be empty")
-    queries = []
-    seen_qids = set()
-    for i, q in enumerate(raw_queries):
-        if not isinstance(q, dict):
-            raise BenchmarkError(f"{where}: queries[{i}] must be an object")
-        qwhere = f"{where} queries[{i}]"
-        qid = _require(q, "query_id", str, qwhere)
-        if qid in seen_qids:
-            raise BenchmarkError(f"{where}: duplicate query_id {qid!r}")
-        seen_qids.add(qid)
-        text = _require(q, "query_text", str, qwhere)
-        keys = _require(q, "fact_keys", list, qwhere)
-        if not all(isinstance(k, str) for k in keys):
-            raise BenchmarkError(f"{qwhere}: fact_keys must be strings")
-        queries.append(BenchmarkQuery(qid, text, tuple(keys)))
-
-    raw_truths = _require(obj, "truths", list, where)
-    if not raw_truths:
-        raise BenchmarkError(f"{where}: 'truths' must not be empty")
-    truths = []
-    seen_keys = set()
-    for i, t in enumerate(raw_truths):
-        if not isinstance(t, dict):
-            raise BenchmarkError(f"{where}: truths[{i}] must be an object")
-        twhere = f"{where} truths[{i}]"
-        key = _require(t, "fact_key", str, twhere)
-        if key in seen_keys:
-            raise BenchmarkError(f"{where}: duplicate truth fact_key {key!r}")
-        seen_keys.add(key)
-        truths.append(
-            GroundTruthRecord(
-                fact_key=key,
-                true_value=_require(t, "true_value", float, twhere),
-                unit=_require(t, "unit", str, twhere),
-                industry=t.get("industry", industry),
-            )
+    root = read_json(path, "benchmark", BenchmarkError)
+    industry = root.get("industry", str)
+    queries = [
+        BenchmarkQuery(
+            q.get("query_id", str), q.get("query_text", str), tuple(q.get("fact_keys", list[str]))
         )
-
-    true_footprint = _require(obj, "true_footprint", float, where)
-    factor_db = _require(obj, "factor_db", str, where)
-
-    scope_text = obj.get("scope", Scope.CRADLE_TO_GATE.value)
-    try:
-        scope = Scope(scope_text)
-    except ValueError:
-        raise BenchmarkError(f"{where}: unknown scope {scope_text!r}") from None
-
-    inventory_keys = obj.get("inventory_keys")
-    if inventory_keys is not None:
-        if not isinstance(inventory_keys, list) or not all(
-            isinstance(k, str) for k in inventory_keys
-        ):
-            raise BenchmarkError(f"{where}: 'inventory_keys' must be a list of strings")
-        inventory_keys = tuple(inventory_keys)
-
-    raw_stages = obj.get("lifecycle_stages", {})
-    if not isinstance(raw_stages, dict):
-        raise BenchmarkError(f"{where}: 'lifecycle_stages' must be an object")
-    stages = {}
-    for activity, stage_text in raw_stages.items():
-        try:
-            stages[activity] = LifecycleStage(stage_text)
-        except ValueError:
-            raise BenchmarkError(
-                f"{where}: unknown lifecycle stage {stage_text!r} for {activity!r}"
-            ) from None
-
+        for q in root.at("queries").elements()
+    ]
+    truths = [
+        GroundTruthRecord(
+            fact_key=t.get("fact_key", str),
+            true_value=t.get("true_value", float),
+            unit=t.get("unit", str),
+            industry=t.get("industry", str, default=industry),
+        )
+        for t in root.at("truths").elements()
+    ]
+    for field_name, name, keys in (
+        ("queries", "query_id", [q.query_id for q in queries]),
+        ("truths", "truth fact_key", [t.fact_key for t in truths]),
+    ):
+        if not keys:
+            root.fail(f"{field_name!r} must not be empty")
+        repeated = [key for key, count in Counter(keys).items() if count > 1]
+        if repeated:
+            root.fail(f"duplicate {name} {repeated[0]!r}")
+    inventory_keys = root.get("inventory_keys", list[str], default=None, nullable=True)
+    stages = root.at("lifecycle_stages", default={})
     return Benchmark(
         industry=industry,
-        datasources=tuple(datasources),
+        datasources=tuple(root.get("datasources", list[dict[str, str]], default=[])),
         queries=tuple(queries),
         truths=tuple(truths),
-        true_footprint=true_footprint,
-        factor_db_path=(path.parent / factor_db),
-        functional_unit=obj.get("functional_unit", "unit"),
-        scope=scope,
-        inventory_keys=inventory_keys,
-        lifecycle_stages=stages,
+        true_footprint=root.get("true_footprint", float),
+        factor_db_path=path.parent / root.get("factor_db", str),
+        functional_unit=root.get("functional_unit", str, default="unit"),
+        scope=root.get("scope", Scope, default=Scope.CRADLE_TO_GATE),
+        inventory_keys=None if inventory_keys is None else tuple(inventory_keys),
+        lifecycle_stages={a: stages.get(a, LifecycleStage) for a in stages.expect(dict)},
         base_dir=path.parent,
     )
-
-
-_JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number"}
-
-
-def _typed(obj: Mapping, key: str, kind: type, where: str = "", *, nullable: bool = False):
-    """``obj[key]`` if it is a JSON boolean, integer or number as ``kind``
-    asks (a boolean is neither of the others), else a ``FormatError``."""
-    value = obj[key]
-    if value is None and nullable:
-        return None
-    if kind is bool:
-        ok = isinstance(value, bool)
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not ok:
-        wanted = _JSON_TYPE_NAMES[kind] + (" or null" if nullable else "")
-        raise FormatError(f"not a metrics report: {where}{key} must be {wanted}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -379,70 +292,60 @@ class MetricsReport:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> "MetricsReport":
-        """Rebuild a report, checking that every numeric field is a JSON
-        number (``id_pct`` and ``deviation_pct`` may be null), the counts
-        integers and ``retrieved`` a boolean; a failure names the field."""
-        try:
-            fp = obj["footprint"]
-            footprint = FootprintResult(
-                total=Quantity.from_json_value(fp["total_kgco2e"]),
-                per_item=tuple(
-                    ItemContribution(
-                        activity=c["activity"],
-                        contribution=Quantity.from_json_value(c["contribution_kgco2e"]),
-                        lifecycle_stage=LifecycleStage(c["lifecycle_stage"]),
-                    )
-                    for c in fp["per_item"]
-                ),
-                functional_unit=fp["functional_unit"],
-                scope=Scope(fp["scope"]),
-            )
-            ad = obj["ad"]
-            per_fact = tuple(
-                PerFactRecord(
-                    fact_key=r["fact_key"],
-                    retrieved=_typed(r, "retrieved", bool, f"per_fact[{i}]."),
-                    deviation_pct=_typed(
-                        r, "deviation_pct", float, f"per_fact[{i}].", nullable=True
-                    ),
-                    true_value=_typed(r, "true_value", float, f"per_fact[{i}]."),
-                    true_unit=r["true_unit"],
-                    extracted_value=r.get("extracted_value"),
-                    extracted_unit=r.get("extracted_unit"),
-                )
-                for i, r in enumerate(obj["per_fact"])
-            )
-            return cls(
-                industry=obj["industry"],
-                irr_pct=_typed(obj, "irr_pct", float),
-                id_pct=_typed(obj, "id_pct", float, nullable=True),
-                ad=AccountingDeviation(
-                    at_lower_pct=_typed(ad, "at_lower_pct", float, "ad."),
-                    at_upper_pct=_typed(ad, "at_upper_pct", float, "ad."),
-                    ad_pct=_typed(ad, "ad_pct", float, "ad."),
-                ),
-                retrieved_count=_typed(obj, "retrieved_count", int),
-                truth_count=_typed(obj, "truth_count", int),
-                per_fact=per_fact,
-                footprint=footprint,
-                true_footprint=_typed(obj, "true_footprint", float),
-                warnings=tuple(obj.get("warnings", [])),
-                metadata=obj.get("metadata", {}),
-                generated_at=obj.get("generated_at", ""),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"not a metrics report: {exc}") from None
+        """Rebuild a report, checking the JSON type of every field; a
+        failure names the field's JSON path."""
+        return cls._from_node(Node(obj, "not a metrics report", FormatError))
 
     @classmethod
     def load(cls, path: str | Path) -> "MetricsReport":
-        path = Path(path)
-        try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FormatError(f"cannot load report {path}: {exc}") from None
-        if not isinstance(obj, dict):
-            raise FormatError(f"report {path} must be a JSON object")
-        return cls.from_json_obj(obj)
+        return cls._from_node(read_json(path, "report", FormatError))
+
+    @classmethod
+    def _from_node(cls, root: Node) -> "MetricsReport":
+        fp, ad = root.at("footprint"), root.at("ad")
+        footprint = FootprintResult(
+            total=fp.get("total_kgco2e", Quantity.from_json_value),
+            per_item=tuple(
+                ItemContribution(
+                    activity=c.get("activity", str),
+                    contribution=c.get("contribution_kgco2e", Quantity.from_json_value),
+                    lifecycle_stage=c.get("lifecycle_stage", LifecycleStage),
+                )
+                for c in fp.at("per_item").elements()
+            ),
+            functional_unit=fp.get("functional_unit", str),
+            scope=fp.get("scope", Scope),
+        )
+        per_fact = tuple(
+            PerFactRecord(
+                fact_key=r.get("fact_key", str),
+                retrieved=r.get("retrieved", bool),
+                deviation_pct=r.get("deviation_pct", float, nullable=True),
+                true_value=r.get("true_value", float),
+                true_unit=r.get("true_unit", str),
+                extracted_value=r.get("extracted_value", default=None),
+                extracted_unit=r.get("extracted_unit", str, default=None, nullable=True),
+            )
+            for r in root.at("per_fact").elements()
+        )
+        return cls(
+            industry=root.get("industry", str),
+            irr_pct=root.get("irr_pct", float),
+            id_pct=root.get("id_pct", float, nullable=True),
+            ad=AccountingDeviation(
+                at_lower_pct=ad.get("at_lower_pct", float),
+                at_upper_pct=ad.get("at_upper_pct", float),
+                ad_pct=ad.get("ad_pct", float),
+            ),
+            retrieved_count=root.get("retrieved_count", int),
+            truth_count=root.get("truth_count", int),
+            per_fact=per_fact,
+            footprint=footprint,
+            true_footprint=root.get("true_footprint", float),
+            warnings=tuple(root.get("warnings", list[str], default=[])),
+            metadata=root.get("metadata", dict, default={}),
+            generated_at=root.get("generated_at", str, default=""),
+        )
 
     def write_json(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json_text(), encoding="utf-8")
@@ -601,19 +504,13 @@ def run_benchmark(
     with _stage("ingest"):
         catalog = Catalog()
         for i, ds in enumerate(bench.datasources):
-            source = ds.get("source")
-            payload = ds.get("payload")
-            if not isinstance(source, str) or not isinstance(payload, str):
-                raise BenchmarkError(
-                    f"datasources[{i}] needs string 'source' and 'payload' fields"
-                )
+            if "source" not in ds or "payload" not in ds:
+                raise BenchmarkError(f"datasources[{i}] needs 'source' and 'payload' fields")
+            source, payload = ds["source"], ds["payload"]
             if source == "local_file":
                 payload = str(bench.base_dir / payload)
-            metadata = {
-                k: str(v)
-                for k, v in ds.items()
-                if k in ("doc_id", "title", "industry_tag", "fetched_at")
-            }
+            keys = ("doc_id", "title", "industry_tag", "fetched_at")
+            metadata = {k: v for k, v in ds.items() if k in keys}
             catalog.ingest(source, payload, metadata)
         docs = catalog.documents
 

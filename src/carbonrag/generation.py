@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._http import post_json
+from ._json import parse_json, read_json
 from .errors import (
     ConfigError,
     ExtractionError,
@@ -49,6 +50,9 @@ ANSWER_SCHEMA_INSTRUCTION = (
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*\n(.*?)```", re.DOTALL)
 _DECODER = json.JSONDecoder()
+# The ``{`` probes for one answer read at most this many times its length
+# in all, so a hostile answer costs linear time.
+_PROBE_READ_FACTOR = 16
 
 
 @dataclass(frozen=True)
@@ -92,15 +96,7 @@ class ScriptedMockBackend:
 
     @classmethod
     def from_file(cls, path: str | Path, fallback: str | None = None) -> "ScriptedMockBackend":
-        path = Path(path)
-        try:
-            script = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FormatError(f"cannot load mock script {path}: {exc}") from None
-        if not isinstance(script, dict) or not all(
-            isinstance(v, str) for v in script.values()
-        ):
-            raise FormatError(f"mock script {path} must map query keys to answer strings")
+        script = read_json(path, "mock script", FormatError).expect(dict[str, str])
         return cls(script, fallback=fallback)
 
     def generate(self, prompt: "Prompt") -> RawAnswer:
@@ -185,14 +181,12 @@ class RemoteChatBackend:
                 gave_up="failed",
                 on_attempt=functools.partial(self._audit, request_hash),
             )
-        try:
-            data = response.json()
-            content = data["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise FormatError(
-                f"generation endpoint returned an unexpected payload: {exc}"
-            ) from None
-        usage = data.get("usage") if isinstance(data.get("usage"), dict) else {}
+        reply = parse_json(response.content, "generation endpoint reply", FormatError)
+        choices = reply.at("choices").elements()
+        if not choices:
+            reply.fail("choices is empty")
+        content = choices[0].at("message").get("content", str)
+        usage = reply.get("usage", dict, default=None, nullable=True) or {}
         return RawAnswer(text=content, backend_kind=self.kind, usage=usage)
 
 
@@ -223,7 +217,7 @@ def _find_facts_block(text: str) -> list | None:
     for candidate in [*(m.group(1) for m in _FENCE_RE.finditer(text)), text]:
         try:
             facts = _facts_list(json.loads(candidate))
-        except (json.JSONDecodeError, RecursionError):
+        except (ValueError, RecursionError):  # ValueError: also an over-long integer
             continue
         if facts is not None:
             return facts
@@ -235,8 +229,9 @@ def _find_facts_block(text: str) -> list | None:
     # n probes each as deep as the recursion limit. A probe that fails
     # before the ``}`` may have started inside a string, so the walk goes
     # on; the outermost hit of a run is the first in text order.
+    budget = _PROBE_READ_FACTOR * len(text)
     start = 0
-    while start <= len(text):
+    while start <= len(text) and budget > 0:
         end = text.find("}", start)
         if end == -1:
             end = len(text)
@@ -247,14 +242,23 @@ def _find_facts_block(text: str) -> list | None:
             brace = text.find("{", brace + 1, end)
         outermost = None
         for brace in reversed(opens):
+            if budget <= 0:
+                break
             try:
-                facts = _facts_list(_DECODER.raw_decode(text, brace)[0])
+                obj, stop = _DECODER.raw_decode(text, brace)
             except RecursionError:
+                budget -= len(text) - brace  # how far it read is unknown
                 break
             except json.JSONDecodeError as exc:
+                budget -= exc.pos - brace + 1
                 if exc.pos >= end:
                     break
                 continue
+            except ValueError:  # an integer too long to convert, read to an unknown end
+                budget -= len(text) - brace
+                continue
+            budget -= stop - brace
+            facts = _facts_list(obj)
             if facts is not None:
                 outermost = facts
         if outermost is not None:

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._json import parse_json
 from .errors import FormatError, InputError
 
 DEFAULT_K = 5
@@ -159,17 +160,13 @@ class VectorIndex:
             raise FormatError(f"index {path}: matrix is not a float64 array")
         if not isinstance(manifest, np.ndarray) or manifest.dtype.kind != "U" or manifest.ndim:
             raise FormatError(f"index {path}: manifest is not a string")
-        try:
-            meta = json.loads(manifest.item())
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"index {path}: manifest is not JSON: {exc}") from None
-        if not isinstance(meta, dict) or any(meta.get(k) != v for k, v in _FORMAT.items()):
-            raise FormatError(f"index {path}: manifest does not declare {_FORMAT}")
-        ids, spec = meta.get("ids"), meta.get("encoder")
-        if not isinstance(ids, list):
-            raise FormatError(f"index {path}: manifest ids {ids!r:.40} is not a list")
-        if spec is not None and not isinstance(spec, dict):
-            raise FormatError(f"index {path}: manifest encoder {spec!r:.40} is not an object")
+        meta = parse_json(manifest.item(), f"index {path} manifest", FormatError)
+        got = meta.value if isinstance(meta.value, dict) else {}
+        # A JSON true equals 1 in Python, so the types are compared too.
+        if any((type(got.get(k)), got.get(k)) != (type(v), v) for k, v in _FORMAT.items()):
+            raise FormatError(f"{meta.where} does not declare {_FORMAT}")
+        ids = meta.get("ids", list)
+        spec = meta.get("encoder", dict, default=None, nullable=True)
         # Stored vectors are kept without re-normalization, so save/load
         # round-trips bit-exactly.
         try:

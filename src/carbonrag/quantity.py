@@ -68,18 +68,20 @@ class Quantity:
         if isinstance(obj, bool):
             raise ValueError("boolean is not a quantity")
         if isinstance(obj, (int, float)):
-            return cls.point(obj)
-        if isinstance(obj, dict):
-            extra = set(obj) - {"lower", "upper"}
-            if extra or set(obj) != {"lower", "upper"}:
+            lower = upper = obj
+        elif isinstance(obj, dict):
+            if set(obj) != {"lower", "upper"}:
                 raise ValueError(f"range object must have exactly lower/upper, got {sorted(obj)}")
             lower, upper = obj["lower"], obj["upper"]
-            if isinstance(lower, bool) or isinstance(upper, bool):
-                raise ValueError("range bounds must be numbers")
-            if not isinstance(lower, (int, float)) or not isinstance(upper, (int, float)):
-                raise ValueError("range bounds must be numbers")
+            for bound in (lower, upper):
+                if isinstance(bound, bool) or not isinstance(bound, (int, float)):
+                    raise ValueError("range bounds must be numbers")
+        else:
+            raise ValueError(f"cannot interpret {obj!r} as a quantity")
+        try:
             return cls.range(lower, upper)
-        raise ValueError(f"cannot interpret {obj!r} as a quantity")
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError("quantity bounds must be finite") from None
 
     def __str__(self) -> str:
         if self.is_point:

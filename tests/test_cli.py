@@ -409,7 +409,7 @@ class TestAccount:
         code = main(["account", "--facts", str(facts), "--factors", str(factors)])
         err = capsys.readouterr().err
         assert code == 1
-        assert "[load]" in err and "unit 5 is not a string" in err
+        assert "[load]" in err and "[0].unit must be a string, got 5" in err
 
 
 class TestBenchAndReport:
@@ -473,24 +473,44 @@ class TestBenchAndReport:
         capsys.readouterr()
         saved = json.loads(report_path.read_text(encoding="utf-8"))
         csv_path = tmp_path / "per_fact.csv"
-        for field, edit in (
-            ("irr_pct", lambda o: o.update(irr_pct="abc")),
-            ("id_pct", lambda o: o.update(id_pct=True)),
-            ("ad.ad_pct", lambda o: o["ad"].update(ad_pct=None)),
-            ("retrieved_count", lambda o: o.update(retrieved_count=9.0)),
-            ("truth_count", lambda o: o.update(truth_count="10")),
-            ("true_footprint", lambda o: o.update(true_footprint=[1])),
-            ("per_fact[0].deviation_pct", lambda o: o["per_fact"][0].update(deviation_pct="zz")),
-            ("per_fact[1].retrieved", lambda o: o["per_fact"][1].update(retrieved=1)),
-            ("per_fact[2].true_value", lambda o: o["per_fact"][2].update(true_value=None)),
+        for message, edit in (
+            (": irr_pct must be", lambda o: o.update(irr_pct="abc")),
+            (": id_pct must be", lambda o: o.update(id_pct=True)),
+            (": ad.ad_pct must be", lambda o: o["ad"].update(ad_pct=None)),
+            (": retrieved_count must be", lambda o: o.update(retrieved_count=9.0)),
+            (": truth_count must be", lambda o: o.update(truth_count="10")),
+            (": true_footprint must be", lambda o: o.update(true_footprint=[1])),
+            (
+                ": per_fact[0].deviation_pct must be",
+                lambda o: o["per_fact"][0].update(deviation_pct="zz"),
+            ),
+            (": per_fact[1].retrieved must be", lambda o: o["per_fact"][1].update(retrieved=1)),
+            (
+                ": per_fact[2].true_value must be",
+                lambda o: o["per_fact"][2].update(true_value=None),
+            ),
+            (" is not JSON: non-finite number NaN", lambda o: o.update(irr_pct=float("nan"))),
+            (": warnings must be a list, got 'abc'", lambda o: o.update(warnings="abc")),
+            (": industry must be a string, got 5", lambda o: o.update(industry=5)),
+            (": per_fact[0].fact_key must be", lambda o: o["per_fact"][0].update(fact_key=5)),
+            (": per_fact[1].true_unit must be", lambda o: o["per_fact"][1].update(true_unit=[])),
+            (
+                ": footprint.functional_unit must be",
+                lambda o: o["footprint"].update(functional_unit=1),
+            ),
+            (
+                ": footprint.per_item[0].activity must be",
+                lambda o: o["footprint"]["per_item"][0].update(activity=None),
+            ),
+            (": metadata must be an object, got 'x'", lambda o: o.update(metadata="x")),
         ):
             obj = json.loads(json.dumps(saved))
             edit(obj)
             report_path.write_text(json.dumps(obj), encoding="utf-8")
             code = main(["report", "--in", str(report_path), "--csv", str(csv_path)])
             err = capsys.readouterr().err
-            assert code == 1, field
-            assert err.startswith("[load] not a metrics report: " + field + " must be"), err
+            assert code == 1, message
+            assert err.startswith(f"[load] report {report_path}{message}"), err
             assert not csv_path.exists()
         # null is a valid id_pct and deviation_pct
         saved["id_pct"] = saved["per_fact"][0]["deviation_pct"] = None
@@ -557,6 +577,50 @@ class TestBenchAndReport:
         err = capsys.readouterr().err
         assert code == 1
         assert "[benchmark]" in err
+
+
+_UNREADABLE = {"non-utf8": b"\xff\xfe[]", "deep-nesting": b"[" * 200_000}
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("content", list(_UNREADABLE.values()), ids=list(_UNREADABLE))
+    @pytest.mark.parametrize(
+        "argv, stage",
+        [
+            (["ingest", "--source", "raw_text", "--catalog", "{bad}", "text"], "load"),
+            (["index", "build", "--catalog", "{bad}", "--out", "{out}"], "load"),
+            (["query", "--catalog", "{bad}", "--backend", "mock:{script}", "q"], "load"),
+            (["query", "--index", "{bad}", "--backend", "mock:{script}", "q"], "load"),
+            (["query", "--encoder", "{bad}", "--backend", "mock:{script}", "q"], "load"),
+            (["query", "--backend", "mock:{bad}", "q"], "load"),
+            (["query", "--config", "{bad}", "q"], "config"),
+            (["bench", "--benchmark", "{bad}", "--backend", "mock:{script}"], "benchmark"),
+            (["bench", "--config", "{bad}"], "config"),
+            (["account", "--facts", "{bad}", "--factors", "{factors}"], "load"),
+            (["account", "--facts", "{facts}", "--factors", "{bad}"], "load"),
+            (["train-encoder", "--pairs", "{bad}", "--out", "{out}"], "load"),
+            (["report", "--in", "{bad}"], "load"),
+        ],
+    )
+    def test_every_file_read_ends_in_a_stage(
+        self, benchmark_tree, tmp_path, capsys, argv, stage, content
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        facts = tmp_path / "facts.json"
+        facts.write_text(
+            json.dumps([{"key": "electricity_use", "value": 1, "unit": "kWh"}]), encoding="utf-8"
+        )
+        paths = {
+            "bad": bad,
+            "out": tmp_path / "out.json",
+            "facts": facts,
+            "factors": benchmark_tree.factors,
+            "script": benchmark_tree.mock_perfect,
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"[{stage}] ") and str(bad) in err, err
 
 
 class TestUsage:

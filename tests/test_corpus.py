@@ -258,12 +258,15 @@ class TestCatalogPersistence:
         path = tmp_path / "catalog.json"
         record = {"doc_id": "a", "title": "t", "source": "raw_text", "body": "b", "fetched_at": "x"}
         for records, message in (
-            ([{"title": "missing ids"}], "record 0"),
-            ([{**record, "body": ["not", "text"]}], "record 0: body is not a string"),
-            ([record, {**record, "doc_id": "b", "title": 5}], "record 1: title is not a string"),
-            ([{**record, "fetched_at": None}], "record 0: fetched_at is not a string"),
-            ([{**record, "industry_tag": 3}], "record 0: industry_tag is neither"),
-            ([{**record, "industry_tag": ["steel"]}], "record 0: industry_tag is neither"),
+            ([{"title": "missing ids"}], r"\[0\] is missing 'doc_id'"),
+            ([{**record, "body": ["not", "text"]}], r"\[0\]\.body must be a string"),
+            ([record, {**record, "doc_id": "b", "title": 5}], r"\[1\]\.title must be a string"),
+            ([{**record, "fetched_at": None}], r"\[0\]\.fetched_at must be a string"),
+            ([{**record, "industry_tag": 3}], r"\[0\]\.industry_tag must be a string or null"),
+            ([{**record, "industry_tag": ["steel"]}], r"\[0\]\.industry_tag must be a string or"),
+            ([{**record, "doc_id": 5}], r"\[0\]\.doc_id must be a string, got 5"),
+            ([{**record, "source": "ftp"}], r"\[0\]\.source: 'ftp' is not a valid SourceKind"),
+            ([record, record], r"\[1\]: duplicate doc_id 'a'"),
         ):
             path.write_text(json.dumps(records), encoding="utf-8")
             with pytest.raises(FormatError, match=message):

@@ -347,9 +347,26 @@ class TestEncoderPersistence:
 
     def test_load_rejects_unknown_kind(self, tmp_path):
         path = tmp_path / "enc.json"
-        for obj in ({"kind": "mystery", "dims": 4}, []):
+        lexical = {"kind": "lexical_baseline", "dims": 64, "seed": 0}
+        for obj, message in (
+            ({"kind": "mystery", "dims": 4}, "unknown kind 'mystery'"),
+            ([], "must be an object"),
+            ({**lexical, "dims": 64.9}, "dims must be an integer, got 64.9"),
+            ({**lexical, "dims": True}, "dims must be an integer, got True"),
+            ({**lexical, "dims": "64"}, "dims must be an integer, got '64'"),
+            ({**lexical, "seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({**lexical, "dims": 0}, "dims must be positive"),
+            ({"kind": "remote", "endpoint": 5, "dims": 4}, "endpoint must be a string, got 5"),
+            ({"kind": "remote", "endpoint": "http://a/e", "dims": -1}, "dims must be positive"),
+            (
+                {"kind": "toy_dual_tower", "dims": 1, "seed": 0, "matrix": [[1.0, True]]},
+                r"matrix\[0\]\[1\] must be a number, got True",
+            ),
+            ({"kind": "toy_dual_tower", "dims": 1, "seed": 0, "matrix": [[]]}, "non-empty"),
+            ({"kind": "toy_dual_tower", "dims": 2, "seed": 0, "matrix": [[1.0], []]}, "matrix: "),
+        ):
             path.write_text(json.dumps(obj), encoding="utf-8")
-            with pytest.raises(FormatError):
+            with pytest.raises(FormatError, match=message):
                 load_encoder(path)
 
     def test_load_rejects_bad_json(self, tmp_path):
@@ -440,6 +457,10 @@ class _EmbedHandler(http.server.BaseHTTPRequestHandler):
             self._send(200, {"embeddings": [["a", "b", "c", "d"] for _ in texts]})
         elif self.path == "/array":
             self._send(200, [[1.0, 0.0, 0.0, 0.0] for _ in texts])
+        elif self.path == "/bools":
+            self._send(200, {"embeddings": [[True, False, False, False] for _ in texts]})
+        elif self.path == "/huge":
+            self._send(200, {"embeddings": [[10**400, 0, 0, 0] for _ in texts]})
         elif self.path == "/short":
             self._send(200, {"embeddings": []})
         elif self.path == "/notjson":
@@ -513,8 +534,11 @@ class TestRemoteEncoder:
     def test_malformed_reply_is_a_format_error(self, embed_server):
         for path, message in (
             ("/nan", "non-finite"),
-            ("/words", "not numeric"),
-            ("/array", "no embeddings"),
+            ("/words", r"embeddings\[0\]\[0\] must be a number, got 'a'"),
+            ("/array", "reply must be an object"),
+            ("/bools", r"embeddings\[0\]\[0\] must be a number, got True"),
+            ("/huge", r"embeddings\[0\]\[0\] must be a number, got 1000"),
+            ("/short", "expected 2 embeddings of width 4, got 0"),
         ):
             enc = RemoteEncoder(_url(embed_server, path), dims=4)
             with pytest.raises(FormatError, match=message):

@@ -186,11 +186,33 @@ class TestLoadBenchmark:
             load_benchmark(path)
 
     def test_non_numeric_truth_rejected(self, tmp_path):
-        def mutate(o):
-            o["truths"][0]["true_value"] = "13500"
+        for mutate, message in (
+            (lambda o: o["truths"][0].update(true_value="13500"), "must be a number"),
+            (lambda o: o["truths"][3].update(true_value=True), r"truths\[3\]\.true_value must be"),
+            (lambda o: o["truths"][0].update(true_value=float("nan")), "non-finite number NaN"),
+            (lambda o: o.update(true_footprint=float("inf")), "non-finite number Infinity"),
+            (lambda o: o.update(true_footprint=10**400), "true_footprint must be a number"),
+        ):
+            with pytest.raises(BenchmarkError, match=message):
+                load_benchmark(self._write(tmp_path, mutate))
 
-        with pytest.raises(BenchmarkError, match="must be a number"):
-            load_benchmark(self._write(tmp_path, mutate))
+    def test_mistyped_fields_name_their_path(self, tmp_path):
+        for mutate, message in (
+            (lambda o: o.update(functional_unit=5), "functional_unit must be a string, got 5"),
+            (lambda o: o["truths"][1].update(industry=5), r"truths\[1\]\.industry must be a str"),
+            (
+                lambda o: o["datasources"][2].update(title=["x"]),
+                r"datasources\[2\]\.title must be a string, got \['x'\]",
+            ),
+            (
+                lambda o: o.update(queries=[{**o["queries"][0], "fact_keys": ["a", 1]}]),
+                r"queries\[0\]\.fact_keys\[1\] must be a string, got 1",
+            ),
+            (lambda o: o.update(inventory_keys="electricity_use"), "inventory_keys must be a list"),
+            (lambda o: o.update(factor_db=None), "factor_db must be a string, got None"),
+        ):
+            with pytest.raises(BenchmarkError, match=message):
+                load_benchmark(self._write(tmp_path, mutate))
 
     def test_unknown_scope_rejected(self, tmp_path):
         path = self._write(tmp_path, lambda o: o.update(scope="gate_to_gate"))

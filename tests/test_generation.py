@@ -149,13 +149,17 @@ class TestParseExtraction:
     def test_hostile_answers_fail_fast(self):
         """Unmatched braces, truncated objects and nesting deeper than the
         recursion limit end in a parse-stage ExtractionError, each within a
-        second and a 100 kB nest within 50 ms; a facts object after such a
-        nest is still found."""
+        second, a 100 kB nest within 50 ms, and 100 kB of nests split by
+        ``}`` or of objects nested past the limit within 250 ms; a facts
+        object after such a nest is still found."""
         for text, bound_s in (
             ("{" * 4000, 1.0),
             ('{"a": [1,2,3' * 2000, 1.0),
             ('{"a":' * 4000, 1.0),
             ('{"a":' * 20000, 0.05),
+            (('{"a":' * 900 + "x}") * 22, 0.25),
+            ('{"x": {"b":1}, "y": ' * 5000, 0.25),
+            ("1" * 5000, 1.0),
         ):
             start = time.perf_counter()
             with pytest.raises(ExtractionError) as err:
@@ -266,6 +270,10 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
             self._send_raw(200, b"<html>oops</html>")
         elif self.path == "/badshape":
             self._send(200, {"unexpected": True})
+        elif self.path == "/nochoices":
+            self._send(200, {"choices": []})
+        elif self.path == "/nullcontent":
+            self._send(200, {"choices": [{"message": {"content": None}}]})
         else:
             self.send_error(404)
 
@@ -336,9 +344,14 @@ class TestRemoteChat:
             backend.generate(_prompt())
 
     def test_missing_choices_is_a_format_error(self, chat_server):
-        backend = RemoteChatBackend(_url(chat_server, "/badshape"))
-        with pytest.raises(FormatError):
-            backend.generate(_prompt())
+        for path, message in (
+            ("/badshape", "reply is missing 'choices'"),
+            ("/nochoices", "choices is empty"),
+            ("/nullcontent", r"choices\[0\]\.message\.content must be a string, got None"),
+        ):
+            backend = RemoteChatBackend(_url(chat_server, path))
+            with pytest.raises(FormatError, match=message):
+                backend.generate(_prompt())
 
     def test_unreachable_endpoint_exhausts_attempts(self):
         backend = RemoteChatBackend(

@@ -272,11 +272,12 @@ class TestPersistence:
             ("[" * 100_000, "manifest is not JSON"),
             ("[]", "manifest does not declare"),
             (json.dumps({"format": "carbonrag-index", "version": 2, "ids": []}), "not declare"),
+            (json.dumps({"format": "carbonrag-index", "version": True, "ids": []}), "not declare"),
             (json.dumps({"ids": []}), "does not declare"),
-            (_manifest("c:0"), "manifest ids 'c:0' is not a list"),
-            (_manifest({"c:0": 0}), "manifest ids .* is not a list"),
-            (_manifest(None), "manifest ids None is not a list"),
-            (_manifest(["c:0"], encoder="lexical"), "manifest encoder 'lexical' is not an object"),
+            (_manifest("c:0"), "manifest: ids must be a list, got 'c:0'"),
+            (_manifest({"c:0": 0}), "manifest: ids must be a list, got {"),
+            (_manifest(None), "manifest: ids must be a list, got None"),
+            (_manifest(["c:0"], encoder="lexical"), "manifest: encoder must be an object or null"),
         ):
             _write_archive(path, matrix=np.array([[1.0, 0.0]]), manifest=np.array(manifest))
             with pytest.raises(FormatError, match=message):
