@@ -18,6 +18,11 @@ from .errors import TransportError
 _SESSION = requests.Session()
 _SESSION.cookies.set_policy(http.cookiejar.DefaultCookiePolicy(allowed_domains=[]))
 
+# The retry policy of every remote client: failed attempt n is followed by a
+# wait of BACKOFF_BASE_S * 2 ** (n - 1) seconds, so 0.5 s and then 1 s.
+MAX_ATTEMPTS = 3
+BACKOFF_BASE_S = 0.5
+
 
 def post_json(
     client,
@@ -30,12 +35,12 @@ def post_json(
 ) -> requests.Response:
     """POST ``body`` to ``client.endpoint``; return the first reply below 400.
 
-    ``client`` supplies ``endpoint``, ``timeout``, ``max_attempts``,
-    ``backoff_base`` and ``api_key_env``, whose variable, when set, becomes
-    a bearer token. Every request goes through the one shared keep-alive
-    session, so connections to an endpoint are reused. Connection errors
-    and 5xx replies are retried with exponential backoff; a 4xx reply fails
-    at once.
+    ``client`` supplies ``endpoint``, ``timeout`` and ``api_key_env``, whose
+    variable, when set, becomes a bearer token. Every request goes through
+    the one shared keep-alive session, so connections to an endpoint are
+    reused. Connection errors and 5xx replies are retried up to
+    ``MAX_ATTEMPTS`` attempts in all, with exponential backoff; a 4xx reply
+    fails at once.
     ``on_attempt(attempt, status, latency_ms)`` sees every attempt, with
     status ``"unreachable"`` when no reply came.
     """
@@ -44,7 +49,7 @@ def post_json(
     if key:
         headers["Authorization"] = f"Bearer {key}"
     last_error = None
-    for attempt in range(1, client.max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         started = time.monotonic()
         try:
             response = _SESSION.post(
@@ -64,10 +69,10 @@ def post_json(
                     f"{name} rejected the request: HTTP {status}", attempts=attempt, stage=stage
                 )
             last_error = f"HTTP {status}"
-        if attempt < client.max_attempts:
-            time.sleep(client.backoff_base * 2 ** (attempt - 1))
+        if attempt < MAX_ATTEMPTS:
+            time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
     raise TransportError(
-        f"{name} {gave_up} after {client.max_attempts} attempts: {last_error}",
-        attempts=client.max_attempts,
+        f"{name} {gave_up} after {MAX_ATTEMPTS} attempts: {last_error}",
+        attempts=MAX_ATTEMPTS,
         stage=stage,
     )

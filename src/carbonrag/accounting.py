@@ -15,8 +15,9 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
+from ._files import write_file
 from .errors import AccountingError, FormatError, UnitError
 from .quantity import Quantity
 
@@ -41,96 +42,58 @@ _GATE_STAGES = frozenset(
 )
 
 
-class UnitTable:
-    """Multiplicative unit conversions grouped by dimension.
+# Each unit's dimension and its scale to that dimension's base unit;
+# converting within a dimension multiplies by the ratio of the scales.
+_UNITS = {
+    "kWh": ("energy", 1.0),
+    "MWh": ("energy", 1000.0),
+    "GJ": ("energy", 1000.0 / 3.6),
+    "kg": ("mass", 1.0),
+    "t": ("mass", 1000.0),
+    "g": ("mass", 0.001),
+    "L": ("volume", 1.0),
+    "m3": ("volume", 1000.0),
+    "km": ("distance", 1.0),
+    "piece": ("count", 1.0),
+}
+_ALIASES = {
+    "m³": "m3",
+    "l": "L",
+    "litre": "L",
+    "liter": "L",
+    "tonne": "t",
+    "ton": "t",
+    "kwh": "kWh",
+    "mwh": "MWh",
+    "pieces": "piece",
+    "pc": "piece",
+}
 
-    Each unit carries a scale to its dimension's base unit; converting
-    between units of the same dimension multiplies by the scale ratio.
+
+def convert_unit(
+    quantity: Quantity | float | int, from_unit: str, to_unit: str
+) -> Quantity | float:
+    """Convert a quantity between units of the same dimension.
+
     Identical unit strings convert as the identity even when the unit is
     unknown, so free-form units (percentages, ratios, temperatures) pass
-    through untouched as long as both sides agree.
+    through untouched as long as both sides agree. Scalars come back as
+    floats, quantities as quantities.
     """
-
-    def __init__(self, scales: Mapping[str, tuple[str, float]], aliases: Mapping[str, str] | None = None):
-        self._scales = dict(scales)
-        self._aliases = dict(aliases or {})
-
-    def canonical_name(self, unit: str) -> str:
-        unit = unit.strip()
-        return self._aliases.get(unit, unit)
-
-    def knows(self, unit: str) -> bool:
-        return self.canonical_name(unit) in self._scales
-
-    def with_unit(self, unit: str, dimension: str, scale: float) -> "UnitTable":
-        scales = dict(self._scales)
-        scales[unit] = (dimension, scale)
-        return UnitTable(scales, self._aliases)
-
-    def factor_between(self, from_unit: str, to_unit: str) -> float:
-        if from_unit.strip() == to_unit.strip():
-            return 1.0
-        src, dst = self.canonical_name(from_unit), self.canonical_name(to_unit)
-        if src == dst:
-            return 1.0
-        if src not in self._scales:
+    src, dst = (_ALIASES.get(unit.strip(), unit.strip()) for unit in (from_unit, to_unit))
+    factor = 1.0
+    if src != dst:
+        if src not in _UNITS:
             raise UnitError(f"unknown unit {from_unit!r} (converting to {to_unit!r})")
-        if dst not in self._scales:
+        if dst not in _UNITS:
             raise UnitError(f"unknown unit {to_unit!r} (converting from {from_unit!r})")
-        src_dim, src_scale = self._scales[src]
-        dst_dim, dst_scale = self._scales[dst]
+        (src_dim, src_scale), (dst_dim, dst_scale) = _UNITS[src], _UNITS[dst]
         if src_dim != dst_dim:
             raise UnitError(
                 f"units {from_unit!r} ({src_dim}) and {to_unit!r} ({dst_dim}) "
                 "measure different dimensions"
             )
-        return src_scale / dst_scale
-
-
-def default_unit_table() -> UnitTable:
-    return UnitTable(
-        scales={
-            "kWh": ("energy", 1.0),
-            "MWh": ("energy", 1000.0),
-            "GJ": ("energy", 1000.0 / 3.6),
-            "kg": ("mass", 1.0),
-            "t": ("mass", 1000.0),
-            "g": ("mass", 0.001),
-            "L": ("volume", 1.0),
-            "m3": ("volume", 1000.0),
-            "km": ("distance", 1.0),
-            "piece": ("count", 1.0),
-        },
-        aliases={
-            "m³": "m3",
-            "l": "L",
-            "litre": "L",
-            "liter": "L",
-            "tonne": "t",
-            "ton": "t",
-            "kwh": "kWh",
-            "mwh": "MWh",
-            "pieces": "piece",
-            "pc": "piece",
-        },
-    )
-
-
-_DEFAULT_UNITS = default_unit_table()
-
-
-def convert_unit(
-    quantity: Quantity | float | int,
-    from_unit: str,
-    to_unit: str,
-    table: UnitTable | None = None,
-) -> Quantity | float:
-    """Convert a quantity between units of the same dimension.
-
-    Scalars come back as floats, quantities as quantities.
-    """
-    table = table or _DEFAULT_UNITS
-    factor = table.factor_between(from_unit, to_unit)
+        factor = src_scale / dst_scale
     if isinstance(quantity, Quantity):
         if factor == 1.0:
             return quantity
@@ -187,12 +150,6 @@ class EmissionFactorDb:
     def __contains__(self, activity: str) -> bool:
         return activity in self._factors
 
-    def __len__(self) -> int:
-        return len(self._factors)
-
-    def activities(self) -> list[str]:
-        return sorted(self._factors)
-
     @classmethod
     def from_csv(cls, path: str | Path) -> "EmissionFactorDb":
         path = Path(path)
@@ -223,15 +180,6 @@ class EmissionFactorDb:
             except (ValueError, FormatError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
         return db
-
-    def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(FACTOR_CSV_HEADER)
-            for activity in self.activities():
-                f = self._factors[activity]
-                writer.writerow([f.activity, repr(f.factor), f.canonical_unit, f.source_note])
 
 
 @dataclass(frozen=True)
@@ -264,13 +212,11 @@ class FootprintResult:
         }
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        text = json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        write_file(path, "footprint", lambda fh: fh.write(text))
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        def write(fh):
             writer = csv.writer(fh)
             writer.writerow(
                 ["activity", "lifecycle_stage", "contribution_lower_kgco2e", "contribution_upper_kgco2e"]
@@ -285,6 +231,7 @@ class FootprintResult:
                     ]
                 )
             writer.writerow(["TOTAL", self.scope.value, repr(self.total.lower), repr(self.total.upper)])
+        write_file(path, "footprint CSV", write)
 
 
 def compute_footprint(
@@ -292,14 +239,12 @@ def compute_footprint(
     factors: EmissionFactorDb,
     scope: Scope = Scope.CRADLE_TO_GATE,
     functional_unit: str = "unit",
-    units: UnitTable | None = None,
 ) -> FootprintResult:
     """Aggregate inventory items into a footprint with interval propagation.
 
     Every item needs a factor; any that lack one abort the whole run with
     the full list of unmatched activities, never a partial total.
     """
-    units = units or _DEFAULT_UNITS
     missing = sorted({i.activity for i in items if i.activity not in factors})
     if missing:
         raise AccountingError(
@@ -322,7 +267,7 @@ def compute_footprint(
         factor = factors.get(item.activity)
         assert factor is not None
         try:
-            converted = convert_unit(item.quantity, item.unit, factor.canonical_unit, units)
+            converted = convert_unit(item.quantity, item.unit, factor.canonical_unit)
             assert isinstance(converted, Quantity)
             contribution = converted.scale(factor.factor)
             total = total + contribution

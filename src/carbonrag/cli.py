@@ -210,9 +210,13 @@ def cmd_report(args) -> int:
 
 
 def _effective_config(args) -> RunConfig:
-    """The config file, or the defaults, overridden by every flag given."""
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    return config.merged({name: getattr(args, name, None) for name in RunConfig.field_names()})
+    """The config file, or the defaults, overridden by every flag given. The
+    file may hold only the keys this command has flags for."""
+    flags = [name for name in RunConfig.field_names() if hasattr(args, name)]
+    config = RunConfig()
+    if args.config:
+        config = RunConfig.from_file(args.config, reader=args.command, reads=flags)
+    return config.merged({name: getattr(args, name) for name in flags})
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 from ._json import read_json
 from .corpus import DEFAULT_CHUNK_SIZE, DEFAULT_LENGTH_THRESHOLD, DEFAULT_OVERLAP
@@ -63,11 +63,20 @@ class RunConfig:
         return tuple(f.name for f in dataclasses.fields(cls))
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "RunConfig":
+    def from_file(
+        cls, path: str | Path, *, reader: str | None = None, reads: Collection[str] = ()
+    ) -> "RunConfig":
+        """The config in file ``path``. When ``reader`` names the command
+        that reads it, a key outside ``reads`` other than
+        ``template_version`` is an error rather than silently ignored."""
         root = read_json(path, "config", ConfigError)
-        unknown = sorted(set(root.expect(dict)) - set(cls.field_names()))
+        keys = set(root.expect(dict))
+        unknown = sorted(keys - set(cls.field_names()))
         if unknown:
             root.fail(f"unknown keys: {', '.join(unknown)}")
+        unread = sorted(keys - set(reads) - {"template_version"}) if reader else []
+        if unread:
+            root.fail(f"{reader} does not read {', '.join(unread)}")
         try:
             return cls(**root.value)
         except ConfigError as exc:

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import requests
 
+from ._files import write_file
 from ._json import read_json
 from .errors import ConfigError, EncodingError, FetchError, FormatError, InputError
 
@@ -158,12 +159,6 @@ class Catalog:
     def __len__(self) -> int:
         return len(self._documents)
 
-    def __iter__(self) -> Iterator[Document]:
-        return iter(list(self._documents.values()))
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._documents
-
     @property
     def documents(self) -> list[Document]:
         return list(self._documents.values())
@@ -230,7 +225,7 @@ class Catalog:
             fetched_at=metadata.get(
                 "fetched_at", datetime.now(timezone.utc).isoformat(timespec="seconds")
             ),
-            industry_tag=metadata.get("industry") or metadata.get("industry_tag"),
+            industry_tag=metadata.get("industry_tag"),
         )
         self.add(doc)
         return doc
@@ -268,9 +263,8 @@ class Catalog:
             }
             for d in self._documents.values()
         ]
-        Path(path).write_text(
-            json.dumps(records, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(records, indent=2, ensure_ascii=False) + "\n"
+        write_file(path, "catalog", lambda fh: fh.write(text))
 
     @classmethod
     def load(cls, path: str | Path) -> "Catalog":

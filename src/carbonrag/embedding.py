@@ -25,6 +25,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from ._files import write_file
 from ._http import post_json
 from ._json import parse_json, read_json
 from .errors import ConfigError, FormatError, InputError
@@ -69,10 +70,6 @@ def hashed_counts(texts: Sequence[str], dims: int, seed: int = DEFAULT_HASH_SEED
             buckets[token] = _fnv1a64(token.encode("utf-8"), seed) % dims
         row[:] = np.bincount([buckets[t] for t in tokens], minlength=dims)
     return counts
-
-
-def hashed_token_counts(text: str, dims: int, seed: int = DEFAULT_HASH_SEED) -> np.ndarray:
-    return hashed_counts([text], dims, seed)[0]
 
 
 def _unit_rows(vectors: Sequence[np.ndarray], texts: Sequence[str], dims: int) -> np.ndarray:
@@ -320,12 +317,10 @@ class RemoteEncoder(Encoder):
 
     endpoint: str
     dims: int = DEFAULT_DIMS
-    timeout: float = 30.0
-    max_attempts: int = 3
-    backoff_base: float = 0.5
-    api_key_env: str = "EMBEDDING_API_KEY"
 
     kind = "remote"
+    timeout = 30.0  # seconds per attempt
+    api_key_env = "EMBEDDING_API_KEY"
 
     def __post_init__(self):
         if self.dims <= 0:
@@ -369,7 +364,8 @@ def save_encoder(encoder, path: str | Path) -> None:
         }
     else:
         raise InputError(f"cannot persist encoder of type {type(encoder).__name__}")
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(obj, indent=2) + "\n"
+    write_file(path, "encoder", lambda fh: fh.write(text))
 
 
 def load_encoder(path: str | Path):

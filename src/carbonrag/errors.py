@@ -54,7 +54,7 @@ class FormatError(CarbonRagError):
 
 
 class TransportError(CarbonRagError):
-    """A remote endpoint failed after the configured number of attempts."""
+    """A remote endpoint failed, at once (4xx) or after every retry."""
 
     default_stage = "generation"
 
@@ -64,7 +64,7 @@ class TransportError(CarbonRagError):
 
 
 class MockMissError(CarbonRagError):
-    """The scripted mock has no entry for a query and no fallback."""
+    """The scripted mock has no entry for a query."""
 
     default_stage = "generation"
 

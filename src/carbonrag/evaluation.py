@@ -28,7 +28,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._json import Node, read_json
+from ._files import write_file
+from ._json import read_json
 from .accounting import (
     EmissionFactorDb,
     FootprintResult,
@@ -36,12 +37,11 @@ from .accounting import (
     ItemContribution,
     LifecycleStage,
     Scope,
-    UnitTable,
     compute_footprint,
     convert_unit,
 )
 from .config import RunConfig
-from .corpus import Catalog, classify_datasource
+from .corpus import Catalog, SourceKind, classify_datasource
 from .errors import AccountingError, BenchmarkError, CarbonRagError, FormatError
 from .fusion import (
     Prompt,
@@ -116,9 +116,7 @@ def compute_irr(retrieved_keys: Iterable[str], truth_keys: Iterable[str]) -> flo
     return 100.0 * len(hit) / len(truth)
 
 
-def fact_deviation(
-    fact: ExtractedFact, truth: GroundTruthRecord, units: UnitTable | None = None
-) -> float:
+def fact_deviation(fact: ExtractedFact, truth: GroundTruthRecord) -> float:
     """Absolute percentage error of one fact against its truth.
 
     Ranges are charged the worse of their two boundary errors, so an
@@ -128,7 +126,7 @@ def fact_deviation(
         raise BenchmarkError(
             f"truth for {truth.fact_key!r} is zero; percentage deviation is undefined"
         )
-    converted = convert_unit(fact.value, fact.unit, truth.unit, units)
+    converted = convert_unit(fact.value, fact.unit, truth.unit)
     assert isinstance(converted, Quantity)
     t = truth.true_value
     return max(
@@ -138,9 +136,7 @@ def fact_deviation(
 
 
 def compute_id(
-    facts: Sequence[ExtractedFact],
-    truths: Sequence[GroundTruthRecord],
-    units: UnitTable | None = None,
+    facts: Sequence[ExtractedFact], truths: Sequence[GroundTruthRecord]
 ) -> float | None:
     """Mean deviation over retrieved facts that match a truth key.
 
@@ -160,7 +156,7 @@ def compute_id(
                 fact.fact_key,
             )
             continue
-        deviations.append(fact_deviation(fact, truth, units))
+        deviations.append(fact_deviation(fact, truth))
     if not deviations:
         return None
     return sum(deviations) / len(deviations)
@@ -239,11 +235,16 @@ def load_benchmark(path: str | Path) -> Benchmark:
         repeated = [key for key, count in Counter(keys).items() if count > 1]
         if repeated:
             root.fail(f"duplicate {name} {repeated[0]!r}")
+    datasources = root.at("datasources", default=[]).elements()
+    for ds in datasources:
+        ds.expect(dict[str, str])
+        ds.get("source", SourceKind)
+        ds.at("payload")
     inventory_keys = root.get("inventory_keys", list[str], default=None, nullable=True)
     stages = root.at("lifecycle_stages", default={})
     return Benchmark(
         industry=industry,
-        datasources=tuple(root.get("datasources", list[dict[str, str]], default=[])),
+        datasources=tuple(ds.value for ds in datasources),
         queries=tuple(queries),
         truths=tuple(truths),
         true_footprint=root.get("true_footprint", float),
@@ -291,17 +292,10 @@ class MetricsReport:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "MetricsReport":
-        """Rebuild a report, checking the JSON type of every field; a
-        failure names the field's JSON path."""
-        return cls._from_node(Node(obj, "not a metrics report", FormatError))
-
-    @classmethod
     def load(cls, path: str | Path) -> "MetricsReport":
-        return cls._from_node(read_json(path, "report", FormatError))
-
-    @classmethod
-    def _from_node(cls, root: Node) -> "MetricsReport":
+        """Read a report, checking the JSON type of every field; a failure
+        names the file and the field's JSON path."""
+        root = read_json(path, "report", FormatError)
         fp, ad = root.at("footprint"), root.at("ad")
         footprint = FootprintResult(
             total=fp.get("total_kgco2e", Quantity.from_json_value),
@@ -348,10 +342,11 @@ class MetricsReport:
         )
 
     def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json_text(), encoding="utf-8")
+        text = self.to_json_text()
+        write_file(path, "report", lambda fh: fh.write(text))
 
     def write_per_fact_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        def write(fh):
             writer = csv.writer(fh)
             writer.writerow(
                 [
@@ -376,6 +371,7 @@ class MetricsReport:
                         r.extracted_unit or "",
                     ]
                 )
+        write_file(path, "per-fact CSV", write)
 
     def summary_text(self) -> str:
         """Human summary; percentages rounded to two decimals here only."""
@@ -471,13 +467,7 @@ def answer_query(
     return QueryResult(strategy, tuple(hits), prompt, raw, tuple(facts), tuple(warnings))
 
 
-def run_benchmark(
-    config: RunConfig,
-    *,
-    encoder=None,
-    backend=None,
-    units: UnitTable | None = None,
-) -> MetricsReport:
+def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsReport:
     """Run the full pipeline over a benchmark file and score it.
 
     For the ``rag_long`` strategy all questions are embedded in one
@@ -503,9 +493,7 @@ def run_benchmark(
 
     with _stage("ingest"):
         catalog = Catalog()
-        for i, ds in enumerate(bench.datasources):
-            if "source" not in ds or "payload" not in ds:
-                raise BenchmarkError(f"datasources[{i}] needs 'source' and 'payload' fields")
+        for ds in bench.datasources:
             source, payload = ds["source"], ds["payload"]
             if source == "local_file":
                 payload = str(bench.base_dir / payload)
@@ -593,14 +581,12 @@ def run_benchmark(
                 )
             except ValueError as exc:
                 raise AccountingError(str(exc)) from None
-        footprint = compute_footprint(
-            items, factors, bench.scope, bench.functional_unit, units
-        )
+        footprint = compute_footprint(items, factors, bench.scope, bench.functional_unit)
 
     with _stage("score"):
         irr = compute_irr(facts_by_key.keys(), truth_map.keys())
         matched = [f for f in facts_by_key.values() if f.fact_key in truth_map]
-        id_pct = compute_id(matched, bench.truths, units)
+        id_pct = compute_id(matched, bench.truths)
         ad = compute_ad(footprint, bench.true_footprint)
 
         per_fact = []
@@ -609,7 +595,7 @@ def run_benchmark(
             fact = facts_by_key.get(key)
             deviation = None
             if fact is not None and truth.true_value != 0:
-                deviation = fact_deviation(fact, truth, units)
+                deviation = fact_deviation(fact, truth)
             per_fact.append(
                 PerFactRecord(
                     fact_key=key,
@@ -648,6 +634,5 @@ def run_benchmark(
         generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )
     if config.report_out:
-        with _stage("report"):
-            report.write_json(config.report_out)
+        report.write_json(config.report_out)
     return report

@@ -21,13 +21,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._http import post_json
 from ._json import parse_json, read_json
-from .errors import (
-    ConfigError,
-    ExtractionError,
-    FormatError,
-    InputError,
-    MockMissError,
-)
+from .errors import ExtractionError, FormatError, InputError, MockMissError
 from .quantity import Quantity
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -88,16 +82,14 @@ class ScriptedMockBackend:
     kind = "scripted_mock"
     max_in_flight = 1  # answered one at a time, so ``calls`` stays in request order
 
-    def __init__(self, script: Mapping[str, str], fallback: str | None = None):
+    def __init__(self, script: Mapping[str, str]):
         self._script = dict(script)
-        self._fallback = fallback
         self._lock = threading.Lock()
         self.calls: list[str] = []
 
     @classmethod
-    def from_file(cls, path: str | Path, fallback: str | None = None) -> "ScriptedMockBackend":
-        script = read_json(path, "mock script", FormatError).expect(dict[str, str])
-        return cls(script, fallback=fallback)
+    def from_file(cls, path: str | Path) -> "ScriptedMockBackend":
+        return cls(read_json(path, "mock script", FormatError).expect(dict[str, str]))
 
     def generate(self, prompt: "Prompt") -> RawAnswer:
         if not prompt.rendered:
@@ -107,8 +99,6 @@ class ScriptedMockBackend:
             self.calls.append(key)
         if key in self._script:
             return RawAnswer(text=self._script[key], backend_kind=self.kind)
-        if self._fallback is not None:
-            return RawAnswer(text=self._fallback, backend_kind=self.kind)
         raise MockMissError(f"mock script has no entry for query key {key!r}")
 
 
@@ -124,30 +114,21 @@ class RemoteChatBackend:
     """
 
     kind = "remote"
+    timeout = 60.0  # seconds per attempt
+    api_key_env = "GENERATION_API_KEY"
+    max_in_flight = 4
 
     def __init__(
         self,
         endpoint: str,
         model: str = "default",
         *,
-        timeout: float = 60.0,
-        max_attempts: int = 3,
-        backoff_base: float = 0.5,
-        max_in_flight: int = 4,
-        api_key_env: str = "GENERATION_API_KEY",
         audit_log_path: str | Path | None = None,
     ):
-        if max_in_flight < 1:
-            raise ConfigError(f"max_in_flight must be at least 1, got {max_in_flight}")
         self.endpoint = endpoint
         self.model = model
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.api_key_env = api_key_env
         self.audit_log_path = Path(audit_log_path) if audit_log_path else None
-        self.max_in_flight = max_in_flight
-        self._slots = threading.BoundedSemaphore(max_in_flight)
+        self._slots = threading.BoundedSemaphore(self.max_in_flight)
         self._audit_lock = threading.Lock()
 
     def _audit(self, sha256: str, attempt: int, status: int | str, latency_ms: float) -> None:

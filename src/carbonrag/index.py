@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._files import write_file
 from ._json import parse_json
 from .errors import FormatError, InputError
 
@@ -137,8 +138,12 @@ class VectorIndex:
     def save(self, path: str | Path) -> None:
         manifest = {**_FORMAT, "ids": self._ids, "encoder": self.encoder_spec}
         # Given a name rather than a file, np.savez would append ".npz" to it.
-        with open(path, "wb") as fh:
-            np.savez(fh, matrix=self._matrix, manifest=np.array(json.dumps(manifest)))
+        write_file(
+            path,
+            "index",
+            lambda fh: np.savez(fh, matrix=self._matrix, manifest=np.array(json.dumps(manifest))),
+            binary=True,
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":

@@ -54,6 +54,16 @@ def aluminum_catalog():
 
 
 @pytest.fixture()
+def fast_retries(monkeypatch):
+    """Remote clients retry without waiting between attempts;
+    ``fast_retries(n)`` also makes them give up after ``n`` attempts."""
+    from carbonrag import _http
+
+    monkeypatch.setattr(_http, "BACKOFF_BASE_S", 0.0)
+    return lambda attempts: monkeypatch.setattr(_http, "MAX_ATTEMPTS", attempts)
+
+
+@pytest.fixture()
 def http_server():
     """Factory: ``http_server(handler_class)`` starts a loopback server.
 

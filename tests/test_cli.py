@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -62,7 +63,9 @@ class TestIngest:
         assert code == 0
         assert "ingested site-a" in out
         assert "1 documents" in out
-        assert catalog.is_file()
+        umask = os.umask(0)
+        os.umask(umask)
+        assert catalog.stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_local_files_extend_an_existing_catalog(self, tmp_path, capsys):
         catalog = tmp_path / "catalog.json"
@@ -552,25 +555,23 @@ class TestBenchAndReport:
         )
         with pytest.raises(ConfigError, match="unknown keys: factor_db_path"):
             RunConfig.from_file(config_path)
-        for bad, message in (
-            ({"encoder": 5}, "encoder must be str"),
-            ({"k": 2.5}, "k must be int"),
-            ({"k": 0}, "k must be positive, got 0"),
+        bench = ["bench", "--benchmark", str(benchmark_tree.benchmark)]
+        query = ["query", "What is the electricity use?"]
+        for command, bad, message in (
+            (bench, {"encoder": 5}, "encoder must be str, got 5"),
+            (bench, {"k": 2.5}, "k must be int, got 2.5"),
+            (bench, {"k": 0}, "k must be positive, got 0"),
+            # keys the command has no flag for would be silently ignored
+            (query, {"chunk_size": 500, "overlap": 100}, "query does not read chunk_size, overlap"),
+            (query, {"report_out": "r.json", "benchmark_path": "b.json"}, "query does not read benchmark_path, report_out"),
+            (bench, {"index_path": "/nonexistent/i.npz"}, "bench does not read index_path"),
+            (bench, {"catalog_path": "c.json", "k": 3}, "bench does not read catalog_path"),
         ):
             config_path.write_text(json.dumps(bad), encoding="utf-8")
-            code = main(
-                [
-                    "bench",
-                    "--config",
-                    str(config_path),
-                    "--benchmark",
-                    str(benchmark_tree.benchmark),
-                    "--backend",
-                    f"mock:{benchmark_tree.mock_perfect}",
-                ]
-            )
+            backend = ["--backend", f"mock:{benchmark_tree.mock_perfect}"]
+            code = main([*command, "--config", str(config_path), *backend])
             assert code == 1
-            assert f"[config] config {config_path}: {message}" in capsys.readouterr().err
+            assert capsys.readouterr().err == f"[config] config {config_path}: {message}\n"
 
     def test_missing_benchmark_reports_its_stage(self, tmp_path, capsys):
         code = main(["bench", "--benchmark", str(tmp_path / "absent.json")])
@@ -621,6 +622,72 @@ class TestUnreadableFiles:
         assert main([arg.format(**paths) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"[{stage}] ") and str(bad) in err, err
+
+
+class TestUnwritableFiles:
+    @pytest.mark.parametrize(
+        "argv, what, target",
+        [
+            (["bench", "--backend", "mock:{script}", "--out", "{missing}/r.json"], "report", "{missing}/r.json"),
+            (["bench", "--backend", "mock:{script}", "--csv", "{missing}/f.csv"], "per-fact CSV", "{missing}/f.csv"),
+            (["bench", "--backend", "mock:{script}", "--out", "{directory}"], "report", "{directory}"),
+            (["index", "build", "--catalog", "{catalog}", "--out", "{missing}/i.npz"], "index", "{missing}/i.npz"),
+            (["account", "--facts", "{facts}", "--factors", "{factors}", "--out", "{missing}/o.json"], "footprint", "{missing}/o.json"),
+            (["account", "--facts", "{facts}", "--factors", "{factors}", "--csv", "{missing}/o.csv"], "footprint CSV", "{missing}/o.csv"),
+            (["train-encoder", "--pairs", "{pairs}", "--epochs", "1", "--out", "{missing}/e.json"], "encoder", "{missing}/e.json"),
+            (["ingest", "--catalog", "{missing}/c.json", "{doc}"], "catalog", "{missing}/c.json"),
+            # a lone surrogate loads from a JSON escape but cannot be encoded
+            (["ingest", "--source", "raw_text", "--catalog", "{surrogate}", "more"], "catalog", "{surrogate}"),
+        ],
+        ids=[
+            "bench out",
+            "bench csv",
+            "bench out directory",
+            "index build",
+            "account out",
+            "account csv",
+            "train-encoder",
+            "ingest",
+            "ingest surrogate",
+        ],
+    )
+    def test_every_failed_write_ends_in_save(
+        self, benchmark_tree, aluminum_catalog, tmp_path, capsys, argv, what, target
+    ):
+        paths = {
+            "script": benchmark_tree.mock_perfect,
+            "missing": tmp_path / "missing",
+            "directory": tmp_path / "taken",
+            "catalog": tmp_path / "catalog.json",
+            "facts": tmp_path / "facts.json",
+            "factors": benchmark_tree.factors,
+            "pairs": tmp_path / "pairs.json",
+            "doc": tmp_path / "doc.txt",
+            "surrogate": tmp_path / "surrogate.json",
+        }
+        paths["directory"].mkdir()
+        aluminum_catalog.save(paths["catalog"])
+        paths["facts"].write_text(
+            json.dumps([{"key": "electricity_use", "value": 1, "unit": "kWh"}]), encoding="utf-8"
+        )
+        pairs = [
+            {"text_a": "a", "text_b": "a b", "related": True},
+            {"text_a": "a", "text_b": "c", "related": False},
+        ]
+        paths["pairs"].write_text(json.dumps(pairs), encoding="utf-8")
+        paths["doc"].write_text("Electricity use was 100 kWh.", encoding="utf-8")
+        record = {"doc_id": "a", "title": "t", "source": "raw_text", "body": "x\ud800"}
+        paths["surrogate"].write_text(json.dumps([{**record, "fetched_at": "2024"}]), encoding="utf-8")
+        argv = [arg.format(**paths) for arg in argv]
+        if argv[0] == "bench":
+            argv += ["--benchmark", str(benchmark_tree.benchmark)]
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"[save] cannot write {what} {target.format(**paths)}: "), err
+        assert err.count("\n") == 1
+        # the target keeps its bytes and no temporary file is left behind
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 class TestUsage:

@@ -227,7 +227,7 @@ class TestCatalogUrlFetch:
 class TestCatalogChunks:
     def test_chunk_all_covers_every_document(self, aluminum_catalog):
         chunks = aluminum_catalog.chunk_all(1000, 200)
-        assert {c.doc_id for c in chunks} == {d.doc_id for d in aluminum_catalog}
+        assert {c.doc_id for c in chunks} == {d.doc_id for d in aluminum_catalog.documents}
 
     def test_resolve_chunk_rebuilds_text(self, aluminum_catalog):
         for chunk in aluminum_catalog.chunk_all(1000, 200):

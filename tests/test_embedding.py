@@ -30,7 +30,6 @@ from carbonrag.embedding import (
     _fnv1a64,
     _pair_cosine_grad,
     hashed_counts,
-    hashed_token_counts,
     tokenize,
 )
 from carbonrag.errors import ConfigError
@@ -53,12 +52,12 @@ class TestTokenHashing:
         assert tokenize("  ... !!") == []
 
     def test_counts_are_deterministic_and_sum_to_token_count(self):
-        counts = hashed_token_counts("one two two three", 16)
+        counts = hashed_counts(["one two two three"], 16)[0]
         assert counts.sum() == 4.0
-        np.testing.assert_array_equal(counts, hashed_token_counts("one two two three", 16))
+        np.testing.assert_array_equal(counts, hashed_counts(["one two two three"], 16)[0])
 
     def test_counts_respect_dims(self):
-        assert hashed_token_counts("alpha beta", 7).shape == (7,)
+        assert hashed_counts(["alpha beta"], 7)[0].shape == (7,)
 
 
 class TestCosineSimilarity:
@@ -222,7 +221,7 @@ class TestHashedCountsOracle:
             expected = np.stack([_oracle_counts(t, dims, seed) for t in texts])
             np.testing.assert_array_equal(hashed_counts(texts, dims, seed), expected)
             for text, row in zip(texts, expected):
-                np.testing.assert_array_equal(hashed_token_counts(text, dims, seed), row)
+                np.testing.assert_array_equal(hashed_counts([text], dims, seed)[0], row)
         assert hashed_counts([], dims, seed).shape == (0, dims)
 
     def test_lexical_rows_match_the_oracle(self, batches):
@@ -564,25 +563,22 @@ class TestRemoteEncoder:
         with pytest.raises(FormatError):
             enc.embed("x")
 
-    def test_server_errors_are_retried(self, embed_server):
+    def test_server_errors_are_retried(self, embed_server, fast_retries):
         _EmbedHandler.flaky_failures = 2
-        enc = RemoteEncoder(
-            _url(embed_server, "/flaky"), dims=4, max_attempts=3, backoff_base=0.0
-        )
+        enc = RemoteEncoder(_url(embed_server, "/flaky"), dims=4)
         v = enc.embed("x")
         np.testing.assert_allclose(v, [0.0, 1.0, 0.0, 0.0])
         assert len(embed_server.requests) == 3
 
     def test_client_error_fails_immediately(self, embed_server):
-        enc = RemoteEncoder(_url(embed_server, "/reject"), dims=4, max_attempts=3)
+        enc = RemoteEncoder(_url(embed_server, "/reject"), dims=4)
         with pytest.raises(TransportError):
             enc.embed("x")
         assert len(embed_server.requests) == 1
 
-    def test_unreachable_endpoint_exhausts_attempts(self):
-        enc = RemoteEncoder(
-            "http://127.0.0.1:1/embed", dims=4, max_attempts=2, backoff_base=0.0
-        )
+    def test_unreachable_endpoint_exhausts_attempts(self, fast_retries):
+        fast_retries(2)
+        enc = RemoteEncoder("http://127.0.0.1:1/embed", dims=4)
         with pytest.raises(TransportError) as err:
             enc.embed("x")
         assert err.value.attempts == 2

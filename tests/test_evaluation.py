@@ -210,6 +210,11 @@ class TestLoadBenchmark:
             ),
             (lambda o: o.update(inventory_keys="electricity_use"), "inventory_keys must be a list"),
             (lambda o: o.update(factor_db=None), "factor_db must be a string, got None"),
+            (lambda o: o["datasources"][0].pop("source"), r"datasources\[0\] is missing 'source'"),
+            (
+                lambda o: o["datasources"][1].update(source="ftp"),
+                r"datasources\[1\]\.source: 'ftp' is not a valid SourceKind",
+            ),
         ):
             with pytest.raises(BenchmarkError, match=message):
                 load_benchmark(self._write(tmp_path, mutate))
@@ -320,16 +325,20 @@ class TestRunBenchmark:
             run_benchmark(_config(benchmark_tree), backend=ScriptedMockBackend({}))
         assert err.value.stage == "generate"
 
-    def test_bad_datasource_is_tagged_ingest(self, tmp_path):
+    def test_bad_datasource_is_tagged_benchmark(self, tmp_path):
         obj = fixtures.benchmark_obj()
-        obj["datasources"] = [{"source": "raw_text"}]
         bench = tmp_path / "benchmark.json"
-        bench.write_text(json.dumps(obj), encoding="utf-8")
         (tmp_path / "factors.csv").write_text(fixtures.FACTORS_CSV, encoding="utf-8")
         config = RunConfig(benchmark_path=str(bench))
-        with pytest.raises(BenchmarkError) as err:
-            run_benchmark(config, backend=ScriptedMockBackend({}))
-        assert err.value.stage == "ingest"
+        for datasource, message in (
+            ({"source": "raw_text"}, r"datasources\[0\] is missing 'payload'"),
+            ({"source": "ftp", "payload": "x"}, r"datasources\[0\]\.source: 'ftp' is not a valid"),
+        ):
+            obj["datasources"] = [datasource]
+            bench.write_text(json.dumps(obj), encoding="utf-8")
+            with pytest.raises(BenchmarkError, match=message) as err:
+                run_benchmark(config, backend=ScriptedMockBackend({}))
+            assert err.value.stage == "benchmark"
 
 
 def _mock_answer(facts):
@@ -439,17 +448,21 @@ class TestRunBenchmarkStrategies:
 
 
 class TestMetricsReport:
-    def test_json_round_trip_preserves_everything(self, benchmark_tree):
+    def test_json_round_trip_preserves_everything(self, benchmark_tree, tmp_path):
         backend = ScriptedMockBackend(fixtures.VARIANT_SCRIPT)
         report = run_benchmark(_config(benchmark_tree), backend=backend)
-        round_tripped = MetricsReport.from_json_obj(report.to_json_obj())
+        path = tmp_path / "report.json"
+        report.write_json(path)
+        round_tripped = MetricsReport.load(path)
         assert round_tripped.to_json_text() == report.to_json_text()
         assert round_tripped.id_pct == report.id_pct
         assert round_tripped.footprint.total == report.footprint.total
 
-    def test_junk_object_is_rejected(self):
-        with pytest.raises(FormatError, match="not a metrics report"):
-            MetricsReport.from_json_obj({"hello": 1})
+    def test_junk_object_is_rejected(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"hello": 1}), encoding="utf-8")
+        with pytest.raises(FormatError, match=r"report .*report\.json is missing 'footprint'"):
+            MetricsReport.load(path)
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "report.json"
@@ -590,8 +603,9 @@ class TestConcurrentRemoteRun:
     to ``max_in_flight`` questions at once over kept-alive connections."""
 
     @pytest.fixture()
-    def remote(self, http_server, tmp_path):
+    def remote(self, http_server, tmp_path, monkeypatch, fast_retries):
         config, answers, delays = _concurrent_benchmark(tmp_path)
+        fast_retries(1)
 
         def run(max_in_flight, failures=None, fast=()):
             """One run on a fresh server; returns it with the report or error."""
@@ -602,7 +616,8 @@ class TestConcurrentRemoteRun:
             server.answers = {**answers, **(failures or {})}
             server.delays = {q: 0.0 if q in fast else d for q, d in delays.items()}
             url = f"http://127.0.0.1:{server.server_address[1]}"
-            backend = RemoteChatBackend(url + "/chat", max_in_flight=max_in_flight, max_attempts=1)
+            monkeypatch.setattr(RemoteChatBackend, "max_in_flight", max_in_flight)
+            backend = RemoteChatBackend(url + "/chat")
             encoder = RemoteEncoder(url + "/embed", dims=64)
             try:
                 report = run_benchmark(config, encoder=encoder, backend=backend)

@@ -8,7 +8,6 @@ import time
 import pytest
 
 from carbonrag import (
-    ConfigError,
     ExtractionError,
     FormatError,
     InputError,
@@ -58,12 +57,8 @@ class TestScriptedMock:
         with pytest.raises(MockMissError):
             backend.generate(_prompt())
 
-    def test_fallback_covers_misses(self):
-        backend = ScriptedMockBackend({}, fallback="generic answer")
-        assert backend.generate(_prompt()).text == "generic answer"
-
     def test_calls_are_recorded(self):
-        backend = ScriptedMockBackend({}, fallback="x")
+        backend = ScriptedMockBackend({"q_energy": "x", "What about anodes?": "x"})
         backend.generate(_prompt(query_key="q_energy"))
         backend.generate(_prompt("What about anodes?"))
         assert backend.calls == ["q_energy", "What about anodes?"]
@@ -323,16 +318,14 @@ class TestRemoteChat:
         backend.generate(_prompt())
         assert [r["cookie"] for r in chat_server.requests] == [None, None]
 
-    def test_server_errors_are_retried_until_recovery(self, chat_server):
+    def test_server_errors_are_retried_until_recovery(self, chat_server, fast_retries):
         _ChatHandler.flaky_failures = 2
-        backend = RemoteChatBackend(
-            _url(chat_server, "/flaky"), max_attempts=3, backoff_base=0.0
-        )
+        backend = RemoteChatBackend(_url(chat_server, "/flaky"))
         assert backend.generate(_prompt()).text == "recovered"
         assert len(chat_server.requests) == 3
 
     def test_client_error_fails_without_retry(self, chat_server):
-        backend = RemoteChatBackend(_url(chat_server, "/reject"), max_attempts=3)
+        backend = RemoteChatBackend(_url(chat_server, "/reject"))
         with pytest.raises(TransportError) as err:
             backend.generate(_prompt())
         assert err.value.attempts == 1
@@ -353,23 +346,17 @@ class TestRemoteChat:
             with pytest.raises(FormatError, match=message):
                 backend.generate(_prompt())
 
-    def test_unreachable_endpoint_exhausts_attempts(self):
-        backend = RemoteChatBackend(
-            "http://127.0.0.1:1/chat", max_attempts=2, backoff_base=0.0
-        )
+    def test_unreachable_endpoint_exhausts_attempts(self, fast_retries):
+        fast_retries(2)
+        backend = RemoteChatBackend("http://127.0.0.1:1/chat")
         with pytest.raises(TransportError) as err:
             backend.generate(_prompt())
         assert err.value.attempts == 2
 
-    def test_audit_log_records_every_attempt(self, chat_server, tmp_path):
+    def test_audit_log_records_every_attempt(self, chat_server, tmp_path, fast_retries):
         _ChatHandler.flaky_failures = 1
         audit = tmp_path / "audit.jsonl"
-        backend = RemoteChatBackend(
-            _url(chat_server, "/flaky"),
-            max_attempts=3,
-            backoff_base=0.0,
-            audit_log_path=audit,
-        )
+        backend = RemoteChatBackend(_url(chat_server, "/flaky"), audit_log_path=audit)
         prompt = _prompt()
         backend.generate(prompt)
         records = [json.loads(line) for line in audit.read_text().splitlines()]
@@ -382,8 +369,6 @@ class TestRemoteChat:
 
     def test_max_in_flight_must_be_positive(self):
         assert RemoteChatBackend("http://127.0.0.1:1/chat").max_in_flight == 4
-        with pytest.raises(ConfigError, match="max_in_flight must be at least 1, got 0"):
-            RemoteChatBackend("http://127.0.0.1:1/chat", max_in_flight=0)
 
 
 class TestBackendSpecs:

@@ -194,7 +194,6 @@ _READERS = {
         _from_file(EmissionFactorDb.from_csv),
         EmissionFactorDb,
     ),
-    "report object": (_values(_REPORT), lambda _, v: MetricsReport.from_json_obj(v), MetricsReport),
     "answer text": (
         st.one_of(
             st.text(),
