@@ -20,7 +20,11 @@ def write_file(
     bytes, the temporary file is removed, and an ``OSError`` or
     ``UnicodeEncodeError`` becomes ``[save] cannot write <what> <path>: …``.
     Nothing is fsynced: an exception never truncates ``path``; a crash may.
+    An empty ``path`` is refused before anything is created.
     """
+    if not os.fspath(path):
+        # Path("") would name the current directory.
+        raise FormatError(f"cannot write {what} '': the path is empty", stage="save")
     path = Path(path)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     done = False

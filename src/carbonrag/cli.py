@@ -179,10 +179,10 @@ def cmd_account(args) -> int:
     for c in result.per_item:
         print(f"{c.activity}: {c.contribution} kgCO2e  [{c.lifecycle_stage.value}]")
     print(f"total: {result.total} kgCO2e per {result.functional_unit} ({result.scope.value})")
-    if args.out:
+    if args.out is not None:
         result.write_json(args.out)
         print(f"wrote {args.out}")
-    if args.csv:
+    if args.csv is not None:
         result.write_csv(args.csv)
         print(f"wrote {args.csv}")
     return 0
@@ -192,9 +192,9 @@ def cmd_bench(args) -> int:
     config = _effective_config(args)
     report = run_benchmark(config)
     print(report.summary_text())
-    if config.report_out:
+    if config.report_out is not None:
         print(f"wrote {config.report_out}")
-    if args.csv:
+    if args.csv is not None:
         report.write_per_fact_csv(args.csv)
         print(f"wrote {args.csv}")
     return 0
@@ -203,7 +203,7 @@ def cmd_bench(args) -> int:
 def cmd_report(args) -> int:
     report = MetricsReport.load(args.report)
     print(report.summary_text())
-    if args.csv:
+    if args.csv is not None:
         report.write_per_fact_csv(args.csv)
         print(f"wrote {args.csv}")
     return 0

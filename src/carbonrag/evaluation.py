@@ -633,6 +633,6 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
         metadata=metadata,
         generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )
-    if config.report_out:
+    if config.report_out is not None:
         report.write_json(config.report_out)
     return report

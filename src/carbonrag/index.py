@@ -2,11 +2,13 @@
 
 An index is built once, from all of its rows, and never changes after.
 The index is a linear scan: every query is scored against every entry, so
-results are identical to brute force by construction. Entries are kept in
-chunk-id order and ranking uses a stable sort, so two entries whose
-similarities are bitwise equal rank by ascending chunk id. Mathematically
-equal cosines can still differ by an ulp of rounding, and are then ordered
-by that rounding.
+results are identical to brute force by construction. Ranking does not sort
+every similarity: a partial selection (``np.partition``) finds the k-th
+largest, and only the rows at or above it are stable-sorted. Entries are
+kept in chunk-id order, so two entries whose similarities are bitwise equal
+rank by ascending chunk id, and the result equals a full stable sort cut to
+k. Mathematically equal cosines can still differ by an ulp of rounding, and
+are then ordered by that rounding.
 
 An index file is one uncompressed numpy ``.npz`` archive with two
 entries: ``matrix``, the float64 rows in chunk-id order, and ``manifest``,
@@ -106,7 +108,13 @@ class VectorIndex:
 
     def top_k(self, query: np.ndarray, k: int = DEFAULT_K) -> list[RetrievalHit]:
         """The ``min(k, size)`` most similar entries, similarity descending,
-        bitwise-equal similarities by ascending chunk id."""
+        bitwise-equal similarities by ascending chunk id.
+
+        Every entry is scored; the k-th largest similarity is found by
+        partial selection and only the entries at or above it are sorted.
+        A query with a NaN or infinite component, or whose norm overflows,
+        is an ``InputError``.
+        """
         if k <= 0:
             raise InputError(f"k must be positive, got {k}")
         query = np.asarray(query, dtype=np.float64)
@@ -115,15 +123,25 @@ class VectorIndex:
         if query.shape[0] != self.dims:
             raise InputError(f"query has {query.shape[0]} dims, index has {self.dims}")
         norm = float(np.linalg.norm(query))
+        # NaN or inf in the query makes the norm NaN or inf.
+        if not np.isfinite(norm):
+            raise InputError(f"query vector is not finite or its norm overflows (norm {norm})")
         if norm == 0.0:
             raise InputError("query vector is all zeros")
 
         ids = self._ids
         if not ids:
             return []
+        # Clip before ordering: clipping can make similarities equal.
         sims = np.clip(self._matrix @ (query / norm), -1.0, 1.0)
-        # Stable sort over id-ordered rows: equal similarities keep id order.
-        order = np.argsort(-sims, kind="stable")[: min(k, len(ids))]
+        n = len(ids)
+        k = min(k, n)
+        kth = np.partition(sims, n - k)[n - k]
+        # Every row at or above the k-th largest, in row (chunk-id) order, so a
+        # tie straddling the k boundary is kept whole; the stable sort then
+        # orders equal similarities by id, as a full stable sort would.
+        candidates = np.flatnonzero(sims >= kth)
+        order = candidates[np.argsort(-sims[candidates], kind="stable")[:k]]
         return [
             RetrievalHit(chunk_id=ids[i], similarity=float(sims[i]), rank=rank)
             for rank, i in enumerate(order, start=1)

@@ -638,6 +638,12 @@ class TestUnwritableFiles:
             (["ingest", "--catalog", "{missing}/c.json", "{doc}"], "catalog", "{missing}/c.json"),
             # a lone surrogate loads from a JSON escape but cannot be encoded
             (["ingest", "--source", "raw_text", "--catalog", "{surrogate}", "more"], "catalog", "{surrogate}"),
+            # an empty path is a path, not "no output"
+            (["bench", "--backend", "mock:{script}", "--out", ""], "report", "''"),
+            (["bench", "--backend", "mock:{script}", "--csv", ""], "per-fact CSV", "''"),
+            (["index", "build", "--catalog", "{catalog}", "--out", ""], "index", "''"),
+            (["account", "--facts", "{facts}", "--factors", "{factors}", "--out", ""], "footprint", "''"),
+            (["account", "--facts", "{facts}", "--factors", "{factors}", "--csv", ""], "footprint CSV", "''"),
         ],
         ids=[
             "bench out",
@@ -649,6 +655,11 @@ class TestUnwritableFiles:
             "train-encoder",
             "ingest",
             "ingest surrogate",
+            "bench out empty",
+            "bench csv empty",
+            "index build empty",
+            "account out empty",
+            "account csv empty",
         ],
     )
     def test_every_failed_write_ends_in_save(

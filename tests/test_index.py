@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 
 from carbonrag import (
+    CarbonRagError,
     FormatError,
     InputError,
     LexicalEncoder,
+    RunConfig,
+    Strategy,
     VectorIndex,
+    answer_query,
     build_index,
 )
 
@@ -35,7 +39,52 @@ def _brute_force(index, query, k):
     return [chunk_id for _, chunk_id in scored[:k]]
 
 
+def _full_sort(index, query, k):
+    """Reference ranking by a full stable sort of every clipped similarity:
+    (chunk id, rank, similarity bytes) per hit."""
+    entries = list(index.entries())
+    rows = np.stack([e.vector for e in entries])
+    q = np.asarray(query, dtype=np.float64)
+    sims = np.clip(rows @ (q / np.linalg.norm(q)), -1.0, 1.0)
+    order = np.argsort(-sims, kind="stable")[:k]
+    return [
+        (entries[i].chunk_id, rank, sims[i].tobytes()) for rank, i in enumerate(order, start=1)
+    ]
+
+
+def _tie_heavy_indexes(rng):
+    """Indexes whose similarities hold many exact ties, with ids given out
+    of row order: duplicated rows, and rows normalised from small integers."""
+    distinct = rng.normal(size=(5, 6))
+    distinct /= np.linalg.norm(distinct, axis=1, keepdims=True)
+    duplicated = distinct[rng.integers(0, 5, size=40)]
+    small = rng.integers(-2, 3, size=(80, 6)).astype(np.float64)
+    small = small[np.any(small != 0, axis=1)]
+    small /= np.linalg.norm(small, axis=1, keepdims=True)
+    for rows in (duplicated, small):
+        ids = [f"c:{i:03d}" for i in rng.permutation(len(rows))]
+        yield VectorIndex(ids, rows), rows
+
+
 class TestTopK:
+    def test_equals_a_full_stable_sort_under_ties(self):
+        rng = np.random.default_rng(24)
+        split_ties = 0
+        for index, rows in _tie_heavy_indexes(rng):
+            n = len(index)
+            queries = [rows[0], rows[3], rng.integers(-2, 3, size=6) + 0.5, rng.normal(size=6)]
+            for query in queries:
+                ranking = _full_sort(index, query, n)
+                sims = [sim for _, _, sim in ranking]
+                # each k whose boundary falls inside a run of equal similarities
+                inside = [k for k in range(1, n) if sims[k - 1] == sims[k]]
+                split_ties += len(inside)
+                for k in {1, n - 1, n, n + 3, *inside}:
+                    hits = index.top_k(query, k=k)
+                    got = [(h.chunk_id, h.rank, np.float64(h.similarity).tobytes()) for h in hits]
+                    assert got == ranking[:k], k
+        assert split_ties > 0
+
     def test_matches_brute_force_on_random_data(self):
         rng = np.random.default_rng(20)
         index = _random_index(rng, 200, 16)
@@ -84,6 +133,35 @@ class TestValidation:
             index.top_k(np.zeros(4), k=1)
         with pytest.raises(InputError):
             index.top_k(np.ones((2, 2)), k=1)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            pytest.param([np.nan, 0.0, 1.0], id="nan"),
+            pytest.param([np.inf, 0.0, 1.0], id="inf"),
+            pytest.param([0.0, -np.inf, 1.0], id="-inf"),
+            pytest.param(
+                [1e200, 1e200, 0.0],
+                id="norm overflow",
+                marks=pytest.mark.filterwarnings("ignore:overflow encountered"),
+            ),
+        ],
+    )
+    def test_non_finite_query_is_refused(self, query):
+        index = VectorIndex(["a", "b", "c"], np.eye(3))
+        with pytest.raises(InputError, match="not finite"):
+            index.top_k(query, k=2)
+        with pytest.raises(CarbonRagError, match="not finite") as err:
+            answer_query(
+                "q",
+                Strategy.RAG_LONG,
+                catalog=None,
+                index=index,
+                query_vector=np.array(query),
+                backend=None,
+                config=RunConfig(),
+            )
+        assert err.value.stage == "retrieve"
 
     def test_constructor_errors(self):
         e0 = [1.0, 0.0, 0.0, 0.0]
