@@ -4,173 +4,37 @@ Ingest industry documents, retrieve the fragments relevant to a question,
 extract structured inventory facts from a generator's answer, multiply them
 through an emission-factor database, and score the whole run against expert
 ground truth (retrieval rate, value deviation, footprint deviation).
+
+The names below are the ones a pipeline run needs; everything else is
+imported from the module that defines it (``carbonrag.accounting``,
+``carbonrag.errors``, ...).
 """
 
-from .accounting import (
-    EmissionFactor,
-    EmissionFactorDb,
-    FootprintResult,
-    InventoryItem,
-    ItemContribution,
-    LifecycleStage,
-    Scope,
-    compute_footprint,
-    convert_unit,
-)
 from .config import RunConfig
-from .corpus import (
-    Catalog,
-    Chunk,
-    Document,
-    LengthClass,
-    SourceKind,
-    classify_datasource,
-    normalize_text,
-    segment,
-)
-from .embedding import (
-    DualTowerEncoder,
-    LexicalEncoder,
-    RemoteEncoder,
-    TrainingPair,
-    TrainingResult,
-    cosine_similarity,
-    encoder_from_spec,
-    load_encoder,
-    save_encoder,
-    train_dual_tower,
-)
-from .errors import (
-    AccountingError,
-    BenchmarkError,
-    CarbonRagError,
-    ConfigError,
-    EncodingError,
-    ExtractionError,
-    FetchError,
-    FormatError,
-    InputError,
-    MockMissError,
-    TransportError,
-    UnitError,
-)
-from .evaluation import (
-    AccountingDeviation,
-    Benchmark,
-    BenchmarkQuery,
-    GroundTruthRecord,
-    MetricsReport,
-    PerFactRecord,
-    QueryResult,
-    answer_query,
-    compute_ad,
-    compute_id,
-    compute_irr,
-    embed_questions,
-    fact_deviation,
-    load_benchmark,
-    run_benchmark,
-)
-from .fusion import (
-    TEMPLATE_VERSION,
-    Prompt,
-    PromptFragment,
-    Strategy,
-    build_prompt,
-    fragments_from_documents,
-    fragments_from_hits,
-    select_strategy,
-)
-from .generation import (
-    ANSWER_SCHEMA_INSTRUCTION,
-    ExtractedFact,
-    ParseWarning,
-    RawAnswer,
-    RemoteChatBackend,
-    ScriptedMockBackend,
-    backend_from_spec,
-    parse_extraction,
-)
-from .index import IndexEntry, RetrievalHit, VectorIndex, build_index
-from .quantity import Quantity
-
-__version__ = "0.1.0"
+from .corpus import Catalog, classify_datasource
+from .embedding import LexicalEncoder, RemoteEncoder, encoder_from_spec
+from .errors import CarbonRagError
+from .evaluation import run_benchmark
+from .fusion import Strategy, build_prompt, fragments_from_hits, select_strategy
+from .generation import RemoteChatBackend, ScriptedMockBackend, parse_extraction
+from .index import VectorIndex, build_index
 
 __all__ = [
-    "ANSWER_SCHEMA_INSTRUCTION",
-    "AccountingDeviation",
-    "AccountingError",
-    "Benchmark",
-    "BenchmarkError",
-    "BenchmarkQuery",
     "CarbonRagError",
     "Catalog",
-    "Chunk",
-    "ConfigError",
-    "Document",
-    "DualTowerEncoder",
-    "EmissionFactor",
-    "EmissionFactorDb",
-    "EncodingError",
-    "ExtractedFact",
-    "ExtractionError",
-    "FetchError",
-    "FootprintResult",
-    "FormatError",
-    "GroundTruthRecord",
-    "IndexEntry",
-    "InputError",
-    "InventoryItem",
-    "ItemContribution",
-    "LengthClass",
     "LexicalEncoder",
-    "LifecycleStage",
-    "MetricsReport",
-    "MockMissError",
-    "ParseWarning",
-    "PerFactRecord",
-    "Prompt",
-    "PromptFragment",
-    "Quantity",
-    "QueryResult",
-    "RawAnswer",
     "RemoteChatBackend",
     "RemoteEncoder",
-    "RetrievalHit",
     "RunConfig",
-    "Scope",
     "ScriptedMockBackend",
-    "SourceKind",
     "Strategy",
-    "TEMPLATE_VERSION",
-    "TrainingPair",
-    "TrainingResult",
-    "TransportError",
-    "UnitError",
     "VectorIndex",
-    "answer_query",
-    "backend_from_spec",
     "build_index",
     "build_prompt",
     "classify_datasource",
-    "compute_ad",
-    "compute_footprint",
-    "compute_id",
-    "compute_irr",
-    "convert_unit",
-    "cosine_similarity",
-    "embed_questions",
     "encoder_from_spec",
-    "fact_deviation",
-    "fragments_from_documents",
     "fragments_from_hits",
-    "load_benchmark",
-    "load_encoder",
-    "normalize_text",
     "parse_extraction",
     "run_benchmark",
-    "save_encoder",
-    "segment",
     "select_strategy",
-    "train_dual_tower",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import http.cookiejar
 import os
 import time
-from typing import Callable
 
 import requests
 
@@ -31,7 +30,6 @@ def post_json(
     name: str,
     gave_up: str,
     stage: str | None = None,
-    on_attempt: Callable[[int, int | str, float], None] | None = None,
 ) -> requests.Response:
     """POST ``body`` to ``client.endpoint``; return the first reply below 400.
 
@@ -40,9 +38,8 @@ def post_json(
     the one shared keep-alive session, so connections to an endpoint are
     reused. Connection errors and 5xx replies are retried up to
     ``MAX_ATTEMPTS`` attempts in all, with exponential backoff; a 4xx reply
-    fails at once.
-    ``on_attempt(attempt, status, latency_ms)`` sees every attempt, with
-    status ``"unreachable"`` when no reply came.
+    fails at once. The ``TransportError`` raised on failure carries the
+    number of attempts made.
     """
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(client.api_key_env, "")
@@ -50,18 +47,14 @@ def post_json(
         headers["Authorization"] = f"Bearer {key}"
     last_error = None
     for attempt in range(1, MAX_ATTEMPTS + 1):
-        started = time.monotonic()
         try:
             response = _SESSION.post(
                 client.endpoint, json=body, headers=headers, timeout=client.timeout
             )
         except requests.RequestException as exc:
-            response, status, last_error = None, "unreachable", str(exc)
+            last_error = str(exc)
         else:
             status = response.status_code
-        if on_attempt is not None:
-            on_attempt(attempt, status, (time.monotonic() - started) * 1000.0)
-        if response is not None:
             if status < 400:
                 return response
             if status < 500:

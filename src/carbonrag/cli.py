@@ -11,6 +11,7 @@ import logging
 import sys
 from pathlib import Path
 
+from ._files import check_writable
 from ._json import read_json
 from .accounting import (
     EmissionFactorDb,
@@ -74,18 +75,11 @@ def _read_training_pairs(path: str) -> list[TrainingPair]:
 
 def cmd_train_encoder(args) -> int:
     pairs = _read_training_pairs(args.pairs)
-    result = train_dual_tower(
-        pairs,
-        dims=args.dims,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        margin=args.margin,
-        seed=args.seed,
-    )
+    result = train_dual_tower(pairs)
     save_encoder(result.encoder, args.out)
     print(
         f"trained on {len(pairs)} pairs: loss {result.initial_loss:.6f} -> "
-        f"{result.final_loss:.6f} over {args.epochs} epochs; saved {args.out}"
+        f"{result.final_loss:.6f} over {len(result.losses) - 1} epochs; saved {args.out}"
     )
     return 0
 
@@ -190,6 +184,8 @@ def cmd_account(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _effective_config(args)
+    if args.csv is not None:
+        check_writable(args.csv, "per-fact CSV")
     report = run_benchmark(config)
     print(report.summary_text())
     if config.report_out is not None:
@@ -265,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-encoder", help="fit the dual-tower encoder on labeled pairs")
     p.add_argument("--pairs", required=True, help="JSON array of {text_a, text_b, related}")
     p.add_argument("--out", required=True, help="encoder JSON to write")
-    p.add_argument("--dims", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.1)
-    p.add_argument("--margin", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_encoder)
 
     p = sub.add_parser("query", help="answer one question end to end")

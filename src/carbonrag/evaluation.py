@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._files import write_file
+from ._files import check_writable, write_file
 from ._json import read_json
 from .accounting import (
     EmissionFactorDb,
@@ -477,8 +477,11 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
     wins and the report is the same as one from answering them one by one.
     Any failure aborts with the owning stage's name attached; when several
     questions fail, the first in file order is reported, and questions not
-    yet started are cancelled.
+    yet started are cancelled. An unwritable ``report_out`` fails before
+    any question is asked.
     """
+    if config.report_out is not None:
+        check_writable(config.report_out, "report")
     with _stage("benchmark"):
         bench = load_benchmark(config.require("benchmark_path", must_exist=True))
         factors = EmissionFactorDb.from_csv(bench.factor_db_path)

@@ -9,8 +9,6 @@ are not present in the raw text.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import json
 import logging
 import re
@@ -109,8 +107,7 @@ class RemoteChatBackend:
     "temperature": 0}``; the answer is the first choice's message content.
     Temperature is pinned to 0. At most ``max_in_flight`` requests are in
     flight at once, which is also how many questions ``run_benchmark``
-    answers concurrently, and every call is appended to the audit log
-    (request hash, status, latency).
+    answers concurrently. Retries follow ``_http.post_json``.
     """
 
     kind = "remote"
@@ -118,32 +115,10 @@ class RemoteChatBackend:
     api_key_env = "GENERATION_API_KEY"
     max_in_flight = 4
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str = "default",
-        *,
-        audit_log_path: str | Path | None = None,
-    ):
+    def __init__(self, endpoint: str, model: str = "default"):
         self.endpoint = endpoint
         self.model = model
-        self.audit_log_path = Path(audit_log_path) if audit_log_path else None
         self._slots = threading.BoundedSemaphore(self.max_in_flight)
-        self._audit_lock = threading.Lock()
-
-    def _audit(self, sha256: str, attempt: int, status: int | str, latency_ms: float) -> None:
-        if self.audit_log_path is None:
-            return
-        record = {
-            "request_sha256": sha256,
-            "attempt": attempt,
-            "status": status,
-            "latency_ms": round(latency_ms, 3),
-        }
-        line = json.dumps(record, sort_keys=True)
-        with self._audit_lock:
-            with open(self.audit_log_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
 
     def generate(self, prompt: "Prompt") -> RawAnswer:
         if not prompt.rendered:
@@ -153,15 +128,8 @@ class RemoteChatBackend:
             "messages": [{"role": "user", "content": prompt.rendered}],
             "temperature": 0,
         }
-        request_hash = hashlib.sha256(prompt.rendered.encode("utf-8")).hexdigest()
         with self._slots:
-            response = post_json(
-                self,
-                body,
-                name="generation endpoint",
-                gave_up="failed",
-                on_attempt=functools.partial(self._audit, request_hash),
-            )
+            response = post_json(self, body, name="generation endpoint", gave_up="failed")
         reply = parse_json(response.content, "generation endpoint reply", FormatError)
         choices = reply.at("choices").elements()
         if not choices:

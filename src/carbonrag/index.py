@@ -34,6 +34,8 @@ from .errors import FormatError, InputError
 
 DEFAULT_K = 5
 _NORM_TOLERANCE = 1e-6
+# Below this norm a query's squared components may underflow to zero.
+_TINY_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 _FORMAT = {"format": "carbonrag-index", "version": 1}
 _ZIP_MAGIC = b"PK\x03\x04"
 # What np.load and reading its entries raise on a damaged archive: a
@@ -112,8 +114,9 @@ class VectorIndex:
 
         Every entry is scored; the k-th largest similarity is found by
         partial selection and only the entries at or above it are sorted.
-        A query with a NaN or infinite component, or whose norm overflows,
-        is an ``InputError``.
+        A query too small for its norm to be taken directly is first scaled
+        by its largest component. A query with a NaN or infinite component,
+        whose norm overflows, or that is all zeros is an ``InputError``.
         """
         if k <= 0:
             raise InputError(f"k must be positive, got {k}")
@@ -126,8 +129,13 @@ class VectorIndex:
         # NaN or inf in the query makes the norm NaN or inf.
         if not np.isfinite(norm):
             raise InputError(f"query vector is not finite or its norm overflows (norm {norm})")
-        if norm == 0.0:
-            raise InputError("query vector is all zeros")
+        if norm < _TINY_NORM:
+            # x·x underflows for such a query: scale its largest component to 1.
+            scale = float(np.max(np.abs(query), initial=0.0))
+            if scale == 0.0:
+                raise InputError("query vector is all zeros")
+            query = query / scale
+            norm = float(np.linalg.norm(query))
 
         ids = self._ids
         if not ids:

@@ -12,34 +12,34 @@ import pytest
 
 import fixtures
 from carbonrag import (
-    AccountingError,
     Catalog,
-    Document,
-    EmissionFactor,
-    EmissionFactorDb,
-    GroundTruthRecord,
-    InventoryItem,
     LexicalEncoder,
-    LifecycleStage,
-    Quantity,
     RunConfig,
-    Scope,
     ScriptedMockBackend,
-    SourceKind,
-    TrainingPair,
     VectorIndex,
     build_index,
-    compute_ad,
+    run_benchmark,
+)
+from carbonrag.accounting import (
+    EmissionFactor,
+    EmissionFactorDb,
+    InventoryItem,
+    LifecycleStage,
+    Scope,
     compute_footprint,
+)
+from carbonrag.corpus import Document, SourceKind, segment
+from carbonrag.embedding import TrainingPair, cosine_similarity, train_dual_tower
+from carbonrag.errors import AccountingError
+from carbonrag.evaluation import (
+    GroundTruthRecord,
+    compute_ad,
     compute_id,
     compute_irr,
-    cosine_similarity,
     fact_deviation,
-    run_benchmark,
-    segment,
-    train_dual_tower,
 )
 from carbonrag.generation import ExtractedFact
+from carbonrag.quantity import Quantity
 
 
 def test_retrieval_oracle_equivalence():

@@ -5,20 +5,18 @@ import json
 
 import pytest
 
-from carbonrag import (
-    AccountingError,
+from carbonrag.accounting import (
     EmissionFactor,
     EmissionFactorDb,
     FootprintResult,
-    FormatError,
     InventoryItem,
     LifecycleStage,
-    Quantity,
     Scope,
-    UnitError,
     compute_footprint,
     convert_unit,
 )
+from carbonrag.errors import AccountingError, FormatError, UnitError
+from carbonrag.quantity import Quantity
 
 FACTOR_CSV_HEADER = "activity,factor_kgco2e,canonical_unit,source_note"
 

@@ -8,17 +8,11 @@ import numpy as np
 import pytest
 
 import fixtures
-from carbonrag import (
-    ConfigError,
-    DualTowerEncoder,
-    LexicalEncoder,
-    MetricsReport,
-    RunConfig,
-    VectorIndex,
-    load_encoder,
-    save_encoder,
-)
+from carbonrag import LexicalEncoder, RunConfig, VectorIndex
 from carbonrag.cli import main
+from carbonrag.embedding import DualTowerEncoder, load_encoder, save_encoder
+from carbonrag.errors import ConfigError
+from carbonrag.evaluation import MetricsReport
 
 _QUESTION = "How much electricity does the smelter use?"
 _QUERY_ANSWER = (
@@ -154,10 +148,6 @@ class TestTrainEncoder:
                 str(pairs_path),
                 "--out",
                 str(out),
-                "--dims",
-                "16",
-                "--epochs",
-                "5",
             ]
         )
         stdout = capsys.readouterr().out
@@ -165,7 +155,7 @@ class TestTrainEncoder:
         assert "trained on 4 pairs" in stdout
         encoder = load_encoder(out)
         assert isinstance(encoder, DualTowerEncoder)
-        assert encoder.dims == 16
+        assert encoder.dims == 64
 
     def test_malformed_pairs_file_reports_the_load_stage(self, tmp_path, capsys):
         bad = tmp_path / "pairs.json"
@@ -634,7 +624,7 @@ class TestUnwritableFiles:
             (["index", "build", "--catalog", "{catalog}", "--out", "{missing}/i.npz"], "index", "{missing}/i.npz"),
             (["account", "--facts", "{facts}", "--factors", "{factors}", "--out", "{missing}/o.json"], "footprint", "{missing}/o.json"),
             (["account", "--facts", "{facts}", "--factors", "{factors}", "--csv", "{missing}/o.csv"], "footprint CSV", "{missing}/o.csv"),
-            (["train-encoder", "--pairs", "{pairs}", "--epochs", "1", "--out", "{missing}/e.json"], "encoder", "{missing}/e.json"),
+            (["train-encoder", "--pairs", "{pairs}", "--out", "{missing}/e.json"], "encoder", "{missing}/e.json"),
             (["ingest", "--catalog", "{missing}/c.json", "{doc}"], "catalog", "{missing}/c.json"),
             # a lone surrogate loads from a JSON escape but cannot be encoded
             (["ingest", "--source", "raw_text", "--catalog", "{surrogate}", "more"], "catalog", "{surrogate}"),

@@ -7,21 +7,17 @@ import string
 import numpy as np
 import pytest
 
-from carbonrag import (
-    Catalog,
+from carbonrag import Catalog, classify_datasource
+from carbonrag.corpus import (
     Document,
-    EncodingError,
-    FetchError,
-    FormatError,
-    InputError,
     LengthClass,
     SourceKind,
-    classify_datasource,
+    chunk_id_for,
     normalize_text,
+    parse_chunk_id,
     segment,
 )
-from carbonrag.corpus import chunk_id_for, parse_chunk_id
-from carbonrag.errors import ConfigError
+from carbonrag.errors import ConfigError, EncodingError, FetchError, FormatError, InputError
 
 
 def _doc(body: str, doc_id: str = "d1") -> Document:

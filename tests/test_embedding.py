@@ -10,29 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carbonrag import (
-    DualTowerEncoder,
-    FormatError,
-    InputError,
-    LexicalEncoder,
-    RemoteEncoder,
-    TrainingPair,
-    TransportError,
-    build_index,
-    cosine_similarity,
-    encoder_from_spec,
-    load_encoder,
-    save_encoder,
-    train_dual_tower,
-)
+from carbonrag import LexicalEncoder, RemoteEncoder, build_index, encoder_from_spec
 from carbonrag.embedding import (
+    DualTowerEncoder,
+    TrainingPair,
     _dataset_loss,
     _fnv1a64,
     _pair_cosine_grad,
+    cosine_similarity,
     hashed_counts,
+    load_encoder,
+    save_encoder,
     tokenize,
+    train_dual_tower,
 )
-from carbonrag.errors import ConfigError
+from carbonrag.errors import ConfigError, FormatError, InputError, TransportError
 
 
 class TestTokenHashing:

@@ -2,10 +2,10 @@
 
 import pytest
 
-from carbonrag import (
+from carbonrag import CarbonRagError
+from carbonrag.errors import (
     AccountingError,
     BenchmarkError,
-    CarbonRagError,
     ConfigError,
     EncodingError,
     ExtractionError,

@@ -12,29 +12,28 @@ import pytest
 
 import fixtures
 from carbonrag import (
-    AccountingDeviation,
-    BenchmarkError,
     CarbonRagError,
-    ConfigError,
-    ExtractedFact,
-    FormatError,
-    GroundTruthRecord,
     LexicalEncoder,
-    MetricsReport,
-    MockMissError,
-    Quantity,
     RemoteChatBackend,
     RemoteEncoder,
     RunConfig,
     ScriptedMockBackend,
-    Scope,
+    run_benchmark,
+)
+from carbonrag.accounting import Scope
+from carbonrag.errors import BenchmarkError, ConfigError, FormatError, MockMissError
+from carbonrag.evaluation import (
+    AccountingDeviation,
+    GroundTruthRecord,
+    MetricsReport,
     compute_ad,
     compute_id,
     compute_irr,
     fact_deviation,
     load_benchmark,
-    run_benchmark,
 )
+from carbonrag.generation import ExtractedFact
+from carbonrag.quantity import Quantity
 
 
 def _fact(key, value, unit="kWh"):
@@ -304,6 +303,15 @@ class TestRunBenchmark:
         report = run_benchmark(config)
         assert out.is_file()
         assert MetricsReport.load(out).to_json_obj() == report.to_json_obj()
+
+    def test_unwritable_report_out_fails_before_any_question(self, benchmark_tree, tmp_path):
+        backend = ScriptedMockBackend(fixtures.PERFECT_SCRIPT)
+        out = tmp_path / "missing" / "report.json"
+        with pytest.raises(FormatError, match=r"cannot write report .*missing/report\.json") as err:
+            run_benchmark(_config(benchmark_tree, report_out=str(out)), backend=backend)
+        assert err.value.stage == "save"
+        assert backend.calls == []
+        assert not (tmp_path / "missing").exists()
 
     def test_explicit_encoder_is_used(self, benchmark_tree):
         backend = ScriptedMockBackend(fixtures.PERFECT_SCRIPT)

@@ -4,19 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from carbonrag import (
-    ANSWER_SCHEMA_INSTRUCTION,
-    InputError,
-    LengthClass,
-    PromptFragment,
-    RetrievalHit,
-    Strategy,
-    TEMPLATE_VERSION,
-    build_prompt,
-    fragments_from_documents,
-    fragments_from_hits,
-    select_strategy,
-)
+from carbonrag import Strategy, build_prompt, fragments_from_hits, select_strategy
+from carbonrag.corpus import LengthClass
+from carbonrag.errors import InputError
+from carbonrag.fusion import PromptFragment, TEMPLATE_VERSION, fragments_from_documents
+from carbonrag.generation import ANSWER_SCHEMA_INSTRUCTION
+from carbonrag.index import RetrievalHit
 
 _FRAGS = [
     PromptFragment(ref="d:00000000-00000400", text="Potline electricity came to 13500 kWh.", similarity=0.91),

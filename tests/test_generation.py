@@ -1,6 +1,5 @@
 """Answer backends and structured fact extraction."""
 
-import hashlib
 import http.server
 import json
 import time
@@ -8,21 +7,21 @@ import time
 import pytest
 
 from carbonrag import (
+    RemoteChatBackend,
+    ScriptedMockBackend,
+    Strategy,
+    build_prompt,
+    parse_extraction,
+)
+from carbonrag.errors import (
     ExtractionError,
     FormatError,
     InputError,
     MockMissError,
-    Quantity,
-    RawAnswer,
-    RemoteChatBackend,
-    ScriptedMockBackend,
-    Strategy,
     TransportError,
-    backend_from_spec,
-    build_prompt,
-    parse_extraction,
 )
-from carbonrag.generation import FACT_KEY_RE
+from carbonrag.generation import FACT_KEY_RE, RawAnswer, backend_from_spec
+from carbonrag.quantity import Quantity
 
 
 def _prompt(query="How much electricity?", query_key=None):
@@ -352,20 +351,6 @@ class TestRemoteChat:
         with pytest.raises(TransportError) as err:
             backend.generate(_prompt())
         assert err.value.attempts == 2
-
-    def test_audit_log_records_every_attempt(self, chat_server, tmp_path, fast_retries):
-        _ChatHandler.flaky_failures = 1
-        audit = tmp_path / "audit.jsonl"
-        backend = RemoteChatBackend(_url(chat_server, "/flaky"), audit_log_path=audit)
-        prompt = _prompt()
-        backend.generate(prompt)
-        records = [json.loads(line) for line in audit.read_text().splitlines()]
-        expected_hash = hashlib.sha256(prompt.rendered.encode("utf-8")).hexdigest()
-        assert [r["attempt"] for r in records] == [1, 2]
-        assert [r["status"] for r in records] == [500, 200]
-        assert all(r["request_sha256"] == expected_hash for r in records)
-        assert all(r["latency_ms"] >= 0.0 for r in records)
-
 
     def test_max_in_flight_must_be_positive(self):
         assert RemoteChatBackend("http://127.0.0.1:1/chat").max_in_flight == 4

@@ -15,24 +15,20 @@ from hypothesis import strategies as st
 
 import fixtures
 from carbonrag import (
-    Benchmark,
-    Catalog,
     CarbonRagError,
-    DualTowerEncoder,
-    EmissionFactorDb,
+    Catalog,
     LexicalEncoder,
-    MetricsReport,
-    Quantity,
     RemoteEncoder,
     RunConfig,
     ScriptedMockBackend,
     VectorIndex,
-    load_benchmark,
-    load_encoder,
     parse_extraction,
 )
-from carbonrag.accounting import FACTOR_CSV_HEADER
+from carbonrag.accounting import EmissionFactorDb, FACTOR_CSV_HEADER
 from carbonrag.cli import _parse_fact_entries, _read_training_pairs
+from carbonrag.embedding import DualTowerEncoder, load_encoder
+from carbonrag.evaluation import Benchmark, MetricsReport, load_benchmark
+from carbonrag.quantity import Quantity
 
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),

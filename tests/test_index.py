@@ -9,17 +9,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from carbonrag import (
-    CarbonRagError,
-    FormatError,
-    InputError,
-    LexicalEncoder,
-    RunConfig,
-    Strategy,
-    VectorIndex,
-    answer_query,
-    build_index,
-)
+from carbonrag import CarbonRagError, LexicalEncoder, RunConfig, Strategy, VectorIndex, build_index
+from carbonrag.errors import FormatError, InputError
+from carbonrag.evaluation import answer_query
 
 
 def _random_index(rng, n, dims):
@@ -133,6 +125,12 @@ class TestValidation:
             index.top_k(np.zeros(4), k=1)
         with pytest.raises(InputError):
             index.top_k(np.ones((2, 2)), k=1)
+
+    def test_tiny_query_ranks_like_its_rescaled_direction(self):
+        # The squares of 1e-200 underflow, so the plain norm would read 0.
+        index = VectorIndex(["a", "b", "c"], np.eye(3))
+        assert index.top_k([1e-200, 1e-200, 0.0], 2) == index.top_k([1.0, 1.0, 0.0], 2)
+        assert index.top_k([5e-324, 0.0, 0.0], 1) == index.top_k([1.0, 0.0, 0.0], 1)
 
     @pytest.mark.parametrize(
         "query",

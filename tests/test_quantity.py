@@ -2,7 +2,7 @@
 
 import pytest
 
-from carbonrag import Quantity
+from carbonrag.quantity import Quantity
 
 
 class TestConstruction:
