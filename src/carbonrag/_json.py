@@ -3,7 +3,9 @@
 ``read_json`` reads a file as bytes, decodes UTF-8 and parses standard JSON
 (``NaN``, ``Infinity`` and ``-Infinity`` are rejected); any failure to read,
 decode or parse, nesting too deep included, becomes the caller's error class
-naming the file. ``parse_json`` does the same for a reply body or a string.
+naming the file. So does a lone surrogate, such as the escape ``"\\ud800"``:
+it is valid JSON but not text, and would fail only later, when it is
+printed or saved. ``parse_json`` does the same for a reply body or a string.
 Both return a ``Node``, whose getters apply JSON's types rather than
 Python's and name the file and the JSON path of a bad value, such as
 ``benchmark b.json: truths[3].true_value must be a number, got 'x'``.
@@ -13,11 +15,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from types import GenericAlias
 from typing import NoReturn
 
 _MISSING = object()
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 _KIND_NAMES = {
     str: "a string",
     int: "an integer",
@@ -50,7 +54,31 @@ def parse_json(data: bytes | str, label: str, error_cls: type[Exception]) -> "No
         value = json.loads(text, parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise error_cls(f"{label} is not JSON: {exc}") from None
+    surrogate = lone_surrogate(value)
+    if surrogate is not None:
+        raise error_cls(f"{label} holds a lone surrogate {surrogate!r}, which is not text")
     return Node(value, label, error_cls)
+
+
+def lone_surrogate(value) -> str | None:
+    """The first surrogate code point in a key or string of ``value``, if any.
+
+    A decoded string holds one only when the JSON held a ``\\udxxx`` escape
+    that is not half of a pair. Only a non-ASCII string can, and
+    ``str.isascii`` costs nothing, so the scan is one loop over the nodes.
+    """
+    todo = [value]
+    for node in todo:  # the loop also visits what it appends
+        kind = type(node)
+        if kind is str:
+            if not node.isascii() and (found := _SURROGATE_RE.search(node)):
+                return found[0]
+        elif kind is dict:
+            todo += node
+            todo += node.values()
+        elif kind is list:
+            todo += node
+    return None
 
 
 def _conforms(value, kind) -> bool:

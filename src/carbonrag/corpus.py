@@ -216,7 +216,11 @@ class Catalog:
             raise InputError(f"unknown source kind {source!r}")
 
         body = normalize_text(body)
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()[:8]
+        try:
+            encoded = body.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate, as from a non-UTF-8 argv byte
+            raise EncodingError(f"{source.value} payload is not valid UTF-8 text: {exc}") from None
+        digest = hashlib.sha256(encoded).hexdigest()[:8]
         doc = Document(
             doc_id=metadata.get("doc_id", f"doc-{len(self._documents):04d}-{digest}"),
             title=metadata.get("title", default_title),

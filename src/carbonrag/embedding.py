@@ -6,8 +6,10 @@ the trained dual-tower encoder are fully deterministic across runs and
 platforms; the remote encoder wraps an HTTP endpoint and re-normalizes
 whatever it returns.
 
-Token features are hashed bag-of-words: lowercase, split on
-non-alphanumerics, FNV-1a 64-bit bucket assignment with a fixed seed.
+Token features are hashed bag-of-words. A token is the UTF-8 bytes of a
+``[^\W_]+`` run (letters and digits) of the lowercased text; ASCII text
+takes a fast path, one byte translate table and a split, that gives the
+same tokens. Each token goes to an FNV-1a 64-bit bucket with a fixed seed.
 ``hashed_counts`` counts a whole batch: each distinct token is hashed once
 per call, through a token -> bucket dict that lives only for that call, so
 no cache outlives it and each row still depends on its own text only.
@@ -38,6 +40,11 @@ DEFAULT_HASH_SEED = 0
 DEFAULT_MARGIN = 0.2
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# On ASCII, ``[^\W_]`` is exactly [A-Za-z0-9]: the table lowercases A-Z,
+# keeps a-z and 0-9, and turns every other byte into a space to split on.
+_ASCII_TOKEN_TABLE = bytes(
+    ord(chr(c).lower()) if c < 128 and chr(c).isalnum() else 0x20 for c in range(256)
+)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -52,8 +59,24 @@ def _fnv1a64(data: bytes, seed: int = 0) -> int:
     return h
 
 
-def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+def tokenize(text: str) -> list[bytes]:
+    """The UTF-8 bytes of each ``[^\\W_]+`` run of ``text.lower()``, in order."""
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_TOKEN_TABLE).split()
+    return [token.encode("utf-8") for token in _TOKEN_RE.findall(text.lower())]
+
+
+class _Buckets(dict):
+    """Token -> bucket dict that hashes a token the first time it is looked up."""
+
+    def __init__(self, dims: int, seed: int):
+        super().__init__()
+        self.dims = dims
+        self.seed = seed
+
+    def __missing__(self, token: bytes) -> int:
+        bucket = self[token] = _fnv1a64(token, self.seed) % self.dims
+        return bucket
 
 
 def hashed_counts(texts: Sequence[str], dims: int, seed: int = DEFAULT_HASH_SEED) -> np.ndarray:
@@ -63,12 +86,9 @@ def hashed_counts(texts: Sequence[str], dims: int, seed: int = DEFAULT_HASH_SEED
     at once; the token -> bucket dict is shared by the rows of this call.
     """
     counts = np.zeros((len(texts), dims), dtype=np.float64)
-    buckets: dict[str, int] = {}
+    buckets = _Buckets(dims, seed)
     for row, text in zip(counts, texts):
-        tokens = tokenize(text)
-        for token in set(tokens).difference(buckets):
-            buckets[token] = _fnv1a64(token.encode("utf-8"), seed) % dims
-        row[:] = np.bincount([buckets[t] for t in tokens], minlength=dims)
+        row[:] = np.bincount(list(map(buckets.__getitem__, tokenize(text))), minlength=dims)
     return counts
 
 

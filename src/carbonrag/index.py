@@ -20,6 +20,7 @@ Saving one index twice gives the same bytes. JSON index files are not read.
 from __future__ import annotations
 
 import json
+import operator
 import zipfile
 import zlib
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._files import write_file
-from ._json import parse_json
+from ._json import lone_surrogate, parse_json
 from .errors import FormatError, InputError
 
 DEFAULT_K = 5
@@ -70,12 +71,15 @@ class VectorIndex:
         """Index row ``i`` of ``matrix`` under ``ids[i]``.
 
         Rows are stored bit for bit as given; each must be finite and
-        unit-norm, and ids must be distinct strings.
+        unit-norm, and ids must be distinct strings with no lone surrogate
+        (which the index file's JSON manifest could not be read back with).
         """
         ids = list(ids)
         for chunk_id in ids:
             if not isinstance(chunk_id, str):
                 raise InputError(f"chunk id {chunk_id!r} is not a string")
+            if not chunk_id.isascii() and lone_surrogate(chunk_id):
+                raise InputError(f"chunk id {chunk_id!r} holds a lone surrogate")
         try:
             matrix = np.asarray(matrix, dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -84,12 +88,15 @@ class VectorIndex:
             raise InputError(
                 f"{len(ids)} chunk ids need a ({len(ids)}, dims) matrix, got shape {matrix.shape}"
             )
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        ids = [ids[row] for row in order]
-        duplicate = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
-        if duplicate is not None:
-            raise InputError(f"duplicate chunk id {duplicate!r}")
-        matrix = matrix[order]  # a copy, so no caller can write into the index
+        if all(map(operator.lt, ids, ids[1:])):  # in id order and distinct, as a loaded index
+            matrix = matrix.copy()  # so no caller can write into the index
+        else:
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            ids = [ids[row] for row in order]
+            duplicate = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+            if duplicate is not None:
+                raise InputError(f"duplicate chunk id {duplicate!r}")
+            matrix = matrix[order]  # a copy too
         norms = np.linalg.norm(matrix, axis=1)
         # A NaN or infinite row makes its norm NaN or inf, which fails this test.
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOLERANCE))

@@ -94,6 +94,35 @@ class TestIngest:
         assert code == 1
         assert "[ingest]" in capsys.readouterr().err
 
+    def test_non_utf8_argument_reports_the_ingest_stage(self, tmp_path, capsys):
+        """A non-UTF-8 argv byte reaches Python as a lone surrogate ('\\xff' as
+        '\\udcff'); it cannot be hashed or saved, so nothing is ingested."""
+        catalog = tmp_path / "catalog.json"
+        main(["ingest", "first body", "--source", "raw_text", "--catalog", str(catalog)])
+        before = catalog.read_bytes()
+        capsys.readouterr()
+        argv = ["ingest", "--source", "raw_text", "--catalog", str(catalog), "more \udcff"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[ingest] raw_text payload is not valid UTF-8 text: "), err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert catalog.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
+
+    def test_catalog_with_a_lone_surrogate_reports_the_load_stage(self, tmp_path, capsys):
+        """A JSON-escaped lone surrogate is refused where the catalog is read,
+        before anything could fail to print or save it."""
+        catalog = tmp_path / "catalog.json"
+        record = {"doc_id": "a", "title": "t", "source": "raw_text", "body": "x\ud800"}
+        catalog.write_text(json.dumps([{**record, "fetched_at": "2024"}]), encoding="utf-8")
+        before = catalog.read_bytes()
+        argv = ["ingest", "--source", "raw_text", "--catalog", str(catalog), "more"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"[load] catalog {catalog} holds a lone surrogate '\\ud800', which is not text\n"
+        assert catalog.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
+
 
 class TestIndexBuild:
     def test_builds_a_loadable_index(self, tmp_path, aluminum_catalog, capsys):
@@ -626,8 +655,6 @@ class TestUnwritableFiles:
             (["account", "--facts", "{facts}", "--factors", "{factors}", "--csv", "{missing}/o.csv"], "footprint CSV", "{missing}/o.csv"),
             (["train-encoder", "--pairs", "{pairs}", "--out", "{missing}/e.json"], "encoder", "{missing}/e.json"),
             (["ingest", "--catalog", "{missing}/c.json", "{doc}"], "catalog", "{missing}/c.json"),
-            # a lone surrogate loads from a JSON escape but cannot be encoded
-            (["ingest", "--source", "raw_text", "--catalog", "{surrogate}", "more"], "catalog", "{surrogate}"),
             # an empty path is a path, not "no output"
             (["bench", "--backend", "mock:{script}", "--out", ""], "report", "''"),
             (["bench", "--backend", "mock:{script}", "--csv", ""], "per-fact CSV", "''"),
@@ -644,7 +671,6 @@ class TestUnwritableFiles:
             "account csv",
             "train-encoder",
             "ingest",
-            "ingest surrogate",
             "bench out empty",
             "bench csv empty",
             "index build empty",
@@ -664,7 +690,6 @@ class TestUnwritableFiles:
             "factors": benchmark_tree.factors,
             "pairs": tmp_path / "pairs.json",
             "doc": tmp_path / "doc.txt",
-            "surrogate": tmp_path / "surrogate.json",
         }
         paths["directory"].mkdir()
         aluminum_catalog.save(paths["catalog"])
@@ -677,8 +702,6 @@ class TestUnwritableFiles:
         ]
         paths["pairs"].write_text(json.dumps(pairs), encoding="utf-8")
         paths["doc"].write_text("Electricity use was 100 kWh.", encoding="utf-8")
-        record = {"doc_id": "a", "title": "t", "source": "raw_text", "body": "x\ud800"}
-        paths["surrogate"].write_text(json.dumps([{**record, "fetched_at": "2024"}]), encoding="utf-8")
         argv = [arg.format(**paths) for arg in argv]
         if argv[0] == "bench":
             argv += ["--benchmark", str(benchmark_tree.benchmark)]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from carbonrag import LexicalEncoder, RemoteEncoder, build_index, encoder_from_spec
 from carbonrag.embedding import (
+    _TOKEN_RE,
     DualTowerEncoder,
     TrainingPair,
     _dataset_loss,
@@ -27,6 +28,17 @@ from carbonrag.embedding import (
 from carbonrag.errors import ConfigError, FormatError, InputError, TransportError
 
 
+# Characters where a translate table could part from ``[^\W_]+`` of the
+# lowercased text: the underscore, digits, NUL, the \x1c-\x1f separators
+# (whitespace to ``str.split``), DEL, and two letters whose lowercase is
+# ASCII or longer: the Kelvin sign and the dotted capital I.
+_TRICKY = "_09aZ \x00\x1c\x1d\x1e\x1f\x7f\u212a\u0130"
+_TOKENIZER_TEXTS = (
+    st.text(alphabet=st.characters(max_codepoint=127) | st.sampled_from(_TRICKY))
+    | st.text(alphabet=st.characters() | st.sampled_from(_TRICKY))
+)
+
+
 class TestTokenHashing:
     def test_fnv1a64_matches_published_vectors(self):
         """Frozen reference values for the standard 64-bit FNV-1a function."""
@@ -38,10 +50,16 @@ class TestTokenHashing:
         assert _fnv1a64(b"a", seed=1) != _fnv1a64(b"a", seed=0)
 
     def test_tokenize_lowercases_and_splits(self):
-        assert tokenize("CO2-eq per kWh_3") == ["co2", "eq", "per", "kwh", "3"]
+        assert tokenize("CO2-eq per kWh_3") == [b"co2", b"eq", b"per", b"kwh", b"3"]
 
     def test_tokenize_empty(self):
         assert tokenize("  ... !!") == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_TOKENIZER_TEXTS)
+    def test_tokenize_is_the_regex_on_any_text(self, text):
+        """The ASCII fast path and the regex path give the regex's tokens."""
+        assert tokenize(text) == [w.encode("utf-8") for w in _TOKEN_RE.findall(text.lower())]
 
     def test_counts_are_deterministic_and_sum_to_token_count(self):
         counts = hashed_counts(["one two two three"], 16)[0]
@@ -183,9 +201,9 @@ def test_every_batch_row_is_bit_identical_to_embed(encoder, texts):
 
 
 def _oracle_counts(text, dims, seed):
-    """Hash every token occurrence on its own: the loop `hashed_counts` replaced."""
+    """Hash every regex token occurrence on its own: the loop `hashed_counts` replaced."""
     counts = np.zeros(dims, dtype=np.float64)
-    for token in tokenize(text):
+    for token in _TOKEN_RE.findall(text.lower()):
         counts[_fnv1a64(token.encode("utf-8"), seed) % dims] += 1.0
     return counts
 
@@ -198,9 +216,15 @@ def _oracle_unit(vector):
 
 
 class TestHashedCountsOracle:
-    # Multi-byte UTF-8 tokens, tokens repeated within and across rows, and a
-    # tokenless row.
-    _UNICODE_BATCH = ["CO₂ émission 电池", "电池 émission émission co₂", "!!!", "CO₂ co₂ bath"]
+    # Multi-byte UTF-8 tokens, tokens repeated within and across rows, a
+    # tokenless row, and an ASCII row with control characters and underscores.
+    _UNICODE_BATCH = [
+        "CO₂ émission 电池",
+        "电池 émission émission co₂",
+        "!!!",
+        "CO₂ co₂ bath",
+        "Bath\x00RATIO\x1cco2\x1f_kWh_3\x7fbath\tx",
+    ]
 
     @pytest.fixture()
     def batches(self, aluminum_catalog):

@@ -171,6 +171,7 @@ class TestValidation:
             (["c:0", "c:1"], [e0], r"2 chunk ids need a \(2, dims\) matrix"),
             (["c:1", "c:0", "c:1"], [e0, e0, e0], "duplicate chunk id 'c:1'"),
             (["c:0", 7], [e0, e0], "chunk id 7 is not a string"),
+            (["c:0", "x\ud800"], [e0, e0], r"chunk id 'x\\ud800' holds a lone surrogate"),
             (["c:0", "c:1"], [e0, [0.6, 0.0, 0.0, 0.0]], r"entry 'c:1' is not unit-norm"),
         ):
             with pytest.raises(InputError, match=message):
@@ -186,6 +187,14 @@ class TestValidation:
         assert index.dims == 3
         rows[0, 0] = 0.0  # the caller's matrix is not the index's
         assert index.top_k(np.array([1.0, 0.0, 0.0]), k=1)[0].chunk_id == "c:2"
+        with pytest.raises(ValueError):
+            next(iter(index.entries())).vector[0] = 2.0
+
+    def test_rows_already_in_id_order_are_copied_too(self):
+        rows = np.eye(3)
+        index = VectorIndex(["c:0", "c:1", "c:2"], rows)
+        rows[0, 0] = 0.0
+        assert index.top_k(np.array([1.0, 0.0, 0.0]), k=1)[0].chunk_id == "c:0"
         with pytest.raises(ValueError):
             next(iter(index.entries())).vector[0] = 2.0
 
@@ -255,7 +264,7 @@ class TestPersistence:
         assert (tmp_path / "c").read_bytes() == first
 
     def test_non_ascii_ids_round_trip_exactly(self, tmp_path):
-        ids = ["électricité:0", "电池:00000000-00000010", "c\x00", "c:0\x00\x00", "x\ud800", "CO₂"]
+        ids = ["électricité:0", "电池:00000000-00000010", "c\x00", "c:0\x00\x00", "\U0001f600", "CO₂"]
         index = VectorIndex(ids, np.eye(len(ids)))
         index.save(tmp_path / "index.json")
         loaded = VectorIndex.load(tmp_path / "index.json")
@@ -354,6 +363,7 @@ class TestPersistence:
             (_manifest({"c:0": 0}), "manifest: ids must be a list, got {"),
             (_manifest(None), "manifest: ids must be a list, got None"),
             (_manifest(["c:0"], encoder="lexical"), "manifest: encoder must be an object or null"),
+            (_manifest(["c\udc00"]), r"manifest holds a lone surrogate '\\udc00'"),
         ):
             _write_archive(path, matrix=np.array([[1.0, 0.0]]), manifest=np.array(manifest))
             with pytest.raises(FormatError, match=message):
