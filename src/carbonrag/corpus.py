@@ -143,6 +143,13 @@ def _decode_utf8(data: bytes, origin: str) -> str:
         raise EncodingError(f"{origin} is not valid UTF-8 text: {exc}") from None
 
 
+def _encode_utf8(text: str, what: str) -> bytes:
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, as from a non-UTF-8 argv byte
+        raise EncodingError(f"{what} is not valid UTF-8 text: {exc}") from None
+
+
 class Catalog:
     """Ordered collection of documents with unique ids.
 
@@ -216,11 +223,7 @@ class Catalog:
             raise InputError(f"unknown source kind {source!r}")
 
         body = normalize_text(body)
-        try:
-            encoded = body.encode("utf-8")
-        except UnicodeEncodeError as exc:  # a lone surrogate, as from a non-UTF-8 argv byte
-            raise EncodingError(f"{source.value} payload is not valid UTF-8 text: {exc}") from None
-        digest = hashlib.sha256(encoded).hexdigest()[:8]
+        digest = hashlib.sha256(_encode_utf8(body, f"{source.value} payload")).hexdigest()[:8]
         doc = Document(
             doc_id=metadata.get("doc_id", f"doc-{len(self._documents):04d}-{digest}"),
             title=metadata.get("title", default_title),
@@ -231,6 +234,12 @@ class Catalog:
             ),
             industry_tag=metadata.get("industry_tag"),
         )
+        # The catalog could not be saved with a lone surrogate in a title
+        # (say, a file name) either; only non-ASCII text can hold one.
+        for name in ("title", "industry_tag", "fetched_at"):
+            value = getattr(doc, name)
+            if value is not None and not value.isascii():
+                _encode_utf8(value, f"{source.value} {name}")
         self.add(doc)
         return doc
 

@@ -52,7 +52,7 @@ from .fusion import (
     select_strategy,
 )
 from .generation import ExtractedFact, ParseWarning, RawAnswer, parse_extraction
-from .index import RetrievalHit, VectorIndex, build_index
+from .index import RetrievalHit, VectorIndex
 from .quantity import Quantity
 
 logger = logging.getLogger(__name__)
@@ -211,12 +211,14 @@ def load_benchmark(path: str | Path) -> Benchmark:
     path = Path(path)
     root = read_json(path, "benchmark", BenchmarkError)
     industry = root.get("industry", str)
-    queries = [
-        BenchmarkQuery(
-            q.get("query_id", str), q.get("query_text", str), tuple(q.get("fact_keys", list[str]))
+    queries = []
+    for q in root.at("queries").elements():
+        text = q.get("query_text", str)
+        if not text.strip():  # refused before any encoder or backend call is paid for
+            raise BenchmarkError(f"{q.at('query_text').where} must not be blank")
+        queries.append(
+            BenchmarkQuery(q.get("query_id", str), text, tuple(q.get("fact_keys", list[str])))
         )
-        for q in root.at("queries").elements()
-    ]
     truths = [
         GroundTruthRecord(
             fact_key=t.get("fact_key", str),
@@ -441,10 +443,11 @@ def answer_query(
 ) -> QueryResult:
     """Retrieve, fuse, generate and parse for one already-routed question.
 
-    ``index`` and ``query_vector`` (from ``embed_questions``) are needed
-    only for the ``rag_long`` strategy. Failures carry the stage they came
-    from: retrieve, prompt, generate or parse. Safe to call from several
-    threads at once.
+    ``index`` and ``query_vector`` (the question's row of an
+    ``embed_batch`` call by the index's encoder) are needed only for the
+    ``rag_long`` strategy. Failures carry the stage they came from:
+    retrieve, prompt, generate or parse. Safe to call from several threads
+    at once.
     """
     hits, fragments = [], []
     if strategy is Strategy.RAG_LONG:
@@ -470,8 +473,10 @@ def answer_query(
 def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsReport:
     """Run the full pipeline over a benchmark file and score it.
 
-    For the ``rag_long`` strategy all questions are embedded in one
-    ``embed_batch`` call first. Questions are then answered up to the
+    For the ``rag_long`` strategy the chunks and then the questions are
+    embedded in one ``embed_batch`` call, whose first rows become the index
+    and whose last rows are the question vectors; with a remote encoder
+    that is one request. Questions are then answered up to the
     backend's ``max_in_flight`` at a time (one when it declares none) and
     their results merged in file order, so the first extraction of a key
     wins and the report is the same as one from answering them one by one.
@@ -513,13 +518,17 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
         chunks = catalog.chunk_all(config.chunk_size, config.overlap)
 
     index = None
-    if strategy is Strategy.RAG_LONG:
-        with _stage("index"):
-            index = build_index(chunks, encoder)
-
     vectors = [None] * len(bench.queries)
     if strategy is Strategy.RAG_LONG:
-        vectors = embed_questions([q.query_text for q in bench.queries], encoder)
+        # One request for the chunks and the questions: an encoder computes
+        # each row from its own text only, so the rows equal two calls'.
+        with _stage("index"):
+            texts = [c.text for c in chunks] + [q.query_text for q in bench.queries]
+            rows = encoder.embed_batch(texts)
+            index = VectorIndex(
+                [c.chunk_id for c in chunks], rows[: len(chunks)], encoder_spec=encoder.spec
+            )
+            vectors = rows[len(chunks) :]
 
     def answer(query: BenchmarkQuery, vector) -> QueryResult:
         return answer_query(

@@ -109,6 +109,28 @@ class TestIngest:
         assert catalog.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
 
+    @pytest.mark.parametrize("source", ["raw_text title", "local_file name"])
+    def test_non_utf8_title_is_refused_before_anything_is_ingested(self, tmp_path, capsys, source):
+        """A title from ``--title`` or a file's name can hold a lone surrogate
+        too; it ends in [ingest], not in a failed save after 'ingested'."""
+        catalog = tmp_path / "catalog.json"
+        main(["ingest", "first body", "--source", "raw_text", "--catalog", str(catalog)])
+        before = catalog.read_bytes()
+        capsys.readouterr()
+        if source == "raw_text title":
+            argv = ["--source", "raw_text", "--title", "t\udcff", "more"]
+        else:
+            doc = tmp_path / "t\udcff.txt"  # the file name's bytes are b"t\xff.txt"
+            doc.write_text("more", encoding="utf-8")
+            argv = [str(doc)]
+        assert main(["ingest", "--catalog", str(catalog), *argv]) == 1
+        out, err = capsys.readouterr()
+        kind = source.split()[0]
+        assert err.startswith(f"[ingest] {kind} title is not valid UTF-8 text: "), err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert out == ""
+        assert catalog.read_bytes() == before
+
     def test_catalog_with_a_lone_surrogate_reports_the_load_stage(self, tmp_path, capsys):
         """A JSON-escaped lone surrogate is refused where the catalog is read,
         before anything could fail to print or save it."""
@@ -591,6 +613,33 @@ class TestBenchAndReport:
             code = main([*command, "--config", str(config_path), *backend])
             assert code == 1
             assert capsys.readouterr().err == f"[config] config {config_path}: {message}\n"
+
+    @pytest.mark.parametrize("blank", ["", " \t\n"], ids=["empty", "whitespace"])
+    def test_blank_question_is_refused_when_the_benchmark_is_read(
+        self, benchmark_tree, tmp_path, capsys, blank
+    ):
+        """A blank question is refused before any encoder or backend call,
+        so no paid embedding request goes out for a run that cannot finish."""
+        obj = fixtures.benchmark_obj()
+        obj["queries"] = [*obj["queries"]]
+        obj["queries"][1] = {**obj["queries"][1], "query_text": blank}
+        benchmark_tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
+        code = main(
+            [
+                "bench",
+                "--benchmark",
+                str(benchmark_tree.benchmark),
+                "--backend",
+                f"mock:{benchmark_tree.mock_perfect}",
+            ]
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err == (
+            f"[benchmark] benchmark {benchmark_tree.benchmark}: "
+            "queries[1].query_text must not be blank\n"
+        )
+        assert out == ""
 
     def test_missing_benchmark_reports_its_stage(self, tmp_path, capsys):
         code = main(["bench", "--benchmark", str(tmp_path / "absent.json")])

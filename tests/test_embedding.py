@@ -535,6 +535,22 @@ class TestRemoteEncoder:
             np.testing.assert_array_equal(enc.embed(text), matrix[i])
             np.testing.assert_array_equal(enc.embed_batch(_BATCH[i:])[0], matrix[i])
 
+    @pytest.mark.parametrize("kind", ["lexical", "dual_tower", "remote"])
+    def test_a_joined_batch_is_the_two_batches_stacked(self, kind, embed_server):
+        """``run_benchmark`` embeds chunks and questions in one call and splits
+        the rows, so every encoder must compute a row from its own text only."""
+        tower = np.random.default_rng(5).normal(size=(8, 32))
+        encoder = {
+            "lexical": lambda: LexicalEncoder(dims=16),
+            "dual_tower": lambda: DualTowerEncoder(matrix=tower),
+            "remote": lambda: RemoteEncoder(_url(embed_server, "/varied"), dims=4),
+        }[kind]()
+        a, b = _BATCH, ["rail bath", "!!!", "Anode carbon", "émission CO₂ bath"]
+        joined = encoder.embed_batch(a + b)
+        stacked = np.vstack([encoder.embed_batch(a), encoder.embed_batch(b)])
+        assert joined.shape == stacked.shape == (len(a) + len(b), encoder.dims)
+        assert joined.tobytes() == stacked.tobytes()
+
     def test_build_index_sends_one_request(self, embed_server):
         enc = RemoteEncoder(_url(embed_server, "/varied"), dims=4)
         chunks = [SimpleNamespace(chunk_id=f"d:{i:08d}", text=t) for i, t in enumerate(_BATCH)]

@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -18,6 +19,7 @@ from carbonrag import (
     RemoteEncoder,
     RunConfig,
     ScriptedMockBackend,
+    evaluation,
     run_benchmark,
 )
 from carbonrag.accounting import Scope
@@ -524,11 +526,12 @@ class TestMetricsReport:
 class _RemoteHandler(http.server.BaseHTTPRequestHandler):
     """Embedding and chat endpoints over HTTP/1.1 keep-alive.
 
-    ``/embed`` answers with lexical vectors. ``/chat`` looks the prompt's
-    question up in ``server.answers``; an ``int`` there is sent as that
-    status. It records each question as its request arrives, counts
-    connections and the peak number of chat requests in flight, and holds
-    each question for its ``server.delays`` entry.
+    ``/embed`` records its ``input`` list and answers with lexical vectors.
+    ``/chat`` looks the prompt's question up in ``server.answers``; an
+    ``int`` there is sent as that status. It records each question as its
+    request arrives, counts connections and the peak number of chat requests
+    in flight, holds each question for its ``server.delays`` entry, and then
+    until ``server.release`` is set if ``server.held(question)`` says so.
     """
 
     protocol_version = "HTTP/1.1"
@@ -544,7 +547,7 @@ class _RemoteHandler(http.server.BaseHTTPRequestHandler):
         server = self.server
         if self.path == "/embed":
             with server.lock:
-                server.embed_requests += 1
+                server.embed_inputs.append(body["input"])
             vectors = LexicalEncoder(dims=64).embed_batch(body["input"])
             self._send(200, {"embeddings": vectors.tolist()})
             return
@@ -556,6 +559,8 @@ class _RemoteHandler(http.server.BaseHTTPRequestHandler):
             server.peak = max(server.peak, server.in_flight)
         try:
             time.sleep(server.delays.get(question, 0.0))
+            if server.held(question):
+                server.release.wait(timeout=10)
             answer = server.answers[question]
         finally:
             with server.lock:
@@ -611,18 +616,47 @@ class TestConcurrentRemoteRun:
     to ``max_in_flight`` questions at once over kept-alive connections."""
 
     @pytest.fixture()
-    def remote(self, http_server, tmp_path, monkeypatch, fast_retries):
+    def remote(self, http_server, tmp_path, monkeypatch, fast_retries, aluminum_catalog):
         config, answers, delays = _concurrent_benchmark(tmp_path)
+        questions = list(answers)
         fast_retries(1)
 
-        def run(max_in_flight, failures=None, fast=()):
-            """One run on a fresh server; returns it with the report or error."""
+        def run(max_in_flight, failures=None):
+            """One run on a fresh server; returns it with the report or error.
+
+            ``failures`` maps question indexes to answers. The last of them is
+            answered at once, so it fails first. From its arrival on, and for
+            every question after it in file order, the other questions are
+            held until the pool has cancelled its queue: no worker can free
+            itself to start another question in the meantime, whatever the
+            thread timing.
+            """
+            failures = failures or {}
+            last = max(failures, default=None)
+            first = None if last is None else questions[last]
             server = http_server(_RemoteHandler)
             server.lock = threading.Lock()
-            server.connections = server.embed_requests = server.in_flight = server.peak = 0
-            server.chat_log = []
-            server.answers = {**answers, **(failures or {})}
-            server.delays = {q: 0.0 if q in fast else d for q, d in delays.items()}
+            server.connections = server.in_flight = server.peak = 0
+            server.chat_log, server.embed_inputs = [], []
+            server.answers = {**answers, **{questions[i]: a for i, a in failures.items()}}
+            server.delays = {q: 0.0 if q == first else d for q, d in delays.items()}
+            release = server.release = threading.Event()
+
+            def held(question):
+                if first is None or question == first:
+                    return False
+                with server.lock:
+                    return questions.index(question) > last or first in server.chat_log
+
+            server.held = held
+
+            class CancelThenRelease(ThreadPoolExecutor):
+                def shutdown(self, wait=True, *, cancel_futures=False):
+                    super().shutdown(wait=False, cancel_futures=cancel_futures)
+                    release.set()
+                    super().shutdown(wait=wait)
+
+            monkeypatch.setattr(evaluation, "ThreadPoolExecutor", CancelThenRelease)
             url = f"http://127.0.0.1:{server.server_address[1]}"
             monkeypatch.setattr(RemoteChatBackend, "max_in_flight", max_in_flight)
             backend = RemoteChatBackend(url + "/chat")
@@ -633,7 +667,9 @@ class TestConcurrentRemoteRun:
                 return server, exc
             return server, report
 
-        run.questions = list(answers)
+        run.questions = questions
+        chunks = aluminum_catalog.chunk_all(config.chunk_size, config.overlap)
+        run.chunk_texts = [c.text for c in chunks]
         return run
 
     @staticmethod
@@ -662,9 +698,10 @@ class TestConcurrentRemoteRun:
             assert expected in warnings
         assert serial_server.peak == 1
         assert 1 < server.peak <= 4
-        # one request for the chunks, one for every question
-        assert server.embed_requests == serial_server.embed_requests == 2
-        requests_sent = server.embed_requests + len(server.chat_log)
+        # one request: the chunks, then the questions in file order
+        expected = [remote.chunk_texts + remote.questions]
+        assert server.embed_inputs == serial_server.embed_inputs == expected
+        requests_sent = len(server.embed_inputs) + len(server.chat_log)
         assert server.connections < requests_sent
         assert serial_server.connections < requests_sent
 
@@ -679,10 +716,8 @@ class TestConcurrentRemoteRun:
         ],
     )
     def test_first_failure_in_file_order_is_reported(self, remote, failures, stage):
-        by_text = {remote.questions[i]: answer for i, answer in failures.items()}
-        fast = {remote.questions[max(failures)]}
-        _, serial = remote(1, by_text, fast)
-        server, error = remote(4, by_text, fast)
+        _, serial = remote(1, failures)
+        server, error = remote(4, failures)
         assert isinstance(serial, CarbonRagError) and isinstance(error, CarbonRagError)
         assert (error.stage, str(error)) == (serial.stage, str(serial))
         assert error.stage == stage
