@@ -121,7 +121,6 @@ class EmissionFactor:
     activity: str
     factor: float
     canonical_unit: str
-    source_note: str = ""
 
     def __post_init__(self):
         if not math.isfinite(self.factor) or self.factor < 0:
@@ -168,7 +167,8 @@ class EmissionFactorDb:
                 continue
             if len(row) != 4:
                 raise FormatError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            activity, factor_text, unit, note = (cell.strip() for cell in row)
+            # The fourth column, source_note, is for people reading the file.
+            activity, factor_text, unit = (cell.strip() for cell in row[:3])
             try:
                 factor = float(factor_text)
             except ValueError:
@@ -176,7 +176,7 @@ class EmissionFactorDb:
                     f"{path}:{lineno}: factor {factor_text!r} is not a number"
                 ) from None
             try:
-                db.add(EmissionFactor(activity, factor, unit, note))
+                db.add(EmissionFactor(activity, factor, unit))
             except (ValueError, FormatError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
         return db

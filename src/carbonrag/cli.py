@@ -100,6 +100,8 @@ def _print_result(result, catalog) -> None:
 
 
 def cmd_query(args) -> int:
+    if not args.interactive and not args.question:
+        raise ConfigError("provide a question or use --interactive")
     config = _effective_config(args)
     catalog = Catalog.load(config.catalog_path) if config.catalog_path else Catalog()
     index = VectorIndex.load(config.index_path) if config.index_path else None
@@ -111,12 +113,12 @@ def cmd_query(args) -> int:
         )
     backend = config.build_backend()
     strategy = select_strategy(classify_datasource(catalog.documents, config.length_threshold))
+    if strategy is Strategy.RAG_LONG and index is None:
+        raise ConfigError(
+            "datasource is long: retrieval needs --index (build one with 'index build')"
+        )
 
     def answer(question: str) -> None:
-        if strategy is Strategy.RAG_LONG and index is None:
-            raise ConfigError(
-                "datasource is long: retrieval needs --index (build one with 'index build')"
-            )
         vector = None
         if strategy is Strategy.RAG_LONG:
             vector = embed_questions([question], encoder)[0]
@@ -143,8 +145,6 @@ def cmd_query(args) -> int:
             except CarbonRagError as exc:
                 print(f"[{exc.stage_name}] {exc}", file=sys.stderr)
         return 0
-    if not args.question:
-        raise ConfigError("provide a question or use --interactive")
     answer(args.question)
     return 0
 

@@ -1,8 +1,10 @@
 """Run configuration: one JSON file describing a full pipeline run.
 
-Flags override file values, file values override defaults. The effective
-configuration is embedded verbatim in every benchmark report so a run can
-be reproduced from its report alone.
+Flags override file values, file values override defaults. Every
+benchmark report embeds the effective configuration, less the fields that
+are unset, so ``bench --config`` on that object reruns the same benchmark.
+The prompt template is not a setting: a report records the version it was
+rendered with.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from ._json import read_json
 from .corpus import DEFAULT_CHUNK_SIZE, DEFAULT_LENGTH_THRESHOLD, DEFAULT_OVERLAP
 from .embedding import encoder_from_spec
 from .errors import ConfigError
-from .fusion import DEFAULT_PROMPT_BUDGET, TEMPLATE_VERSION
+from .fusion import DEFAULT_PROMPT_BUDGET
 from .generation import backend_from_spec
 from .index import DEFAULT_K
 
@@ -35,7 +37,6 @@ class RunConfig:
     backend: str | None = None
     model: str = "default"
     prompt_budget: int = DEFAULT_PROMPT_BUDGET
-    template_version: str = TEMPLATE_VERSION
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -52,11 +53,6 @@ class RunConfig:
             )
         if self.prompt_budget <= 0:
             raise ConfigError(f"prompt_budget must be positive, got {self.prompt_budget}")
-        if self.template_version != TEMPLATE_VERSION:
-            raise ConfigError(
-                f"config pins template version {self.template_version!r} but this "
-                f"build renders {TEMPLATE_VERSION!r}; refusing a silent mismatch"
-            )
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
@@ -67,14 +63,14 @@ class RunConfig:
         cls, path: str | Path, *, reader: str | None = None, reads: Collection[str] = ()
     ) -> "RunConfig":
         """The config in file ``path``. When ``reader`` names the command
-        that reads it, a key outside ``reads`` other than
-        ``template_version`` is an error rather than silently ignored."""
+        that reads it, a key outside ``reads`` is an error rather than
+        silently ignored."""
         root = read_json(path, "config", ConfigError)
         keys = set(root.expect(dict))
         unknown = sorted(keys - set(cls.field_names()))
         if unknown:
             root.fail(f"unknown keys: {', '.join(unknown)}")
-        unread = sorted(keys - set(reads) - {"template_version"}) if reader else []
+        unread = sorted(keys - set(reads)) if reader else []
         if unread:
             root.fail(f"{reader} does not read {', '.join(unread)}")
         try:
@@ -91,7 +87,8 @@ class RunConfig:
         return dataclasses.replace(self, **effective)
 
     def to_json_obj(self) -> dict:
-        return dataclasses.asdict(self)
+        """The set fields; a field left None is omitted, as a config file omits it."""
+        return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
 
     def require(self, field_name: str, *, must_exist: bool = False) -> str:
         value = getattr(self, field_name)

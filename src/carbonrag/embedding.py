@@ -1,4 +1,4 @@
-"""Text encoders over one shared vector space, plus cosine similarity.
+r"""Text encoders over one shared vector space, plus cosine similarity.
 
 Every encoder implements ``embed_batch``: one unit-norm float64 row per
 text, each row computed from its own text only. The lexical baseline and
@@ -38,6 +38,7 @@ DEFAULT_DIMS = 64
 DEFAULT_FEATURE_DIMS = 256
 DEFAULT_HASH_SEED = 0
 DEFAULT_MARGIN = 0.2
+LEARNING_RATE = 0.1
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # On ASCII, ``[^\W_]`` is exactly [A-Za-z0-9]: the table lowercases A-Z,
@@ -178,7 +179,6 @@ class DualTowerEncoder(Encoder):
     """
 
     matrix: np.ndarray  # (dims, feature_dims)
-    seed: int = 0
     hash_seed: int = DEFAULT_HASH_SEED
 
     kind = "toy_dual_tower"
@@ -275,13 +275,13 @@ def train_dual_tower(
     *,
     dims: int = DEFAULT_DIMS,
     epochs: int = 50,
-    learning_rate: float = 0.1,
     margin: float = DEFAULT_MARGIN,
-    feature_dims: int = DEFAULT_FEATURE_DIMS,
     seed: int = 0,
-    hash_seed: int = DEFAULT_HASH_SEED,
 ) -> TrainingResult:
     """Fit the shared tower by full-batch gradient descent.
+
+    The tower maps ``DEFAULT_FEATURE_DIMS`` hashed features (hash seed
+    ``DEFAULT_HASH_SEED``) to ``dims``; ``seed`` draws its initial weights.
 
     The objective pulls related pairs toward cosine 1 and pushes unrelated
     pairs below the margin:
@@ -297,15 +297,17 @@ def train_dual_tower(
         raise ConfigError(
             "training requires at least one related and one unrelated pair"
         )
-    if dims <= 0 or feature_dims <= 0:
-        raise ConfigError("dims and feature_dims must be positive")
+    if dims <= 0:
+        raise ConfigError(f"dims must be positive, got {dims}")
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
 
     rng = np.random.default_rng(seed)
-    W = rng.normal(0.0, 1.0 / np.sqrt(feature_dims), size=(dims, feature_dims))
+    W = rng.normal(
+        0.0, 1.0 / np.sqrt(DEFAULT_FEATURE_DIMS), size=(dims, DEFAULT_FEATURE_DIMS)
+    )
 
-    probe = DualTowerEncoder(matrix=W, seed=seed, hash_seed=hash_seed)
+    probe = DualTowerEncoder(matrix=W)
     feats_a = probe.features([p.text_a for p in pairs])
     feats_b = probe.features([p.text_b for p in pairs])
     feats = [(fa, fb, p.related) for fa, fb, p in zip(feats_a, feats_b, pairs)]
@@ -319,11 +321,10 @@ def train_dual_tower(
                 grad -= ds_dW
             elif s > margin:
                 grad += ds_dW
-        W = W - learning_rate * grad
+        W = W - LEARNING_RATE * grad
         losses.append(_dataset_loss(W, feats, margin))
 
-    encoder = DualTowerEncoder(matrix=W, seed=seed, hash_seed=hash_seed)
-    return TrainingResult(encoder=encoder, losses=tuple(losses))
+    return TrainingResult(encoder=DualTowerEncoder(matrix=W), losses=tuple(losses))
 
 
 @dataclass
@@ -378,7 +379,6 @@ def save_encoder(encoder, path: str | Path) -> None:
         obj = {
             "kind": encoder.kind,
             "dims": encoder.dims,
-            "seed": encoder.seed,
             "hash_seed": encoder.hash_seed,
             "matrix": encoder.matrix.tolist(),
         }
@@ -403,9 +403,7 @@ def load_encoder(path: str | Path):
             if matrix.ndim != 2 or matrix.shape[0] != dims:
                 root.fail(f"matrix shape {matrix.shape} does not match dims {dims}")
             return DualTowerEncoder(
-                matrix=matrix,
-                seed=root.get("seed", int),
-                hash_seed=root.get("hash_seed", int, default=DEFAULT_HASH_SEED),
+                matrix=matrix, hash_seed=root.get("hash_seed", int, default=DEFAULT_HASH_SEED)
             )
         if kind == "remote":
             return RemoteEncoder(endpoint=root.get("endpoint", str), dims=root.get("dims", int))

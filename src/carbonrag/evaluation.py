@@ -44,6 +44,7 @@ from .config import RunConfig
 from .corpus import Catalog, SourceKind, classify_datasource
 from .errors import AccountingError, BenchmarkError, CarbonRagError, FormatError
 from .fusion import (
+    TEMPLATE_VERSION,
     Prompt,
     Strategy,
     build_prompt,
@@ -63,7 +64,6 @@ class GroundTruthRecord:
     fact_key: str
     true_value: float
     unit: str
-    industry: str = ""
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,6 @@ def load_benchmark(path: str | Path) -> Benchmark:
             fact_key=t.get("fact_key", str),
             true_value=t.get("true_value", float),
             unit=t.get("unit", str),
-            industry=t.get("industry", str, default=industry),
         )
         for t in root.at("truths").elements()
     ]
@@ -414,7 +413,6 @@ def _stage(name: str):
 class QueryResult:
     """Everything one question produced on its way through the pipeline."""
 
-    strategy: Strategy
     hits: tuple[RetrievalHit, ...]
     prompt: Prompt
     raw: RawAnswer
@@ -467,7 +465,7 @@ def answer_query(
 
     with _stage("parse"):
         facts, warnings = parse_extraction(raw, expected_keys=expected_keys)
-    return QueryResult(strategy, tuple(hits), prompt, raw, tuple(facts), tuple(warnings))
+    return QueryResult(tuple(hits), prompt, raw, tuple(facts), tuple(warnings))
 
 
 def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsReport:
@@ -476,10 +474,10 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
     For the ``rag_long`` strategy the chunks and then the questions are
     embedded in one ``embed_batch`` call, whose first rows become the index
     and whose last rows are the question vectors; with a remote encoder
-    that is one request. Questions are then answered up to the
-    backend's ``max_in_flight`` at a time (one when it declares none) and
-    their results merged in file order, so the first extraction of a key
-    wins and the report is the same as one from answering them one by one.
+    that is one request. Questions are then answered up to the backend's
+    ``max_in_flight`` at a time and their results merged in file order, so
+    the first extraction of a key wins and the report is the same as one
+    from answering them one by one.
     Any failure aborts with the owning stage's name attached; when several
     questions fail, the first in file order is reported, and questions not
     yet started are cancelled. An unwritable ``report_out`` fails before
@@ -546,7 +544,7 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
     # Questions start in file order, so when one fails every question before
     # it has started; those still queued are cancelled at once, and reading
     # the results in file order raises the first failure among the rest.
-    pool = ThreadPoolExecutor(max_workers=getattr(backend, "max_in_flight", 1))
+    pool = ThreadPoolExecutor(max_workers=backend.max_in_flight)
     try:
         futures = [pool.submit(answer, q, v) for q, v in zip(bench.queries, vectors)]
         wait(futures, return_when=FIRST_EXCEPTION)
@@ -621,11 +619,11 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
             )
 
     metadata = {
-        "encoder_kind": getattr(encoder, "kind", "unknown"),
-        "encoder_dims": getattr(encoder, "dims", None),
-        "backend_kind": getattr(backend, "kind", "unknown"),
+        "encoder_kind": encoder.kind,
+        "encoder_dims": encoder.dims,
+        "backend_kind": backend.kind,
         "k": config.k,
-        "template_version": config.template_version,
+        "template_version": TEMPLATE_VERSION,
         "strategy": strategy.value,
         "document_count": len(docs),
         "chunk_count": len(chunks),

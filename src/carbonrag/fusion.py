@@ -56,11 +56,8 @@ class PromptFragment:
 @dataclass(frozen=True)
 class Prompt:
     query: str
-    strategy: Strategy
     fragments: tuple[PromptFragment, ...]
     rendered: str
-    schema_instruction: str
-    template_version: str = TEMPLATE_VERSION
     notes: tuple[str, ...] = ()
     query_key: str | None = field(default=None, kw_only=True)
 
@@ -80,7 +77,7 @@ def fragments_from_documents(docs: Iterable[Document]) -> list[PromptFragment]:
     return [PromptFragment(ref=d.doc_id, text=d.body) for d in docs]
 
 
-def _render(query: str, fragments: Sequence[PromptFragment], schema_instruction: str) -> str:
+def _render(query: str, fragments: Sequence[PromptFragment]) -> str:
     # Question first, then references: the prompt concatenates the query with
     # the selected fragments in that order.
     parts = [_ROLE_HEADER, "", f"Question: {query}", ""]
@@ -89,7 +86,7 @@ def _render(query: str, fragments: Sequence[PromptFragment], schema_instruction:
         for n, frag in enumerate(fragments, start=1):
             parts.append(f"[{n}] {frag.text}")
         parts.append("")
-    parts.append(schema_instruction)
+    parts.append(ANSWER_SCHEMA_INSTRUCTION)
     return "\n".join(parts)
 
 
@@ -132,7 +129,7 @@ def build_prompt(
         seen_texts[frag.text] = frag.ref
         kept.append(frag)
 
-    rendered = _render(query, kept, ANSWER_SCHEMA_INSTRUCTION)
+    rendered = _render(query, kept)
     while len(rendered) > budget and kept:
         # Drop the worst fragment: lowest similarity, latest position on ties;
         # fragments without a similarity score go first.
@@ -148,14 +145,12 @@ def build_prompt(
         notes.append(
             f"dropped fragment {dropped.ref} (similarity {sim}) to fit budget {budget}"
         )
-        rendered = _render(query, kept, ANSWER_SCHEMA_INSTRUCTION)
+        rendered = _render(query, kept)
 
     return Prompt(
         query=query,
-        strategy=strategy,
         fragments=tuple(kept),
         rendered=rendered,
-        schema_instruction=ANSWER_SCHEMA_INSTRUCTION,
         notes=tuple(notes),
         query_key=query_key,
     )

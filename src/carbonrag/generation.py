@@ -50,7 +50,6 @@ _PROBE_READ_FACTOR = 16
 @dataclass(frozen=True)
 class RawAnswer:
     text: str
-    backend_kind: str
     usage: Mapping[str, int] = field(default_factory=dict)
 
 
@@ -60,7 +59,6 @@ class ExtractedFact:
     value: Quantity
     unit: str
     provenance: tuple[str, ...] = ()
-    raw_span: str = ""
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ class ScriptedMockBackend:
         with self._lock:
             self.calls.append(key)
         if key in self._script:
-            return RawAnswer(text=self._script[key], backend_kind=self.kind)
+            return RawAnswer(text=self._script[key])
         raise MockMissError(f"mock script has no entry for query key {key!r}")
 
 
@@ -136,7 +134,7 @@ class RemoteChatBackend:
             reply.fail("choices is empty")
         content = choices[0].at("message").get("content", str)
         usage = reply.get("usage", dict, default=None, nullable=True) or {}
-        return RawAnswer(text=content, backend_kind=self.kind, usage=usage)
+        return RawAnswer(text=content, usage=usage)
 
 
 def backend_from_spec(spec: str, *, model: str = "default"):
@@ -240,7 +238,6 @@ def parse_extraction(
         if not isinstance(entry, dict):
             warnings.append(ParseWarning("bad_entry", f"facts[{i}] is not an object"))
             continue
-        span = json.dumps(entry, sort_keys=True)
         key = entry.get("key")
         if not isinstance(key, str):
             warnings.append(ParseWarning("missing_key", f"facts[{i}] has no string key"))
@@ -281,13 +278,7 @@ def parse_extraction(
             )
         seen.add(key)
         facts.append(
-            ExtractedFact(
-                fact_key=key,
-                value=value,
-                unit=unit.strip(),
-                provenance=provenance,
-                raw_span=span,
-            )
+            ExtractedFact(fact_key=key, value=value, unit=unit.strip(), provenance=provenance)
         )
 
     if expected_keys is not None:

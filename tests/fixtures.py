@@ -18,6 +18,7 @@ inflates natural gas to 660 kWh (+10%), perturbing the total to 10817.5.
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 from types import SimpleNamespace
@@ -561,6 +562,7 @@ VARIANT_TOTAL = 10817.5  # 10802.5 + (660 - 600) * 0.25
 
 
 def benchmark_obj() -> dict:
+    """A fresh benchmark object each call, so a test may edit it in place."""
     return {
         "industry": INDUSTRY,
         "functional_unit": FUNCTIONAL_UNIT,
@@ -569,7 +571,7 @@ def benchmark_obj() -> dict:
             {"source": "raw_text", "payload": body, "doc_id": doc_id, "title": title}
             for doc_id, title, body in CORPUS_DOCS
         ],
-        "queries": QUERIES,
+        "queries": copy.deepcopy(QUERIES),
         "truths": [
             {"fact_key": key, "true_value": value, "unit": unit}
             for key, (value, unit) in TRUTHS.items()

@@ -83,7 +83,7 @@ class TestFactorDb:
             db.add(EmissionFactor("electricity", 0.6, "kWh"))
 
     def test_lookup_and_membership(self):
-        db = EmissionFactorDb([EmissionFactor("alumina", 1.5, "kg", "note")])
+        db = EmissionFactorDb([EmissionFactor("alumina", 1.5, "kg")])
         assert "alumina" in db
         assert db.get("alumina").factor == 1.5
         assert db.get("nothing") is None
@@ -96,7 +96,7 @@ class TestFactorDb:
         )
         db = EmissionFactorDb.from_csv(path)
         assert "electricity" in db and "" not in db
-        assert db.get("electricity").source_note == "grid average"
+        assert db.get("electricity") == EmissionFactor("electricity", 0.5, "kWh")
 
     def test_from_csv_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "factors.csv"

@@ -254,6 +254,30 @@ class TestQuery:
         assert code == 1
         assert "[config]" in err and "--index" in err
 
+    def test_interactive_long_datasource_without_an_index_fails_before_reading(
+        self, pipeline_files, capsys, monkeypatch
+    ):
+        stdin = io.StringIO(f"{_QUESTION}\n{_QUESTION}\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main(
+            [
+                "query",
+                "--interactive",
+                "--catalog",
+                str(pipeline_files["catalog"]),
+                "--backend",
+                f"mock:{pipeline_files['script']}",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "[config] datasource is long: retrieval needs --index "
+            "(build one with 'index build')\n"
+        )
+        assert captured.out == ""
+        assert stdin.tell() == 0
+
     def test_interactive_session_survives_per_question_errors(
         self, pipeline_files, capsys, monkeypatch
     ):
@@ -342,7 +366,7 @@ class TestQuery:
             ]
         )
         assert code == 1
-        assert "[config]" in capsys.readouterr().err
+        assert capsys.readouterr().err == "[config] provide a question or use --interactive\n"
 
 
 class TestAccount:
@@ -583,6 +607,40 @@ class TestBenchAndReport:
         assert report.metadata["k"] == 7
         assert report.metadata["config"]["k"] == 7
 
+    def test_a_reports_config_reruns_the_same_benchmark(self, benchmark_tree, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        argv = [
+            "bench",
+            "--benchmark",
+            str(benchmark_tree.benchmark),
+            "--backend",
+            f"mock:{benchmark_tree.mock_variant}",
+            "--k",
+            "4",
+            "--out",
+            str(report_path),
+        ]
+        assert main(argv) == 0
+        first = json.loads(report_path.read_text(encoding="utf-8"))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(first["metadata"]["config"]), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["bench", "--config", str(config_path)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        second = json.loads(report_path.read_text(encoding="utf-8"))
+        first.pop("generated_at")
+        second.pop("generated_at")
+        assert second == first
+
+    def test_config_file_refuses_template_version(self, benchmark_tree, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"template_version": "cfa-rag-prompt/1"}), encoding="utf-8")
+        code = main(["bench", "--config", str(config_path), "--benchmark", str(benchmark_tree.benchmark)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"[config] config {config_path}: unknown keys: template_version\n"
+        )
+
     def test_config_file_rejects_factor_db_path(self, benchmark_tree, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(
@@ -621,8 +679,7 @@ class TestBenchAndReport:
         """A blank question is refused before any encoder or backend call,
         so no paid embedding request goes out for a run that cannot finish."""
         obj = fixtures.benchmark_obj()
-        obj["queries"] = [*obj["queries"]]
-        obj["queries"][1] = {**obj["queries"][1], "query_text": blank}
+        obj["queries"][1]["query_text"] = blank
         benchmark_tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
         code = main(
             [

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from carbonrag import LexicalEncoder, RemoteEncoder, build_index, encoder_from_spec
 from carbonrag.embedding import (
     _TOKEN_RE,
+    DEFAULT_FEATURE_DIMS,
     DualTowerEncoder,
     TrainingPair,
     _dataset_loss,
@@ -300,19 +301,22 @@ _PAIRS = [
 
 class TestTrainer:
     def test_zero_epochs_returns_the_initialization(self):
-        result = train_dual_tower(_PAIRS, dims=8, epochs=0, feature_dims=32, seed=9)
-        expected = np.random.default_rng(9).normal(0.0, 1.0 / np.sqrt(32), size=(8, 32))
+        result = train_dual_tower(_PAIRS, dims=8, epochs=0, seed=9)
+        features = DEFAULT_FEATURE_DIMS
+        expected = np.random.default_rng(9).normal(
+            0.0, 1.0 / np.sqrt(features), size=(8, features)
+        )
         np.testing.assert_array_equal(result.encoder.matrix, expected)
         assert len(result.losses) == 1
         assert result.initial_loss == result.final_loss
 
     def test_loss_decreases_on_a_separable_set(self):
-        result = train_dual_tower(_PAIRS, dims=16, epochs=40, feature_dims=64, seed=0)
+        result = train_dual_tower(_PAIRS, dims=16, epochs=40, seed=0)
         assert result.final_loss <= result.initial_loss
 
     def test_training_is_deterministic(self):
-        a = train_dual_tower(_PAIRS, dims=8, epochs=10, feature_dims=32, seed=3)
-        b = train_dual_tower(_PAIRS, dims=8, epochs=10, feature_dims=32, seed=3)
+        a = train_dual_tower(_PAIRS, dims=8, epochs=10, seed=3)
+        b = train_dual_tower(_PAIRS, dims=8, epochs=10, seed=3)
         np.testing.assert_array_equal(a.encoder.matrix, b.encoder.matrix)
         assert a.losses == b.losses
 
@@ -352,13 +356,21 @@ class TestEncoderPersistence:
         assert loaded == enc
 
     def test_dual_tower_round_trip_is_bit_exact(self, tmp_path):
-        result = train_dual_tower(_PAIRS, dims=8, epochs=5, feature_dims=32, seed=1)
+        result = train_dual_tower(_PAIRS, dims=8, epochs=5, seed=1)
         path = tmp_path / "tower.json"
         save_encoder(result.encoder, path)
         loaded = load_encoder(path)
         np.testing.assert_array_equal(loaded.matrix, result.encoder.matrix)
         text = "electricity intensity"
         np.testing.assert_array_equal(loaded.embed(text), result.encoder.embed(text))
+
+    def test_tower_file_with_a_training_seed_still_loads(self, tmp_path):
+        path = tmp_path / "tower.json"
+        save_encoder(DualTowerEncoder(matrix=np.eye(2, 3)), path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        assert sorted(obj) == ["dims", "hash_seed", "kind", "matrix"]
+        path.write_text(json.dumps({**obj, "seed": 7}), encoding="utf-8")
+        assert load_encoder(path).spec == DualTowerEncoder(matrix=np.eye(2, 3)).spec
 
     def test_load_rejects_unknown_kind(self, tmp_path):
         path = tmp_path / "enc.json"
@@ -410,7 +422,7 @@ class TestEncoderPersistence:
 
 class TestEncoderProvenance:
     def test_spec_is_a_json_object_read_without_a_call(self, tmp_path):
-        tower = train_dual_tower(_PAIRS, dims=8, epochs=2, feature_dims=32, seed=1).encoder
+        tower = train_dual_tower(_PAIRS, dims=8, epochs=2, seed=1).encoder
         for enc, spec in (
             (LexicalEncoder(dims=32, seed=4), {"kind": "lexical_baseline", "dims": 32, "seed": 4}),
             (
@@ -448,8 +460,6 @@ class TestEncoderProvenance:
             RemoteEncoder("http://b/embed", dims=8).spec,
         ]
         assert all(a != b for i, a in enumerate(specs) for b in specs[i + 1 :])
-        # The training seed does not change the vectors, so it is not part of the spec.
-        assert DualTowerEncoder(matrix=matrix, seed=5).spec == DualTowerEncoder(matrix=matrix).spec
 
 
 class _EmbedHandler(http.server.BaseHTTPRequestHandler):

@@ -159,6 +159,13 @@ class TestLoadBenchmark:
         assert bench.factor_db_path == benchmark_tree.root / "factors.csv"
         assert bench.base_dir == benchmark_tree.root
 
+    def test_fixture_object_is_a_fresh_copy(self):
+        obj = fixtures.benchmark_obj()
+        before = json.dumps(obj)
+        obj["queries"][0]["fact_keys"].append("extra_key")
+        obj["queries"][1]["query_text"] = "another question"
+        assert json.dumps(fixtures.benchmark_obj()) == before
+
     def _write(self, tmp_path, mutate):
         obj = fixtures.benchmark_obj()
         mutate(obj)
@@ -200,7 +207,7 @@ class TestLoadBenchmark:
     def test_mistyped_fields_name_their_path(self, tmp_path):
         for mutate, message in (
             (lambda o: o.update(functional_unit=5), "functional_unit must be a string, got 5"),
-            (lambda o: o["truths"][1].update(industry=5), r"truths\[1\]\.industry must be a str"),
+            (lambda o: o["truths"][1].update(unit=5), r"truths\[1\]\.unit must be a string, got 5"),
             (
                 lambda o: o["datasources"][2].update(title=["x"]),
                 r"datasources\[2\]\.title must be a string, got \['x'\]",

@@ -7,7 +7,7 @@ import pytest
 from carbonrag import Strategy, build_prompt, fragments_from_hits, select_strategy
 from carbonrag.corpus import LengthClass
 from carbonrag.errors import InputError
-from carbonrag.fusion import PromptFragment, TEMPLATE_VERSION, fragments_from_documents
+from carbonrag.fusion import PromptFragment, fragments_from_documents
 from carbonrag.generation import ANSWER_SCHEMA_INSTRUCTION
 from carbonrag.index import RetrievalHit
 
@@ -68,10 +68,6 @@ class TestRendering:
         assert "Reference information:" not in prompt.rendered
         assert "Question: q" in prompt.rendered
         assert prompt.rendered.endswith(ANSWER_SCHEMA_INSTRUCTION)
-
-    def test_template_version_is_stamped(self):
-        prompt = build_prompt("q", Strategy.SHORT_DIRECT, _FRAGS[:1])
-        assert prompt.template_version == TEMPLATE_VERSION
 
     def test_query_key_is_carried_through(self):
         prompt = build_prompt("q", Strategy.RAG_LONG, _FRAGS[:1], query_key="q_energy")

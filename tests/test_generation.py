@@ -41,7 +41,6 @@ class TestScriptedMock:
         backend = ScriptedMockBackend({"How much electricity?": _ANSWER})
         answer = backend.generate(_prompt())
         assert answer.text == _ANSWER
-        assert answer.backend_kind == "scripted_mock"
 
     def test_query_key_takes_precedence_over_query_text(self):
         backend = ScriptedMockBackend({"q_energy": "keyed", "How much electricity?": "texted"})
@@ -132,7 +131,7 @@ class TestParseExtraction:
             assert [f.value for f in facts] == [Quantity.point(2)], text
 
     def test_accepts_raw_answer_objects(self):
-        facts, _ = parse_extraction(RawAnswer(text=_ANSWER, backend_kind="scripted_mock"))
+        facts, _ = parse_extraction(RawAnswer(text=_ANSWER))
         assert facts[0].fact_key == "electricity_use"
 
     def test_no_facts_block_is_an_extraction_error(self):

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import re
+import warnings
 from pathlib import Path
 
 import carbonrag
@@ -46,3 +47,13 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(stdout):
         exec(compile(_library_use_block(), "README.md", "exec"), {})
     assert "IRR: 100.00%" in stdout.getvalue()
+
+
+def test_every_module_compiles_without_warnings():
+    """An invalid escape such as ``"\\W"`` warns at compile time and is a
+    SyntaxWarning from Python 3.12; compiling the source here catches it
+    even when a cached bytecode file would skip the compile on import."""
+    for path in sorted((ROOT / "src" / "carbonrag").glob("*.py")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(path.read_text(encoding="utf-8"), str(path), "exec")
