@@ -18,7 +18,7 @@ import math
 import re
 from pathlib import Path
 from types import GenericAlias
-from typing import NoReturn
+from typing import Callable, Collection, NoReturn
 
 _MISSING = object()
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
@@ -37,7 +37,7 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not standard JSON")
 
 
-def read_json(path: str | Path, what: str, error_cls: type[Exception]) -> "Node":
+def read_json(path: str | Path, what: str, error_cls: Callable[[str], Exception]) -> "Node":
     """The JSON document in file ``path``; errors name it as ``what``."""
     label = f"{what} {path}"
     try:
@@ -47,7 +47,7 @@ def read_json(path: str | Path, what: str, error_cls: type[Exception]) -> "Node"
     return parse_json(data, label, error_cls)
 
 
-def parse_json(data: bytes | str, label: str, error_cls: type[Exception]) -> "Node":
+def parse_json(data: bytes | str, label: str, error_cls: Callable[[str], Exception]) -> "Node":
     """The JSON document in ``data``, UTF-8 if bytes; errors name it as ``label``."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -109,7 +109,7 @@ class Node:
 
     __slots__ = ("value", "path", "_label", "_error")
 
-    def __init__(self, value, label: str, error_cls: type[Exception], path: str = ""):
+    def __init__(self, value, label: str, error_cls: Callable[[str], Exception], path: str = ""):
         self.value = value
         self.path = path
         self._label = label
@@ -176,6 +176,13 @@ class Node:
         if type(value) is kind and kind is not float or value is None and nullable:
             return value  # the common cases of ``expect``, without a node, for speed
         return self._child(key, value).expect(kind, nullable=nullable)
+
+    def only_keys(self, known: Collection[str]) -> "Node":
+        """This object; a key outside ``known``, such as a misspelt one, is an error."""
+        unknown = sorted(set(self.expect(dict)) - set(known))
+        if unknown:
+            self.fail(f"unknown keys: {', '.join(unknown)}")
+        return self
 
     def elements(self) -> list["Node"]:
         """One node per element of this list."""

@@ -24,7 +24,7 @@ from .config import RunConfig
 from .corpus import Catalog, classify_datasource
 from .embedding import TrainingPair, encoder_from_spec, save_encoder, train_dual_tower
 from .errors import CarbonRagError, ConfigError, FormatError
-from .evaluation import MetricsReport, answer_query, embed_questions, run_benchmark
+from .evaluation import MetricsReport, answer_query, run_benchmark
 from .fusion import Strategy, select_strategy
 from .index import VectorIndex, build_index
 from .quantity import Quantity
@@ -100,13 +100,13 @@ def _print_result(result, catalog) -> None:
 
 
 def cmd_query(args) -> int:
-    if not args.interactive and not args.question:
+    if not args.interactive and not (args.question or "").strip():
         raise ConfigError("provide a question or use --interactive")
     config = _effective_config(args)
     catalog = Catalog.load(config.catalog_path) if config.catalog_path else Catalog()
     index = VectorIndex.load(config.index_path) if config.index_path else None
     encoder = config.build_encoder()
-    if index is not None and index.encoder_spec not in (None, encoder.spec):
+    if index is not None and index.encoder_spec != encoder.spec:
         raise FormatError(
             f"index {config.index_path} was built with encoder {index.encoder_spec}, "
             f"but this query embeds with {encoder.spec}"
@@ -119,9 +119,7 @@ def cmd_query(args) -> int:
         )
 
     def answer(question: str) -> None:
-        vector = None
-        if strategy is Strategy.RAG_LONG:
-            vector = embed_questions([question], encoder)[0]
+        vector = encoder.embed(question) if strategy is Strategy.RAG_LONG else None
         _print_result(
             answer_query(
                 question,

@@ -65,12 +65,8 @@ class RunConfig:
         """The config in file ``path``. When ``reader`` names the command
         that reads it, a key outside ``reads`` is an error rather than
         silently ignored."""
-        root = read_json(path, "config", ConfigError)
-        keys = set(root.expect(dict))
-        unknown = sorted(keys - set(cls.field_names()))
-        if unknown:
-            root.fail(f"unknown keys: {', '.join(unknown)}")
-        unread = sorted(keys - set(reads)) if reader else []
+        root = read_json(path, "config", ConfigError).only_keys(cls.field_names())
+        unread = sorted(set(root.value) - set(reads)) if reader else []
         if unread:
             root.fail(f"{reader} does not read {', '.join(unread)}")
         try:
@@ -80,11 +76,7 @@ class RunConfig:
 
     def merged(self, overrides: Mapping[str, Any]) -> "RunConfig":
         """New config with non-None override values applied (flags win)."""
-        effective = {k: v for k, v in overrides.items() if v is not None}
-        unknown = sorted(set(effective) - set(self.field_names()))
-        if unknown:
-            raise ConfigError(f"unknown config overrides: {', '.join(unknown)}")
-        return dataclasses.replace(self, **effective)
+        return dataclasses.replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
     def to_json_obj(self) -> dict:
         """The set fields; a field left None is omitted, as a config file omits it."""

@@ -9,10 +9,14 @@ whatever it returns.
 Token features are hashed bag-of-words. A token is the UTF-8 bytes of a
 ``[^\W_]+`` run (letters and digits) of the lowercased text; ASCII text
 takes a fast path, one byte translate table and a split, that gives the
-same tokens. Each token goes to an FNV-1a 64-bit bucket with a fixed seed.
+same tokens. Each token goes to a bucket by the standard, unseeded FNV-1a
+64-bit hash, which each ``spec`` records as hash seed ``DEFAULT_HASH_SEED``.
 ``hashed_counts`` counts a whole batch: each distinct token is hashed once
 per call, through a token -> bucket dict that lives only for that call, so
 no cache outlives it and each row still depends on its own text only.
+
+An encoder file holds only what a spec string cannot say: a trained tower,
+or a remote encoder of another width.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -52,8 +57,8 @@ _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _fnv1a64(data: bytes, seed: int = 0) -> int:
-    h = (_FNV_OFFSET ^ seed) & _U64
+def _fnv1a64(data: bytes) -> int:
+    h = _FNV_OFFSET
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _U64
@@ -70,24 +75,23 @@ def tokenize(text: str) -> list[bytes]:
 class _Buckets(dict):
     """Token -> bucket dict that hashes a token the first time it is looked up."""
 
-    def __init__(self, dims: int, seed: int):
+    def __init__(self, dims: int):
         super().__init__()
         self.dims = dims
-        self.seed = seed
 
     def __missing__(self, token: bytes) -> int:
-        bucket = self[token] = _fnv1a64(token, self.seed) % self.dims
+        bucket = self[token] = _fnv1a64(token) % self.dims
         return bucket
 
 
-def hashed_counts(texts: Sequence[str], dims: int, seed: int = DEFAULT_HASH_SEED) -> np.ndarray:
+def hashed_counts(texts: Sequence[str], dims: int) -> np.ndarray:
     """Hashed token counts, one float64 row per text, shape ``(len(texts), dims)``.
 
     Rows are filled one text at a time, so only one text's tokens are held
     at once; the token -> bucket dict is shared by the rows of this call.
     """
     counts = np.zeros((len(texts), dims), dtype=np.float64)
-    buckets = _Buckets(dims, seed)
+    buckets = _Buckets(dims)
     for row, text in zip(counts, texts):
         row[:] = np.bincount(list(map(buckets.__getitem__, tokenize(text))), minlength=dims)
     return counts
@@ -153,7 +157,6 @@ class LexicalEncoder(Encoder):
     """Deterministic hashed bag-of-words baseline."""
 
     dims: int = DEFAULT_DIMS
-    seed: int = DEFAULT_HASH_SEED
 
     kind = "lexical_baseline"
 
@@ -163,10 +166,10 @@ class LexicalEncoder(Encoder):
 
     @property
     def spec(self) -> dict:
-        return {"kind": self.kind, "dims": self.dims, "seed": self.seed}
+        return {"kind": self.kind, "dims": self.dims, "seed": DEFAULT_HASH_SEED}
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        counts = hashed_counts([_require_text(t) for t in texts], self.dims, self.seed)
+        counts = hashed_counts([_require_text(t) for t in texts], self.dims)
         return _unit_rows(counts, texts, self.dims)
 
 
@@ -179,7 +182,6 @@ class DualTowerEncoder(Encoder):
     """
 
     matrix: np.ndarray  # (dims, feature_dims)
-    hash_seed: int = DEFAULT_HASH_SEED
 
     kind = "toy_dual_tower"
 
@@ -206,7 +208,7 @@ class DualTowerEncoder(Encoder):
         return {
             "kind": self.kind,
             "dims": self.dims,
-            "hash_seed": self.hash_seed,
+            "hash_seed": DEFAULT_HASH_SEED,
             "matrix_sha256": hashlib.sha256(self.matrix.tobytes()).hexdigest(),
         }
 
@@ -215,7 +217,7 @@ class DualTowerEncoder(Encoder):
 
         A tokenless text keeps its all-zero row.
         """
-        counts = hashed_counts(texts, self.feature_dims, self.hash_seed)
+        counts = hashed_counts(texts, self.feature_dims)
         norms = np.linalg.norm(counts, axis=1)
         nonzero = norms > 0.0
         counts[nonzero] /= norms[nonzero, None]
@@ -262,12 +264,18 @@ def _pair_cosine_grad(W: np.ndarray, fa: np.ndarray, fb: np.ndarray):
     return s, np.outer(ds_du, fa) + np.outer(ds_dv, fb)
 
 
-def _dataset_loss(W: np.ndarray, feats, margin: float) -> float:
+def _loss_and_grad(W: np.ndarray, feats, margin: float) -> tuple[float, np.ndarray]:
+    """The training objective at ``W`` and its gradient, in one pass over the pairs."""
     total = 0.0
+    grad = np.zeros_like(W)
     for fa, fb, related in feats:
-        s, _ = _pair_cosine_grad(W, fa, fb)
+        s, ds_dW = _pair_cosine_grad(W, fa, fb)
         total += (1.0 - s) if related else max(0.0, s - margin)
-    return total
+        if related:
+            grad -= ds_dW
+        elif s > margin:
+            grad += ds_dW
+    return total, grad
 
 
 def train_dual_tower(
@@ -280,8 +288,8 @@ def train_dual_tower(
 ) -> TrainingResult:
     """Fit the shared tower by full-batch gradient descent.
 
-    The tower maps ``DEFAULT_FEATURE_DIMS`` hashed features (hash seed
-    ``DEFAULT_HASH_SEED``) to ``dims``; ``seed`` draws its initial weights.
+    The tower maps ``DEFAULT_FEATURE_DIMS`` hashed features to ``dims``;
+    ``seed`` draws its initial weights.
 
     The objective pulls related pairs toward cosine 1 and pushes unrelated
     pairs below the margin:
@@ -312,17 +320,12 @@ def train_dual_tower(
     feats_b = probe.features([p.text_b for p in pairs])
     feats = [(fa, fb, p.related) for fa, fb, p in zip(feats_a, feats_b, pairs)]
 
-    losses = [_dataset_loss(W, feats, margin)]
+    losses = []
     for _ in range(epochs):
-        grad = np.zeros_like(W)
-        for fa, fb, related in feats:
-            s, ds_dW = _pair_cosine_grad(W, fa, fb)
-            if related:
-                grad -= ds_dW
-            elif s > margin:
-                grad += ds_dW
+        loss, grad = _loss_and_grad(W, feats, margin)
+        losses.append(loss)
         W = W - LEARNING_RATE * grad
-        losses.append(_dataset_loss(W, feats, margin))
+    losses.append(_loss_and_grad(W, feats, margin)[0])
 
     return TrainingResult(encoder=DualTowerEncoder(matrix=W), losses=tuple(losses))
 
@@ -364,47 +367,40 @@ class RemoteEncoder(Encoder):
             gave_up="unreachable",
             stage="embedding",
         )
-        reply = parse_json(response.content, "embedding endpoint reply", FormatError)
+        # A bad reply ends in the stage a failed request does, in every command.
+        error = partial(FormatError, stage="embedding")
+        reply = parse_json(response.content, "embedding endpoint reply", error)
         vectors = reply.get("embeddings", list[list[float]])
         if len(vectors) != len(texts) or any(len(v) != self.dims for v in vectors):
             reply.fail(f"expected {len(texts)} embeddings of width {self.dims}, got {len(vectors)}")
         return _unit_rows(np.asarray(vectors, dtype=np.float64), texts, self.dims)
 
 
-def save_encoder(encoder, path: str | Path) -> None:
-    """Persist an encoder spec as JSON."""
-    if isinstance(encoder, (LexicalEncoder, RemoteEncoder)):
-        obj = encoder.spec
-    elif isinstance(encoder, DualTowerEncoder):
-        obj = {
-            "kind": encoder.kind,
-            "dims": encoder.dims,
-            "hash_seed": encoder.hash_seed,
-            "matrix": encoder.matrix.tolist(),
-        }
-    else:
-        raise InputError(f"cannot persist encoder of type {type(encoder).__name__}")
+def save_encoder(encoder: DualTowerEncoder, path: str | Path) -> None:
+    """Write a trained tower as an encoder file: ``{kind, dims, matrix}``."""
+    obj = {"kind": encoder.kind, "dims": encoder.dims, "matrix": encoder.matrix.tolist()}
     text = json.dumps(obj, indent=2) + "\n"
     write_file(path, "encoder", lambda fh: fh.write(text))
 
 
 def load_encoder(path: str | Path):
+    """A ``toy_dual_tower`` or ``remote`` encoder file. A tower's ``seed`` key is
+    ignored, and a ``hash_seed`` other than 0 refused: it would change the vectors."""
     root = read_json(path, "encoder", FormatError)
     kind = root.get("kind", str)
     try:
-        if kind == "lexical_baseline":
-            return LexicalEncoder(dims=root.get("dims", int), seed=root.get("seed", int))
         if kind == "toy_dual_tower":
             dims = root.get("dims", int)
+            hash_seed = root.get("hash_seed", int, default=DEFAULT_HASH_SEED)
+            if hash_seed != DEFAULT_HASH_SEED:
+                root.fail(f"hash_seed must be {DEFAULT_HASH_SEED}, got {hash_seed}")
             try:
                 matrix = np.asarray(root.get("matrix", list[list[float]]), dtype=np.float64)
             except ValueError as exc:  # rows of different lengths
                 root.at("matrix").fail(str(exc))
             if matrix.ndim != 2 or matrix.shape[0] != dims:
                 root.fail(f"matrix shape {matrix.shape} does not match dims {dims}")
-            return DualTowerEncoder(
-                matrix=matrix, hash_seed=root.get("hash_seed", int, default=DEFAULT_HASH_SEED)
-            )
+            return DualTowerEncoder(matrix=matrix)
         if kind == "remote":
             return RemoteEncoder(endpoint=root.get("endpoint", str), dims=root.get("dims", int))
     except ConfigError as exc:
@@ -415,8 +411,9 @@ def load_encoder(path: str | Path):
 def encoder_from_spec(spec: str):
     """Build an encoder from a CLI-style spec string.
 
-    Accepted forms: ``lexical``, ``lexical:<dims>``, ``remote:<url>``, or a
-    path to a saved encoder JSON file.
+    Accepted forms: ``lexical``, ``lexical:<dims>``, ``remote:<url>``, or the
+    path of an encoder file (a trained tower, or a remote encoder of another
+    width).
     """
     if spec == "lexical":
         return LexicalEncoder()

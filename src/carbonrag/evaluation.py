@@ -207,26 +207,35 @@ class Benchmark:
     base_dir: Path = Path(".")
 
 
+# The keys each object of a benchmark file may hold.
+_BENCHMARK_KEYS = (
+    "industry", "datasources", "queries", "truths", "true_footprint", "factor_db",
+    "functional_unit", "scope", "inventory_keys", "lifecycle_stages",
+)
+_QUERY_KEYS = ("query_id", "query_text", "fact_keys")
+_TRUTH_KEYS = ("fact_key", "true_value", "unit")
+_DATASOURCE_METADATA = ("doc_id", "title", "industry_tag", "fetched_at")
+
+
 def load_benchmark(path: str | Path) -> Benchmark:
     path = Path(path)
-    root = read_json(path, "benchmark", BenchmarkError)
+    root = read_json(path, "benchmark", BenchmarkError).only_keys(_BENCHMARK_KEYS)
     industry = root.get("industry", str)
     queries = []
     for q in root.at("queries").elements():
+        q.only_keys(_QUERY_KEYS)
         text = q.get("query_text", str)
         if not text.strip():  # refused before any encoder or backend call is paid for
             raise BenchmarkError(f"{q.at('query_text').where} must not be blank")
         queries.append(
             BenchmarkQuery(q.get("query_id", str), text, tuple(q.get("fact_keys", list[str])))
         )
-    truths = [
-        GroundTruthRecord(
-            fact_key=t.get("fact_key", str),
-            true_value=t.get("true_value", float),
-            unit=t.get("unit", str),
+    truths = []
+    for t in root.at("truths").elements():
+        t.only_keys(_TRUTH_KEYS)
+        truths.append(
+            GroundTruthRecord(t.get("fact_key", str), t.get("true_value", float), t.get("unit", str))
         )
-        for t in root.at("truths").elements()
-    ]
     for field_name, name, keys in (
         ("queries", "query_id", [q.query_id for q in queries]),
         ("truths", "truth fact_key", [t.fact_key for t in truths]),
@@ -238,6 +247,7 @@ def load_benchmark(path: str | Path) -> Benchmark:
             root.fail(f"duplicate {name} {repeated[0]!r}")
     datasources = root.at("datasources", default=[]).elements()
     for ds in datasources:
+        ds.only_keys(("source", "payload", *_DATASOURCE_METADATA))
         ds.expect(dict[str, str])
         ds.get("source", SourceKind)
         ds.at("payload")
@@ -420,13 +430,6 @@ class QueryResult:
     warnings: tuple[ParseWarning, ...]
 
 
-def embed_questions(questions: Sequence[str], encoder) -> np.ndarray:
-    """Query vectors for ``questions`` from one ``embed_batch`` call, tagged
-    with the retrieve stage. Row ``i`` equals ``encoder.embed(questions[i])``."""
-    with _stage("retrieve"):
-        return encoder.embed_batch(list(questions))
-
-
 def answer_query(
     question: str,
     strategy: Strategy,
@@ -503,8 +506,7 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
             source, payload = ds["source"], ds["payload"]
             if source == "local_file":
                 payload = str(bench.base_dir / payload)
-            keys = ("doc_id", "title", "industry_tag", "fetched_at")
-            metadata = {k: v for k, v in ds.items() if k in keys}
+            metadata = {k: v for k, v in ds.items() if k in _DATASOURCE_METADATA}
             catalog.ingest(source, payload, metadata)
         docs = catalog.documents
 
@@ -567,7 +569,7 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
 
     truth_map = {t.fact_key: t for t in bench.truths}
 
-    with _stage("account"):
+    with _stage("accounting"):
         if bench.inventory_keys is not None:
             inventory_keys = list(bench.inventory_keys)
         else:

@@ -13,7 +13,7 @@ are then ordered by that rounding.
 An index file is one uncompressed numpy ``.npz`` archive with two
 entries: ``matrix``, the float64 rows in chunk-id order, and ``manifest``,
 a JSON string with the format name and version, the chunk ids in row order
-and the spec of the encoder that built the index (null when unknown).
+and the spec of the encoder that built the index, which ``query`` checks.
 Saving one index twice gives the same bytes. JSON index files are not read.
 """
 
@@ -64,7 +64,8 @@ class VectorIndex:
 
     The index is immutable: one ``(ids, matrix)`` pair with rows in chunk-id
     order, so any number of readers may share it. ``encoder_spec`` is the
-    ``spec`` of the encoder that made the rows, or None when unknown.
+    ``spec`` of the encoder that made the rows; an index built from bare
+    rows has None there, and can be queried but not saved.
     """
 
     def __init__(self, ids: Sequence[str], matrix, *, encoder_spec: dict | None = None):
@@ -169,6 +170,8 @@ class VectorIndex:
         ]
 
     def save(self, path: str | Path) -> None:
+        if self.encoder_spec is None:
+            raise InputError("cannot save an index without the spec of the encoder that built it")
         manifest = {**_FORMAT, "ids": self._ids, "encoder": self.encoder_spec}
         # Given a name rather than a file, np.savez would append ".npz" to it.
         write_file(
@@ -204,7 +207,7 @@ class VectorIndex:
         if any((type(got.get(k)), got.get(k)) != (type(v), v) for k, v in _FORMAT.items()):
             raise FormatError(f"{meta.where} does not declare {_FORMAT}")
         ids = meta.get("ids", list)
-        spec = meta.get("encoder", dict, default=None, nullable=True)
+        spec = meta.get("encoder", dict)
         # Stored vectors are kept without re-normalization, so save/load
         # round-trips bit-exactly.
         try:

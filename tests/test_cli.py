@@ -1,5 +1,6 @@
 """Subcommand behavior: outputs, exit codes, and error reporting."""
 
+import http.server
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import fixtures
-from carbonrag import LexicalEncoder, RunConfig, VectorIndex
+from carbonrag import RemoteEncoder, RunConfig, VectorIndex
 from carbonrag.cli import main
 from carbonrag.embedding import DualTowerEncoder, load_encoder, save_encoder
 from carbonrag.errors import ConfigError
@@ -304,8 +305,6 @@ class TestQuery:
     def test_index_built_with_another_encoder_is_refused(self, pipeline_files, tmp_path, capsys):
         # Each encoder here has the index's width (64), so top_k alone would
         # accept its vectors and return the wrong chunks.
-        lexical_seed_1 = tmp_path / "lexical1.json"
-        save_encoder(LexicalEncoder(dims=64, seed=1), lexical_seed_1)
         tower = tmp_path / "tower.json"
         save_encoder(DualTowerEncoder(matrix=np.eye(64, 256)), tower)
         query = [
@@ -320,7 +319,6 @@ class TestQuery:
         ]
         built_with = "{'kind': 'lexical_baseline', 'dims': 64, 'seed': 0}"
         for encoder, embeds_with in (
-            (lexical_seed_1, "{'kind': 'lexical_baseline', 'dims': 64, 'seed': 1}"),
             (tower, "{'kind': 'toy_dual_tower', 'dims': 64, 'hash_seed': 0, 'matrix_sha256': '"),
             ("remote:http://127.0.0.1:9/embed", "{'kind': 'remote', 'dims': 64, 'endpoint': '"),
         ):
@@ -355,18 +353,23 @@ class TestQuery:
             f"[load] index {old} is not a binary index; rebuild it with 'carbonrag index build'\n"
         )
 
-    def test_question_or_interactive_is_required(self, pipeline_files, capsys):
-        code = main(
-            [
-                "query",
-                "--catalog",
-                str(pipeline_files["catalog"]),
-                "--backend",
-                f"mock:{pipeline_files['script']}",
-            ]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == "[config] provide a question or use --interactive\n"
+    def test_question_or_interactive_is_required(self, pipeline_files, tmp_path, capsys):
+        # A blank question is refused before the catalog, index or encoder is loaded.
+        for question in ([], ["   "], [""]):
+            code = main(
+                [
+                    "query",
+                    *question,
+                    "--catalog",
+                    str(pipeline_files["catalog"]),
+                    "--index",
+                    str(tmp_path / "absent.npz"),
+                    "--backend",
+                    f"mock:{pipeline_files['script']}",
+                ]
+            )
+            assert code == 1
+            assert capsys.readouterr().err == "[config] provide a question or use --interactive\n"
 
 
 class TestAccount:
@@ -703,6 +706,64 @@ class TestBenchAndReport:
         err = capsys.readouterr().err
         assert code == 1
         assert "[benchmark]" in err
+
+
+class _BadEmbeddingReply(http.server.BaseHTTPRequestHandler):
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = b'{"embeddings": "nope"}'
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+class TestOneStagePerFailure:
+    """A failure reports the same stage whichever command meets it."""
+
+    def test_a_bad_embedding_reply_ends_in_embedding(
+        self, pipeline_files, benchmark_tree, http_server, tmp_path, capsys
+    ):
+        server = http_server(_BadEmbeddingReply)
+        url = f"http://127.0.0.1:{server.server_address[1]}/embed"
+        # query checks the index's encoder before it embeds the question
+        index = tmp_path / "remote.npz"
+        VectorIndex(["c:0"], np.eye(1, 64), encoder_spec=RemoteEncoder(url).spec).save(index)
+        catalog = str(pipeline_files["catalog"])
+        for argv in (
+            ["index", "build", "--catalog", catalog, "--out", str(tmp_path / "i.npz")],
+            ["query", _QUESTION, "--catalog", catalog, "--index", str(index),
+             "--backend", f"mock:{pipeline_files['script']}"],
+            ["bench", "--benchmark", str(benchmark_tree.benchmark),
+             "--backend", f"mock:{benchmark_tree.mock_perfect}"],
+        ):
+            assert main([*argv, "--encoder", f"remote:{url}"]) == 1, argv
+            assert capsys.readouterr().err == (
+                "[embedding] embedding endpoint reply: embeddings must be a list, got 'nope'\n"
+            ), argv
+
+    def test_a_missing_emission_factor_ends_in_accounting(self, benchmark_tree, tmp_path, capsys):
+        # fluoride_consumption is extracted but has no factor
+        obj = fixtures.benchmark_obj()
+        obj["inventory_keys"] = ["electricity_use", "fluoride_consumption"]
+        benchmark_tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
+        facts = tmp_path / "facts.json"
+        facts.write_text(
+            json.dumps([{"key": "fluoride_consumption", "value": 20, "unit": "kg"}]),
+            encoding="utf-8",
+        )
+        for argv in (
+            ["account", "--facts", str(facts), "--factors", str(benchmark_tree.factors)],
+            ["bench", "--benchmark", str(benchmark_tree.benchmark),
+             "--backend", f"mock:{benchmark_tree.mock_perfect}"],
+        ):
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err == (
+                "[accounting] no emission factor for: fluoride_consumption\n"
+            ), argv
 
 
 _UNREADABLE = {"non-utf8": b"\xff\xfe[]", "deep-nesting": b"[" * 200_000}

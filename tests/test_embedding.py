@@ -16,8 +16,8 @@ from carbonrag.embedding import (
     DEFAULT_FEATURE_DIMS,
     DualTowerEncoder,
     TrainingPair,
-    _dataset_loss,
     _fnv1a64,
+    _loss_and_grad,
     _pair_cosine_grad,
     cosine_similarity,
     hashed_counts,
@@ -46,9 +46,6 @@ class TestTokenHashing:
         assert _fnv1a64(b"") == 0xCBF29CE484222325
         assert _fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert _fnv1a64(b"foobar") == 0x85944171F73967E8
-
-    def test_seed_perturbs_the_hash(self):
-        assert _fnv1a64(b"a", seed=1) != _fnv1a64(b"a", seed=0)
 
     def test_tokenize_lowercases_and_splits(self):
         assert tokenize("CO2-eq per kWh_3") == [b"co2", b"eq", b"per", b"kwh", b"3"]
@@ -109,11 +106,6 @@ class TestLexicalEncoder:
         enc = LexicalEncoder()
         np.testing.assert_array_equal(enc.embed("anode carbon"), enc.embed("anode carbon"))
 
-    def test_seed_changes_the_embedding(self):
-        a = LexicalEncoder(seed=0).embed("anode carbon")
-        b = LexicalEncoder(seed=1).embed("anode carbon")
-        assert not np.array_equal(a, b)
-
     def test_empty_text_rejected(self):
         with pytest.raises(InputError):
             LexicalEncoder().embed("   ")
@@ -153,7 +145,7 @@ class TestDualTowerEncoder:
             with pytest.raises(ConfigError, match="non-finite"):
                 DualTowerEncoder(matrix=matrix)
             path = tmp_path / "tower.json"
-            obj = {"kind": "toy_dual_tower", "dims": 2, "seed": 0, "matrix": matrix.tolist()}
+            obj = {"kind": "toy_dual_tower", "dims": 2, "matrix": matrix.tolist()}
             path.write_text(json.dumps(obj), encoding="utf-8")
             with pytest.raises(FormatError, match="non-finite"):
                 load_encoder(path)
@@ -201,11 +193,11 @@ def test_every_batch_row_is_bit_identical_to_embed(encoder, texts):
         assert encoder.embed(text).tobytes() == row.tobytes()
 
 
-def _oracle_counts(text, dims, seed):
+def _oracle_counts(text, dims):
     """Hash every regex token occurrence on its own: the loop `hashed_counts` replaced."""
     counts = np.zeros(dims, dtype=np.float64)
     for token in _TOKEN_RE.findall(text.lower()):
-        counts[_fnv1a64(token.encode("utf-8"), seed) % dims] += 1.0
+        counts[_fnv1a64(token.encode("utf-8")) % dims] += 1.0
     return counts
 
 
@@ -232,29 +224,29 @@ class TestHashedCountsOracle:
         chunks = [c.text for c in aluminum_catalog.chunk_all(1000, 200)]
         return [chunks, self._UNICODE_BATCH]
 
-    @pytest.mark.parametrize("dims,seed", [(64, 0), (7, 3), (256, 1)])
-    def test_counts_match_the_oracle(self, batches, dims, seed):
+    @pytest.mark.parametrize("dims", [64, 7, 256])
+    def test_counts_match_the_oracle(self, batches, dims):
         for texts in batches:
-            expected = np.stack([_oracle_counts(t, dims, seed) for t in texts])
-            np.testing.assert_array_equal(hashed_counts(texts, dims, seed), expected)
+            expected = np.stack([_oracle_counts(t, dims) for t in texts])
+            np.testing.assert_array_equal(hashed_counts(texts, dims), expected)
             for text, row in zip(texts, expected):
-                np.testing.assert_array_equal(hashed_counts([text], dims, seed)[0], row)
-        assert hashed_counts([], dims, seed).shape == (0, dims)
+                np.testing.assert_array_equal(hashed_counts([text], dims)[0], row)
+        assert hashed_counts([], dims).shape == (0, dims)
 
     def test_lexical_rows_match_the_oracle(self, batches):
-        enc = LexicalEncoder(dims=64, seed=2)
+        enc = LexicalEncoder(dims=64)
         for texts in batches:
-            expected = np.stack([_oracle_unit(_oracle_counts(t, 64, 2)) for t in texts])
+            expected = np.stack([_oracle_unit(_oracle_counts(t, 64)) for t in texts])
             assert enc.embed_batch(texts).tobytes() == expected.tobytes()
         np.testing.assert_array_equal(enc.embed("!!!"), np.eye(64)[0])
 
     def test_dual_tower_rows_match_the_oracle(self, batches):
         matrix = np.random.default_rng(11).normal(size=(16, 96))
-        enc = DualTowerEncoder(matrix=matrix, hash_seed=4)
+        enc = DualTowerEncoder(matrix=matrix)
         for texts in batches:
             rows = []
             for text in texts:
-                counts = _oracle_counts(text, 96, 4)
+                counts = _oracle_counts(text, 96)
                 norm = float(np.linalg.norm(counts))
                 features = counts / norm if norm > 0.0 else counts
                 rows.append(_oracle_unit(matrix @ features))
@@ -324,12 +316,12 @@ class TestTrainer:
         """The hinge charges nothing once an unrelated cosine is under margin."""
         W = np.eye(2)
         feats = [(np.array([1.0, 0.0]), np.array([0.0, 1.0]), False)]
-        assert _dataset_loss(W, feats, margin=0.2) == 0.0
+        assert _loss_and_grad(W, feats, margin=0.2)[0] == 0.0
 
     def test_related_pair_loss_is_one_minus_cosine(self):
         W = np.eye(2)
         feats = [(np.array([1.0, 0.0]), np.array([1.0, 0.0]), True)]
-        assert _dataset_loss(W, feats, margin=0.2) == pytest.approx(0.0, abs=1e-12)
+        assert _loss_and_grad(W, feats, margin=0.2)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_both_pair_polarities(self):
         with pytest.raises(ConfigError):
@@ -348,13 +340,6 @@ class TestTrainer:
 
 
 class TestEncoderPersistence:
-    def test_lexical_round_trip(self, tmp_path):
-        enc = LexicalEncoder(dims=32, seed=4)
-        path = tmp_path / "enc.json"
-        save_encoder(enc, path)
-        loaded = load_encoder(path)
-        assert loaded == enc
-
     def test_dual_tower_round_trip_is_bit_exact(self, tmp_path):
         result = train_dual_tower(_PAIRS, dims=8, epochs=5, seed=1)
         path = tmp_path / "tower.json"
@@ -365,32 +350,35 @@ class TestEncoderPersistence:
         np.testing.assert_array_equal(loaded.embed(text), result.encoder.embed(text))
 
     def test_tower_file_with_a_training_seed_still_loads(self, tmp_path):
+        """Tower files from earlier versions hold ``seed`` and ``hash_seed: 0``."""
         path = tmp_path / "tower.json"
         save_encoder(DualTowerEncoder(matrix=np.eye(2, 3)), path)
         obj = json.loads(path.read_text(encoding="utf-8"))
-        assert sorted(obj) == ["dims", "hash_seed", "kind", "matrix"]
-        path.write_text(json.dumps({**obj, "seed": 7}), encoding="utf-8")
+        assert sorted(obj) == ["dims", "kind", "matrix"]
+        path.write_text(json.dumps({**obj, "seed": 7, "hash_seed": 0}), encoding="utf-8")
         assert load_encoder(path).spec == DualTowerEncoder(matrix=np.eye(2, 3)).spec
 
     def test_load_rejects_unknown_kind(self, tmp_path):
         path = tmp_path / "enc.json"
-        lexical = {"kind": "lexical_baseline", "dims": 64, "seed": 0}
+        remote = {"kind": "remote", "endpoint": "http://a/e", "dims": 64}
+        tower = {"kind": "toy_dual_tower", "dims": 1, "matrix": [[1.0, 0.0]]}
         for obj, message in (
             ({"kind": "mystery", "dims": 4}, "unknown kind 'mystery'"),
+            # a spec string says all of this: lexical:64
+            ({"kind": "lexical_baseline", "dims": 64, "seed": 0}, "unknown kind 'lexical_baseline'"),
             ([], "must be an object"),
-            ({**lexical, "dims": 64.9}, "dims must be an integer, got 64.9"),
-            ({**lexical, "dims": True}, "dims must be an integer, got True"),
-            ({**lexical, "dims": "64"}, "dims must be an integer, got '64'"),
-            ({**lexical, "seed": 1.5}, "seed must be an integer, got 1.5"),
-            ({**lexical, "dims": 0}, "dims must be positive"),
-            ({"kind": "remote", "endpoint": 5, "dims": 4}, "endpoint must be a string, got 5"),
-            ({"kind": "remote", "endpoint": "http://a/e", "dims": -1}, "dims must be positive"),
-            (
-                {"kind": "toy_dual_tower", "dims": 1, "seed": 0, "matrix": [[1.0, True]]},
-                r"matrix\[0\]\[1\] must be a number, got True",
-            ),
-            ({"kind": "toy_dual_tower", "dims": 1, "seed": 0, "matrix": [[]]}, "non-empty"),
-            ({"kind": "toy_dual_tower", "dims": 2, "seed": 0, "matrix": [[1.0], []]}, "matrix: "),
+            ({**remote, "dims": 64.9}, "dims must be an integer, got 64.9"),
+            ({**remote, "dims": True}, "dims must be an integer, got True"),
+            ({**remote, "dims": "64"}, "dims must be an integer, got '64'"),
+            ({**remote, "dims": 0}, "dims must be positive"),
+            ({**remote, "endpoint": 5}, "endpoint must be a string, got 5"),
+            ({**remote, "dims": -1}, "dims must be positive"),
+            ({**tower, "hash_seed": 1.5}, "hash_seed must be an integer, got 1.5"),
+            # ignoring it would silently change every vector
+            ({**tower, "hash_seed": 3}, r"enc.json: hash_seed must be 0, got 3$"),
+            ({**tower, "matrix": [[1.0, True]]}, r"matrix\[0\]\[1\] must be a number, got True"),
+            ({**tower, "matrix": [[]]}, "non-empty"),
+            ({**tower, "dims": 2, "matrix": [[1.0], []]}, "matrix: "),
         ):
             path.write_text(json.dumps(obj), encoding="utf-8")
             with pytest.raises(FormatError, match=message):
@@ -416,18 +404,31 @@ class TestEncoderPersistence:
 
     def test_spec_saved_file(self, tmp_path):
         path = tmp_path / "enc.json"
-        save_encoder(LexicalEncoder(dims=16), path)
-        assert encoder_from_spec(str(path)).dims == 16
+        remote = {"kind": "remote", "endpoint": "http://localhost:9/embed", "dims": 16}
+        path.write_text(json.dumps(remote), encoding="utf-8")
+        assert encoder_from_spec(str(path)) == RemoteEncoder("http://localhost:9/embed", dims=16)
+        save_encoder(DualTowerEncoder(matrix=np.eye(8, 32)), path)
+        assert encoder_from_spec(str(path)).dims == 8
 
 
 class TestEncoderProvenance:
     def test_spec_is_a_json_object_read_without_a_call(self, tmp_path):
         tower = train_dual_tower(_PAIRS, dims=8, epochs=2, seed=1).encoder
-        for enc, spec in (
-            (LexicalEncoder(dims=32, seed=4), {"kind": "lexical_baseline", "dims": 32, "seed": 4}),
+        path = tmp_path / "enc.json"
+        path.write_text(
+            json.dumps({"kind": "remote", "endpoint": "http://localhost:9/embed", "dims": 8}),
+            encoding="utf-8",
+        )
+        for enc, spec, described in (
+            (
+                LexicalEncoder(dims=32),
+                {"kind": "lexical_baseline", "dims": 32, "seed": 0},
+                "lexical:32",
+            ),
             (
                 RemoteEncoder("http://localhost:9/embed", dims=8),
                 {"kind": "remote", "dims": 8, "endpoint": "http://localhost:9/embed"},
+                str(path),
             ),
             (
                 tower,
@@ -437,14 +438,15 @@ class TestEncoderProvenance:
                     "hash_seed": 0,
                     "matrix_sha256": hashlib.sha256(tower.matrix.tobytes()).hexdigest(),
                 },
+                str(tmp_path / "tower.json"),
             ),
         ):
             # Not a method: a proxy that times every method call must see a value.
             assert enc.spec == spec and not callable(enc.spec)
             assert json.loads(json.dumps(enc.spec)) == spec
-            path = tmp_path / "enc.json"
-            save_encoder(enc, path)
-            assert load_encoder(path).spec == spec
+            if enc is tower:
+                save_encoder(enc, described)
+            assert encoder_from_spec(described).spec == spec
 
     def test_spec_tells_apart_encoders_of_one_width(self):
         matrix = np.eye(8, 32)
@@ -452,10 +454,8 @@ class TestEncoderProvenance:
         nudged[0, 0] = np.nextafter(1.0, 2.0)
         specs = [
             LexicalEncoder(dims=8).spec,
-            LexicalEncoder(dims=8, seed=1).spec,
             DualTowerEncoder(matrix=matrix).spec,
             DualTowerEncoder(matrix=nudged).spec,
-            DualTowerEncoder(matrix=matrix, hash_seed=1).spec,
             RemoteEncoder("http://a/embed", dims=8).spec,
             RemoteEncoder("http://b/embed", dims=8).spec,
         ]

@@ -227,6 +227,21 @@ class TestLoadBenchmark:
             with pytest.raises(BenchmarkError, match=message):
                 load_benchmark(self._write(tmp_path, mutate))
 
+    def test_unknown_keys_are_refused(self, tmp_path):
+        """A misspelt optional key would otherwise be silently ignored: here
+        every truth with a factor would be priced, or a truth keep its unit."""
+        for mutate, where, keys in (
+            (lambda o: o.update(inventory_key=["electricity_use"]), "", "inventory_key"),
+            (lambda o: o["truths"][0].update(unit_="MWh"), "truths[0]: ", "unit_"),
+            (lambda o: o["queries"][1].update(fact_key="x", id="q"), "queries[1]: ", "fact_key, id"),
+            (lambda o: o["datasources"][2].update(industry="x"), "datasources[2]: ", "industry"),
+        ):
+            path = self._write(tmp_path, mutate)
+            with pytest.raises(BenchmarkError) as err:
+                load_benchmark(path)
+            assert str(err.value) == f"benchmark {path}: {where}unknown keys: {keys}"
+            assert err.value.stage_name == "benchmark"
+
     def test_unknown_scope_rejected(self, tmp_path):
         path = self._write(tmp_path, lambda o: o.update(scope="gate_to_gate"))
         with pytest.raises(BenchmarkError, match="scope"):

@@ -17,7 +17,6 @@ import fixtures
 from carbonrag import (
     CarbonRagError,
     Catalog,
-    LexicalEncoder,
     RemoteEncoder,
     RunConfig,
     ScriptedMockBackend,
@@ -105,7 +104,12 @@ _REPORT = {
     "metadata": {"k": 5},
     "generated_at": "",
 }
-_MANIFEST = {"format": "carbonrag-index", "version": 1, "ids": ["d:00000000-00000005"]}
+_MANIFEST = {
+    "format": "carbonrag-index",
+    "version": 1,
+    "ids": ["d:00000000-00000005"],
+    "encoder": {"kind": "lexical_baseline", "dims": 2, "seed": 0},
+}
 
 
 def _load_index(path, data):
@@ -152,12 +156,12 @@ _READERS = {
     ),
     "encoder": (
         _files(
-            {"kind": "lexical_baseline", "dims": 8, "seed": 0},
-            {"kind": "toy_dual_tower", "dims": 2, "seed": 0, "matrix": [[1, 0.5], [0, 2]]},
+            {"kind": "toy_dual_tower", "dims": 2, "matrix": [[1, 0.5], [0, 2]]},
+            {"kind": "toy_dual_tower", "dims": 1, "seed": 0, "hash_seed": 0, "matrix": [[1, 0]]},
             {"kind": "remote", "endpoint": "http://localhost:9/embed", "dims": 4},
         ),
         _from_file(load_encoder),
-        (LexicalEncoder, DualTowerEncoder, RemoteEncoder),
+        (DualTowerEncoder, RemoteEncoder),
     ),
     "config": (
         _files({"encoder": "lexical", "k": 3, "chunk_size": 400, "overlap": 5, "backend": None}),

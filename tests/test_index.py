@@ -14,10 +14,14 @@ from carbonrag.errors import FormatError, InputError
 from carbonrag.evaluation import answer_query
 
 
+# The spec a saved index records; its rows here are not this encoder's.
+_SPEC = LexicalEncoder(dims=2).spec
+
+
 def _random_index(rng, n, dims):
     rows = rng.normal(size=(n, dims))
     unit_rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    return VectorIndex([f"doc:{i:08d}" for i in range(n)], unit_rows)
+    return VectorIndex([f"doc:{i:08d}" for i in range(n)], unit_rows, encoder_spec=_SPEC)
 
 
 def _brute_force(index, query, k):
@@ -201,7 +205,7 @@ class TestValidation:
 
 def _manifest(ids, **fields):
     return json.dumps(
-        {"format": "carbonrag-index", "version": 1, "ids": ids, "encoder": None, **fields}
+        {"format": "carbonrag-index", "version": 1, "ids": ids, "encoder": _SPEC, **fields}
     )
 
 
@@ -265,7 +269,7 @@ class TestPersistence:
 
     def test_non_ascii_ids_round_trip_exactly(self, tmp_path):
         ids = ["électricité:0", "电池:00000000-00000010", "c\x00", "c:0\x00\x00", "\U0001f600", "CO₂"]
-        index = VectorIndex(ids, np.eye(len(ids)))
+        index = VectorIndex(ids, np.eye(len(ids)), encoder_spec=_SPEC)
         index.save(tmp_path / "index.json")
         loaded = VectorIndex.load(tmp_path / "index.json")
         assert [e.chunk_id for e in loaded.entries()] == sorted(ids)
@@ -273,15 +277,19 @@ class TestPersistence:
             assert loaded.top_k(np.eye(len(ids))[i], k=1)[0].chunk_id == chunk_id
 
     def test_encoder_spec_round_trips(self, tmp_path):
-        encoder = LexicalEncoder(dims=16, seed=3)
         chunks = [SimpleNamespace(chunk_id="d:00000000-00000005", text="anode carbon")]
-        for index, spec in (
-            (build_index(chunks, encoder), {"kind": "lexical_baseline", "dims": 16, "seed": 3}),
-            (VectorIndex(["c:0"], [[1.0, 0.0]]), None),
-        ):
-            assert index.encoder_spec == spec
-            index.save(tmp_path / "index.json")
-            assert VectorIndex.load(tmp_path / "index.json").encoder_spec == spec
+        index = build_index(chunks, LexicalEncoder(dims=16))
+        assert index.encoder_spec == {"kind": "lexical_baseline", "dims": 16, "seed": 0}
+        index.save(tmp_path / "index.json")
+        assert VectorIndex.load(tmp_path / "index.json").encoder_spec == index.encoder_spec
+
+    def test_an_index_without_its_encoder_is_not_saved(self, tmp_path):
+        """An index that does not name its encoder could not be checked by ``query``."""
+        bare = VectorIndex(["c:0"], [[1.0, 0.0]])
+        assert bare.top_k(np.array([1.0, 0.0]), k=1)[0].chunk_id == "c:0"
+        with pytest.raises(InputError, match="cannot save an index without the spec"):
+            bare.save(tmp_path / "index.json")
+        assert not (tmp_path / "index.json").exists()
 
     def test_load_rejects_duplicate_ids(self, tmp_path):
         path = tmp_path / "index.json"
@@ -362,7 +370,9 @@ class TestPersistence:
             (_manifest("c:0"), "manifest: ids must be a list, got 'c:0'"),
             (_manifest({"c:0": 0}), "manifest: ids must be a list, got {"),
             (_manifest(None), "manifest: ids must be a list, got None"),
-            (_manifest(["c:0"], encoder="lexical"), "manifest: encoder must be an object or null"),
+            (_manifest(["c:0"], encoder="lexical"), "manifest: encoder must be an object, got"),
+            (_manifest(["c:0"], encoder=None), "manifest: encoder must be an object, got None"),
+            (json.dumps({"format": "carbonrag-index", "version": 1, "ids": []}), "missing 'encoder'"),
             (_manifest(["c\udc00"]), r"manifest holds a lone surrogate '\\udc00'"),
         ):
             _write_archive(path, matrix=np.array([[1.0, 0.0]]), manifest=np.array(manifest))
