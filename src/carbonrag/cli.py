@@ -100,6 +100,8 @@ def _print_result(result, catalog) -> None:
 
 
 def cmd_query(args) -> int:
+    if args.interactive and args.question is not None:
+        raise ConfigError("give a question or use --interactive, not both")
     if not args.interactive and not (args.question or "").strip():
         raise ConfigError("provide a question or use --interactive")
     config = _effective_config(args)
@@ -151,6 +153,7 @@ def _parse_fact_entries(path: str) -> list[InventoryItem]:
     root = read_json(path, "facts", FormatError)
     items = []
     for entry in (root.at("facts") if isinstance(root.value, dict) else root).elements():
+        entry.only_keys(("activity", "key", "value", "unit", "lifecycle_stage", "sources"))
         activity = entry.get("activity", str, default=None) or entry.get("key", str)
         quantity = entry.get("value", Quantity.from_json_value)
         unit = entry.get("unit", str)

@@ -82,12 +82,10 @@ class RunConfig:
         """The set fields; a field left None is omitted, as a config file omits it."""
         return {k: v for k, v in dataclasses.asdict(self).items() if v is not None}
 
-    def require(self, field_name: str, *, must_exist: bool = False) -> str:
+    def require(self, field_name: str) -> str:
         value = getattr(self, field_name)
         if not value:
             raise ConfigError(f"config is missing {field_name}")
-        if must_exist and not Path(value).exists():
-            raise ConfigError(f"{field_name} {value!r} does not exist")
         return value
 
     def build_encoder(self):

@@ -249,9 +249,11 @@ class Catalog:
     def chunk_all(
         self, chunk_size: int = DEFAULT_CHUNK_SIZE, overlap: int = DEFAULT_OVERLAP
     ) -> list[Chunk]:
+        """Every document's chunks but those of whitespace only, which have
+        nothing to embed or retrieve."""
         chunks: list[Chunk] = []
         for doc in self._documents.values():
-            chunks.extend(segment(doc, chunk_size, overlap))
+            chunks.extend(c for c in segment(doc, chunk_size, overlap) if not c.text.isspace())
         return chunks
 
     def resolve_chunk(self, chunk_id: str) -> Chunk:

@@ -251,6 +251,9 @@ def load_benchmark(path: str | Path) -> Benchmark:
         ds.expect(dict[str, str])
         ds.get("source", SourceKind)
         ds.at("payload")
+    true_footprint = root.get("true_footprint", float)
+    if true_footprint == 0:  # refused before any question is paid for, as AD would divide by it
+        raise BenchmarkError(f"{root.at('true_footprint').where} must not be zero")
     inventory_keys = root.get("inventory_keys", list[str], default=None, nullable=True)
     stages = root.at("lifecycle_stages", default={})
     return Benchmark(
@@ -258,7 +261,7 @@ def load_benchmark(path: str | Path) -> Benchmark:
         datasources=tuple(ds.value for ds in datasources),
         queries=tuple(queries),
         truths=tuple(truths),
-        true_footprint=root.get("true_footprint", float),
+        true_footprint=true_footprint,
         factor_db_path=path.parent / root.get("factor_db", str),
         functional_unit=root.get("functional_unit", str, default="unit"),
         scope=root.get("scope", Scope, default=Scope.CRADLE_TO_GATE),
@@ -410,7 +413,7 @@ class MetricsReport:
 
 @contextmanager
 def _stage(name: str):
-    """Tag any pipeline error with the stage it came from."""
+    """Tag an untagged pipeline error with one of ``answer_query``'s steps."""
     try:
         yield
     except CarbonRagError as exc:
@@ -481,54 +484,46 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
     ``max_in_flight`` at a time and their results merged in file order, so
     the first extraction of a key wins and the report is the same as one
     from answering them one by one.
-    Any failure aborts with the owning stage's name attached; when several
+    Any failure aborts the run. A set-up failure keeps the stage it was
+    raised with, the same one the command that owns that step reports; a
+    question's failure is tagged by ``answer_query``. When several
     questions fail, the first in file order is reported, and questions not
     yet started are cancelled. An unwritable ``report_out`` fails before
     any question is asked.
     """
     if config.report_out is not None:
         check_writable(config.report_out, "report")
-    with _stage("benchmark"):
-        bench = load_benchmark(config.require("benchmark_path", must_exist=True))
-        factors = EmissionFactorDb.from_csv(bench.factor_db_path)
-
-    with _stage("config"):
-        if encoder is None:
-            encoder = config.build_encoder()
-        if backend is None:
-            backend = config.build_backend()
+    bench = load_benchmark(config.require("benchmark_path"))
+    factors = EmissionFactorDb.from_csv(bench.factor_db_path)
+    if encoder is None:
+        encoder = config.build_encoder()
+    if backend is None:
+        backend = config.build_backend()
 
     warnings: list[str] = []
 
-    with _stage("ingest"):
-        catalog = Catalog()
-        for ds in bench.datasources:
-            source, payload = ds["source"], ds["payload"]
-            if source == "local_file":
-                payload = str(bench.base_dir / payload)
-            metadata = {k: v for k, v in ds.items() if k in _DATASOURCE_METADATA}
-            catalog.ingest(source, payload, metadata)
-        docs = catalog.documents
-
-    with _stage("strategy"):
-        length_class = classify_datasource(docs, config.length_threshold)
-        strategy = select_strategy(length_class)
-
-    with _stage("segment"):
-        chunks = catalog.chunk_all(config.chunk_size, config.overlap)
+    catalog = Catalog()
+    for ds in bench.datasources:
+        source, payload = ds["source"], ds["payload"]
+        if source == "local_file":
+            payload = str(bench.base_dir / payload)
+        metadata = {k: v for k, v in ds.items() if k in _DATASOURCE_METADATA}
+        catalog.ingest(source, payload, metadata)
+    docs = catalog.documents
+    strategy = select_strategy(classify_datasource(docs, config.length_threshold))
+    chunks = catalog.chunk_all(config.chunk_size, config.overlap)
 
     index = None
     vectors = [None] * len(bench.queries)
     if strategy is Strategy.RAG_LONG:
         # One request for the chunks and the questions: an encoder computes
         # each row from its own text only, so the rows equal two calls'.
-        with _stage("index"):
-            texts = [c.text for c in chunks] + [q.query_text for q in bench.queries]
-            rows = encoder.embed_batch(texts)
-            index = VectorIndex(
-                [c.chunk_id for c in chunks], rows[: len(chunks)], encoder_spec=encoder.spec
-            )
-            vectors = rows[len(chunks) :]
+        texts = [c.text for c in chunks] + [q.query_text for q in bench.queries]
+        rows = encoder.embed_batch(texts)
+        index = VectorIndex(
+            [c.chunk_id for c in chunks], rows[: len(chunks)], encoder_spec=encoder.spec
+        )
+        vectors = rows[len(chunks) :]
 
     def answer(query: BenchmarkQuery, vector) -> QueryResult:
         return answer_query(
@@ -569,56 +564,52 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
 
     truth_map = {t.fact_key: t for t in bench.truths}
 
-    with _stage("accounting"):
-        if bench.inventory_keys is not None:
-            inventory_keys = list(bench.inventory_keys)
-        else:
-            inventory_keys = [t.fact_key for t in bench.truths if t.fact_key in factors]
-        items = []
-        for key in inventory_keys:
-            fact = facts_by_key.get(key)
-            if fact is None:
-                warnings.append(f"inventory activity {key!r} was not retrieved")
-                continue
-            try:
-                items.append(
-                    InventoryItem(
-                        activity=key,
-                        quantity=fact.value,
-                        unit=fact.unit,
-                        lifecycle_stage=bench.lifecycle_stages.get(
-                            key, LifecycleStage.RAW_MATERIAL
-                        ),
-                    )
-                )
-            except ValueError as exc:
-                raise AccountingError(str(exc)) from None
-        footprint = compute_footprint(items, factors, bench.scope, bench.functional_unit)
-
-    with _stage("score"):
-        irr = compute_irr(facts_by_key.keys(), truth_map.keys())
-        matched = [f for f in facts_by_key.values() if f.fact_key in truth_map]
-        id_pct = compute_id(matched, bench.truths)
-        ad = compute_ad(footprint, bench.true_footprint)
-
-        per_fact = []
-        for key in sorted(truth_map):
-            truth = truth_map[key]
-            fact = facts_by_key.get(key)
-            deviation = None
-            if fact is not None and truth.true_value != 0:
-                deviation = fact_deviation(fact, truth)
-            per_fact.append(
-                PerFactRecord(
-                    fact_key=key,
-                    retrieved=fact is not None,
-                    deviation_pct=deviation,
-                    true_value=truth.true_value,
-                    true_unit=truth.unit,
-                    extracted_value=None if fact is None else fact.value.as_json_value(),
-                    extracted_unit=None if fact is None else fact.unit,
+    if bench.inventory_keys is not None:
+        inventory_keys = list(bench.inventory_keys)
+    else:
+        inventory_keys = [t.fact_key for t in bench.truths if t.fact_key in factors]
+    items = []
+    for key in inventory_keys:
+        fact = facts_by_key.get(key)
+        if fact is None:
+            warnings.append(f"inventory activity {key!r} was not retrieved")
+            continue
+        try:
+            items.append(
+                InventoryItem(
+                    activity=key,
+                    quantity=fact.value,
+                    unit=fact.unit,
+                    lifecycle_stage=bench.lifecycle_stages.get(key, LifecycleStage.RAW_MATERIAL),
                 )
             )
+        except ValueError as exc:
+            raise AccountingError(str(exc)) from None
+    footprint = compute_footprint(items, factors, bench.scope, bench.functional_unit)
+
+    irr = compute_irr(facts_by_key.keys(), truth_map.keys())
+    matched = [f for f in facts_by_key.values() if f.fact_key in truth_map]
+    id_pct = compute_id(matched, bench.truths)
+    ad = compute_ad(footprint, bench.true_footprint)
+
+    per_fact = []
+    for key in sorted(truth_map):
+        truth = truth_map[key]
+        fact = facts_by_key.get(key)
+        deviation = None
+        if fact is not None and truth.true_value != 0:
+            deviation = fact_deviation(fact, truth)
+        per_fact.append(
+            PerFactRecord(
+                fact_key=key,
+                retrieved=fact is not None,
+                deviation_pct=deviation,
+                true_value=truth.true_value,
+                true_unit=truth.unit,
+                extracted_value=None if fact is None else fact.value.as_json_value(),
+                extracted_unit=None if fact is None else fact.unit,
+            )
+        )
 
     metadata = {
         "encoder_kind": encoder.kind,

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._http import post_json
 from ._json import parse_json, read_json
-from .errors import ExtractionError, FormatError, InputError, MockMissError
+from .errors import ConfigError, ExtractionError, FormatError, InputError, MockMissError
 from .quantity import Quantity
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -146,7 +146,7 @@ def backend_from_spec(spec: str, *, model: str = "default"):
         return ScriptedMockBackend.from_file(spec.split(":", 1)[1])
     if spec.startswith("remote:"):
         return RemoteChatBackend(spec.split(":", 1)[1], model=model)
-    raise InputError(
+    raise ConfigError(
         f"unknown backend spec {spec!r} (expected 'mock:<script.json>' or 'remote:<url>')"
     )
 

@@ -54,9 +54,6 @@ class Quantity:
             raise ValueError(f"scale factor must be nonnegative, got {factor}")
         return Quantity(self.lower * factor, self.upper * factor)
 
-    def contains(self, other: "Quantity") -> bool:
-        return self.lower <= other.lower and other.upper <= self.upper
-
     def as_json_value(self):
         """Scalar for points, ``{"lower", "upper"}`` for proper ranges."""
         if self.is_point:

@@ -203,7 +203,7 @@ class TestComputeFootprint:
         pointed = [_item("electricity", 10.0, "kWh")]
         wide = compute_footprint(ranged, _DB).total
         mid = compute_footprint(pointed, _DB).total
-        assert wide.contains(mid)
+        assert wide.lower <= mid.lower and mid.upper <= wide.upper
 
 
 class TestFootprintReports:

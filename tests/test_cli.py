@@ -181,6 +181,19 @@ class TestIndexBuild:
         )
         assert len(VectorIndex.load(large)) < len(VectorIndex.load(small))
 
+    def test_whitespace_only_chunks_are_left_out(self, tmp_path, capsys):
+        # A run of 2,500 spaces holds two whole 1,000-character chunks; they
+        # have nothing to embed, and the lexical encoder refuses them.
+        body = fixtures.CORPUS_DOCS[0][2]
+        padded = tmp_path / "padded.txt"
+        padded.write_text(body[:1500] + " " * 2500 + body[1500:], encoding="utf-8")
+        for payload, source, kept in ((str(padded), "local_file", 12), ("   ", "raw_text", 0)):
+            catalog, index = tmp_path / f"{source}.json", tmp_path / f"{source}.npz"
+            assert main(["ingest", "--source", source, "--catalog", str(catalog), payload]) == 0
+            assert main(["index", "build", "--catalog", str(catalog), "--out", str(index)]) == 0
+            assert f"indexed {kept} chunks from 1 documents" in capsys.readouterr().out
+            assert len(VectorIndex.load(index)) == kept
+
 
 class TestTrainEncoder:
     def test_trains_and_saves_a_tower(self, tmp_path, capsys):
@@ -371,6 +384,31 @@ class TestQuery:
             assert code == 1
             assert capsys.readouterr().err == "[config] provide a question or use --interactive\n"
 
+    def test_question_with_interactive_is_refused(
+        self, pipeline_files, tmp_path, capsys, monkeypatch
+    ):
+        # Refused before anything is loaded or read, rather than dropping the question.
+        stdin = io.StringIO(f"{_QUESTION}\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = main(
+            [
+                "query",
+                _QUESTION,
+                "--interactive",
+                "--catalog",
+                str(pipeline_files["catalog"]),
+                "--index",
+                str(tmp_path / "absent.npz"),
+                "--backend",
+                f"mock:{pipeline_files['script']}",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "[config] give a question or use --interactive, not both\n"
+        assert captured.out == ""
+        assert stdin.tell() == 0
+
 
 class TestAccount:
     def _write_inputs(self, tmp_path):
@@ -436,6 +474,22 @@ class TestAccount:
         code = main(["account", "--facts", str(facts), "--factors", str(factors)])
         assert code == 0
         assert "total: 1 kgCO2e" in capsys.readouterr().out
+
+    def test_unknown_fact_keys_are_refused(self, tmp_path, capsys):
+        _, factors = self._write_inputs(tmp_path)
+        facts = tmp_path / "extracted.json"
+        argv = ["account", "--facts", str(facts), "--factors", str(factors)]
+        # Extraction output carries sources, so they are accepted.
+        entry = {"key": "electricity_use", "value": 2, "unit": "kWh", "sources": [1]}
+        facts.write_text(json.dumps([entry]), encoding="utf-8")
+        assert main(argv) == 0
+        assert "total: 1 kgCO2e" in capsys.readouterr().out
+        # Ignored, a misspelt lifecycle_stage would price the item as raw_material.
+        facts.write_text(json.dumps([{**entry, "lifecycle_stages": "use"}]), encoding="utf-8")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"[load] facts {facts}: [0]: unknown keys: lifecycle_stages\n"
+        )
 
     def test_missing_factor_reports_the_accounting_stage(self, tmp_path, capsys):
         _, factors = self._write_inputs(tmp_path)
@@ -507,6 +561,24 @@ class TestBenchAndReport:
         assert report_path.is_file()
         assert csv_path.is_file()
         assert MetricsReport.load(report_path).irr_pct == 100.0
+
+    def test_whitespace_only_datasource_is_scored(self, benchmark_tree, capsys):
+        # 5,000 spaces is a long datasource with no chunk worth embedding.
+        obj = fixtures.benchmark_obj()
+        obj["datasources"] = [{"source": "raw_text", "payload": " " * 5000}]
+        benchmark_tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
+        code = main(
+            [
+                "bench",
+                "--benchmark",
+                str(benchmark_tree.benchmark),
+                "--backend",
+                f"mock:{benchmark_tree.mock_perfect}",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "IRR: 100.00% (10/10 truth facts retrieved)" in captured.out
 
     def test_report_rerenders_a_saved_report(self, benchmark_tree, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -721,6 +793,15 @@ class _BadEmbeddingReply(http.server.BaseHTTPRequestHandler):
         pass
 
 
+# Commands that succeed on the fixture. A row below appends the flag it
+# breaks; given twice, a flag takes its last value.
+_QUERY = [
+    "query", _QUESTION, "--catalog", "{catalog}", "--index", "{index}",
+    "--backend", "mock:{script}",
+]
+_BENCH = ["bench", "--benchmark", "{benchmark}", "--backend", "mock:{mock}"]
+
+
 class TestOneStagePerFailure:
     """A failure reports the same stage whichever command meets it."""
 
@@ -764,6 +845,63 @@ class TestOneStagePerFailure:
             assert capsys.readouterr().err == (
                 "[accounting] no emission factor for: fluoride_consumption\n"
             ), argv
+
+    @pytest.mark.parametrize(
+        "first, second, stage",
+        [
+            ([*_QUERY, "--backend", "mock:{bad}"], [*_BENCH, "--backend", "mock:{bad}"], "load"),
+            ([*_QUERY, "--backend", "foo"], [*_BENCH, "--backend", "foo"], "config"),
+            ([*_QUERY, "--length-threshold", "0"], [*_BENCH, "--length-threshold", "0"], "config"),
+            ([*_QUERY, "--encoder", "{bad}"], [*_BENCH, "--encoder", "{bad}"], "load"),
+            (
+                ["index", "build", "--catalog", "{catalog}", "--out", "{out}", "--overlap", "-1"],
+                [*_BENCH, "--overlap", "-1"],
+                "config",
+            ),
+            (
+                ["account", "--facts", "{facts}", "--factors", "{bad_csv}"],
+                [*_BENCH, "--benchmark", "{bad_csv_benchmark}"],
+                "load",
+            ),
+        ],
+        ids=[
+            "malformed mock script",
+            "unknown backend",
+            "zero length threshold",
+            "malformed encoder file",
+            "negative overlap",
+            "malformed factor CSV",
+        ],
+    )
+    def test_both_commands_report_the_same_stage(
+        self, pipeline_files, benchmark_tree, tmp_path, capsys, first, second, stage
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[1, 2]", encoding="utf-8")
+        bad_csv = tmp_path / "bad.csv"
+        bad_csv.write_text("activity,factor\n", encoding="utf-8")
+        obj = fixtures.benchmark_obj()
+        obj["factor_db"] = str(bad_csv)
+        bad_csv_benchmark = tmp_path / "bad-csv-benchmark.json"
+        bad_csv_benchmark.write_text(json.dumps(obj), encoding="utf-8")
+        facts = tmp_path / "facts.json"
+        facts.write_text(
+            json.dumps([{"key": "electricity_use", "value": 1, "unit": "kWh"}]), encoding="utf-8"
+        )
+        paths = {
+            **pipeline_files,
+            "benchmark": benchmark_tree.benchmark,
+            "mock": benchmark_tree.mock_perfect,
+            "bad": bad,
+            "bad_csv": bad_csv,
+            "bad_csv_benchmark": bad_csv_benchmark,
+            "facts": facts,
+            "out": tmp_path / "out.npz",
+        }
+        for argv in (first, second):
+            assert main([arg.format(**paths) for arg in argv]) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"[{stage}] "), (argv, captured.err)
 
 
 _UNREADABLE = {"non-utf8": b"\xff\xfe[]", "deep-nesting": b"[" * 200_000}

@@ -23,7 +23,7 @@ from carbonrag import (
     run_benchmark,
 )
 from carbonrag.accounting import Scope
-from carbonrag.errors import BenchmarkError, ConfigError, FormatError, MockMissError
+from carbonrag.errors import BenchmarkError, FormatError, MockMissError
 from carbonrag.evaluation import (
     AccountingDeviation,
     GroundTruthRecord,
@@ -337,6 +337,16 @@ class TestRunBenchmark:
         assert backend.calls == []
         assert not (tmp_path / "missing").exists()
 
+    def test_zero_true_footprint_fails_before_any_question(self, benchmark_tree):
+        # AD divides by the true footprint, so the run could not be scored.
+        obj = fixtures.benchmark_obj()
+        obj["true_footprint"] = 0
+        benchmark_tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
+        backend = ScriptedMockBackend(fixtures.PERFECT_SCRIPT)
+        with pytest.raises(BenchmarkError, match=r"benchmark\.json: true_footprint must not be zero"):
+            run_benchmark(_config(benchmark_tree), backend=backend)
+        assert backend.calls == []
+
     def test_explicit_encoder_is_used(self, benchmark_tree):
         backend = ScriptedMockBackend(fixtures.PERFECT_SCRIPT)
         report = run_benchmark(
@@ -347,9 +357,8 @@ class TestRunBenchmark:
 
     def test_missing_benchmark_is_tagged_with_its_stage(self, tmp_path):
         config = RunConfig(benchmark_path=str(tmp_path / "missing.json"))
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(BenchmarkError, match=r"cannot load benchmark .*missing\.json") as err:
             run_benchmark(config)
-        assert err.value.stage == "benchmark"
         assert err.value.stage_name == "benchmark"
 
     def test_mock_miss_is_tagged_generate(self, benchmark_tree):
@@ -370,7 +379,7 @@ class TestRunBenchmark:
             bench.write_text(json.dumps(obj), encoding="utf-8")
             with pytest.raises(BenchmarkError, match=message) as err:
                 run_benchmark(config, backend=ScriptedMockBackend({}))
-            assert err.value.stage == "benchmark"
+            assert err.value.stage_name == "benchmark"
 
 
 def _mock_answer(facts):

@@ -14,9 +14,9 @@ from carbonrag import (
     parse_extraction,
 )
 from carbonrag.errors import (
+    ConfigError,
     ExtractionError,
     FormatError,
-    InputError,
     MockMissError,
     TransportError,
 )
@@ -370,5 +370,5 @@ class TestBackendSpecs:
         assert backend.model == "m"
 
     def test_unknown_spec_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigError):
             backend_from_spec("carrier-pigeon:coop")

@@ -48,12 +48,6 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="nonnegative"):
             Quantity.point(1.0).scale(-2.0)
 
-    def test_contains(self):
-        outer = Quantity.range(0.0, 10.0)
-        assert outer.contains(Quantity.point(5.0))
-        assert outer.contains(Quantity.range(2.0, 8.0))
-        assert not outer.contains(Quantity.range(5.0, 11.0))
-
 
 class TestJsonMapping:
     def test_point_maps_to_scalar(self):
