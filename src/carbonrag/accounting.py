@@ -234,6 +234,33 @@ class FootprintResult:
         write_file(path, "footprint CSV", write)
 
 
+def check_inventory(
+    stages: Iterable[tuple[str, LifecycleStage]],
+    factors: EmissionFactorDb,
+    scope: Scope = Scope.CRADLE_TO_GATE,
+) -> None:
+    """Refuse an inventory, as (activity, stage) pairs, that cannot be priced.
+
+    Every activity needs a factor; any that lack one are named in full,
+    never priced as a partial total. A cradle-to-gate scope admits no use or
+    end-of-life item.
+    """
+    stages = list(stages)
+    missing = sorted({activity for activity, _ in stages if activity not in factors})
+    if missing:
+        raise AccountingError(
+            "no emission factor for: " + ", ".join(missing),
+            missing_activities=missing,
+        )
+    if scope is Scope.CRADLE_TO_GATE:
+        out_of_scope = sorted({activity for activity, stage in stages if stage not in _GATE_STAGES})
+        if out_of_scope:
+            raise AccountingError(
+                "cradle-to-gate scope excludes use/end-of-life items: "
+                + ", ".join(out_of_scope)
+            )
+
+
 def compute_footprint(
     items: Sequence[InventoryItem],
     factors: EmissionFactorDb,
@@ -242,24 +269,10 @@ def compute_footprint(
 ) -> FootprintResult:
     """Aggregate inventory items into a footprint with interval propagation.
 
-    Every item needs a factor; any that lack one abort the whole run with
-    the full list of unmatched activities, never a partial total.
+    ``check_inventory`` runs first, so an item without a factor or outside
+    the scope aborts the whole run, never yielding a partial total.
     """
-    missing = sorted({i.activity for i in items if i.activity not in factors})
-    if missing:
-        raise AccountingError(
-            "no emission factor for: " + ", ".join(missing),
-            missing_activities=missing,
-        )
-    if scope is Scope.CRADLE_TO_GATE:
-        out_of_scope = sorted(
-            {i.activity for i in items if i.lifecycle_stage not in _GATE_STAGES}
-        )
-        if out_of_scope:
-            raise AccountingError(
-                "cradle-to-gate scope excludes use/end-of-life items: "
-                + ", ".join(out_of_scope)
-            )
+    check_inventory(((i.activity, i.lifecycle_stage) for i in items), factors, scope)
 
     contributions: list[ItemContribution] = []
     total = Quantity.point(0.0)

@@ -105,6 +105,8 @@ def cmd_query(args) -> int:
     if not args.interactive and not (args.question or "").strip():
         raise ConfigError("provide a question or use --interactive")
     config = _effective_config(args)
+    if config.index_path and not config.catalog_path:
+        raise ConfigError("--index needs --catalog, the catalog the index was built from")
     catalog = Catalog.load(config.catalog_path) if config.catalog_path else Catalog()
     index = VectorIndex.load(config.index_path) if config.index_path else None
     encoder = config.build_encoder()

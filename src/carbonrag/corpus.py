@@ -126,13 +126,16 @@ def segment(
 def classify_datasource(
     docs: Iterable[Document], threshold: int = DEFAULT_LENGTH_THRESHOLD
 ) -> LengthClass:
-    """Classify the combined datasource by total body length."""
+    """Classify the combined datasource by total body length.
+
+    A body of whitespace only holds no chunk, so it counts for nothing, and
+    a datasource of no length at all is ``NONE``.
+    """
     if threshold <= 0:
         raise ConfigError(f"length threshold must be positive, got {threshold}")
-    docs = list(docs)
-    if not docs:
+    total = sum(len(d.body) for d in docs if not d.body.isspace())
+    if total == 0:
         return LengthClass.NONE
-    total = sum(len(d.body) for d in docs)
     return LengthClass.SHORT if total <= threshold else LengthClass.LONG
 
 

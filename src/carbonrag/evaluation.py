@@ -16,13 +16,14 @@ decimals happens only in the human summary.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as _dt
 import json
 import logging
 from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -37,6 +38,7 @@ from .accounting import (
     ItemContribution,
     LifecycleStage,
     Scope,
+    check_inventory,
     compute_footprint,
     convert_unit,
 )
@@ -74,13 +76,6 @@ class AccountingDeviation:
     at_upper_pct: float
     ad_pct: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "at_lower_pct": self.at_lower_pct,
-            "at_upper_pct": self.at_upper_pct,
-            "ad_pct": self.ad_pct,
-        }
-
 
 @dataclass(frozen=True)
 class PerFactRecord:
@@ -91,17 +86,6 @@ class PerFactRecord:
     true_unit: str
     extracted_value: float | dict | None = None
     extracted_unit: str | None = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "fact_key": self.fact_key,
-            "retrieved": self.retrieved,
-            "deviation_pct": self.deviation_pct,
-            "true_value": self.true_value,
-            "true_unit": self.true_unit,
-            "extracted_value": self.extracted_value,
-            "extracted_unit": self.extracted_unit,
-        }
 
 
 def compute_irr(retrieved_keys: Iterable[str], truth_keys: Iterable[str]) -> float:
@@ -192,19 +176,23 @@ class BenchmarkQuery:
 
 @dataclass(frozen=True)
 class Benchmark:
-    """Parsed benchmark file with paths resolved against its directory."""
+    """A benchmark file, resolved and checked when it is read.
+
+    Each datasource is ``(source, payload, metadata)``, a ``local_file``
+    payload joined to the benchmark's directory. ``inventory`` maps each
+    activity to price, in inventory order, to its lifecycle stage; every
+    activity has a factor in ``factors`` and a stage inside ``scope``.
+    """
 
     industry: str
-    datasources: tuple[Mapping, ...]
+    datasources: tuple[tuple[SourceKind, str, dict[str, str]], ...]
     queries: tuple[BenchmarkQuery, ...]
     truths: tuple[GroundTruthRecord, ...]
     true_footprint: float
-    factor_db_path: Path
+    factors: EmissionFactorDb
+    inventory: Mapping[str, LifecycleStage]
     functional_unit: str = "unit"
     scope: Scope = Scope.CRADLE_TO_GATE
-    inventory_keys: tuple[str, ...] | None = None
-    lifecycle_stages: Mapping[str, LifecycleStage] = field(default_factory=dict)
-    base_dir: Path = Path(".")
 
 
 # The keys each object of a benchmark file may hold.
@@ -218,6 +206,15 @@ _DATASOURCE_METADATA = ("doc_id", "title", "industry_tag", "fetched_at")
 
 
 def load_benchmark(path: str | Path) -> Benchmark:
+    """Read, resolve and check a benchmark file, and its factor CSV.
+
+    Everything that could stop a run before it is scored is refused here,
+    before any question is asked: a blank question, a zero true footprint,
+    a repeated inventory activity, a ``lifecycle_stages`` key that is not an
+    inventory activity, and an inventory activity without a factor or, under
+    ``cradle_to_gate``, with a use or end-of-life stage. The inventory is
+    ``inventory_keys``, or else every truth that has a factor.
+    """
     path = Path(path)
     root = read_json(path, "benchmark", BenchmarkError).only_keys(_BENCHMARK_KEYS)
     industry = root.get("industry", str)
@@ -245,29 +242,47 @@ def load_benchmark(path: str | Path) -> Benchmark:
         repeated = [key for key, count in Counter(keys).items() if count > 1]
         if repeated:
             root.fail(f"duplicate {name} {repeated[0]!r}")
-    datasources = root.at("datasources", default=[]).elements()
-    for ds in datasources:
+    datasources = []
+    for ds in root.at("datasources", default=[]).elements():
         ds.only_keys(("source", "payload", *_DATASOURCE_METADATA))
-        ds.expect(dict[str, str])
-        ds.get("source", SourceKind)
-        ds.at("payload")
+        fields = ds.expect(dict[str, str])
+        source, payload = ds.get("source", SourceKind), ds.get("payload", str)
+        if source is SourceKind.LOCAL_FILE:
+            payload = str(path.parent / payload)
+        metadata = {k: v for k, v in fields.items() if k in _DATASOURCE_METADATA}
+        datasources.append((source, payload, metadata))
     true_footprint = root.get("true_footprint", float)
     if true_footprint == 0:  # refused before any question is paid for, as AD would divide by it
         raise BenchmarkError(f"{root.at('true_footprint').where} must not be zero")
-    inventory_keys = root.get("inventory_keys", list[str], default=None, nullable=True)
+    functional_unit = root.get("functional_unit", str, default="unit")
+    scope = root.get("scope", Scope, default=Scope.CRADLE_TO_GATE)
+    listed = root.at("inventory_keys", default=None)
+    activities = listed.expect(list[str], nullable=True)
     stages = root.at("lifecycle_stages", default={})
+    stage_of = {a: stages.get(a, LifecycleStage) for a in stages.expect(dict)}
+    if activities is not None:
+        seen = set()
+        for key in listed.elements():
+            if key.value in seen:
+                key.fail(f"duplicate inventory activity {key.value!r}")
+            seen.add(key.value)
+    factors = EmissionFactorDb.from_csv(path.parent / root.get("factor_db", str))
+    if activities is None:
+        activities = [t.fact_key for t in truths if t.fact_key in factors]
+    inventory = {a: stage_of.pop(a, LifecycleStage.RAW_MATERIAL) for a in activities}
+    if stage_of:  # what is left names no inventory activity
+        stages.at(next(iter(stage_of))).fail("not an inventory activity")
+    check_inventory(inventory.items(), factors, scope)
     return Benchmark(
         industry=industry,
-        datasources=tuple(ds.value for ds in datasources),
+        datasources=tuple(datasources),
         queries=tuple(queries),
         truths=tuple(truths),
         true_footprint=true_footprint,
-        factor_db_path=path.parent / root.get("factor_db", str),
-        functional_unit=root.get("functional_unit", str, default="unit"),
-        scope=root.get("scope", Scope, default=Scope.CRADLE_TO_GATE),
-        inventory_keys=None if inventory_keys is None else tuple(inventory_keys),
-        lifecycle_stages={a: stages.get(a, LifecycleStage) for a in stages.expect(dict)},
-        base_dir=path.parent,
+        factors=factors,
+        inventory=inventory,
+        functional_unit=functional_unit,
+        scope=scope,
     )
 
 
@@ -287,20 +302,8 @@ class MetricsReport:
     generated_at: str
 
     def to_json_obj(self) -> dict:
-        return {
-            "industry": self.industry,
-            "irr_pct": self.irr_pct,
-            "id_pct": self.id_pct,
-            "ad": self.ad.to_json_obj(),
-            "retrieved_count": self.retrieved_count,
-            "truth_count": self.truth_count,
-            "per_fact": [r.to_json_obj() for r in self.per_fact],
-            "footprint": self.footprint.to_json_obj(),
-            "true_footprint": self.true_footprint,
-            "warnings": list(self.warnings),
-            "metadata": dict(self.metadata),
-            "generated_at": self.generated_at,
-        }
+        """The fields by name; only ``footprint`` keeps its own JSON keys."""
+        return {**dataclasses.asdict(self), "footprint": self.footprint.to_json_obj()}
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
@@ -360,31 +363,19 @@ class MetricsReport:
         write_file(path, "report", lambda fh: fh.write(text))
 
     def write_per_fact_csv(self, path: str | Path) -> None:
+        """One column per ``PerFactRecord`` field: a string as it is, None
+        as an empty cell, any other value as JSON."""
+        names = [f.name for f in dataclasses.fields(PerFactRecord)]
+
+        def cell(value) -> str:
+            if value is None:
+                return ""
+            return value if isinstance(value, str) else json.dumps(value)
+
         def write(fh):
             writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "fact_key",
-                    "retrieved",
-                    "deviation_pct",
-                    "true_value",
-                    "true_unit",
-                    "extracted_value",
-                    "extracted_unit",
-                ]
-            )
-            for r in self.per_fact:
-                writer.writerow(
-                    [
-                        r.fact_key,
-                        str(r.retrieved).lower(),
-                        "" if r.deviation_pct is None else repr(r.deviation_pct),
-                        repr(r.true_value),
-                        r.true_unit,
-                        "" if r.extracted_value is None else json.dumps(r.extracted_value),
-                        r.extracted_unit or "",
-                    ]
-                )
+            writer.writerow(names)
+            writer.writerows([cell(getattr(r, name)) for name in names] for r in self.per_fact)
         write_file(path, "per-fact CSV", write)
 
     def summary_text(self) -> str:
@@ -477,7 +468,9 @@ def answer_query(
 def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsReport:
     """Run the full pipeline over a benchmark file and score it.
 
-    For the ``rag_long`` strategy the chunks and then the questions are
+    The benchmark, its factor CSV and its inventory are read and checked
+    by ``load_benchmark`` before any datasource is ingested or any question
+    asked. For the ``rag_long`` strategy the chunks and then the questions are
     embedded in one ``embed_batch`` call, whose first rows become the index
     and whose last rows are the question vectors; with a remote encoder
     that is one request. Questions are then answered up to the backend's
@@ -494,7 +487,6 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
     if config.report_out is not None:
         check_writable(config.report_out, "report")
     bench = load_benchmark(config.require("benchmark_path"))
-    factors = EmissionFactorDb.from_csv(bench.factor_db_path)
     if encoder is None:
         encoder = config.build_encoder()
     if backend is None:
@@ -503,11 +495,7 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
     warnings: list[str] = []
 
     catalog = Catalog()
-    for ds in bench.datasources:
-        source, payload = ds["source"], ds["payload"]
-        if source == "local_file":
-            payload = str(bench.base_dir / payload)
-        metadata = {k: v for k, v in ds.items() if k in _DATASOURCE_METADATA}
+    for source, payload, metadata in bench.datasources:
         catalog.ingest(source, payload, metadata)
     docs = catalog.documents
     strategy = select_strategy(classify_datasource(docs, config.length_threshold))
@@ -564,28 +552,17 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
 
     truth_map = {t.fact_key: t for t in bench.truths}
 
-    if bench.inventory_keys is not None:
-        inventory_keys = list(bench.inventory_keys)
-    else:
-        inventory_keys = [t.fact_key for t in bench.truths if t.fact_key in factors]
     items = []
-    for key in inventory_keys:
+    for key, stage in bench.inventory.items():
         fact = facts_by_key.get(key)
         if fact is None:
             warnings.append(f"inventory activity {key!r} was not retrieved")
             continue
         try:
-            items.append(
-                InventoryItem(
-                    activity=key,
-                    quantity=fact.value,
-                    unit=fact.unit,
-                    lifecycle_stage=bench.lifecycle_stages.get(key, LifecycleStage.RAW_MATERIAL),
-                )
-            )
+            items.append(InventoryItem(key, fact.value, fact.unit, stage))
         except ValueError as exc:
             raise AccountingError(str(exc)) from None
-    footprint = compute_footprint(items, factors, bench.scope, bench.functional_unit)
+    footprint = compute_footprint(items, bench.factors, bench.scope, bench.functional_unit)
 
     irr = compute_irr(facts_by_key.keys(), truth_map.keys())
     matched = [f for f in facts_by_key.values() if f.fact_key in truth_map]

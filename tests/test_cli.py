@@ -384,6 +384,24 @@ class TestQuery:
             assert code == 1
             assert capsys.readouterr().err == "[config] provide a question or use --interactive\n"
 
+    def test_index_without_a_catalog_is_refused(self, pipeline_files, tmp_path, capsys):
+        # Without the catalog the index's hits have no text, so the question
+        # would go out with no fragment. Refused before the index is loaded.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"index_path": str(pipeline_files["index"])}), encoding="utf-8")
+        for index in (
+            ["--index", str(pipeline_files["index"])],
+            ["--index", str(tmp_path / "absent.npz")],
+            ["--config", str(config)],
+        ):
+            code = main(["query", _QUESTION, *index, "--backend", f"mock:{pipeline_files['script']}"])
+            captured = capsys.readouterr()
+            assert code == 1, index
+            assert captured.err == (
+                "[config] --index needs --catalog, the catalog the index was built from\n"
+            ), index
+            assert captured.out == ""
+
     def test_question_with_interactive_is_refused(
         self, pipeline_files, tmp_path, capsys, monkeypatch
     ):
@@ -562,11 +580,12 @@ class TestBenchAndReport:
         assert csv_path.is_file()
         assert MetricsReport.load(report_path).irr_pct == 100.0
 
-    def test_whitespace_only_datasource_is_scored(self, benchmark_tree, capsys):
-        # 5,000 spaces is a long datasource with no chunk worth embedding.
+    def test_whitespace_only_datasource_is_scored(self, benchmark_tree, tmp_path, capsys):
+        # 5,000 spaces hold no chunk, so the questions go out with no datasource.
         obj = fixtures.benchmark_obj()
         obj["datasources"] = [{"source": "raw_text", "payload": " " * 5000}]
         benchmark_tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
+        report = tmp_path / "report.json"
         code = main(
             [
                 "bench",
@@ -574,11 +593,14 @@ class TestBenchAndReport:
                 str(benchmark_tree.benchmark),
                 "--backend",
                 f"mock:{benchmark_tree.mock_perfect}",
+                "--out",
+                str(report),
             ]
         )
         captured = capsys.readouterr()
         assert code == 0, captured.err
         assert "IRR: 100.00% (10/10 truth facts retrieved)" in captured.out
+        assert MetricsReport.load(report).metadata["strategy"] == "no_datasource"
 
     def test_report_rerenders_a_saved_report(self, benchmark_tree, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -915,7 +937,10 @@ class TestUnreadableFiles:
             (["ingest", "--source", "raw_text", "--catalog", "{bad}", "text"], "load"),
             (["index", "build", "--catalog", "{bad}", "--out", "{out}"], "load"),
             (["query", "--catalog", "{bad}", "--backend", "mock:{script}", "q"], "load"),
-            (["query", "--index", "{bad}", "--backend", "mock:{script}", "q"], "load"),
+            (
+                ["query", "--catalog", "{catalog}", "--index", "{bad}", "--backend", "mock:{script}", "q"],
+                "load",
+            ),
             (["query", "--encoder", "{bad}", "--backend", "mock:{script}", "q"], "load"),
             (["query", "--backend", "mock:{bad}", "q"], "load"),
             (["query", "--config", "{bad}", "q"], "config"),
@@ -936,9 +961,12 @@ class TestUnreadableFiles:
         facts.write_text(
             json.dumps([{"key": "electricity_use", "value": 1, "unit": "kWh"}]), encoding="utf-8"
         )
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text("[]", encoding="utf-8")
         paths = {
             "bad": bad,
             "out": tmp_path / "out.json",
+            "catalog": catalog,
             "facts": facts,
             "factors": benchmark_tree.factors,
             "script": benchmark_tree.mock_perfect,

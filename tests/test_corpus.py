@@ -114,6 +114,15 @@ class TestClassification:
     def test_empty_is_none(self):
         assert classify_datasource([]) is LengthClass.NONE
 
+    def test_empty_body_is_none(self):
+        assert classify_datasource([_doc("")]) is LengthClass.NONE
+
+    def test_whitespace_only_body_counts_for_nothing(self):
+        # 5,000 spaces hold no chunk, so there is nothing to retrieve from.
+        assert classify_datasource([_doc(" " * 5000)], 4000) is LengthClass.NONE
+        docs = [_doc(" \n\t" * 2000, "a"), _doc("x" * 400, "b")]
+        assert classify_datasource(docs, 4000) is LengthClass.SHORT
+
     def test_total_at_or_below_threshold_is_short(self):
         assert classify_datasource([_doc("x" * 400)], 4000) is LengthClass.SHORT
         assert classify_datasource([_doc("x" * 4000)], 4000) is LengthClass.SHORT

@@ -22,8 +22,9 @@ from carbonrag import (
     evaluation,
     run_benchmark,
 )
-from carbonrag.accounting import Scope
-from carbonrag.errors import BenchmarkError, FormatError, MockMissError
+from carbonrag.accounting import LifecycleStage, Scope
+from carbonrag.corpus import SourceKind
+from carbonrag.errors import AccountingError, BenchmarkError, FormatError, MockMissError
 from carbonrag.evaluation import (
     AccountingDeviation,
     GroundTruthRecord,
@@ -156,8 +157,24 @@ class TestLoadBenchmark:
         assert len(bench.truths) == 10
         assert bench.true_footprint == fixtures.TRUE_FOOTPRINT
         assert bench.scope is Scope.CRADLE_TO_GATE
-        assert bench.factor_db_path == benchmark_tree.root / "factors.csv"
-        assert bench.base_dir == benchmark_tree.root
+        # Resolved when read: the factors, the inventory and its stages, and
+        # each datasource's metadata.
+        assert all(key in bench.factors for key in fixtures.INVENTORY_KEYS)
+        assert list(bench.inventory.items()) == [
+            (key, LifecycleStage.RAW_MATERIAL) for key in fixtures.INVENTORY_KEYS
+        ]
+        assert bench.datasources == tuple(
+            (SourceKind.RAW_TEXT, body, {"doc_id": doc_id, "title": title})
+            for doc_id, title, body in fixtures.CORPUS_DOCS
+        )
+
+    def test_local_file_payload_is_joined_to_the_benchmark_directory(self, benchmark_tree):
+        obj = fixtures.benchmark_obj()
+        obj["datasources"] = [{"source": "local_file", "payload": "site.txt", "title": "t"}]
+        benchmark_tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
+        bench = load_benchmark(benchmark_tree.benchmark)
+        path = str(benchmark_tree.root / "site.txt")
+        assert bench.datasources == ((SourceKind.LOCAL_FILE, path, {"title": "t"}),)
 
     def test_fixture_object_is_a_fresh_copy(self):
         obj = fixtures.benchmark_obj()
@@ -258,6 +275,88 @@ class TestLoadBenchmark:
         path.write_text("{oops", encoding="utf-8")
         with pytest.raises(BenchmarkError):
             load_benchmark(path)
+
+    def test_lifecycle_stages_set_the_inventory_stages(self, benchmark_tree):
+        obj = fixtures.benchmark_obj()
+        obj["inventory_keys"] = ["transport_distance", "electricity_use"]
+        obj["lifecycle_stages"] = {"transport_distance": "distribution"}
+        benchmark_tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
+        inventory = load_benchmark(benchmark_tree.benchmark).inventory
+        assert list(inventory.items()) == [
+            ("transport_distance", LifecycleStage.DISTRIBUTION),
+            ("electricity_use", LifecycleStage.RAW_MATERIAL),
+        ]
+
+
+def _refused_before_any_question(tree, mutate, error, message):
+    """``mutate`` the fixture benchmark; loading it, and benchmarking it,
+    must fail with ``error`` matching ``message`` before any question."""
+    obj = fixtures.benchmark_obj()
+    mutate(obj)
+    tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(error, match=message):
+        load_benchmark(tree.benchmark)
+    backend = ScriptedMockBackend(fixtures.PERFECT_SCRIPT)
+    with pytest.raises(error, match=message) as err:
+        run_benchmark(_config(tree), backend=backend)
+    assert backend.calls == []
+    return err.value
+
+
+class TestInventoryIsCheckedWhenRead:
+    """An inventory that would be counted twice, ignored, or fail only after
+    every question was answered is refused when the benchmark is read."""
+
+    def test_a_repeated_activity_is_refused(self, benchmark_tree):
+        err = _refused_before_any_question(
+            benchmark_tree,
+            lambda o: o.update(inventory_keys=["electricity_use", "electricity_use"]),
+            BenchmarkError,
+            r"benchmark\.json: inventory_keys\[1\]: duplicate inventory activity 'electricity_use'$",
+        )
+        assert err.stage_name == "benchmark"
+
+    def test_a_stage_for_no_inventory_activity_is_refused(self, benchmark_tree):
+        for stages, key in (
+            ({"electricity_usee": "distribution"}, "electricity_usee"),
+            # a truth without a factor is not in the default inventory
+            ({"fluoride_consumption": "raw_material"}, "fluoride_consumption"),
+        ):
+            err = _refused_before_any_question(
+                benchmark_tree,
+                lambda o: o.update(lifecycle_stages=stages),
+                BenchmarkError,
+                rf"benchmark\.json: lifecycle_stages\.{key}: not an inventory activity$",
+            )
+            assert err.stage_name == "benchmark"
+
+    def test_an_activity_without_a_factor_is_refused(self, benchmark_tree):
+        err = _refused_before_any_question(
+            benchmark_tree,
+            lambda o: o.update(inventory_keys=["electricity_use", "fluoride_consumption"]),
+            AccountingError,
+            r"^no emission factor for: fluoride_consumption$",
+        )
+        assert err.stage_name == "accounting"
+        assert err.missing_activities == ["fluoride_consumption"]
+
+    def test_a_stage_outside_the_scope_is_refused(self, benchmark_tree):
+        err = _refused_before_any_question(
+            benchmark_tree,
+            lambda o: o.update(lifecycle_stages={"natural_gas_use": "use"}),
+            AccountingError,
+            r"^cradle-to-gate scope excludes use/end-of-life items: natural_gas_use$",
+        )
+        assert err.stage_name == "accounting"
+
+    def test_a_whole_lifecycle_scope_accepts_a_use_stage(self, benchmark_tree):
+        obj = fixtures.benchmark_obj()
+        obj.update(scope="cradle_to_grave", lifecycle_stages={"natural_gas_use": "use"})
+        benchmark_tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
+        report = _run_perfect(benchmark_tree)
+        assert report.ad.ad_pct == 0.0
+        stages = {c.activity: c.lifecycle_stage for c in report.footprint.per_item}
+        assert stages["natural_gas_use"] is LifecycleStage.USE
 
 
 def _config(tree, **kw):
@@ -510,6 +609,29 @@ class TestMetricsReport:
         path.write_text("{oops", encoding="utf-8")
         with pytest.raises(FormatError):
             MetricsReport.load(path)
+
+    def test_report_keys_and_csv_header_are_pinned(self, benchmark_tree, tmp_path):
+        # The keys come from the record fields' names: renaming a field must
+        # fail here rather than silently change the report format.
+        report = _run_perfect(benchmark_tree)
+        obj = report.to_json_obj()
+        assert set(obj) == {
+            "industry", "irr_pct", "id_pct", "ad", "retrieved_count", "truth_count",
+            "per_fact", "footprint", "true_footprint", "warnings", "metadata", "generated_at",
+        }
+        assert set(obj["ad"]) == {"at_lower_pct", "at_upper_pct", "ad_pct"}
+        for record in obj["per_fact"]:
+            assert set(record) == {
+                "fact_key", "retrieved", "deviation_pct", "true_value", "true_unit",
+                "extracted_value", "extracted_unit",
+            }
+        assert set(obj["footprint"]) == {"total_kgco2e", "functional_unit", "scope", "per_item"}
+        path = tmp_path / "per_fact.csv"
+        report.write_per_fact_csv(path)
+        assert path.read_text(encoding="utf-8").splitlines()[:2] == [
+            "fact_key,retrieved,deviation_pct,true_value,true_unit,extracted_value,extracted_unit",
+            "alumina_consumption,true,0.0,2.0,t,2.0,t",
+        ]
 
     def test_per_fact_csv_has_one_row_per_truth(self, benchmark_tree, tmp_path):
         report = _run_perfect(benchmark_tree)

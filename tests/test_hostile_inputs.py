@@ -217,7 +217,11 @@ _READERS = {
 
 @pytest.fixture(scope="module")
 def work_file(tmp_path_factory):
-    return tmp_path_factory.mktemp("hostile") / "input.json"
+    # The factor CSV that the benchmark's "factor_db" names, so a valid
+    # benchmark loads in full.
+    root = tmp_path_factory.mktemp("hostile")
+    (root / "factors.csv").write_text(fixtures.FACTORS_CSV, encoding="utf-8")
+    return root / "input.json"
 
 
 @pytest.mark.parametrize("name", list(_READERS))
