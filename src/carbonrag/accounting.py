@@ -70,15 +70,13 @@ _ALIASES = {
 }
 
 
-def convert_unit(
-    quantity: Quantity | float | int, from_unit: str, to_unit: str
-) -> Quantity | float:
-    """Convert a quantity between units of the same dimension.
+def convert_unit(quantity: Quantity, from_unit: str, to_unit: str) -> Quantity:
+    """Convert a quantity between units of the same dimension, bound-wise.
 
     Identical unit strings convert as the identity even when the unit is
     unknown, so free-form units (percentages, ratios, temperatures) pass
-    through untouched as long as both sides agree. Scalars come back as
-    floats, quantities as quantities.
+    through untouched as long as both sides agree; the identity returns
+    ``quantity`` itself.
     """
     src, dst = (_ALIASES.get(unit.strip(), unit.strip()) for unit in (from_unit, to_unit))
     factor = 1.0
@@ -94,11 +92,9 @@ def convert_unit(
                 "measure different dimensions"
             )
         factor = src_scale / dst_scale
-    if isinstance(quantity, Quantity):
-        if factor == 1.0:
-            return quantity
-        return Quantity(quantity.lower * factor, quantity.upper * factor)
-    return float(quantity) * factor
+    if factor == 1.0:
+        return quantity
+    return Quantity(quantity.lower * factor, quantity.upper * factor)
 
 
 @dataclass(frozen=True)
@@ -281,7 +277,6 @@ def compute_footprint(
         assert factor is not None
         try:
             converted = convert_unit(item.quantity, item.unit, factor.canonical_unit)
-            assert isinstance(converted, Quantity)
             contribution = converted.scale(factor.factor)
             total = total + contribution
         except ValueError as exc:  # a bound overflowed to infinity

@@ -21,7 +21,7 @@ from .accounting import (
     compute_footprint,
 )
 from .config import RunConfig
-from .corpus import Catalog, classify_datasource
+from .corpus import Catalog, check_chunking, classify_datasource
 from .embedding import TrainingPair, encoder_from_spec, save_encoder, train_dual_tower
 from .errors import CarbonRagError, ConfigError, FormatError
 from .evaluation import MetricsReport, answer_query, run_benchmark
@@ -54,6 +54,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_index_build(args) -> int:
+    check_chunking(args.chunk_size, args.overlap)
     catalog = Catalog.load(args.catalog)
     encoder = encoder_from_spec(args.encoder)
     chunks = catalog.chunk_all(args.chunk_size, args.overlap)

@@ -4,7 +4,8 @@ Flags override file values, file values override defaults. Every
 benchmark report embeds the effective configuration, less the fields that
 are unset, so ``bench --config`` on that object reruns the same benchmark.
 The prompt template is not a setting: a report records the version it was
-rendered with.
+rendered with. Every setting is checked when a config is made, from a file
+or from flags, so a bad one fails before any datasource is read.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ from pathlib import Path
 from typing import Any, Collection, Mapping
 
 from ._json import read_json
-from .corpus import DEFAULT_CHUNK_SIZE, DEFAULT_LENGTH_THRESHOLD, DEFAULT_OVERLAP
+from .corpus import (
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_LENGTH_THRESHOLD,
+    DEFAULT_OVERLAP,
+    check_chunking,
+)
 from .embedding import encoder_from_spec
 from .errors import ConfigError
 from .fusion import DEFAULT_PROMPT_BUDGET
@@ -45,28 +51,21 @@ class RunConfig:
             kind = str if f.default is None else type(f.default)
             if not (type(value) is kind or (value is None and f.default is None)):
                 raise ConfigError(f"{f.name} must be {kind.__name__}, got {value!r}")
-        if self.k <= 0:
-            raise ConfigError(f"k must be positive, got {self.k}")
-        if self.chunk_size <= self.overlap:
-            raise ConfigError(
-                f"chunk_size ({self.chunk_size}) must exceed overlap ({self.overlap})"
-            )
-        if self.prompt_budget <= 0:
-            raise ConfigError(f"prompt_budget must be positive, got {self.prompt_budget}")
+        for name in ("k", "length_threshold", "prompt_budget"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        check_chunking(self.chunk_size, self.overlap)
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
         return tuple(f.name for f in dataclasses.fields(cls))
 
     @classmethod
-    def from_file(
-        cls, path: str | Path, *, reader: str | None = None, reads: Collection[str] = ()
-    ) -> "RunConfig":
-        """The config in file ``path``. When ``reader`` names the command
-        that reads it, a key outside ``reads`` is an error rather than
-        silently ignored."""
+    def from_file(cls, path: str | Path, *, reader: str, reads: Collection[str]) -> "RunConfig":
+        """The config in file ``path``, read by the command ``reader``: a key
+        outside ``reads`` is an error rather than silently ignored."""
         root = read_json(path, "config", ConfigError).only_keys(cls.field_names())
-        unread = sorted(set(root.value) - set(reads)) if reader else []
+        unread = sorted(set(root.value) - set(reads))
         if unread:
             root.fail(f"{reader} does not read {', '.join(unread)}")
         try:

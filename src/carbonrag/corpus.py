@@ -35,7 +35,7 @@ DEFAULT_LENGTH_THRESHOLD = 4000
 
 # Offsets are recoverable from the id alone, so chunk texts can be resolved
 # against a catalog without re-running segmentation.
-_CHUNK_ID_RE = re.compile(r"^(?P<doc>.+):(?P<start>\d{8})-(?P<end>\d{8})$")
+_CHUNK_ID_RE = re.compile(r"^(?P<doc>.+):(?P<start>\d{8,})-(?P<end>\d{8,})$")
 _DOC_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _C0_EXCEPT_LF_RE = re.compile(r"[\x00-\x09\x0b-\x1f]")
 
@@ -88,6 +88,15 @@ def parse_chunk_id(chunk_id: str) -> tuple[str, int, int]:
     return m.group("doc"), int(m.group("start")), int(m.group("end"))
 
 
+def check_chunking(chunk_size: int, overlap: int) -> None:
+    """Refuse chunk settings that ``segment`` cannot use: the overlap must
+    be nonnegative and smaller than the chunk size."""
+    if overlap < 0 or chunk_size <= overlap:
+        raise ConfigError(
+            f"chunk_size must exceed overlap >= 0, got chunk_size={chunk_size} overlap={overlap}"
+        )
+
+
 def segment(
     doc: Document,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -99,10 +108,7 @@ def segment(
     A trailing remainder shorter than the overlap is merged backward: its
     span is already covered by the previous chunk, so it is dropped.
     """
-    if overlap < 0 or chunk_size <= overlap:
-        raise ConfigError(
-            f"chunk_size must exceed overlap >= 0, got chunk_size={chunk_size} overlap={overlap}"
-        )
+    check_chunking(chunk_size, overlap)
     body = doc.body
     n = len(body)
     if n == 0:
@@ -160,11 +166,9 @@ class Catalog:
     to run concurrently with no writer.
     """
 
-    def __init__(self, documents: Iterable[Document] = ()):
+    def __init__(self):
         self._documents: dict[str, Document] = {}
         self._lock = threading.Lock()
-        for doc in documents:
-            self.add(doc)
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -192,38 +196,37 @@ class Catalog:
     def ingest(
         self,
         source: SourceKind | str,
-        payload: str | bytes,
+        payload: str,
         metadata: Mapping[str, str] | None = None,
     ) -> Document:
-        """Fetch/decode a datasource, normalize it, and append it.
+        """Read a datasource, normalize it, and append it.
 
-        Nothing is appended when fetching or decoding fails.
+        ``payload`` is the text itself, a file path or a URL, by ``source``.
+        A file or URL body must be UTF-8. Nothing is appended when fetching
+        or decoding fails.
         """
         source = SourceKind(source)
         metadata = dict(metadata or {})
         if source is SourceKind.RAW_TEXT:
-            body = payload if isinstance(payload, str) else _decode_utf8(payload, "payload")
-            default_title = metadata.get("title", "inline text")
+            body = payload
+            default_title = "inline text"
         elif source is SourceKind.LOCAL_FILE:
-            path = Path(payload if isinstance(payload, str) else _decode_utf8(payload, "path"))
+            path = Path(payload)
             try:
                 data = path.read_bytes()
             except OSError as exc:
                 raise FetchError(f"cannot read {path}: {exc}") from None
             body = _decode_utf8(data, str(path))
             default_title = path.name
-        elif source is SourceKind.URL_FETCH:
-            url = payload if isinstance(payload, str) else _decode_utf8(payload, "url")
+        else:  # SourceKind.URL_FETCH
             try:
-                response = requests.get(url, timeout=30)
+                response = requests.get(payload, timeout=30)
             except requests.RequestException as exc:
-                raise FetchError(f"cannot fetch {url}: {exc}") from None
+                raise FetchError(f"cannot fetch {payload}: {exc}") from None
             if response.status_code >= 400:
-                raise FetchError(f"cannot fetch {url}: HTTP {response.status_code}")
-            body = _decode_utf8(response.content, url)
-            default_title = url
-        else:  # pragma: no cover - SourceKind() already rejects unknowns
-            raise InputError(f"unknown source kind {source!r}")
+                raise FetchError(f"cannot fetch {payload}: HTTP {response.status_code}")
+            body = _decode_utf8(response.content, payload)
+            default_title = payload
 
         body = normalize_text(body)
         digest = hashlib.sha256(_encode_utf8(body, f"{source.value} payload")).hexdigest()[:8]

@@ -111,7 +111,6 @@ def fact_deviation(fact: ExtractedFact, truth: GroundTruthRecord) -> float:
             f"truth for {truth.fact_key!r} is zero; percentage deviation is undefined"
         )
     converted = convert_unit(fact.value, fact.unit, truth.unit)
-    assert isinstance(converted, Quantity)
     t = truth.true_value
     return max(
         100.0 * abs(converted.lower - t) / abs(t),
@@ -120,7 +119,7 @@ def fact_deviation(fact: ExtractedFact, truth: GroundTruthRecord) -> float:
 
 
 def compute_id(
-    facts: Sequence[ExtractedFact], truths: Sequence[GroundTruthRecord]
+    facts: Iterable[ExtractedFact], truths: Sequence[GroundTruthRecord]
 ) -> float | None:
     """Mean deviation over retrieved facts that match a truth key.
 
@@ -146,18 +145,11 @@ def compute_id(
     return sum(deviations) / len(deviations)
 
 
-def compute_ad(
-    computed: FootprintResult | Quantity | float, true_footprint: float
-) -> AccountingDeviation:
-    """Signed footprint deviation at each total boundary, plus the magnitude."""
+def compute_ad(total: Quantity, true_footprint: float) -> AccountingDeviation:
+    """Signed deviation of a footprint total from the true footprint at each
+    of its bounds, in percent, plus the larger magnitude of the two."""
     if true_footprint == 0:
         raise BenchmarkError("true footprint is zero; percentage deviation is undefined")
-    if isinstance(computed, FootprintResult):
-        total = computed.total
-    elif isinstance(computed, Quantity):
-        total = computed
-    else:
-        total = Quantity.point(float(computed))
     at_lower = 100.0 * (total.lower - true_footprint) / true_footprint
     at_upper = 100.0 * (total.upper - true_footprint) / true_footprint
     return AccountingDeviation(
@@ -286,6 +278,11 @@ def load_benchmark(path: str | Path) -> Benchmark:
     )
 
 
+def _quantity_json(obj):
+    """A quantity's JSON form, as ``Quantity.as_json_value`` writes it."""
+    return Quantity.from_json_value(obj).as_json_value()
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     industry: str
@@ -334,7 +331,9 @@ class MetricsReport:
                 deviation_pct=r.get("deviation_pct", float, nullable=True),
                 true_value=r.get("true_value", float),
                 true_unit=r.get("true_unit", str),
-                extracted_value=r.get("extracted_value", default=None),
+                extracted_value=r.get(
+                    "extracted_value", _quantity_json, default=None, nullable=True
+                ),
                 extracted_unit=r.get("extracted_unit", str, default=None, nullable=True),
             )
             for r in root.at("per_fact").elements()
@@ -565,9 +564,8 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
     footprint = compute_footprint(items, bench.factors, bench.scope, bench.functional_unit)
 
     irr = compute_irr(facts_by_key.keys(), truth_map.keys())
-    matched = [f for f in facts_by_key.values() if f.fact_key in truth_map]
-    id_pct = compute_id(matched, bench.truths)
-    ad = compute_ad(footprint, bench.true_footprint)
+    id_pct = compute_id(facts_by_key.values(), bench.truths)
+    ad = compute_ad(footprint.total, bench.true_footprint)
 
     per_fact = []
     for key in sorted(truth_map):

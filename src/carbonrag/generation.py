@@ -215,7 +215,7 @@ def _find_facts_block(text: str) -> list | None:
 
 
 def parse_extraction(
-    raw: RawAnswer | str, expected_keys: Sequence[str] | None = None
+    raw: RawAnswer, expected_keys: Sequence[str] | None = None
 ) -> tuple[list[ExtractedFact], list[ParseWarning]]:
     """Parse the structured answer block into facts plus warnings.
 
@@ -224,11 +224,10 @@ def parse_extraction(
     is rejected with a warning, never silently reordered. Passing
     ``expected_keys=None`` disables the expectation checks.
     """
-    text = raw.text if isinstance(raw, RawAnswer) else raw
-    entries = _find_facts_block(text)
+    entries = _find_facts_block(raw.text)
     if entries is None:
         raise ExtractionError(
-            "no parseable facts block found in the answer", raw_text=text
+            "no parseable facts block found in the answer", raw_text=raw.text
         )
 
     facts: list[ExtractedFact] = []

@@ -74,6 +74,9 @@ class VectorIndex:
         Rows are stored bit for bit as given; each must be finite and
         unit-norm, and ids must be distinct strings with no lone surrogate
         (which the index file's JSON manifest could not be read back with).
+        A float64 array whose ids are already in order is kept as it is,
+        without a copy, and marked read-only: pass one that nothing else
+        writes to. Any other matrix is copied, rows in id order.
         """
         ids = list(ids)
         for chunk_id in ids:
@@ -89,15 +92,13 @@ class VectorIndex:
             raise InputError(
                 f"{len(ids)} chunk ids need a ({len(ids)}, dims) matrix, got shape {matrix.shape}"
             )
-        if all(map(operator.lt, ids, ids[1:])):  # in id order and distinct, as a loaded index
-            matrix = matrix.copy()  # so no caller can write into the index
-        else:
+        if not all(map(operator.lt, ids, ids[1:])):  # out of id order, or repeated
             order = sorted(range(len(ids)), key=ids.__getitem__)
             ids = [ids[row] for row in order]
             duplicate = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
             if duplicate is not None:
                 raise InputError(f"duplicate chunk id {duplicate!r}")
-            matrix = matrix[order]  # a copy too
+            matrix = matrix[order]
         norms = np.linalg.norm(matrix, axis=1)
         # A NaN or infinite row makes its norm NaN or inf, which fails this test.
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOLERANCE))

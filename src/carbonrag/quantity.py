@@ -36,13 +36,6 @@ class Quantity:
     def is_point(self) -> bool:
         return self.lower == self.upper
 
-    @property
-    def value(self) -> float:
-        """The point value; raises for a proper range."""
-        if not self.is_point:
-            raise ValueError(f"quantity [{self.lower}, {self.upper}] is not a point")
-        return self.lower
-
     def __add__(self, other: "Quantity") -> "Quantity":
         if not isinstance(other, Quantity):
             return NotImplemented

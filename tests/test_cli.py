@@ -181,6 +181,16 @@ class TestIndexBuild:
         )
         assert len(VectorIndex.load(large)) < len(VectorIndex.load(small))
 
+    def test_bad_chunking_fails_before_the_catalog_is_read(self, tmp_path, capsys):
+        catalog, out = tmp_path / "catalog.json", tmp_path / "index.npz"
+        catalog.write_text("[]", encoding="utf-8")
+        for flags in (["--chunk-size", "5", "--overlap", "10"], ["--overlap", "-1"]):
+            for path in (catalog, tmp_path / "missing.json"):
+                argv = ["index", "build", "--catalog", str(path), "--out", str(out), *flags]
+                assert main(argv) == 1
+                assert capsys.readouterr().err.startswith("[config] chunk_size must exceed")
+                assert not out.exists()
+
     def test_whitespace_only_chunks_are_left_out(self, tmp_path, capsys):
         # A run of 2,500 spaces holds two whole 1,000-character chunks; they
         # have nothing to embed, and the lexical encoder refuses them.
@@ -668,6 +678,14 @@ class TestBenchAndReport:
                 lambda o: o["footprint"]["per_item"][0].update(activity=None),
             ),
             (": metadata must be an object, got 'x'", lambda o: o.update(metadata="x")),
+            (
+                ": per_fact[0].extracted_value: cannot interpret '2 t' as a quantity",
+                lambda o: o["per_fact"][0].update(extracted_value="2 t"),
+            ),
+            (
+                ": per_fact[3].extracted_value: range object must have exactly lower/upper",
+                lambda o: o["per_fact"][3].update(extracted_value={"lower": 1}),
+            ),
         ):
             obj = json.loads(json.dumps(saved))
             edit(obj)
@@ -677,11 +695,14 @@ class TestBenchAndReport:
             assert code == 1, message
             assert err.startswith(f"[load] report {report_path}{message}"), err
             assert not csv_path.exists()
-        # null is a valid id_pct and deviation_pct
+        # null is a valid id_pct and deviation_pct, a range a valid extracted_value
         saved["id_pct"] = saved["per_fact"][0]["deviation_pct"] = None
+        saved["per_fact"][0]["extracted_value"] = {"lower": 1.5, "upper": 2.5}
         report_path.write_text(json.dumps(saved), encoding="utf-8")
-        assert main(["report", "--in", str(report_path)]) == 0
+        assert main(["report", "--in", str(report_path), "--csv", str(csv_path)]) == 0
         assert "ID: n/a" in capsys.readouterr().out
+        row = csv_path.read_text(encoding="utf-8").splitlines()[1]
+        assert row == 'alumina_consumption,true,,2.0,t,"{""lower"": 1.5, ""upper"": 2.5}",t'
 
     def test_flags_override_the_config_file(self, benchmark_tree, tmp_path):
         config_path = tmp_path / "config.json"
@@ -750,7 +771,7 @@ class TestBenchAndReport:
             encoding="utf-8",
         )
         with pytest.raises(ConfigError, match="unknown keys: factor_db_path"):
-            RunConfig.from_file(config_path)
+            RunConfig.from_file(config_path, reader="bench", reads=RunConfig.field_names())
         bench = ["bench", "--benchmark", str(benchmark_tree.benchmark)]
         query = ["query", "What is the electricity use?"]
         for command, bad, message in (
@@ -768,6 +789,23 @@ class TestBenchAndReport:
             code = main([*command, "--config", str(config_path), *backend])
             assert code == 1
             assert capsys.readouterr().err == f"[config] config {config_path}: {message}\n"
+
+    def test_bad_settings_fail_before_any_datasource_is_fetched(self, benchmark_tree, capsys):
+        obj = fixtures.benchmark_obj()
+        obj["datasources"] = [{"source": "url_fetch", "payload": "http://127.0.0.1:1/doc.txt"}]
+        benchmark = benchmark_tree.root / "url.json"
+        benchmark.write_text(json.dumps(obj), encoding="utf-8")
+        mock = f"mock:{benchmark_tree.mock_perfect}"
+        bench = ["bench", "--benchmark", str(benchmark), "--backend", mock]
+        for flags, message in (
+            (["--overlap", "-1"], "chunk_size must exceed overlap >= 0"),
+            (["--length-threshold", "0"], "length_threshold must be positive, got 0"),
+        ):
+            assert main([*bench, *flags]) == 1
+            assert capsys.readouterr().err.startswith(f"[config] {message}")
+        for fields in ({"overlap": -1}, {"length_threshold": -5}):
+            with pytest.raises(ConfigError):
+                RunConfig(**fields)
 
     @pytest.mark.parametrize("blank", ["", " \t\n"], ids=["empty", "whitespace"])
     def test_blank_question_is_refused_when_the_benchmark_is_read(

@@ -6,6 +6,8 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbonrag import Catalog, classify_datasource
 from carbonrag.corpus import (
@@ -105,9 +107,25 @@ class TestChunkIds:
         assert cid == "doc-1:00000800-00001800"
         assert parse_chunk_id(cid) == ("doc-1", 800, 1800)
 
+    def test_offsets_past_eight_digits_round_trip(self):
+        cid = chunk_id_for("d", 99_999_800, 100_000_800)
+        assert cid == "d:99999800-100000800"
+        assert parse_chunk_id(cid) == ("d", 99_999_800, 100_000_800)
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(
+        doc_id=st.from_regex(r"[A-Za-z0-9._-]+", fullmatch=True),
+        start=st.integers(0, 10**12),
+        length=st.integers(1, 10**12),
+    )
+    def test_every_chunk_id_round_trips(self, doc_id, start, length):
+        cid = chunk_id_for(doc_id, start, start + length)
+        assert parse_chunk_id(cid) == (doc_id, start, start + length)
+
     def test_malformed_id_rejected(self):
-        with pytest.raises(InputError):
-            parse_chunk_id("nonsense")
+        for chunk_id in ("nonsense", "d:0000001-0000002"):
+            with pytest.raises(InputError):
+                parse_chunk_id(chunk_id)
 
 
 class TestClassification:

@@ -128,7 +128,7 @@ class TestInformationDeviation:
 
 class TestAccountingDeviation:
     def test_point_total(self):
-        ad = compute_ad(102.35, 100.0)
+        ad = compute_ad(Quantity.point(102.35), 100.0)
         assert ad.at_lower_pct == pytest.approx(2.35, abs=1e-12)
         assert ad.at_upper_pct == ad.at_lower_pct
         assert ad.ad_pct == ad.at_lower_pct
@@ -145,7 +145,7 @@ class TestAccountingDeviation:
 
     def test_zero_truth_is_an_error(self):
         with pytest.raises(BenchmarkError):
-            compute_ad(50.0, 0.0)
+            compute_ad(Quantity.point(50.0), 0.0)
 
 
 class TestLoadBenchmark:

@@ -24,6 +24,10 @@ from carbonrag.generation import FACT_KEY_RE, RawAnswer, backend_from_spec
 from carbonrag.quantity import Quantity
 
 
+def _parse(text, expected_keys=None):
+    return parse_extraction(RawAnswer(text), expected_keys)
+
+
 def _prompt(query="How much electricity?", query_key=None):
     return build_prompt(query, Strategy.NO_DATASOURCE, query_key=query_key)
 
@@ -105,7 +109,7 @@ class TestParseExtraction:
             )
             + "\n```\n"
         )
-        facts, warnings = parse_extraction(text)
+        facts, warnings = _parse(text)
         assert warnings == []
         assert [f.fact_key for f in facts] == ["electricity_use", "anode_consumption"]
         assert facts[0].value == Quantity.point(13500)
@@ -115,7 +119,7 @@ class TestParseExtraction:
 
     def test_accepts_a_bare_json_answer(self):
         text = json.dumps({"facts": [{"key": "k", "value": 1, "unit": "kg"}]})
-        facts, _ = parse_extraction(text)
+        facts, _ = _parse(text)
         assert facts[0].fact_key == "k"
 
     def test_finds_the_object_inside_prose(self):
@@ -127,7 +131,7 @@ class TestParseExtraction:
             # the first object in the text wins, outer before inner
             '{"facts": [' + entry + '], "inner": {"facts": []}} and {"facts": []}',
         ):
-            facts, _ = parse_extraction(text)
+            facts, _ = _parse(text)
             assert [f.value for f in facts] == [Quantity.point(2)], text
 
     def test_accepts_raw_answer_objects(self):
@@ -136,7 +140,7 @@ class TestParseExtraction:
 
     def test_no_facts_block_is_an_extraction_error(self):
         with pytest.raises(ExtractionError) as err:
-            parse_extraction("Sorry, I cannot help with that.")
+            _parse("Sorry, I cannot help with that.")
         assert err.value.raw_text == "Sorry, I cannot help with that."
 
     def test_hostile_answers_fail_fast(self):
@@ -156,25 +160,25 @@ class TestParseExtraction:
         ):
             start = time.perf_counter()
             with pytest.raises(ExtractionError) as err:
-                parse_extraction(text)
+                _parse(text)
             assert time.perf_counter() - start < bound_s
             assert err.value.stage_name == "parse"
         block = '{"facts": [{"key": "k", "value": 2, "unit": "t"}]}'
-        facts, _ = parse_extraction('{"a":' * 4000 + block)
+        facts, _ = _parse('{"a":' * 4000 + block)
         assert facts[0].fact_key == "k"
 
     def test_unit_whitespace_is_trimmed(self):
         text = json.dumps({"facts": [{"key": "k", "value": 1, "unit": " kWh "}]})
-        facts, _ = parse_extraction(text)
+        facts, _ = _parse(text)
         assert facts[0].unit == "kWh"
 
     def test_scalar_sources_become_a_singleton(self):
         text = json.dumps({"facts": [{"key": "k", "value": 1, "unit": "kg", "sources": 3}]})
-        facts, _ = parse_extraction(text)
+        facts, _ = _parse(text)
         assert facts[0].provenance == ("3",)
 
     def _warns(self, entries, expected_keys=None):
-        facts, warnings = parse_extraction(json.dumps({"facts": entries}), expected_keys)
+        facts, warnings = _parse(json.dumps({"facts": entries}), expected_keys)
         return facts, [w.code for w in warnings]
 
     def test_non_object_entry_is_flagged(self):

@@ -7,6 +7,7 @@ run is derandomized, so every CI run tries the same examples.
 
 import copy
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from carbonrag.accounting import EmissionFactorDb, FACTOR_CSV_HEADER
 from carbonrag.cli import _parse_fact_entries, _read_training_pairs
 from carbonrag.embedding import DualTowerEncoder, load_encoder
 from carbonrag.evaluation import Benchmark, MetricsReport, load_benchmark
+from carbonrag.generation import RawAnswer
 from carbonrag.quantity import Quantity
 
 _JSON = st.recursive(
@@ -165,7 +167,7 @@ _READERS = {
     ),
     "config": (
         _files({"encoder": "lexical", "k": 3, "chunk_size": 400, "overlap": 5, "backend": None}),
-        _from_file(RunConfig.from_file),
+        _from_file(partial(RunConfig.from_file, reader="bench", reads=RunConfig.field_names())),
         RunConfig,
     ),
     "benchmark": (_files(fixtures.benchmark_obj()), _from_file(load_benchmark), Benchmark),
@@ -199,7 +201,7 @@ _READERS = {
             st.text(),
             _values({"facts": [_FACT]}).map(lambda v: f"Answer: ```json\n{json.dumps(v)}\n``` {{"),
         ),
-        lambda _, text: parse_extraction(text, ["electricity_use"]),
+        lambda _, text: parse_extraction(RawAnswer(text), ["electricity_use"]),
         tuple,
     ),
     "quantity": (

@@ -194,13 +194,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             next(iter(index.entries())).vector[0] = 2.0
 
-    def test_rows_already_in_id_order_are_copied_too(self):
+    def test_rows_already_in_id_order_are_kept_and_frozen(self):
         rows = np.eye(3)
         index = VectorIndex(["c:0", "c:1", "c:2"], rows)
-        rows[0, 0] = 0.0
-        assert index.top_k(np.array([1.0, 0.0, 0.0]), k=1)[0].chunk_id == "c:0"
+        assert np.shares_memory(next(iter(index.entries())).vector, rows)
         with pytest.raises(ValueError):
-            next(iter(index.entries())).vector[0] = 2.0
+            rows[0, 0] = 0.0
+        assert index.top_k(np.array([1.0, 0.0, 0.0]), k=1)[0].chunk_id == "c:0"
 
 
 def _manifest(ids, **fields):

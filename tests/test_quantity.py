@@ -10,7 +10,6 @@ class TestConstruction:
         q = Quantity.point(3.5)
         assert q.lower == q.upper == 3.5
         assert q.is_point
-        assert q.value == 3.5
 
     def test_range_keeps_bounds(self):
         q = Quantity.range(2.0, 5.0)
@@ -26,10 +25,6 @@ class TestConstruction:
             Quantity(float("nan"), 1.0)
         with pytest.raises(ValueError):
             Quantity(0.0, float("inf"))
-
-    def test_value_of_proper_range_rejected(self):
-        with pytest.raises(ValueError):
-            Quantity.range(1.0, 2.0).value
 
 
 class TestArithmetic:
@@ -58,7 +53,7 @@ class TestJsonMapping:
 
     def test_scalar_round_trip(self):
         q = Quantity.from_json_value(13.5)
-        assert q.is_point and q.value == 13.5
+        assert q == Quantity.point(13.5)
 
     def test_range_round_trip(self):
         q = Quantity.from_json_value({"lower": 12500, "upper": 14000})
