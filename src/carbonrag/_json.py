@@ -1,13 +1,14 @@
 """One reader for the package's persisted JSON files, and typed access to them.
 
 ``read_json`` reads a file as bytes, decodes UTF-8 and parses standard JSON
-(``NaN``, ``Infinity`` and ``-Infinity`` are rejected); any failure to read,
-decode or parse, nesting too deep included, becomes the caller's error class
-naming the file. So does a lone surrogate, such as the escape ``"\\ud800"``:
-it is valid JSON but not text, and would fail only later, when it is
-printed or saved. ``parse_json`` does the same for a reply body or a string.
-Both return a ``Node``, whose getters apply JSON's types rather than
-Python's and name the file and the JSON path of a bad value, such as
+(``NaN``, ``Infinity`` and ``-Infinity`` are rejected, and so is a key
+repeated in one object); any failure to read, decode or parse, nesting too
+deep included, becomes the caller's error class naming the file. So does a
+lone surrogate, such as the escape ``"\\ud800"``: it is valid JSON but not
+text, and would fail only later, when it is printed or saved.
+``parse_json`` does the same for a reply body or a string. Both return a
+``Node``, whose getters apply JSON's types rather than Python's and name
+the file and the JSON path of a bad value, such as
 ``benchmark b.json: truths[3].true_value must be a number, got 'x'``.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from pathlib import Path
 from types import GenericAlias
 from typing import Callable, Collection, NoReturn
@@ -37,6 +39,14 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not standard JSON")
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # a later value would silently win
+        counts = Counter(key for key, _ in pairs)
+        raise ValueError(f"duplicate key {next(k for k, _ in pairs if counts[k] > 1)!r}")
+    return obj
+
+
 def read_json(path: str | Path, what: str, error_cls: Callable[[str], Exception]) -> "Node":
     """The JSON document in file ``path``; errors name it as ``what``."""
     label = f"{what} {path}"
@@ -51,7 +61,7 @@ def parse_json(data: bytes | str, label: str, error_cls: Callable[[str], Excepti
     """The JSON document in ``data``, UTF-8 if bytes; errors name it as ``label``."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
-        value = json.loads(text, parse_constant=_reject_constant)
+        value = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise error_cls(f"{label} is not JSON: {exc}") from None
     surrogate = lone_surrogate(value)

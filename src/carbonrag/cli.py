@@ -68,9 +68,10 @@ def cmd_index_build(args) -> int:
 
 
 def _read_training_pairs(path: str) -> list[TrainingPair]:
+    pairs = read_json(path, "training pairs", FormatError).elements()
     return [
         TrainingPair(p.get("text_a", str), p.get("text_b", str), p.get("related", bool))
-        for p in read_json(path, "training pairs", FormatError).elements()
+        for p in (pair.only_keys(("text_a", "text_b", "related")) for pair in pairs)
     ]
 
 
@@ -110,12 +111,6 @@ def cmd_query(args) -> int:
         raise ConfigError("--index needs --catalog, the catalog the index was built from")
     catalog = Catalog.load(config.catalog_path) if config.catalog_path else Catalog()
     index = VectorIndex.load(config.index_path) if config.index_path else None
-    encoder = config.build_encoder()
-    if index is not None and index.encoder_spec != encoder.spec:
-        raise FormatError(
-            f"index {config.index_path} was built with encoder {index.encoder_spec}, "
-            f"but this query embeds with {encoder.spec}"
-        )
     backend = config.build_backend()
     strategy = select_strategy(classify_datasource(catalog.documents, config.length_threshold))
     if strategy is Strategy.RAG_LONG and index is None:
@@ -124,7 +119,7 @@ def cmd_query(args) -> int:
         )
 
     def answer(question: str) -> None:
-        vector = encoder.embed(question) if strategy is Strategy.RAG_LONG else None
+        vector = index.encoder.embed(question) if strategy is Strategy.RAG_LONG else None
         _print_result(
             answer_query(
                 question,
@@ -222,7 +217,6 @@ def _effective_config(args) -> RunConfig:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """The run-config flags shared by ``query`` and ``bench``."""
     parser.add_argument("--config", help="JSON run configuration (flags override it)")
-    parser.add_argument("--encoder", help="encoder spec: lexical, lexical:<dims>, remote:<url>, or a saved encoder file")
     parser.add_argument("--backend", help="generation backend: mock:<script.json> or remote:<url>")
     parser.add_argument("--model", help="model name sent to a remote backend")
     parser.add_argument("--k", type=int, help="fragments to retrieve per query")
@@ -290,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark file and score it")
     _add_config_flags(p)
+    p.add_argument("--encoder", help="encoder spec: lexical, lexical:<dims>, remote:<url>, or a saved encoder file")
     p.add_argument("--chunk-size", dest="chunk_size", type=int)
     p.add_argument("--overlap", dest="overlap", type=int)
     p.add_argument("--benchmark", dest="benchmark_path", help="benchmark JSON")

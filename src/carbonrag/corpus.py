@@ -291,6 +291,7 @@ class Catalog:
     def load(cls, path: str | Path) -> "Catalog":
         catalog = cls()
         for rec in read_json(path, "catalog", FormatError).elements():
+            rec.only_keys(("doc_id", "title", "source", "body", "fetched_at", "industry_tag"))
             doc = Document(
                 doc_id=rec.get("doc_id", str),
                 title=rec.get("title", str),

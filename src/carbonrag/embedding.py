@@ -10,18 +10,17 @@ Token features are hashed bag-of-words. A token is the UTF-8 bytes of a
 ``[^\W_]+`` run (letters and digits) of the lowercased text; ASCII text
 takes a fast path, one byte translate table and a split, that gives the
 same tokens. Each token goes to a bucket by the standard, unseeded FNV-1a
-64-bit hash, which each ``spec`` records as hash seed ``DEFAULT_HASH_SEED``.
+64-bit hash.
 ``hashed_counts`` counts a whole batch: each distinct token is hashed once
 per call, through a token -> bucket dict that lives only for that call, so
 no cache outlives it and each row still depends on its own text only.
 
-An encoder file holds only what a spec string cannot say: a trained tower,
-or a remote encoder of another width.
+An encoder's ``spec``, the JSON record ``encoder_from_json`` rebuilds it
+from, is what an encoder file and an index hold.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import re
@@ -34,14 +33,13 @@ import numpy as np
 
 from ._files import write_file
 from ._http import post_json
-from ._json import parse_json, read_json
+from ._json import Node, parse_json, read_json
 from .errors import ConfigError, FormatError, InputError
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_DIMS = 64
 DEFAULT_FEATURE_DIMS = 256
-DEFAULT_HASH_SEED = 0
 DEFAULT_MARGIN = 0.2
 LEARNING_RATE = 0.1
 
@@ -136,8 +134,9 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 class Encoder(Protocol):
     """Encoders subclass this to inherit ``embed`` from ``embed_batch``.
 
-    ``spec`` is a JSON object naming everything that decides the vectors;
-    an index records it, so it can refuse a query embedded another way.
+    ``spec`` is the JSON object that ``encoder_from_json`` rebuilds the
+    encoder from; an index stores it, and embeds its queries with the
+    encoder it rebuilds.
     """
 
     kind: str
@@ -166,7 +165,7 @@ class LexicalEncoder(Encoder):
 
     @property
     def spec(self) -> dict:
-        return {"kind": self.kind, "dims": self.dims, "seed": DEFAULT_HASH_SEED}
+        return {"kind": self.kind, "dims": self.dims}
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         counts = hashed_counts([_require_text(t) for t in texts], self.dims)
@@ -205,12 +204,7 @@ class DualTowerEncoder(Encoder):
 
     @property
     def spec(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dims": self.dims,
-            "hash_seed": DEFAULT_HASH_SEED,
-            "matrix_sha256": hashlib.sha256(self.matrix.tobytes()).hexdigest(),
-        }
+        return {"kind": self.kind, "dims": self.dims, "matrix": self.matrix.tolist()}
 
     def features(self, texts: Sequence[str]) -> np.ndarray:
         """Hashed token counts scaled to unit norm, one row per text.
@@ -377,35 +371,44 @@ class RemoteEncoder(Encoder):
 
 
 def save_encoder(encoder: DualTowerEncoder, path: str | Path) -> None:
-    """Write a trained tower as an encoder file: ``{kind, dims, matrix}``."""
-    obj = {"kind": encoder.kind, "dims": encoder.dims, "matrix": encoder.matrix.tolist()}
-    text = json.dumps(obj, indent=2) + "\n"
+    """Write an encoder file: the encoder's ``spec``."""
+    text = json.dumps(encoder.spec, indent=2) + "\n"
     write_file(path, "encoder", lambda fh: fh.write(text))
 
 
 def load_encoder(path: str | Path):
-    """A ``toy_dual_tower`` or ``remote`` encoder file. A tower's ``seed`` key is
-    ignored, and a ``hash_seed`` other than 0 refused: it would change the vectors."""
+    """A ``toy_dual_tower`` or ``remote`` encoder file."""
     root = read_json(path, "encoder", FormatError)
-    kind = root.get("kind", str)
+    if root.get("kind", str) == LexicalEncoder.kind:
+        root.fail(f"unknown kind {LexicalEncoder.kind!r}: say 'lexical:<dims>' instead")
+    return encoder_from_json(root)
+
+
+def encoder_from_json(node: Node):
+    """The encoder whose ``spec`` is the JSON object ``node``."""
+    kind = node.get("kind", str)
     try:
-        if kind == "toy_dual_tower":
-            dims = root.get("dims", int)
-            hash_seed = root.get("hash_seed", int, default=DEFAULT_HASH_SEED)
-            if hash_seed != DEFAULT_HASH_SEED:
-                root.fail(f"hash_seed must be {DEFAULT_HASH_SEED}, got {hash_seed}")
+        if kind == LexicalEncoder.kind:
+            return LexicalEncoder(dims=node.only_keys(("kind", "dims")).get("dims", int))
+        if kind == RemoteEncoder.kind:
+            node.only_keys(("kind", "dims", "endpoint"))
+            return RemoteEncoder(endpoint=node.get("endpoint", str), dims=node.get("dims", int))
+        if kind == DualTowerEncoder.kind:
+            # A tower file from before may also hold its training seed and hash_seed 0.
+            dims = node.only_keys(("kind", "dims", "matrix", "seed", "hash_seed")).get("dims", int)
+            hash_seed = node.get("hash_seed", int, default=0)
+            if hash_seed != 0:  # it would change every vector
+                node.fail(f"hash_seed must be 0, got {hash_seed}")
             try:
-                matrix = np.asarray(root.get("matrix", list[list[float]]), dtype=np.float64)
+                matrix = np.asarray(node.get("matrix", list[list[float]]), dtype=np.float64)
             except ValueError as exc:  # rows of different lengths
-                root.at("matrix").fail(str(exc))
+                node.at("matrix").fail(str(exc))
             if matrix.ndim != 2 or matrix.shape[0] != dims:
-                root.fail(f"matrix shape {matrix.shape} does not match dims {dims}")
+                node.fail(f"matrix shape {matrix.shape} does not match dims {dims}")
             return DualTowerEncoder(matrix=matrix)
-        if kind == "remote":
-            return RemoteEncoder(endpoint=root.get("endpoint", str), dims=root.get("dims", int))
     except ConfigError as exc:
-        root.fail(str(exc))
-    root.fail(f"unknown kind {kind!r}")
+        node.fail(str(exc))
+    node.fail(f"unknown kind {kind!r}")
 
 
 def encoder_from_spec(spec: str):

@@ -507,9 +507,7 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
         # each row from its own text only, so the rows equal two calls'.
         texts = [c.text for c in chunks] + [q.query_text for q in bench.queries]
         rows = encoder.embed_batch(texts)
-        index = VectorIndex(
-            [c.chunk_id for c in chunks], rows[: len(chunks)], encoder_spec=encoder.spec
-        )
+        index = VectorIndex([c.chunk_id for c in chunks], rows[: len(chunks)], encoder=encoder)
         vectors = rows[len(chunks) :]
 
     def answer(query: BenchmarkQuery, vector) -> QueryResult:

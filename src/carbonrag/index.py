@@ -12,8 +12,9 @@ are then ordered by that rounding.
 
 An index file is one uncompressed numpy ``.npz`` archive with two
 entries: ``matrix``, the float64 rows in chunk-id order, and ``manifest``,
-a JSON string with the format name and version, the chunk ids in row order
-and the spec of the encoder that built the index, which ``query`` checks.
+the UTF-8 bytes of a JSON object with the format name and version, the chunk
+ids in row order and the spec of the encoder that built the index, which
+``load`` rebuilds.
 Saving one index twice gives the same bytes. JSON index files are not read.
 """
 
@@ -31,13 +32,15 @@ import numpy as np
 
 from ._files import write_file
 from ._json import lone_surrogate, parse_json
+from .embedding import encoder_from_json
 from .errors import FormatError, InputError
 
 DEFAULT_K = 5
 _NORM_TOLERANCE = 1e-6
 # Below this norm a query's squared components may underflow to zero.
 _TINY_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
-_FORMAT = {"format": "carbonrag-index", "version": 1}
+_FORMAT = {"format": "carbonrag-index", "version": 2}
+_REBUILD = "rebuild it with 'carbonrag index build'"
 _ZIP_MAGIC = b"PK\x03\x04"
 # What np.load and reading its entries raise on a damaged archive: a
 # truncated archive or a bad CRC is a BadZipFile, a missing entry a
@@ -63,12 +66,12 @@ class VectorIndex:
     """Unit vectors by chunk id, answering exact top-K queries.
 
     The index is immutable: one ``(ids, matrix)`` pair with rows in chunk-id
-    order, so any number of readers may share it. ``encoder_spec`` is the
-    ``spec`` of the encoder that made the rows; an index built from bare
-    rows has None there, and can be queried but not saved.
+    order, so any number of readers may share it. ``encoder`` made the rows
+    and embeds the queries; an index built from bare rows has None there,
+    and can be queried with vectors but not saved.
     """
 
-    def __init__(self, ids: Sequence[str], matrix, *, encoder_spec: dict | None = None):
+    def __init__(self, ids: Sequence[str], matrix, *, encoder=None):
         """Index row ``i`` of ``matrix`` under ``ids[i]``.
 
         Rows are stored bit for bit as given; each must be finite and
@@ -105,10 +108,12 @@ class VectorIndex:
         if bad.size:
             row = bad[0]
             raise InputError(f"entry {ids[row]!r} is not unit-norm (norm {norms[row]})")
+        if encoder is not None and encoder.dims != matrix.shape[1]:
+            raise InputError(f"encoder has {encoder.dims} dims, the rows {matrix.shape[1]}")
         matrix.flags.writeable = False
         self._ids = ids
         self._matrix = matrix
-        self.encoder_spec = encoder_spec
+        self.encoder = encoder
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -171,14 +176,15 @@ class VectorIndex:
         ]
 
     def save(self, path: str | Path) -> None:
-        if self.encoder_spec is None:
-            raise InputError("cannot save an index without the spec of the encoder that built it")
-        manifest = {**_FORMAT, "ids": self._ids, "encoder": self.encoder_spec}
+        if self.encoder is None:
+            raise InputError("cannot save an index without the encoder that built it")
+        text = json.dumps({**_FORMAT, "ids": self._ids, "encoder": self.encoder.spec})
+        manifest = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
         # Given a name rather than a file, np.savez would append ".npz" to it.
         write_file(
             path,
             "index",
-            lambda fh: np.savez(fh, matrix=self._matrix, manifest=np.array(json.dumps(manifest))),
+            lambda fh: np.savez(fh, matrix=self._matrix, manifest=manifest),
             binary=True,
         )
 
@@ -188,10 +194,7 @@ class VectorIndex:
         try:
             with open(path, "rb") as fh:
                 if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
-                    raise FormatError(
-                        f"index {path} is not a binary index; "
-                        "rebuild it with 'carbonrag index build'"
-                    )
+                    raise FormatError(f"index {path} is not a binary index; {_REBUILD}")
                 fh.seek(0)
                 with np.load(fh, allow_pickle=False) as archive:
                     matrix, manifest = archive["matrix"], archive["manifest"]
@@ -200,19 +203,22 @@ class VectorIndex:
         # An entry that is not a .npy array comes back as raw bytes.
         if not isinstance(matrix, np.ndarray) or matrix.dtype != np.float64:
             raise FormatError(f"index {path}: matrix is not a float64 array")
-        if not isinstance(manifest, np.ndarray) or manifest.dtype.kind != "U" or manifest.ndim:
-            raise FormatError(f"index {path}: manifest is not a string")
-        meta = parse_json(manifest.item(), f"index {path} manifest", FormatError)
+        # A version-1 manifest is a numpy unicode string.
+        if not isinstance(manifest, np.ndarray) or manifest.dtype != np.uint8 or manifest.ndim != 1:
+            raise FormatError(
+                f"index {path}: manifest is not UTF-8 bytes, as in version 2; {_REBUILD}"
+            )
+        meta = parse_json(manifest.tobytes(), f"index {path} manifest", FormatError)
         got = meta.value if isinstance(meta.value, dict) else {}
         # A JSON true equals 1 in Python, so the types are compared too.
         if any((type(got.get(k)), got.get(k)) != (type(v), v) for k, v in _FORMAT.items()):
             raise FormatError(f"{meta.where} does not declare {_FORMAT}")
         ids = meta.get("ids", list)
-        spec = meta.get("encoder", dict)
+        encoder = encoder_from_json(meta.at("encoder"))
         # Stored vectors are kept without re-normalization, so save/load
         # round-trips bit-exactly.
         try:
-            return cls(ids, matrix, encoder_spec=spec)
+            return cls(ids, matrix, encoder=encoder)
         except InputError as exc:
             raise FormatError(f"index {path}: {exc}") from None
 
@@ -222,4 +228,4 @@ def build_index(chunks, encoder) -> VectorIndex:
     as the encoder returned it, under its chunk id."""
     chunks = list(chunks)
     matrix = encoder.embed_batch([chunk.text for chunk in chunks])
-    return VectorIndex([chunk.chunk_id for chunk in chunks], matrix, encoder_spec=encoder.spec)
+    return VectorIndex([chunk.chunk_id for chunk in chunks], matrix, encoder=encoder)

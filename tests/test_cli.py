@@ -11,7 +11,7 @@ import pytest
 import fixtures
 from carbonrag import RemoteEncoder, RunConfig, VectorIndex
 from carbonrag.cli import main
-from carbonrag.embedding import DualTowerEncoder, load_encoder, save_encoder
+from carbonrag.embedding import DualTowerEncoder, load_encoder
 from carbonrag.errors import ConfigError
 from carbonrag.evaluation import MetricsReport
 
@@ -234,14 +234,17 @@ class TestTrainEncoder:
 
     def test_malformed_pairs_file_reports_the_load_stage(self, tmp_path, capsys):
         bad = tmp_path / "pairs.json"
-        for pairs in (
-            [{"text_a": "only half"}],
-            [{"text_a": 5, "text_b": "anode carbon", "related": True}],
+        pair = {"text_a": "potline", "text_b": "anode carbon", "related": True}
+        for pairs, message in (
+            ([{"text_a": "only half"}], "[0] is missing 'text_b'"),
+            ([{**pair, "text_a": 5}], "[0].text_a must be a string, got 5"),
+            # Ignored, a weight would train as if every pair counted once.
+            ([{**pair, "weight": 3}], "[0]: unknown keys: weight"),
         ):
             bad.write_text(json.dumps(pairs), encoding="utf-8")
             code = main(["train-encoder", "--pairs", str(bad), "--out", str(tmp_path / "e.json")])
             assert code == 1
-            assert "[load]" in capsys.readouterr().err
+            assert capsys.readouterr().err == f"[load] training pairs {bad}: {message}\n"
 
 
 class TestQuery:
@@ -325,56 +328,36 @@ class TestQuery:
         assert "electricity_use = 13500 kWh" in captured.out
         assert "[generate]" in captured.err
 
-    def test_index_built_with_another_encoder_is_refused(self, pipeline_files, tmp_path, capsys):
-        # Each encoder here has the index's width (64), so top_k alone would
-        # accept its vectors and return the wrong chunks.
-        tower = tmp_path / "tower.json"
-        save_encoder(DualTowerEncoder(matrix=np.eye(64, 256)), tower)
-        query = [
-            "query",
-            _QUESTION,
-            "--catalog",
-            str(pipeline_files["catalog"]),
-            "--index",
-            str(pipeline_files["index"]),
-            "--backend",
-            f"mock:{pipeline_files['script']}",
-        ]
-        built_with = "{'kind': 'lexical_baseline', 'dims': 64, 'seed': 0}"
-        for encoder, embeds_with in (
-            (tower, "{'kind': 'toy_dual_tower', 'dims': 64, 'hash_seed': 0, 'matrix_sha256': '"),
-            ("remote:http://127.0.0.1:9/embed", "{'kind': 'remote', 'dims': 64, 'endpoint': '"),
-        ):
-            assert main([*query, "--encoder", str(encoder)]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith(f"[load] index {pipeline_files['index']} was built")
-            assert f"built with encoder {built_with}, but this query embeds with {embeds_with}" in (
-                captured.err
-            )
-        # The same encoder, spelled another way, is accepted.
-        assert main([*query, "--encoder", "lexical:64"]) == 0
-        assert "electricity_use = 13500 kWh" in capsys.readouterr().out
-
     def test_json_index_reports_the_load_stage(self, pipeline_files, tmp_path, capsys):
         old = tmp_path / "old-index.json"
         old.write_text('{"dims": 2, "entries": []}\n', encoding="utf-8")
-        code = main(
-            [
-                "query",
-                _QUESTION,
-                "--catalog",
-                str(pipeline_files["catalog"]),
-                "--index",
-                str(old),
-                "--backend",
-                f"mock:{pipeline_files['script']}",
-            ]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"[load] index {old} is not a binary index; rebuild it with 'carbonrag index build'\n"
-        )
+        # Version 1 stored the manifest as a numpy unicode string, and a
+        # tower only as a digest of its matrix.
+        v1 = tmp_path / "v1-index.npz"
+        manifest = {"format": "carbonrag-index", "version": 1, "ids": ["c:0"],
+                    "encoder": {"kind": "lexical_baseline", "dims": 2, "seed": 0}}
+        with open(v1, "wb") as fh:
+            np.savez(fh, matrix=np.eye(1, 2), manifest=np.array(json.dumps(manifest)))
+        for index, problem in (
+            (old, f"index {old} is not a binary index"),
+            (v1, f"index {v1}: manifest is not UTF-8 bytes, as in version 2"),
+        ):
+            code = main(
+                [
+                    "query",
+                    _QUESTION,
+                    "--catalog",
+                    str(pipeline_files["catalog"]),
+                    "--index",
+                    str(index),
+                    "--backend",
+                    f"mock:{pipeline_files['script']}",
+                ]
+            )
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"[load] {problem}; rebuild it with 'carbonrag index build'\n"
+            )
 
     def test_question_or_interactive_is_required(self, pipeline_files, tmp_path, capsys):
         # A blank question is refused before the catalog, index or encoder is loaded.
@@ -783,6 +766,8 @@ class TestBenchAndReport:
             (query, {"report_out": "r.json", "benchmark_path": "b.json"}, "query does not read benchmark_path, report_out"),
             (bench, {"index_path": "/nonexistent/i.npz"}, "bench does not read index_path"),
             (bench, {"catalog_path": "c.json", "k": 3}, "bench does not read catalog_path"),
+            # query embeds with the encoder its index was built with
+            (query, {"encoder": "lexical"}, "query does not read encoder"),
         ):
             config_path.write_text(json.dumps(bad), encoding="utf-8")
             backend = ["--backend", f"mock:{benchmark_tree.mock_perfect}"]
@@ -870,18 +855,19 @@ class TestOneStagePerFailure:
     ):
         server = http_server(_BadEmbeddingReply)
         url = f"http://127.0.0.1:{server.server_address[1]}/embed"
-        # query checks the index's encoder before it embeds the question
+        # query embeds the question with the encoder the index was built with
         index = tmp_path / "remote.npz"
-        VectorIndex(["c:0"], np.eye(1, 64), encoder_spec=RemoteEncoder(url).spec).save(index)
+        VectorIndex(["c:0"], np.eye(1, 64), encoder=RemoteEncoder(url)).save(index)
         catalog = str(pipeline_files["catalog"])
         for argv in (
-            ["index", "build", "--catalog", catalog, "--out", str(tmp_path / "i.npz")],
+            ["index", "build", "--catalog", catalog, "--out", str(tmp_path / "i.npz"),
+             "--encoder", f"remote:{url}"],
             ["query", _QUESTION, "--catalog", catalog, "--index", str(index),
              "--backend", f"mock:{pipeline_files['script']}"],
             ["bench", "--benchmark", str(benchmark_tree.benchmark),
-             "--backend", f"mock:{benchmark_tree.mock_perfect}"],
+             "--backend", f"mock:{benchmark_tree.mock_perfect}", "--encoder", f"remote:{url}"],
         ):
-            assert main([*argv, "--encoder", f"remote:{url}"]) == 1, argv
+            assert main(argv) == 1, argv
             assert capsys.readouterr().err == (
                 "[embedding] embedding endpoint reply: embeddings must be a list, got 'nope'\n"
             ), argv
@@ -912,7 +898,11 @@ class TestOneStagePerFailure:
             ([*_QUERY, "--backend", "mock:{bad}"], [*_BENCH, "--backend", "mock:{bad}"], "load"),
             ([*_QUERY, "--backend", "foo"], [*_BENCH, "--backend", "foo"], "config"),
             ([*_QUERY, "--length-threshold", "0"], [*_BENCH, "--length-threshold", "0"], "config"),
-            ([*_QUERY, "--encoder", "{bad}"], [*_BENCH, "--encoder", "{bad}"], "load"),
+            (
+                ["index", "build", "--catalog", "{catalog}", "--out", "{out}", "--encoder", "{bad}"],
+                [*_BENCH, "--encoder", "{bad}"],
+                "load",
+            ),
             (
                 ["index", "build", "--catalog", "{catalog}", "--out", "{out}", "--overlap", "-1"],
                 [*_BENCH, "--overlap", "-1"],
@@ -979,7 +969,7 @@ class TestUnreadableFiles:
                 ["query", "--catalog", "{catalog}", "--index", "{bad}", "--backend", "mock:{script}", "q"],
                 "load",
             ),
-            (["query", "--encoder", "{bad}", "--backend", "mock:{script}", "q"], "load"),
+            (["index", "build", "--catalog", "{catalog}", "--out", "{out}", "--encoder", "{bad}"], "load"),
             (["query", "--backend", "mock:{bad}", "q"], "load"),
             (["query", "--config", "{bad}", "q"], "config"),
             (["bench", "--benchmark", "{bad}", "--backend", "mock:{script}"], "benchmark"),
@@ -1099,6 +1089,12 @@ class TestUsage:
     def test_query_takes_no_chunking_flags(self):
         with pytest.raises(SystemExit) as err:
             main(["query", "--chunk-size", "5", "How much electricity?"])
+        assert err.value.code == 2
+
+    def test_query_takes_no_encoder_flag(self):
+        """The index names its encoder; a second one could only disagree."""
+        with pytest.raises(SystemExit) as err:
+            main(["query", "--encoder", "lexical", "How much electricity?"])
         assert err.value.code == 2
 
     def test_bench_requires_a_backend(self, benchmark_tree, capsys):

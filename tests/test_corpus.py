@@ -290,6 +290,8 @@ class TestCatalogPersistence:
             ([{**record, "doc_id": 5}], r"\[0\]\.doc_id must be a string, got 5"),
             ([{**record, "source": "ftp"}], r"\[0\]\.source: 'ftp' is not a valid SourceKind"),
             ([record, record], r"\[1\]: duplicate doc_id 'a'"),
+            # ingest would rewrite the catalog without it
+            ([{**record, "industry": "steel"}], r"\[0\]: unknown keys: industry"),
         ):
             path.write_text(json.dumps(records), encoding="utf-8")
             with pytest.raises(FormatError, match=message):

@@ -44,7 +44,7 @@ def _fixture_outputs(work: Path, capsys) -> dict[str, str]:
         assert main([*ingest, "--catalog", str(catalog), body]) == 0
     assert main(["index", "build", "--catalog", str(catalog), "--out", str(index)]) == 0
     with np.load(index, allow_pickle=False) as archive:
-        manifest = json.loads(archive["manifest"].item())
+        manifest = json.loads(archive["manifest"].tobytes())
     outputs["index_manifest.json"] = json.dumps(manifest, indent=2) + "\n"
 
     question = fixtures.QUERIES[0]["query_text"]

@@ -108,20 +108,21 @@ _REPORT = {
 }
 _MANIFEST = {
     "format": "carbonrag-index",
-    "version": 1,
+    "version": 2,
     "ids": ["d:00000000-00000005"],
-    "encoder": {"kind": "lexical_baseline", "dims": 2, "seed": 0},
+    "encoder": {"kind": "lexical_baseline", "dims": 2},
 }
 
 
 def _load_index(path, data):
-    """An archive holding ``data`` as its manifest text when ``data`` is a
-    string; ``data`` itself as the file when it is bytes."""
+    """An archive holding the UTF-8 of ``data`` as its manifest when ``data``
+    is a string; ``data`` itself as the file when it is bytes."""
     if isinstance(data, bytes):
         path.write_bytes(data)
     else:
+        manifest = np.frombuffer(data.encode("utf-8", "surrogatepass"), dtype=np.uint8)
         with open(path, "wb") as fh:
-            np.savez(fh, matrix=np.array([[1.0, 0.0]]), manifest=np.array(data))
+            np.savez(fh, matrix=np.array([[1.0, 0.0]]), manifest=manifest)
     return VectorIndex.load(path)
 
 

@@ -10,18 +10,21 @@ import numpy as np
 import pytest
 
 from carbonrag import CarbonRagError, LexicalEncoder, RunConfig, Strategy, VectorIndex, build_index
+from carbonrag.embedding import DualTowerEncoder, RemoteEncoder
 from carbonrag.errors import FormatError, InputError
 from carbonrag.evaluation import answer_query
 
 
-# The spec a saved index records; its rows here are not this encoder's.
+# The encoder spec a hand-written manifest records; its rows are not this encoder's.
 _SPEC = LexicalEncoder(dims=2).spec
 
 
 def _random_index(rng, n, dims):
+    """Random unit rows, saved with a lexical encoder of their width."""
     rows = rng.normal(size=(n, dims))
     unit_rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    return VectorIndex([f"doc:{i:08d}" for i in range(n)], unit_rows, encoder_spec=_SPEC)
+    ids = [f"doc:{i:08d}" for i in range(n)]
+    return VectorIndex(ids, unit_rows, encoder=LexicalEncoder(dims=dims))
 
 
 def _brute_force(index, query, k):
@@ -180,6 +183,8 @@ class TestValidation:
         ):
             with pytest.raises(InputError, match=message):
                 VectorIndex(ids, matrix)
+        with pytest.raises(InputError, match="encoder has 64 dims, the rows 4"):
+            VectorIndex(["c:0"], [e0], encoder=RemoteEncoder("http://localhost:9/embed"))
 
     def test_rows_are_sorted_by_id_and_read_only(self):
         rows = np.eye(3)
@@ -205,8 +210,13 @@ class TestValidation:
 
 def _manifest(ids, **fields):
     return json.dumps(
-        {"format": "carbonrag-index", "version": 1, "ids": ids, "encoder": _SPEC, **fields}
+        {"format": "carbonrag-index", "version": 2, "ids": ids, "encoder": _SPEC, **fields}
     )
+
+
+def _utf8(text):
+    """A manifest entry as an index file stores it: the UTF-8 bytes of ``text``."""
+    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
 
 
 def _write_archive(path, **entries):
@@ -216,7 +226,7 @@ def _write_archive(path, **entries):
 
 
 def _write_index(path, ids, matrix):
-    _write_archive(path, matrix=np.asarray(matrix), manifest=np.array(_manifest(ids)))
+    _write_archive(path, matrix=np.asarray(matrix), manifest=_utf8(_manifest(ids)))
 
 
 class TestPersistence:
@@ -269,7 +279,7 @@ class TestPersistence:
 
     def test_non_ascii_ids_round_trip_exactly(self, tmp_path):
         ids = ["électricité:0", "电池:00000000-00000010", "c\x00", "c:0\x00\x00", "\U0001f600", "CO₂"]
-        index = VectorIndex(ids, np.eye(len(ids)), encoder_spec=_SPEC)
+        index = VectorIndex(ids, np.eye(len(ids)), encoder=LexicalEncoder(dims=len(ids)))
         index.save(tmp_path / "index.json")
         loaded = VectorIndex.load(tmp_path / "index.json")
         assert [e.chunk_id for e in loaded.entries()] == sorted(ids)
@@ -277,17 +287,26 @@ class TestPersistence:
             assert loaded.top_k(np.eye(len(ids))[i], k=1)[0].chunk_id == chunk_id
 
     def test_encoder_spec_round_trips(self, tmp_path):
+        """A loaded index embeds as the encoder that built it, bit for bit."""
         chunks = [SimpleNamespace(chunk_id="d:00000000-00000005", text="anode carbon")]
-        index = build_index(chunks, LexicalEncoder(dims=16))
-        assert index.encoder_spec == {"kind": "lexical_baseline", "dims": 16, "seed": 0}
-        index.save(tmp_path / "index.json")
-        assert VectorIndex.load(tmp_path / "index.json").encoder_spec == index.encoder_spec
+        tower = DualTowerEncoder(matrix=np.random.default_rng(3).normal(size=(8, 32)))
+        for encoder in (LexicalEncoder(dims=16), tower):
+            index = build_index(chunks, encoder)
+            assert index.encoder is encoder
+            index.save(tmp_path / "index.npz")
+            loaded = VectorIndex.load(tmp_path / "index.npz").encoder
+            assert type(loaded) is type(encoder) and loaded.spec == encoder.spec
+            texts = ["anode carbon", "potline power use"]
+            np.testing.assert_array_equal(loaded.embed_batch(texts), encoder.embed_batch(texts))
+        with np.load(tmp_path / "index.npz") as archive:
+            manifest = json.loads(archive["manifest"].tobytes())
+        assert manifest["encoder"] == {"kind": "toy_dual_tower", "dims": 8, "matrix": tower.matrix.tolist()}
 
     def test_an_index_without_its_encoder_is_not_saved(self, tmp_path):
-        """An index that does not name its encoder could not be checked by ``query``."""
+        """``query`` embeds with the index's encoder: an index without one is not saved."""
         bare = VectorIndex(["c:0"], [[1.0, 0.0]])
         assert bare.top_k(np.array([1.0, 0.0]), k=1)[0].chunk_id == "c:0"
-        with pytest.raises(InputError, match="cannot save an index without the spec"):
+        with pytest.raises(InputError, match="cannot save an index without the encoder"):
             bare.save(tmp_path / "index.json")
         assert not (tmp_path / "index.json").exists()
 
@@ -337,7 +356,7 @@ class TestPersistence:
         path = tmp_path / "index.json"
         ragged = np.empty(2, dtype=object)
         ragged[:] = [[1.0, 0.0], [1.0, 0.0, 0.0]]
-        manifest = np.array(_manifest(["c:0", "c:1"]))
+        manifest = _utf8(_manifest(["c:0", "c:1"]))
         _write_archive(path, matrix=ragged, manifest=manifest)
         with pytest.raises(FormatError, match="Object arrays cannot be loaded"):
             VectorIndex.load(path)
@@ -348,7 +367,7 @@ class TestPersistence:
     def test_load_rejects_missing_entries(self, tmp_path):
         path = tmp_path / "index.json"
         matrix = np.eye(2)
-        manifest = np.array(_manifest(["c:0", "c:1"]))
+        manifest = _utf8(_manifest(["c:0", "c:1"]))
         for entries, missing in (
             ({"matrix": matrix}, "manifest"),
             ({"rows": matrix, "manifest": manifest}, "matrix"),
@@ -364,7 +383,7 @@ class TestPersistence:
             ("[not json", "manifest is not JSON"),
             ("[" * 100_000, "manifest is not JSON"),
             ("[]", "manifest does not declare"),
-            (json.dumps({"format": "carbonrag-index", "version": 2, "ids": []}), "not declare"),
+            (json.dumps({"format": "carbonrag-index", "version": 1, "ids": []}), "not declare"),
             (json.dumps({"format": "carbonrag-index", "version": True, "ids": []}), "not declare"),
             (json.dumps({"ids": []}), "does not declare"),
             (_manifest("c:0"), "manifest: ids must be a list, got 'c:0'"),
@@ -372,10 +391,17 @@ class TestPersistence:
             (_manifest(None), "manifest: ids must be a list, got None"),
             (_manifest(["c:0"], encoder="lexical"), "manifest: encoder must be an object, got"),
             (_manifest(["c:0"], encoder=None), "manifest: encoder must be an object, got None"),
-            (json.dumps({"format": "carbonrag-index", "version": 1, "ids": []}), "missing 'encoder'"),
+            (json.dumps({"format": "carbonrag-index", "version": 2, "ids": []}), "missing 'encoder'"),
             (_manifest(["c\udc00"]), r"manifest holds a lone surrogate '\\udc00'"),
+            ('{"ids": [], "ids": []}', "manifest is not JSON: duplicate key 'ids'"),
+            ('["\ud800"]', "manifest is not JSON: .*codec can't decode"),  # not UTF-8
+            # The encoder record is read as an encoder file is, and must fit the rows.
+            (_manifest(["c:0"], encoder={"kind": "mystery"}), "manifest: encoder: unknown kind 'mystery'"),
+            (_manifest(["c:0"], encoder={**_SPEC, "dims": "2"}), "manifest: encoder.dims must be an integer"),
+            (_manifest(["c:0"], encoder={**_SPEC, "seed": 0}), "manifest: encoder: unknown keys: seed"),
+            (_manifest(["c:0"], encoder={**_SPEC, "dims": 3}), "index .*: encoder has 3 dims, the rows 2"),
         ):
-            _write_archive(path, matrix=np.array([[1.0, 0.0]]), manifest=np.array(manifest))
+            _write_archive(path, matrix=np.array([[1.0, 0.0]]), manifest=_utf8(manifest))
             with pytest.raises(FormatError, match=message):
                 VectorIndex.load(path)
 
@@ -412,9 +438,10 @@ class TestPersistence:
         text = _manifest(["c:0"])
         for entries, message in (
             ({"matrix": matrix, "manifest": np.array([text], dtype=object)}, "Object arrays"),
-            ({"matrix": matrix, "manifest": np.array([text])}, "manifest is not a string"),
-            ({"matrix": matrix, "manifest": np.array(text.encode())}, "manifest is not a string"),
-            ({"matrix": matrix, "manifest": np.array(5)}, "manifest is not a string"),
+            ({"matrix": matrix, "manifest": np.array(text)}, "manifest is not UTF-8 bytes"),
+            ({"matrix": matrix, "manifest": np.array(text.encode())}, "manifest is not UTF-8 bytes"),
+            ({"matrix": matrix, "manifest": _utf8(text)[None]}, "manifest is not UTF-8 bytes"),
+            ({"matrix": matrix, "manifest": np.array(5)}, "manifest is not UTF-8 bytes"),
         ):
             _write_archive(path, **entries)
             with pytest.raises(FormatError, match=message):
@@ -433,7 +460,7 @@ class TestPersistence:
             VectorIndex.load(path)
         # A deflated entry whose stream starts with an invalid block type.
         with open(path, "wb") as fh:
-            np.savez_compressed(fh, matrix=matrix, manifest=np.array(text))
+            np.savez_compressed(fh, matrix=matrix, manifest=_utf8(text))
         raw = bytearray(path.read_bytes())
         name_len, extra_len = struct.unpack_from("<HH", raw, 26)
         raw[30 + name_len + extra_len] = 0xFF

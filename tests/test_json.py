@@ -33,3 +33,18 @@ class TestLoneSurrogates:
     )
     def test_text_that_only_looks_like_one_is_read(self, data, value):
         assert parse_json(data, "doc", FormatError).value == value
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        (b'{"k": 5, "k": 50}', "'k'"),
+        (b'[{"a": 1}, {"b": {"x": 1, "y": 2, "x": 3}}]', "'x'"),
+        ('{"\\u00e9": 1, "é": 2}', "'é'"),  # one key, escaped and not
+    ],
+)
+def test_a_repeated_key_is_the_callers_error(data, key):
+    """Plain ``json.loads`` would keep the last value and say nothing."""
+    with pytest.raises(ConfigError) as err:
+        parse_json(data, "config c.json", ConfigError)
+    assert str(err.value) == f"config c.json is not JSON: duplicate key {key}"
