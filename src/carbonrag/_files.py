@@ -32,8 +32,9 @@ def write_file(
 
     The file is opened like a plain ``open`` (permissions follow the umask;
     text is UTF-8, newlines untranslated). On failure ``path`` keeps its old
-    bytes, the temporary file is removed, and an ``OSError`` or
-    ``UnicodeEncodeError`` becomes ``[save] cannot write <what> <path>: …``.
+    bytes, the temporary file is removed, and an ``OSError`` or a
+    ``ValueError`` (text UTF-8 cannot encode, a number JSON cannot hold)
+    becomes ``[save] cannot write <what> <path>: …``.
     Nothing is fsynced: an exception never truncates ``path``; a crash may.
     An empty ``path`` is refused before anything is created.
     """
@@ -44,7 +45,7 @@ def write_file(
             write(fh)
         os.replace(tmp, path)
         done = True
-    except (OSError, UnicodeEncodeError) as exc:
+    except (OSError, ValueError) as exc:  # UnicodeEncodeError is a ValueError
         raise _save_error(what, path, exc) from None
     finally:
         if not done:

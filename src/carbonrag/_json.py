@@ -1,4 +1,4 @@
-"""One reader for the package's persisted JSON files, and typed access to them.
+"""The package's one JSON dialect: one reader, one writer, and typed access.
 
 ``read_json`` reads a file as bytes, decodes UTF-8 and parses standard JSON
 (``NaN``, ``Infinity`` and ``-Infinity`` are rejected, and so is a key
@@ -10,6 +10,9 @@ text, and would fail only later, when it is printed or saved.
 ``Node``, whose getters apply JSON's types rather than Python's and name
 the file and the JSON path of a bad value, such as
 ``benchmark b.json: truths[3].true_value must be a number, got 'x'``.
+
+``write_json`` writes that dialect: a non-finite number or a lone surrogate
+fails the write, so every file it writes reads back.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from collections import Counter
 from pathlib import Path
 from types import GenericAlias
 from typing import Callable, Collection, NoReturn
+
+from ._files import write_file
 
 _MISSING = object()
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
@@ -68,6 +73,22 @@ def parse_json(data: bytes | str, label: str, error_cls: Callable[[str], Excepti
     if surrogate is not None:
         raise error_cls(f"{label} holds a lone surrogate {surrogate!r}, which is not text")
     return Node(value, label, error_cls)
+
+
+def dump_json(obj, *, indent: int | None = 2) -> str:
+    """``obj`` as JSON text in the dialect ``parse_json`` reads: keys in dict
+    order, non-ASCII as itself, ``indent`` spaces per level and a final
+    newline, or one line when ``indent`` is None. A non-finite number is a
+    ``ValueError``; a lone surrogate fails when the text is encoded."""
+    text = json.dumps(obj, ensure_ascii=False, allow_nan=False, indent=indent)
+    return text if indent is None else text + "\n"
+
+
+def write_json(path: str | Path, what: str, obj) -> None:
+    """Write ``obj`` to ``path`` as ``dump_json`` renders it, through
+    ``write_file``: a value that JSON or UTF-8 cannot hold ends in
+    ``[save] cannot write <what> <path>: …`` and leaves no file."""
+    write_file(path, what, lambda fh: fh.write(dump_json(obj)))
 
 
 def lone_surrogate(value) -> str | None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -206,10 +205,6 @@ class FootprintResult:
                 for c in self.per_item
             ],
         }
-
-    def write_json(self, path: str | Path) -> None:
-        text = json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
-        write_file(path, "footprint", lambda fh: fh.write(text))
 
     def write_csv(self, path: str | Path) -> None:
         def write(fh):

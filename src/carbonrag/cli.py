@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from ._files import check_writable
-from ._json import read_json
+from ._json import read_json, write_json
 from .accounting import (
     EmissionFactorDb,
     InventoryItem,
@@ -22,7 +22,7 @@ from .accounting import (
 )
 from .config import RunConfig
 from .corpus import Catalog, check_chunking, classify_datasource
-from .embedding import TrainingPair, encoder_from_spec, save_encoder, train_dual_tower
+from .embedding import TrainingPair, encoder_from_spec, train_dual_tower
 from .errors import CarbonRagError, ConfigError, FormatError
 from .evaluation import MetricsReport, answer_query, run_benchmark
 from .fusion import Strategy, select_strategy
@@ -78,7 +78,7 @@ def _read_training_pairs(path: str) -> list[TrainingPair]:
 def cmd_train_encoder(args) -> int:
     pairs = _read_training_pairs(args.pairs)
     result = train_dual_tower(pairs)
-    save_encoder(result.encoder, args.out)
+    write_json(args.out, "encoder", result.encoder.spec)
     print(
         f"trained on {len(pairs)} pairs: loss {result.initial_loss:.6f} -> "
         f"{result.final_loss:.6f} over {len(result.losses) - 1} epochs; saved {args.out}"
@@ -110,16 +110,21 @@ def cmd_query(args) -> int:
     if config.index_path and not config.catalog_path:
         raise ConfigError("--index needs --catalog, the catalog the index was built from")
     catalog = Catalog.load(config.catalog_path) if config.catalog_path else Catalog()
-    index = VectorIndex.load(config.index_path) if config.index_path else None
-    backend = config.build_backend()
     strategy = select_strategy(classify_datasource(catalog.documents, config.length_threshold))
-    if strategy is Strategy.RAG_LONG and index is None:
+    retrieves = strategy is Strategy.RAG_LONG
+    if retrieves and not config.index_path:
         raise ConfigError(
             "datasource is long: retrieval needs --index (build one with 'index build')"
         )
+    if config.index_path and not retrieves:
+        raise ConfigError(
+            f"datasource routes to {strategy.value}, which does not retrieve: drop --index"
+        )
+    index = VectorIndex.load(config.index_path) if retrieves else None
+    backend = config.build_backend()
 
     def answer(question: str) -> None:
-        vector = index.encoder.embed(question) if strategy is Strategy.RAG_LONG else None
+        vector = index.encoder.embed(question) if retrieves else None
         _print_result(
             answer_query(
                 question,
@@ -173,7 +178,7 @@ def cmd_account(args) -> int:
         print(f"{c.activity}: {c.contribution} kgCO2e  [{c.lifecycle_stage.value}]")
     print(f"total: {result.total} kgCO2e per {result.functional_unit} ({result.scope.value})")
     if args.out is not None:
-        result.write_json(args.out)
+        write_json(args.out, "footprint", result.to_json_obj())
         print(f"wrote {args.out}")
     if args.csv is not None:
         result.write_csv(args.csv)

@@ -14,7 +14,6 @@ Normalization rules (applied once, at ingest):
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import threading
 from dataclasses import dataclass
@@ -25,8 +24,7 @@ from typing import Iterable, Mapping
 
 import requests
 
-from ._files import write_file
-from ._json import read_json
+from ._json import read_json, write_json
 from .errors import ConfigError, EncodingError, FetchError, FormatError, InputError
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -284,8 +282,7 @@ class Catalog:
             }
             for d in self._documents.values()
         ]
-        text = json.dumps(records, indent=2, ensure_ascii=False) + "\n"
-        write_file(path, "catalog", lambda fh: fh.write(text))
+        write_json(path, "catalog", records)
 
     @classmethod
     def load(cls, path: str | Path) -> "Catalog":

@@ -21,7 +21,6 @@ from, is what an encoder file and an index hold.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -31,7 +30,6 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ._files import write_file
 from ._http import post_json
 from ._json import Node, parse_json, read_json
 from .errors import ConfigError, FormatError, InputError
@@ -368,12 +366,6 @@ class RemoteEncoder(Encoder):
         if len(vectors) != len(texts) or any(len(v) != self.dims for v in vectors):
             reply.fail(f"expected {len(texts)} embeddings of width {self.dims}, got {len(vectors)}")
         return _unit_rows(np.asarray(vectors, dtype=np.float64), texts, self.dims)
-
-
-def save_encoder(encoder: DualTowerEncoder, path: str | Path) -> None:
-    """Write an encoder file: the encoder's ``spec``."""
-    text = json.dumps(encoder.spec, indent=2) + "\n"
-    write_file(path, "encoder", lambda fh: fh.write(text))
 
 
 def load_encoder(path: str | Path):

@@ -20,6 +20,7 @@ import dataclasses
 import datetime as _dt
 import json
 import logging
+import math
 from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
@@ -30,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._files import check_writable, write_file
-from ._json import read_json
+from ._json import dump_json, read_json, write_json
 from .accounting import (
     EmissionFactorDb,
     FootprintResult,
@@ -104,18 +105,29 @@ def fact_deviation(fact: ExtractedFact, truth: GroundTruthRecord) -> float:
     """Absolute percentage error of one fact against its truth.
 
     Ranges are charged the worse of their two boundary errors, so an
-    interval that brackets the truth still pays for its width.
+    interval that brackets the truth still pays for its width. A deviation
+    too large for a float, from a huge value or a tiny truth, is an error.
     """
     if truth.true_value == 0:
         raise BenchmarkError(
             f"truth for {truth.fact_key!r} is zero; percentage deviation is undefined"
         )
-    converted = convert_unit(fact.value, fact.unit, truth.unit)
     t = truth.true_value
-    return max(
-        100.0 * abs(converted.lower - t) / abs(t),
-        100.0 * abs(converted.upper - t) / abs(t),
-    )
+    try:
+        converted = convert_unit(fact.value, fact.unit, truth.unit)
+    except ValueError:  # a bound overflowed to infinity
+        deviation = math.inf
+    else:
+        deviation = max(
+            100.0 * abs(converted.lower - t) / abs(t),
+            100.0 * abs(converted.upper - t) / abs(t),
+        )
+    if not math.isfinite(deviation):
+        raise BenchmarkError(
+            f"deviation of {truth.fact_key!r} overflows: {fact.value} {fact.unit} "
+            f"against a truth of {t} {truth.unit}"
+        )
+    return deviation
 
 
 def compute_id(
@@ -125,7 +137,8 @@ def compute_id(
 
     Returns None when nothing matched: an undefined score is reported as
     absent, never as a flattering zero. Zero-valued truths are skipped with
-    a warning since a percentage against zero has no meaning.
+    a warning since a percentage against zero has no meaning. A mean too
+    large for a float is an error naming the largest deviation's fact.
     """
     truth_map = {t.fact_key: t for t in truths}
     deviations = []
@@ -139,19 +152,29 @@ def compute_id(
                 fact.fact_key,
             )
             continue
-        deviations.append(fact_deviation(fact, truth))
+        deviations.append((fact_deviation(fact, truth), fact.fact_key))
     if not deviations:
         return None
-    return sum(deviations) / len(deviations)
+    mean = sum(d for d, _ in deviations) / len(deviations)
+    if not math.isfinite(mean):
+        worst, key = max(deviations)
+        raise BenchmarkError(f"ID overflows: the deviation of {key!r} is {worst:g}%")
+    return mean
 
 
 def compute_ad(total: Quantity, true_footprint: float) -> AccountingDeviation:
     """Signed deviation of a footprint total from the true footprint at each
-    of its bounds, in percent, plus the larger magnitude of the two."""
+    of its bounds, in percent, plus the larger magnitude of the two. A
+    deviation too large for a float is an error."""
     if true_footprint == 0:
         raise BenchmarkError("true footprint is zero; percentage deviation is undefined")
     at_lower = 100.0 * (total.lower - true_footprint) / true_footprint
     at_upper = 100.0 * (total.upper - true_footprint) / true_footprint
+    if not (math.isfinite(at_lower) and math.isfinite(at_upper)):
+        raise BenchmarkError(
+            f"AD overflows: a footprint of {total} kgCO2e against a true footprint "
+            f"of {true_footprint}"
+        )
     return AccountingDeviation(
         at_lower_pct=at_lower,
         at_upper_pct=at_upper,
@@ -303,7 +326,7 @@ class MetricsReport:
         return {**dataclasses.asdict(self), "footprint": self.footprint.to_json_obj()}
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        return dump_json(self.to_json_obj())
 
     @classmethod
     def load(cls, path: str | Path) -> "MetricsReport":
@@ -356,10 +379,6 @@ class MetricsReport:
             metadata=root.get("metadata", dict, default={}),
             generated_at=root.get("generated_at", str, default=""),
         )
-
-    def write_json(self, path: str | Path) -> None:
-        text = self.to_json_text()
-        write_file(path, "report", lambda fh: fh.write(text))
 
     def write_per_fact_csv(self, path: str | Path) -> None:
         """One column per ``PerFactRecord`` field: a string as it is, None
@@ -610,5 +629,5 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
         generated_at=_dt.datetime.now(_dt.timezone.utc).isoformat(),
     )
     if config.report_out is not None:
-        report.write_json(config.report_out)
+        write_json(config.report_out, "report", report.to_json_obj())
     return report

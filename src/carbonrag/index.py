@@ -20,7 +20,6 @@ Saving one index twice gives the same bytes. JSON index files are not read.
 
 from __future__ import annotations
 
-import json
 import operator
 import zipfile
 import zlib
@@ -31,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._files import write_file
-from ._json import lone_surrogate, parse_json
+from ._json import dump_json, parse_json
 from .embedding import encoder_from_json
 from .errors import FormatError, InputError
 
@@ -75,8 +74,7 @@ class VectorIndex:
         """Index row ``i`` of ``matrix`` under ``ids[i]``.
 
         Rows are stored bit for bit as given; each must be finite and
-        unit-norm, and ids must be distinct strings with no lone surrogate
-        (which the index file's JSON manifest could not be read back with).
+        unit-norm, and ids must be distinct strings.
         A float64 array whose ids are already in order is kept as it is,
         without a copy, and marked read-only: pass one that nothing else
         writes to. Any other matrix is copied, rows in id order.
@@ -85,8 +83,6 @@ class VectorIndex:
         for chunk_id in ids:
             if not isinstance(chunk_id, str):
                 raise InputError(f"chunk id {chunk_id!r} is not a string")
-            if not chunk_id.isascii() and lone_surrogate(chunk_id):
-                raise InputError(f"chunk id {chunk_id!r} holds a lone surrogate")
         try:
             matrix = np.asarray(matrix, dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -178,15 +174,14 @@ class VectorIndex:
     def save(self, path: str | Path) -> None:
         if self.encoder is None:
             raise InputError("cannot save an index without the encoder that built it")
-        text = json.dumps({**_FORMAT, "ids": self._ids, "encoder": self.encoder.spec})
-        manifest = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-        # Given a name rather than a file, np.savez would append ".npz" to it.
-        write_file(
-            path,
-            "index",
-            lambda fh: np.savez(fh, matrix=self._matrix, manifest=manifest),
-            binary=True,
-        )
+        meta = {**_FORMAT, "ids": self._ids, "encoder": self.encoder.spec}
+
+        def write(fh):  # rendered here, so what JSON or UTF-8 cannot hold ends in [save]
+            manifest = np.frombuffer(dump_json(meta, indent=None).encode("utf-8"), dtype=np.uint8)
+            # Given a name rather than a file, np.savez would append ".npz" to it.
+            np.savez(fh, matrix=self._matrix, manifest=manifest)
+
+        write_file(path, "index", write, binary=True)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from carbonrag._json import write_json
 from carbonrag.accounting import (
     EmissionFactor,
     EmissionFactorDb,
@@ -227,7 +228,7 @@ class TestFootprintReports:
 
     def test_json_report_round_trips(self, tmp_path):
         path = tmp_path / "footprint.json"
-        self._result().write_json(path)
+        write_json(path, "footprint", self._result().to_json_obj())
         obj = json.loads(path.read_text(encoding="utf-8"))
         assert obj["total_kgco2e"] == {"lower": 8.5, "upper": 9.5}
         assert obj["functional_unit"] == "1 t aluminum ingot"

@@ -305,6 +305,29 @@ class TestQuery:
         assert captured.out == ""
         assert stdin.tell() == 0
 
+    def test_an_index_on_a_route_that_does_not_retrieve_is_a_config_error(
+        self, pipeline_files, tmp_path, capsys, monkeypatch
+    ):
+        """A short catalog inlines its documents, so its index would be loaded
+        and ignored: refused before the index is read or a line is."""
+        catalog, index = tmp_path / "short.json", tmp_path / "short.npz"
+        main(["ingest", "--source", "raw_text", "--catalog", str(catalog), "21 characters of text"])
+        main(["index", "build", "--catalog", str(catalog), "--out", str(index)])
+        capsys.readouterr()
+        stdin = io.StringIO(f"{_QUESTION}\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        argv = ["query", "--catalog", str(catalog), "--backend", f"mock:{pipeline_files['script']}"]
+        for given in (["--index", str(index)], ["--index", str(tmp_path / "absent.npz")]):
+            for question in ([_QUESTION], ["--interactive"]):
+                assert main([*argv, *given, *question]) == 1
+                captured = capsys.readouterr()
+                assert captured.err == (
+                    "[config] datasource routes to short_direct, which does not retrieve: "
+                    "drop --index\n"
+                )
+                assert captured.out == ""
+        assert stdin.tell() == 0
+
     def test_interactive_session_survives_per_question_errors(
         self, pipeline_files, capsys, monkeypatch
     ):
@@ -981,7 +1004,7 @@ class TestUnreadableFiles:
         ],
     )
     def test_every_file_read_ends_in_a_stage(
-        self, benchmark_tree, tmp_path, capsys, argv, stage, content
+        self, benchmark_tree, aluminum_catalog, tmp_path, capsys, argv, stage, content
     ):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
@@ -990,7 +1013,7 @@ class TestUnreadableFiles:
             json.dumps([{"key": "electricity_use", "value": 1, "unit": "kWh"}]), encoding="utf-8"
         )
         catalog = tmp_path / "catalog.json"
-        catalog.write_text("[]", encoding="utf-8")
+        aluminum_catalog.save(catalog)  # long: query reads --index only to retrieve
         paths = {
             "bad": bad,
             "out": tmp_path / "out.json",
@@ -1022,6 +1045,9 @@ class TestUnwritableFiles:
             (["index", "build", "--catalog", "{catalog}", "--out", ""], "index", "''"),
             (["account", "--facts", "{facts}", "--factors", "{factors}", "--out", ""], "footprint", "''"),
             (["account", "--facts", "{facts}", "--factors", "{factors}", "--csv", ""], "footprint CSV", "''"),
+            # a lone surrogate, as a non-UTF-8 argv byte gives, is text no reader takes back
+            (["index", "build", "--catalog", "{empty}", "--out", "{here}/i.npz", "--encoder", "remote:http://127.0.0.1:9/\udcff"], "index", "{here}/i.npz"),
+            (["bench", "--backend", "mock:{odd_script}", "--out", "{here}/r.json"], "report", "{here}/r.json"),
         ],
         ids=[
             "bench out",
@@ -1037,6 +1063,8 @@ class TestUnwritableFiles:
             "index build empty",
             "account out empty",
             "account csv empty",
+            "index build surrogate endpoint",
+            "bench surrogate in the report",
         ],
     )
     def test_every_failed_write_ends_in_save(
@@ -1051,8 +1079,13 @@ class TestUnwritableFiles:
             "factors": benchmark_tree.factors,
             "pairs": tmp_path / "pairs.json",
             "doc": tmp_path / "doc.txt",
+            "here": tmp_path,
+            "empty": tmp_path / "empty.json",  # no chunk, so no embedding request
+            "odd_script": tmp_path / "mock\udcff.json",  # the report records this path
         }
         paths["directory"].mkdir()
+        paths["empty"].write_text("[]", encoding="utf-8")
+        paths["odd_script"].write_bytes(benchmark_tree.mock_perfect.read_bytes())
         aluminum_catalog.save(paths["catalog"])
         paths["facts"].write_text(
             json.dumps([{"key": "electricity_use", "value": 1, "unit": "kWh"}]), encoding="utf-8"

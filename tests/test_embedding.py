@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carbonrag import LexicalEncoder, RemoteEncoder, build_index, encoder_from_spec
-from carbonrag._json import parse_json
+from carbonrag._json import parse_json, write_json
 from carbonrag.embedding import (
     _TOKEN_RE,
     DEFAULT_FEATURE_DIMS,
@@ -23,7 +23,6 @@ from carbonrag.embedding import (
     encoder_from_json,
     hashed_counts,
     load_encoder,
-    save_encoder,
     tokenize,
     train_dual_tower,
 )
@@ -344,7 +343,7 @@ class TestEncoderPersistence:
     def test_dual_tower_round_trip_is_bit_exact(self, tmp_path):
         result = train_dual_tower(_PAIRS, dims=8, epochs=5, seed=1)
         path = tmp_path / "tower.json"
-        save_encoder(result.encoder, path)
+        write_json(path, "encoder", result.encoder.spec)
         loaded = load_encoder(path)
         np.testing.assert_array_equal(loaded.matrix, result.encoder.matrix)
         text = "electricity intensity"
@@ -353,7 +352,7 @@ class TestEncoderPersistence:
     def test_tower_file_with_a_training_seed_still_loads(self, tmp_path):
         """Tower files from earlier versions hold ``seed`` and ``hash_seed: 0``."""
         path = tmp_path / "tower.json"
-        save_encoder(DualTowerEncoder(matrix=np.eye(2, 3)), path)
+        write_json(path, "encoder", DualTowerEncoder(matrix=np.eye(2, 3)).spec)
         obj = json.loads(path.read_text(encoding="utf-8"))
         assert sorted(obj) == ["dims", "kind", "matrix"]
         path.write_text(json.dumps({**obj, "seed": 7, "hash_seed": 0}), encoding="utf-8")
@@ -410,7 +409,7 @@ class TestEncoderPersistence:
         remote = {"kind": "remote", "endpoint": "http://localhost:9/embed", "dims": 16}
         path.write_text(json.dumps(remote), encoding="utf-8")
         assert encoder_from_spec(str(path)) == RemoteEncoder("http://localhost:9/embed", dims=16)
-        save_encoder(DualTowerEncoder(matrix=np.eye(8, 32)), path)
+        write_json(path, "encoder", DualTowerEncoder(matrix=np.eye(8, 32)).spec)
         assert encoder_from_spec(str(path)).dims == 8
 
 
@@ -445,7 +444,7 @@ class TestEncoderProvenance:
             else:
                 np.testing.assert_array_equal(rebuilt.embed_batch(_BATCH), enc.embed_batch(_BATCH))
             if enc is tower:
-                save_encoder(enc, described)
+                write_json(described, "encoder", enc.spec)
             assert encoder_from_spec(described).spec == spec
 
     def test_spec_tells_apart_encoders_of_one_width(self):

@@ -22,7 +22,9 @@ from carbonrag import (
     evaluation,
     run_benchmark,
 )
+from carbonrag._json import write_json
 from carbonrag.accounting import LifecycleStage, Scope
+from carbonrag.cli import main
 from carbonrag.corpus import SourceKind
 from carbonrag.errors import AccountingError, BenchmarkError, FormatError, MockMissError
 from carbonrag.evaluation import (
@@ -118,6 +120,13 @@ class TestInformationDeviation:
         assert compute_id([_fact("stray", 1.0)], [_truth("a", 100.0)]) is None
         assert compute_id([], [_truth("a", 100.0)]) is None
 
+    def test_a_mean_beyond_the_float_range_is_an_error(self):
+        """Each deviation is finite (1e308 %), their sum is not."""
+        facts = [_fact("a", 1e306), _fact("b", 1.2e306)]
+        truths = [_truth("a", 1.0), _truth("b", 1.0)]
+        with pytest.raises(BenchmarkError, match="ID overflows: the deviation of 'b' is 1.2e"):
+            compute_id(facts, truths)
+
     def test_zero_truths_are_excluded_with_a_warning(self, caplog):
         facts = [_fact("a", 110.0), _fact("z", 5.0)]
         truths = [_truth("a", 100.0), _truth("z", 0.0)]
@@ -146,6 +155,13 @@ class TestAccountingDeviation:
     def test_zero_truth_is_an_error(self):
         with pytest.raises(BenchmarkError):
             compute_ad(Quantity.point(50.0), 0.0)
+
+    @pytest.mark.parametrize(
+        "total, true_footprint", [(1e307, 1.0), (50.0, 1e-320)], ids=["huge total", "tiny truth"]
+    )
+    def test_a_deviation_beyond_the_float_range_is_an_error(self, total, true_footprint):
+        with pytest.raises(BenchmarkError, match="AD overflows: a footprint of "):
+            compute_ad(Quantity.point(total), true_footprint)
 
 
 class TestLoadBenchmark:
@@ -366,6 +382,51 @@ def _config(tree, **kw):
 def _run_perfect(tree, **kw):
     backend = ScriptedMockBackend(fixtures.PERFECT_SCRIPT)
     return run_benchmark(_config(tree, **kw), backend=backend)
+
+
+def _answer_with(query_id, key, value, unit):
+    """The perfect script, with ``query_id`` answered by one fact."""
+    answer = json.dumps({"facts": [{"key": key, "value": value, "unit": unit}]})
+    return {**fixtures.PERFECT_SCRIPT, query_id: f"```json\n{answer}\n```"}
+
+
+def _with_truth(key, value):
+    obj = fixtures.benchmark_obj()
+    next(t for t in obj["truths"] if t["fact_key"] == key)["true_value"] = value
+    return obj
+
+
+class TestScoresAreFinite:
+    """A score too large for a float fails the run, naming the fact, and no
+    report is written: ``inf`` would be neither true nor readable JSON."""
+
+    @pytest.mark.parametrize(
+        "bench_obj, script, fact",
+        [
+            (None, _answer_with("q_process", "smelting_temperature", 1.7e308, "C"), "smelting_temperature"),
+            (_with_truth("smelting_temperature", 1e-320), None, "smelting_temperature"),
+            # 1e306 t is 1e309 kg, beyond the float range once converted.
+            (None, _answer_with("q_materials", "fluoride_consumption", 1e306, "t"), "fluoride_consumption"),
+        ],
+        ids=["huge answer", "tiny truth", "answer overflowing its conversion"],
+    )
+    def test_bench_ends_in_a_staged_error(
+        self, benchmark_tree, tmp_path, capsys, bench_obj, script, fact
+    ):
+        if bench_obj is not None:
+            benchmark_tree.benchmark.write_text(json.dumps(bench_obj), encoding="utf-8")
+        mock = benchmark_tree.mock_perfect
+        if script is not None:
+            mock.write_text(json.dumps(script), encoding="utf-8")
+        report = tmp_path / "out" / "report.json"
+        report.parent.mkdir()
+        argv = ["bench", "--benchmark", str(benchmark_tree.benchmark), "--backend", f"mock:{mock}"]
+        assert main([*argv, "--out", str(report)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"[benchmark] deviation of {fact!r} overflows: "), err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert "inf" not in out
+        assert list(report.parent.iterdir()) == []
 
 
 class TestRunBenchmark:
@@ -592,7 +653,7 @@ class TestMetricsReport:
         backend = ScriptedMockBackend(fixtures.VARIANT_SCRIPT)
         report = run_benchmark(_config(benchmark_tree), backend=backend)
         path = tmp_path / "report.json"
-        report.write_json(path)
+        write_json(path, "report", report.to_json_obj())
         round_tripped = MetricsReport.load(path)
         assert round_tripped.to_json_text() == report.to_json_text()
         assert round_tripped.id_pct == report.id_pct

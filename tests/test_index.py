@@ -178,7 +178,6 @@ class TestValidation:
             (["c:0", "c:1"], [e0], r"2 chunk ids need a \(2, dims\) matrix"),
             (["c:1", "c:0", "c:1"], [e0, e0, e0], "duplicate chunk id 'c:1'"),
             (["c:0", 7], [e0, e0], "chunk id 7 is not a string"),
-            (["c:0", "x\ud800"], [e0, e0], r"chunk id 'x\\ud800' holds a lone surrogate"),
             (["c:0", "c:1"], [e0, [0.6, 0.0, 0.0, 0.0]], r"entry 'c:1' is not unit-norm"),
         ):
             with pytest.raises(InputError, match=message):
@@ -301,6 +300,22 @@ class TestPersistence:
         with np.load(tmp_path / "index.npz") as archive:
             manifest = json.loads(archive["manifest"].tobytes())
         assert manifest["encoder"] == {"kind": "toy_dual_tower", "dims": 8, "matrix": tower.matrix.tolist()}
+
+    def test_what_the_manifest_cannot_hold_is_a_save_error(self, tmp_path):
+        """A lone surrogate in a chunk id or an encoder endpoint is not text:
+        saving fails as [save] and leaves no file, not even a temporary one."""
+        e0 = [1.0] + [0.0] * 63
+        for ids, encoder in (
+            (["c:0", "x\ud800"], LexicalEncoder()),
+            (["c:0"], RemoteEncoder("http://127.0.0.1:9/\udcff")),
+        ):
+            index = VectorIndex(ids, [e0] * len(ids), encoder=encoder)
+            path = tmp_path / "index.npz"
+            with pytest.raises(FormatError, match="surrogates not allowed") as err:
+                index.save(path)
+            assert err.value.stage == "save"
+            assert str(err.value).startswith(f"cannot write index {path}: ")
+            assert list(tmp_path.iterdir()) == []
 
     def test_an_index_without_its_encoder_is_not_saved(self, tmp_path):
         """``query`` embeds with the index's encoder: an index without one is not saved."""

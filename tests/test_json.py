@@ -1,8 +1,9 @@
-"""The package's one JSON reader refuses what is JSON but not text."""
+"""The package's one JSON dialect: the reader refuses what is JSON but not
+text, and the writer writes nothing the reader would refuse."""
 
 import pytest
 
-from carbonrag._json import parse_json
+from carbonrag._json import parse_json, read_json, write_json
 from carbonrag.errors import ConfigError, FormatError
 
 
@@ -48,3 +49,35 @@ def test_a_repeated_key_is_the_callers_error(data, key):
     with pytest.raises(ConfigError) as err:
         parse_json(data, "config c.json", ConfigError)
     assert str(err.value) == f"config c.json is not JSON: duplicate key {key}"
+
+
+class TestWriteJson:
+    def test_writes_what_the_reader_reads_in_dict_order(self, tmp_path):
+        path = tmp_path / "out.json"
+        obj = {"z": [1, 2.5, None], "a": {"CO₂": "électricité \U0001f600"}, "m": True}
+        write_json(path, "report", obj)
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith('{\n  "z": [\n    1,') and text.endswith("}\n")
+        assert "CO₂" in text  # written as itself, not as an escape
+        assert list(read_json(path, "report", FormatError).value) == ["z", "a", "m"]
+        assert read_json(path, "report", FormatError).value == obj
+
+    @pytest.mark.parametrize(
+        "obj, reason",
+        [
+            ({"id_pct": float("nan")}, "Out of range float values are not JSON compliant"),
+            ([1.0, float("inf")], "Out of range float values are not JSON compliant"),
+            ({"endpoint": "\ud800"}, "surrogates not allowed"),
+            ({"\udcff": 1}, "surrogates not allowed"),
+        ],
+        ids=["nan", "inf", "surrogate value", "surrogate key"],
+    )
+    def test_refuses_what_the_reader_would_refuse(self, tmp_path, obj, reason):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old bytes\n")
+        with pytest.raises(FormatError, match=reason) as err:
+            write_json(path, "report", obj)
+        assert err.value.stage == "save"
+        assert str(err.value).startswith(f"cannot write report {path}: ")
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
