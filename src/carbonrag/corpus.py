@@ -36,6 +36,8 @@ DEFAULT_LENGTH_THRESHOLD = 4000
 _CHUNK_ID_RE = re.compile(r"^(?P<doc>.+):(?P<start>\d{8,})-(?P<end>\d{8,})$")
 _DOC_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _C0_EXCEPT_LF_RE = re.compile(r"[\x00-\x09\x0b-\x1f]")
+# The same mapping for ASCII text, where one byte translate replaces the regex.
+_C0_EXCEPT_LF_TABLE = bytes(0x20 if c < 0x20 and c != 0x0A else c for c in range(256))
 
 
 class SourceKind(str, Enum):
@@ -71,8 +73,16 @@ class Chunk:
 
 def normalize_text(raw: str) -> str:
     text = raw.replace("\r\n", "\n")
-    text = _C0_EXCEPT_LF_RE.sub(" ", text)
-    return re.sub(r"\n{4,}", "\n\n\n", text)
+    if text.isascii():
+        data = text.encode("ascii")
+        cleaned = data.translate(_C0_EXCEPT_LF_TABLE)
+        if cleaned != data:  # a clean text stays the same object, as re.sub leaves it
+            text = cleaned.decode("ascii")
+    else:
+        text = _C0_EXCEPT_LF_RE.sub(" ", text)
+    if "\n\n\n\n" in text:
+        text = re.sub(r"\n{4,}", "\n\n\n", text)
+    return text
 
 
 def chunk_id_for(doc_id: str, start: int, end: int) -> str:

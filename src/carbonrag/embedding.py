@@ -11,9 +11,13 @@ Token features are hashed bag-of-words. A token is the UTF-8 bytes of a
 takes a fast path, one byte translate table and a split, that gives the
 same tokens. Each token goes to a bucket by the standard, unseeded FNV-1a
 64-bit hash.
-``hashed_counts`` counts a whole batch: each distinct token is hashed once
-per call, through a token -> bucket dict that lives only for that call, so
-no cache outlives it and each row still depends on its own text only.
+``hashed_counts`` counts a whole batch. When the batch holds at least
+``_KERNEL_MIN_CHARS`` ASCII chars, its ASCII texts are tokenised, hashed
+and counted by numpy a block of texts at a time. Non-ASCII texts, and
+every text of a smaller batch such as one query, are counted one at a
+time through a token -> bucket dict that lives only for that call. No
+cache outlives a call, and either path gives each row the same counts,
+bit for bit, from its own text only.
 
 An encoder's ``spec``, the JSON record ``encoder_from_json`` rebuilds it
 from, is what an encoder file and an index hold.
@@ -80,17 +84,84 @@ class _Buckets(dict):
         return bucket
 
 
+# A batch with fewer ASCII chars than this is counted text by text: for one
+# short question the block kernel's fixed numpy cost exceeds the whole job.
+_KERNEL_MIN_CHARS = 4096
+# A block closes at this many texts or chars, so its arrays stay in cache
+# and a batch of huge texts never joins into one huge buffer.
+_BLOCK_TEXTS = 128
+_BLOCK_CHARS = 1 << 17
+# Tokens up to this many bytes are hashed by numpy, one byte position per
+# pass; longer ones one at a time by ``_fnv1a64``, so a block makes at most
+# this many passes whatever its input.
+_KERNEL_MAX_TOKEN = 64
+
+
+def _tokens_by_length(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start offsets and lengths of the runs of non-space bytes in ``data``,
+    stably sorted by length (lengths past 255 count as 255)."""
+    in_token = np.zeros(len(data) + 2, dtype=bool)
+    in_token[1:-1] = data != 0x20
+    edges = np.flatnonzero(in_token[1:] != in_token[:-1])
+    starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+    # A uint8 key sorts by radix.
+    order = np.argsort(np.minimum(lengths, 255).astype(np.uint8), kind="stable")
+    return starts[order], lengths[order]
+
+
+def _ascii_block_counts(texts: Sequence[str], dims: int) -> np.ndarray:
+    """Hashed token counts of ASCII ``texts``, computed by numpy for the block.
+
+    Equal to counting ``tokenize(text)`` row by row: the texts are joined
+    with spaces, so no token crosses two texts.
+    """
+    data = np.frombuffer(" ".join(texts).encode("ascii").translate(_ASCII_TOKEN_TABLE), np.uint8)
+    starts, lengths = _tokens_by_length(data)
+    n_short = int(np.count_nonzero(lengths <= _KERNEL_MAX_TOKEN))
+    passes = int(lengths[n_short - 1]) if n_short else 0
+    h = np.full(len(starts), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    # The short tokens longer than j bytes are a suffix of the short ones,
+    # so pass j updates one slice.
+    for j, a in enumerate(np.searchsorted(lengths[:n_short], np.arange(passes), side="right")):
+        h[a:n_short] ^= data[j:][starts[a:n_short]]
+        h[a:n_short] *= prime
+    for i in range(n_short, len(starts)):
+        h[i] = _fnv1a64(data[starts[i] : starts[i] + lengths[i]].tobytes())
+    h %= np.uint64(dims)
+
+    rows = np.searchsorted(np.cumsum([len(t) + 1 for t in texts]), starts, side="right")
+    cells = rows * dims + h.astype(np.intp)
+    return np.bincount(cells, minlength=len(texts) * dims).reshape(len(texts), dims)
+
+
 def hashed_counts(texts: Sequence[str], dims: int) -> np.ndarray:
     """Hashed token counts, one float64 row per text, shape ``(len(texts), dims)``.
 
-    Rows are filled one text at a time, so only one text's tokens are held
-    at once; the token -> bucket dict is shared by the rows of this call.
+    ASCII texts are counted by ``_ascii_block_counts`` a block at a time,
+    unless the batch holds fewer than ``_KERNEL_MIN_CHARS`` ASCII chars.
+    Other texts are counted one at a time through a token -> bucket dict
+    shared by the rows of this call. Either way each row equals the count
+    of its own text's tokens.
     """
     counts = np.zeros((len(texts), dims), dtype=np.float64)
+    by_blocks = sum(len(t) for t in texts if t.isascii()) >= _KERNEL_MIN_CHARS
     buckets = _Buckets(dims)
-    for row, text in zip(counts, texts):
-        row[:] = np.bincount(list(map(buckets.__getitem__, tokenize(text))), minlength=dims)
+    block: list[int] = []
+    chars = 0
+    for i, text in enumerate(texts):
+        if by_blocks and text.isascii():
+            block.append(i)
+            chars += len(text)
+        else:
+            counts[i] = np.bincount(list(map(buckets.__getitem__, tokenize(text))), minlength=dims)
+        if block and (len(block) == _BLOCK_TEXTS or chars >= _BLOCK_CHARS or i == len(texts) - 1):
+            counts[block] = _ascii_block_counts([texts[b] for b in block], dims)
+            block, chars = [], 0
     return counts
+
+
+_ZERO_ROW_WARNING = "embedding of %r is a zero vector; using basis e_0"
 
 
 def _unit_rows(vectors: Sequence[np.ndarray], texts: Sequence[str], dims: int) -> np.ndarray:
@@ -103,7 +174,7 @@ def _unit_rows(vectors: Sequence[np.ndarray], texts: Sequence[str], dims: int) -
     for row, vector, text in zip(rows, vectors, texts):
         norm = float(np.linalg.norm(vector))
         if norm == 0.0:
-            logger.warning("embedding of %r is a zero vector; using basis e_0", text[:40])
+            logger.warning(_ZERO_ROW_WARNING, text[:40])
             row[0] = 1.0
         else:
             row[:] = vector / norm
@@ -166,8 +237,22 @@ class LexicalEncoder(Encoder):
         return {"kind": self.kind, "dims": self.dims}
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
+        """A batch of several texts is normalised in one vectorised step.
+
+        Its rows equal ``_unit_rows``' bit for bit: counts are integers, so
+        their squares sum exactly (below 2**53) in any order. One text, as
+        ``embed`` gives a question, takes ``_unit_rows``: there the step's
+        fixed numpy cost outweighs one row's own norm.
+        """
         counts = hashed_counts([_require_text(t) for t in texts], self.dims)
-        return _unit_rows(counts, texts, self.dims)
+        if len(texts) == 1:
+            return _unit_rows(counts, texts, self.dims)
+        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+        for i in np.flatnonzero(norms == 0.0):
+            logger.warning(_ZERO_ROW_WARNING, texts[i][:40])
+            counts[i, 0] = norms[i] = 1.0
+        counts /= norms[:, None]
+        return counts
 
 
 @dataclass(frozen=True, eq=False)

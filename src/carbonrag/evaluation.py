@@ -130,16 +130,11 @@ def fact_deviation(fact: ExtractedFact, truth: GroundTruthRecord) -> float:
     return deviation
 
 
-def compute_id(
+def _deviations(
     facts: Iterable[ExtractedFact], truths: Sequence[GroundTruthRecord]
-) -> float | None:
-    """Mean deviation over retrieved facts that match a truth key.
-
-    Returns None when nothing matched: an undefined score is reported as
-    absent, never as a flattering zero. Zero-valued truths are skipped with
-    a warning since a percentage against zero has no meaning. A mean too
-    large for a float is an error naming the largest deviation's fact.
-    """
+) -> list[tuple[float, str]]:
+    """``(deviation, fact_key)`` of each fact that matches a truth key, in
+    fact order; zero-valued truths are skipped with a warning."""
     truth_map = {t.fact_key: t for t in truths}
     deviations = []
     for fact in facts:
@@ -153,6 +148,10 @@ def compute_id(
             )
             continue
         deviations.append((fact_deviation(fact, truth), fact.fact_key))
+    return deviations
+
+
+def _mean_deviation(deviations: Sequence[tuple[float, str]]) -> float | None:
     if not deviations:
         return None
     mean = sum(d for d, _ in deviations) / len(deviations)
@@ -160,6 +159,19 @@ def compute_id(
         worst, key = max(deviations)
         raise BenchmarkError(f"ID overflows: the deviation of {key!r} is {worst:g}%")
     return mean
+
+
+def compute_id(
+    facts: Iterable[ExtractedFact], truths: Sequence[GroundTruthRecord]
+) -> float | None:
+    """Mean deviation over retrieved facts that match a truth key.
+
+    Returns None when nothing matched: an undefined score is reported as
+    absent, never as a flattering zero. Zero-valued truths are skipped with
+    a warning since a percentage against zero has no meaning. A mean too
+    large for a float is an error naming the largest deviation's fact.
+    """
+    return _mean_deviation(_deviations(facts, truths))
 
 
 def compute_ad(total: Quantity, true_footprint: float) -> AccountingDeviation:
@@ -581,21 +593,21 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
     footprint = compute_footprint(items, bench.factors, bench.scope, bench.functional_unit)
 
     irr = compute_irr(facts_by_key.keys(), truth_map.keys())
-    id_pct = compute_id(facts_by_key.values(), bench.truths)
+    # Each deviation is computed once, for the ID mean and for its record.
+    deviations = _deviations(facts_by_key.values(), bench.truths)
+    id_pct = _mean_deviation(deviations)
     ad = compute_ad(footprint.total, bench.true_footprint)
 
+    deviation_of = {key: d for d, key in deviations}
     per_fact = []
     for key in sorted(truth_map):
         truth = truth_map[key]
         fact = facts_by_key.get(key)
-        deviation = None
-        if fact is not None and truth.true_value != 0:
-            deviation = fact_deviation(fact, truth)
         per_fact.append(
             PerFactRecord(
                 fact_key=key,
                 retrieved=fact is not None,
-                deviation_pct=deviation,
+                deviation_pct=deviation_of.get(key),
                 true_value=truth.true_value,
                 true_unit=truth.unit,
                 extracted_value=None if fact is None else fact.value.as_json_value(),

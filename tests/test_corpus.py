@@ -2,6 +2,7 @@
 
 import http.server
 import json
+import re
 import string
 
 import numpy as np
@@ -47,6 +48,13 @@ class TestNormalization:
             raw = "".join(rng.choice(list(alphabet), size=200))
             once = normalize_text(raw)
             assert normalize_text(once) == once
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.text(alphabet=st.sampled_from("ab\n\r\t\x00\x1f\x0bé ")))
+    def test_equals_the_regex_version(self, raw):
+        """The ASCII translate path and the skipped blank-line pass change nothing."""
+        text = re.sub(r"[\x00-\x09\x0b-\x1f]", " ", raw.replace("\r\n", "\n"))
+        assert normalize_text(raw) == re.sub(r"\n{4,}", "\n\n\n", text)
 
 
 class TestSegmentation:

@@ -9,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carbonrag import LexicalEncoder, RemoteEncoder, build_index, encoder_from_spec
+from carbonrag import LexicalEncoder, RemoteEncoder, build_index, embedding, encoder_from_spec
 from carbonrag._json import parse_json, write_json
 from carbonrag.embedding import (
+    _BLOCK_CHARS,
+    _BLOCK_TEXTS,
+    _KERNEL_MAX_TOKEN,
+    _KERNEL_MIN_CHARS,
     _TOKEN_RE,
     DEFAULT_FEATURE_DIMS,
     DualTowerEncoder,
@@ -174,23 +178,30 @@ def test_embed_is_bit_identical_to_its_batch_row(encoder):
 
 
 _WORDS = ["bath", "ratio", "CO₂", "émission", "电池", "kWh_3", "!!!", "anode"]
-_TEXTS = st.lists(
-    st.lists(st.sampled_from(_WORDS) | st.text(max_size=6), min_size=1, max_size=12)
-    .map(" ".join)
-    .filter(str.strip),
-    max_size=8,
-)
+# A list of up to 8 texts, repeated up to 60 times: long batches reach the
+# block kernel of ``hashed_counts``, short ones do not.
+_TEXTS = st.tuples(
+    st.lists(
+        st.lists(st.sampled_from(_WORDS) | st.text(max_size=6), min_size=1, max_size=12)
+        .map(" ".join)
+        .filter(str.strip),
+        max_size=8,
+    ),
+    st.integers(1, 60),
+).map(lambda p: p[0] * p[1])
 
 
 @_LOCAL_ENCODERS
 @settings(max_examples=60, deadline=None)
 @given(texts=_TEXTS)
 def test_every_batch_row_is_bit_identical_to_embed(encoder, texts):
-    """Rows share one token -> bucket dict per call, yet each equals its own embed."""
+    """Rows are counted in blocks or through one token -> bucket dict per call,
+    yet each equals its own embed."""
     matrix = encoder.embed_batch(texts)
     assert matrix.shape == (len(texts), encoder.dims)
+    alone = {text: encoder.embed(text).tobytes() for text in set(texts)}
     for text, row in zip(texts, matrix):
-        assert encoder.embed(text).tobytes() == row.tobytes()
+        assert alone[text] == row.tobytes()
 
 
 def _oracle_counts(text, dims):
@@ -251,6 +262,79 @@ class TestHashedCountsOracle:
                 features = counts / norm if norm > 0.0 else counts
                 rows.append(_oracle_unit(matrix @ features))
             assert enc.embed_batch(texts).tobytes() == np.stack(rows).tobytes()
+
+
+def _assert_counts_are_the_oracle(texts, dims):
+    expected = np.zeros((len(texts), dims))
+    for row, text in zip(expected, texts):
+        row[:] = _oracle_counts(text, dims)
+    assert hashed_counts(texts, dims).tobytes() == expected.tobytes()
+
+
+_KERNEL_PIECES = st.one_of(
+    # ASCII, with separators, control bytes and tokenless texts
+    st.text(alphabet=st.sampled_from("aZ09 _-.\x00\x1f\n"), max_size=40),
+    # mostly non-ASCII
+    st.text(alphabet=st.sampled_from("aK9 é电\u212a\u0130"), max_size=20),
+    # one token on either side of the numpy hashing cap
+    st.text(alphabet="ab19", min_size=_KERNEL_MAX_TOKEN - 2, max_size=3 * _KERNEL_MAX_TOKEN),
+)
+
+
+class TestBlockKernel:
+    """``hashed_counts`` on batches that take its block kernel, or just miss it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pieces=st.lists(_KERNEL_PIECES, min_size=1, max_size=12),
+        n=st.integers(1, 2 * _BLOCK_TEXTS + 10),
+        dims=st.sampled_from([1, 7, 64, 4096]),
+    )
+    def test_counts_are_the_oracle_on_any_batch(self, pieces, n, dims):
+        """Up to two block boundaries; ASCII and non-ASCII texts interleaved;
+        batches on both sides of the small-batch cut."""
+        _assert_counts_are_the_oracle([pieces[i % len(pieces)] for i in range(n)], dims)
+
+    @pytest.mark.parametrize(
+        "texts, blocks",
+        [
+            (["ab1 " * (_KERNEL_MIN_CHARS // 4 - 1) + "abc", "é b"], []),
+            (["ab1 " * (_KERNEL_MIN_CHARS // 4), "é b"], [1]),
+            (["x" * (_KERNEL_MIN_CHARS // 8) + " !"] * (_BLOCK_TEXTS + 1), [_BLOCK_TEXTS, 1]),
+            (["é"] + ["a b " * (_BLOCK_CHARS // 8)] * 3 + ["..."], [2, 2]),
+        ],
+        ids=["below the cut", "at the cut", "past the text bound", "past the char bound"],
+    )
+    def test_block_boundaries(self, monkeypatch, texts, blocks):
+        sizes = []
+        kernel = embedding._ascii_block_counts
+
+        def spy(block, dims):
+            sizes.append(len(block))
+            return kernel(block, dims)
+
+        monkeypatch.setattr(embedding, "_ascii_block_counts", spy)
+        _assert_counts_are_the_oracle(texts, 64)
+        assert sizes == blocks
+
+    def test_a_one_megabyte_token_is_the_oracle(self):
+        letters = np.random.default_rng(1).integers(ord("a"), ord("z") + 1, 1 << 20, dtype=np.uint8)
+        _assert_counts_are_the_oracle([letters.tobytes().decode("ascii"), "rail"], 64)
+
+    def test_zero_rows_inside_a_large_batch_become_e0(self, caplog):
+        texts = ["anode carbon consumption per tonne"] * 300
+        zero_at = (0, 7, 150, 299)
+        for i in zero_at:
+            texts[i] = "!!!" + "-" * i
+        enc = LexicalEncoder(dims=16)
+        with caplog.at_level("WARNING", logger="carbonrag.embedding"):
+            matrix = enc.embed_batch(texts)
+        expected = np.stack([_oracle_unit(_oracle_counts(t, 16)) for t in texts])
+        assert matrix.tobytes() == expected.tobytes()
+        assert [i for i, row in enumerate(matrix) if row.tobytes() == np.eye(16)[0].tobytes()] == list(zero_at)
+        assert caplog.messages == [
+            f"embedding of {texts[i][:40]!r} is a zero vector; using basis e_0" for i in zero_at
+        ]
 
 
 class TestPairGradient:

@@ -470,6 +470,28 @@ class TestRunBenchmark:
         assert by_key["natural_gas_use"].deviation_pct == 10.0
         assert by_key["electricity_use"].extracted_unit == "MWh"
 
+    def test_each_deviation_is_computed_once(self, benchmark_tree, monkeypatch, caplog):
+        """The ID mean and the per-fact records share one deviation per fact;
+        a zero truth gets none, and one warning."""
+        obj = _with_truth("natural_gas_use", 0.0)
+        benchmark_tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
+        calls = []
+
+        def counted(fact, truth):
+            calls.append(fact.fact_key)
+            return fact_deviation(fact, truth)
+
+        monkeypatch.setattr(evaluation, "fact_deviation", counted)
+        backend = ScriptedMockBackend(fixtures.VARIANT_SCRIPT)
+        with caplog.at_level(logging.WARNING, logger="carbonrag.evaluation"):
+            report = run_benchmark(_config(benchmark_tree), backend=backend)
+        scored = {r.fact_key: r.deviation_pct for r in report.per_fact if r.retrieved}
+        assert len(scored) == 9 and scored.pop("natural_gas_use") is None
+        assert sorted(calls) == sorted(scored)
+        assert report.id_pct == sum(scored.values()) / len(scored)
+        zero = [m for m in caplog.messages if "truth value is zero" in m]
+        assert zero == ["excluding 'natural_gas_use' from the deviation mean: truth value is zero"]
+
     def test_runs_are_deterministic_modulo_timestamp(self, benchmark_tree):
         a = _run_perfect(benchmark_tree).to_json_obj()
         b = _run_perfect(benchmark_tree).to_json_obj()
