@@ -119,22 +119,15 @@ def segment(
     check_chunking(chunk_size, overlap)
     body = doc.body
     n = len(body)
-    if n == 0:
-        return []
-    stride = chunk_size - overlap
-    spans = [(start, min(start + chunk_size, n)) for start in range(0, n, stride)]
-    if len(spans) >= 2 and spans[-1][1] - spans[-1][0] < overlap:
-        spans.pop()
-    return [
-        Chunk(
-            chunk_id=chunk_id_for(doc.doc_id, start, end),
-            doc_id=doc.doc_id,
-            start_offset=start,
-            end_offset=end,
-            text=body[start:end],
-        )
-        for start, end in spans
-    ]
+    starts = range(0, n, chunk_size - overlap)
+    if len(starts) >= 2 and n - starts[-1] < overlap:
+        starts = starts[:-1]
+    doc_id = doc.doc_id
+    chunks = []
+    for start in starts:
+        end = min(start + chunk_size, n)
+        chunks.append(Chunk(chunk_id_for(doc_id, start, end), doc_id, start, end, body[start:end]))
+    return chunks
 
 
 def classify_datasource(

@@ -7,11 +7,12 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carbonrag import Catalog, classify_datasource
 from carbonrag.corpus import (
+    Chunk,
     Document,
     LengthClass,
     SourceKind,
@@ -107,6 +108,40 @@ class TestSegmentation:
             for chunk in segment(_doc("z" * n), size, overlap):
                 covered[chunk.start_offset : chunk.end_offset] = True
             assert covered.all()
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), chunk_size=st.integers(2, 1200))
+    @example(data=None, chunk_size=1000)
+    def test_spans_follow_the_documented_rule(self, data, chunk_size):
+        if data is None:  # the remainder exactly equal to the overlap
+            overlap, n = 200, 1800
+        else:
+            overlap = data.draw(st.integers(0, chunk_size - 1), label="overlap")
+            stride = chunk_size - overlap
+            exact = st.integers(1, max(1, (5000 - overlap) // stride)).map(
+                lambda k: min(k * stride + overlap, 5000)
+            )
+            n = data.draw(st.integers(0, 5000) | exact, label="n")
+        body = (string.ascii_letters * (n // 52 + 1))[:n]
+        chunks = segment(_doc(body), chunk_size, overlap)
+        spans = _reference_spans(n, chunk_size, overlap)
+        assert [(c.start_offset, c.end_offset) for c in chunks] == spans
+        assert chunks == [
+            Chunk(chunk_id_for("d1", start, end), "d1", start, end, body[start:end])
+            for start, end in spans
+        ]
+
+
+def _reference_spans(n: int, chunk_size: int, overlap: int) -> list[tuple[int, int]]:
+    """The documented rule as ``segment`` once spelled it: every span at
+    stride ``chunk_size - overlap``, then the last one dropped when it is
+    shorter than the overlap and not alone."""
+    stride = chunk_size - overlap
+    spans = [(start, min(start + chunk_size, n)) for start in range(0, n, stride)]
+    if len(spans) >= 2 and spans[-1][1] - spans[-1][0] < overlap:
+        spans.pop()
+    return spans
 
 
 class TestChunkIds:

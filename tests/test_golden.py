@@ -6,9 +6,12 @@ that alters an output on purpose regenerates them by writing each returned
 text to that file. Reports leave out ``generated_at`` and the config keys
 that hold a path; the index is pinned by its manifest (chunk ids and encoder
 spec), not by its matrix bytes, whose last bits depend on the BLAS build.
+The catalog is pinned as the bytes ``ingest`` wrote, each ``fetched_at``
+masked, so it also pins the JSON writer's own output.
 """
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from carbonrag.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 _PATH_KEYS = ("backend", "benchmark_path", "report_out")
+_FETCHED_AT_RE = re.compile(rb'("fetched_at": )"[^"]*"')
 
 
 def _report_text(path: Path) -> str:
@@ -42,6 +46,8 @@ def _fixture_outputs(work: Path, capsys) -> dict[str, str]:
     for doc_id, title, body in fixtures.CORPUS_DOCS:
         ingest = ["ingest", "--source", "raw_text", "--doc-id", doc_id, "--title", title]
         assert main([*ingest, "--catalog", str(catalog), body]) == 0
+    masked = _FETCHED_AT_RE.sub(rb'\1"<fetched_at>"', catalog.read_bytes())
+    outputs["catalog.json"] = masked.decode("utf-8")
     assert main(["index", "build", "--catalog", str(catalog), "--out", str(index)]) == 0
     with np.load(index, allow_pickle=False) as archive:
         manifest = json.loads(archive["manifest"].tobytes())

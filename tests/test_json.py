@@ -1,9 +1,14 @@
 """The package's one JSON dialect: the reader refuses what is JSON but not
 text, and the writer writes nothing the reader would refuse."""
 
-import pytest
+import enum
+import json
 
-from carbonrag._json import parse_json, read_json, write_json
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from carbonrag._json import _plain_ascii, dump_json, parse_json, read_json, write_json
 from carbonrag.errors import ConfigError, FormatError
 
 
@@ -81,3 +86,71 @@ class TestWriteJson:
         assert str(err.value).startswith(f"cannot write report {path}: ")
         assert path.read_bytes() == b"old bytes\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+class _Unit(str, enum.Enum):
+    TONNE = "t"
+    CO2E = "kgCO₂e"
+
+
+# Every ASCII char but DEL, which includes the quote and the backslash.
+_ASCII = "".join(map(chr, range(0x7F)))
+_NOT_PLAIN = ["\x7f", "é", "₂", "\U0001f600", _Unit.TONNE, _Unit.CO2E, ("t", 1)]
+
+
+def _values(strings, *, tuples: bool = False):
+    """Nested lists and dicts, and tuples if asked, whose keys and strings
+    are drawn from ``strings``."""
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | strings
+    )
+
+    def containers(children):
+        lists = st.lists(children, max_size=4)
+        options = lists | st.dictionaries(strings, children, max_size=4)
+        return options | lists.map(tuple) if tuples else options
+
+    return st.recursive(scalars, containers, max_leaves=16)
+
+
+_PLAIN_VALUES = _values(st.text(_ASCII, max_size=12))
+_ANY_VALUES = _values(
+    st.text(_ASCII + "\x7fé₂\U0001f600", max_size=12) | st.sampled_from(_Unit), tuples=True
+)
+
+
+def _oracle(value, indent):
+    text = json.dumps(value, ensure_ascii=False, allow_nan=False, indent=indent)
+    return text if indent is None else text + "\n"
+
+
+class TestDumpJson:
+    """``dump_json`` picks an escaper by its input; the text must not show which."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_PLAIN_VALUES, indent=st.sampled_from([2, None]))
+    def test_plain_ascii_values_match_the_non_ascii_escaper(self, value, indent):
+        assert _plain_ascii(value)  # the ASCII escaper runs
+        assert dump_json(value, indent=indent) == _oracle(value, indent)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        value=_ANY_VALUES,
+        odd=st.sampled_from(_NOT_PLAIN),
+        at_key=st.booleans(),
+        indent=st.sampled_from([2, None]),
+    )
+    def test_any_other_value_matches_it_too(self, value, odd, at_key, indent):
+        if at_key and not isinstance(odd, tuple):
+            value = {odd: value}
+        else:
+            value = [value, odd]
+        assert not _plain_ascii(value)  # the other escaper runs
+        assert dump_json(value, indent=indent) == _oracle(value, indent)
+
+    def test_del_is_written_as_itself(self):
+        assert dump_json(["a\x7fb"], indent=None) == '["a\x7fb"]'
