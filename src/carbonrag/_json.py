@@ -246,6 +246,7 @@ class Node:
             self.fail(f"unknown keys: {', '.join(unknown)}")
         return self
 
-    def elements(self) -> list["Node"]:
-        """One node per element of this list."""
-        return [self._child(i, item) for i, item in enumerate(self.expect(list))]
+    def elements(self, keys: Collection[str] | None = None) -> list["Node"]:
+        """One node per element of this list; given ``keys``, each ``only_keys(keys)``."""
+        nodes = [self._child(i, item) for i, item in enumerate(self.expect(list))]
+        return nodes if keys is None else [node.only_keys(keys) for node in nodes]

@@ -68,10 +68,10 @@ def cmd_index_build(args) -> int:
 
 
 def _read_training_pairs(path: str) -> list[TrainingPair]:
-    pairs = read_json(path, "training pairs", FormatError).elements()
+    pairs = read_json(path, "training pairs", FormatError).elements(("text_a", "text_b", "related"))
     return [
         TrainingPair(p.get("text_a", str), p.get("text_b", str), p.get("related", bool))
-        for p in (pair.only_keys(("text_a", "text_b", "related")) for pair in pairs)
+        for p in pairs
     ]
 
 
@@ -155,8 +155,9 @@ def cmd_query(args) -> int:
 def _parse_fact_entries(path: str) -> list[InventoryItem]:
     root = read_json(path, "facts", FormatError)
     items = []
-    for entry in (root.at("facts") if isinstance(root.value, dict) else root).elements():
-        entry.only_keys(("activity", "key", "value", "unit", "lifecycle_stage", "sources"))
+    entries = root.only_keys(("facts",)).at("facts") if isinstance(root.value, dict) else root
+    keys = ("activity", "key", "value", "unit", "lifecycle_stage", "sources")
+    for entry in entries.elements(keys):
         activity = entry.get("activity", str, default=None) or entry.get("key", str)
         quantity = entry.get("value", Quantity.from_json_value)
         unit = entry.get("unit", str)

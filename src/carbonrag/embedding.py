@@ -8,16 +8,14 @@ whatever it returns.
 
 Token features are hashed bag-of-words. A token is the UTF-8 bytes of a
 ``[^\W_]+`` run (letters and digits) of the lowercased text; ASCII text
-takes a fast path, one byte translate table and a split, that gives the
-same tokens. Each token goes to a bucket by the standard, unseeded FNV-1a
-64-bit hash.
-``hashed_counts`` counts a whole batch. When the batch holds at least
-``_KERNEL_MIN_CHARS`` ASCII chars, its ASCII texts are tokenised, hashed
-and counted by numpy a block of texts at a time. Non-ASCII texts, and
-every text of a smaller batch such as one query, are counted one at a
-time through a token -> bucket dict that lives only for that call. No
-cache outlives a call, and either path gives each row the same counts,
-bit for bit, from its own text only.
+finds them by one byte translate table, other text by the regex. Each
+token goes to a bucket by the standard, unseeded FNV-1a 64-bit hash.
+``hashed_counts`` counts a whole batch, by one of two paths chosen by the
+batch's size alone. A batch of fewer than ``_KERNEL_MIN_CHARS`` chars,
+such as one question, is hashed token by token in Python. A larger batch,
+whatever its script, is hashed and counted by numpy a block of texts at a
+time. No cache outlives a call, and either path gives each row the same
+counts, bit for bit, from its own text only.
 
 An encoder's ``spec``, the JSON record ``encoder_from_json`` rebuilds it
 from, is what an encoder file and an index hold.
@@ -65,30 +63,23 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
+def _token_bytes(text: str) -> bytes:
+    """The tokens of ``text`` joined by spaces (ASCII text keeps runs of them)."""
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_TOKEN_TABLE)
+    return " ".join(_TOKEN_RE.findall(text.lower())).encode("utf-8")
+
+
 def tokenize(text: str) -> list[bytes]:
     """The UTF-8 bytes of each ``[^\\W_]+`` run of ``text.lower()``, in order."""
-    if text.isascii():
-        return text.encode("ascii").translate(_ASCII_TOKEN_TABLE).split()
-    return [token.encode("utf-8") for token in _TOKEN_RE.findall(text.lower())]
+    return _token_bytes(text).split()
 
 
-class _Buckets(dict):
-    """Token -> bucket dict that hashes a token the first time it is looked up."""
-
-    def __init__(self, dims: int):
-        super().__init__()
-        self.dims = dims
-
-    def __missing__(self, token: bytes) -> int:
-        bucket = self[token] = _fnv1a64(token) % self.dims
-        return bucket
-
-
-# A batch with fewer ASCII chars than this is counted text by text: for one
-# short question the block kernel's fixed numpy cost exceeds the whole job.
+# A batch with fewer chars than this is counted text by text: for one short
+# question the block kernel's fixed numpy cost exceeds the whole job.
 _KERNEL_MIN_CHARS = 4096
-# A block closes at this many texts or chars, so its arrays stay in cache
-# and a batch of huge texts never joins into one huge buffer.
+# A block closes at this many texts or token bytes, so its arrays stay in
+# cache and a batch of huge texts never joins into one huge buffer.
 _BLOCK_TEXTS = 128
 _BLOCK_CHARS = 1 << 17
 # Tokens up to this many bytes are hashed by numpy, one byte position per
@@ -109,13 +100,13 @@ def _tokens_by_length(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[order], lengths[order]
 
 
-def _ascii_block_counts(texts: Sequence[str], dims: int) -> np.ndarray:
-    """Hashed token counts of ASCII ``texts``, computed by numpy for the block.
+def _block_counts(block: Sequence[bytes], dims: int) -> np.ndarray:
+    """Hashed token counts of a block of ``_token_bytes`` rows, computed by numpy.
 
-    Equal to counting ``tokenize(text)`` row by row: the texts are joined
-    with spaces, so no token crosses two texts.
+    Equal to counting each row's tokens on its own: the rows are joined
+    with spaces, so no token crosses two rows.
     """
-    data = np.frombuffer(" ".join(texts).encode("ascii").translate(_ASCII_TOKEN_TABLE), np.uint8)
+    data = np.frombuffer(b" ".join(block), np.uint8)
     starts, lengths = _tokens_by_length(data)
     n_short = int(np.count_nonzero(lengths <= _KERNEL_MAX_TOKEN))
     passes = int(lengths[n_short - 1]) if n_short else 0
@@ -130,33 +121,29 @@ def _ascii_block_counts(texts: Sequence[str], dims: int) -> np.ndarray:
         h[i] = _fnv1a64(data[starts[i] : starts[i] + lengths[i]].tobytes())
     h %= np.uint64(dims)
 
-    rows = np.searchsorted(np.cumsum([len(t) + 1 for t in texts]), starts, side="right")
+    rows = np.searchsorted(np.cumsum([len(b) + 1 for b in block]), starts, side="right")
     cells = rows * dims + h.astype(np.intp)
-    return np.bincount(cells, minlength=len(texts) * dims).reshape(len(texts), dims)
+    return np.bincount(cells, minlength=len(block) * dims).reshape(len(block), dims)
 
 
 def hashed_counts(texts: Sequence[str], dims: int) -> np.ndarray:
     """Hashed token counts, one float64 row per text, shape ``(len(texts), dims)``.
 
-    ASCII texts are counted by ``_ascii_block_counts`` a block at a time,
-    unless the batch holds fewer than ``_KERNEL_MIN_CHARS`` ASCII chars.
-    Other texts are counted one at a time through a token -> bucket dict
-    shared by the rows of this call. Either way each row equals the count
-    of its own text's tokens.
+    A batch of fewer than ``_KERNEL_MIN_CHARS`` chars is counted text by
+    text; a larger one by ``_block_counts``, a contiguous block of texts at
+    a time. Either way each row equals the count of its own text's tokens.
     """
     counts = np.zeros((len(texts), dims), dtype=np.float64)
-    by_blocks = sum(len(t) for t in texts if t.isascii()) >= _KERNEL_MIN_CHARS
-    buckets = _Buckets(dims)
-    block: list[int] = []
-    chars = 0
+    if sum(map(len, texts)) < _KERNEL_MIN_CHARS:
+        for row, text in zip(counts, texts):
+            row[:] = np.bincount([_fnv1a64(t) % dims for t in tokenize(text)], minlength=dims)
+        return counts
+    block, chars = [], 0
     for i, text in enumerate(texts):
-        if by_blocks and text.isascii():
-            block.append(i)
-            chars += len(text)
-        else:
-            counts[i] = np.bincount(list(map(buckets.__getitem__, tokenize(text))), minlength=dims)
-        if block and (len(block) == _BLOCK_TEXTS or chars >= _BLOCK_CHARS or i == len(texts) - 1):
-            counts[block] = _ascii_block_counts([texts[b] for b in block], dims)
+        block.append(_token_bytes(text))
+        chars += len(block[-1])
+        if len(block) == _BLOCK_TEXTS or chars >= _BLOCK_CHARS or i == len(texts) - 1:
+            counts[i + 1 - len(block) : i + 1] = _block_counts(block, dims)
             block, chars = [], 0
     return counts
 
@@ -237,16 +224,12 @@ class LexicalEncoder(Encoder):
         return {"kind": self.kind, "dims": self.dims}
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """A batch of several texts is normalised in one vectorised step.
+        """The batch is normalised in one vectorised step, whatever its size.
 
         Its rows equal ``_unit_rows``' bit for bit: counts are integers, so
-        their squares sum exactly (below 2**53) in any order. One text, as
-        ``embed`` gives a question, takes ``_unit_rows``: there the step's
-        fixed numpy cost outweighs one row's own norm.
+        their squares sum exactly (below 2**53) in any order.
         """
         counts = hashed_counts([_require_text(t) for t in texts], self.dims)
-        if len(texts) == 1:
-            return _unit_rows(counts, texts, self.dims)
         norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
         for i in np.flatnonzero(norms == 0.0):
             logger.warning(_ZERO_ROW_WARNING, texts[i][:40])

@@ -246,8 +246,7 @@ def load_benchmark(path: str | Path) -> Benchmark:
     root = read_json(path, "benchmark", BenchmarkError).only_keys(_BENCHMARK_KEYS)
     industry = root.get("industry", str)
     queries = []
-    for q in root.at("queries").elements():
-        q.only_keys(_QUERY_KEYS)
+    for q in root.at("queries").elements(_QUERY_KEYS):
         text = q.get("query_text", str)
         if not text.strip():  # refused before any encoder or backend call is paid for
             raise BenchmarkError(f"{q.at('query_text').where} must not be blank")
@@ -255,8 +254,7 @@ def load_benchmark(path: str | Path) -> Benchmark:
             BenchmarkQuery(q.get("query_id", str), text, tuple(q.get("fact_keys", list[str])))
         )
     truths = []
-    for t in root.at("truths").elements():
-        t.only_keys(_TRUTH_KEYS)
+    for t in root.at("truths").elements(_TRUTH_KEYS):
         truths.append(
             GroundTruthRecord(t.get("fact_key", str), t.get("true_value", float), t.get("unit", str))
         )
@@ -270,8 +268,8 @@ def load_benchmark(path: str | Path) -> Benchmark:
         if repeated:
             root.fail(f"duplicate {name} {repeated[0]!r}")
     datasources = []
-    for ds in root.at("datasources", default=[]).elements():
-        ds.only_keys(("source", "payload", *_DATASOURCE_METADATA))
+    datasource_keys = ("source", "payload", *_DATASOURCE_METADATA)
+    for ds in root.at("datasources", default=[]).elements(datasource_keys):
         fields = ds.expect(dict[str, str])
         source, payload = ds.get("source", SourceKind), ds.get("payload", str)
         if source is SourceKind.LOCAL_FILE:
@@ -313,6 +311,10 @@ def load_benchmark(path: str | Path) -> Benchmark:
     )
 
 
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _quantity_json(obj):
     """A quantity's JSON form, as ``Quantity.as_json_value`` writes it."""
     return Quantity.from_json_value(obj).as_json_value()
@@ -345,7 +347,10 @@ class MetricsReport:
         """Read a report, checking the JSON type of every field; a failure
         names the file and the field's JSON path."""
         root = read_json(path, "report", FormatError)
-        fp, ad = root.at("footprint"), root.at("ad")
+        fp = root.at("footprint")
+        fp.only_keys(("total_kgco2e", "functional_unit", "scope", "per_item"))
+        ad = root.at("ad").only_keys(_field_names(AccountingDeviation))
+        root.only_keys(_field_names(cls))
         footprint = FootprintResult(
             total=fp.get("total_kgco2e", Quantity.from_json_value),
             per_item=tuple(
@@ -354,7 +359,9 @@ class MetricsReport:
                     contribution=c.get("contribution_kgco2e", Quantity.from_json_value),
                     lifecycle_stage=c.get("lifecycle_stage", LifecycleStage),
                 )
-                for c in fp.at("per_item").elements()
+                for c in fp.at("per_item").elements(
+                    ("activity", "contribution_kgco2e", "lifecycle_stage")
+                )
             ),
             functional_unit=fp.get("functional_unit", str),
             scope=fp.get("scope", Scope),
@@ -371,7 +378,7 @@ class MetricsReport:
                 ),
                 extracted_unit=r.get("extracted_unit", str, default=None, nullable=True),
             )
-            for r in root.at("per_fact").elements()
+            for r in root.at("per_fact").elements(_field_names(PerFactRecord))
         )
         return cls(
             industry=root.get("industry", str),

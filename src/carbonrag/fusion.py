@@ -9,6 +9,7 @@ pure function; identical inputs give byte-identical renderings.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -130,21 +131,26 @@ def build_prompt(
         kept.append(frag)
 
     rendered = _render(query, kept)
-    while len(rendered) > budget and kept:
-        # Drop the worst fragment: lowest similarity, latest position on ties;
-        # fragments without a similarity score go first.
-        drop_idx = min(
-            range(len(kept)),
-            key=lambda i: (
-                kept[i].similarity if kept[i].similarity is not None else float("-inf"),
-                -i,
-            ),
+    if len(rendered) > budget and kept:
+        # Drop the worst fragments first: lowest similarity, latest position
+        # on ties; fragments without a similarity score go first. Each drop
+        # shortens the rendering, so the fewest drops that fit are bisected.
+        sims = [float("-inf") if frag.similarity is None else frag.similarity for frag in kept]
+        drop_order = sorted(range(len(kept)), key=lambda i: (sims[i], -i))
+
+        def without(drops: int) -> list[PromptFragment]:
+            gone = set(drop_order[:drops])
+            return [frag for i, frag in enumerate(kept) if i not in gone]
+
+        drops = bisect.bisect_left(
+            range(len(kept)), True, lo=1, key=lambda d: len(_render(query, without(d))) <= budget
         )
-        dropped = kept.pop(drop_idx)
-        sim = "none" if dropped.similarity is None else f"{dropped.similarity:.4f}"
-        notes.append(
-            f"dropped fragment {dropped.ref} (similarity {sim}) to fit budget {budget}"
-        )
+        for i in drop_order[:drops]:
+            sim = "none" if kept[i].similarity is None else f"{kept[i].similarity:.4f}"
+            notes.append(
+                f"dropped fragment {kept[i].ref} (similarity {sim}) to fit budget {budget}"
+            )
+        kept = without(drops)
         rendered = _render(query, kept)
 
     return Prompt(

@@ -208,7 +208,7 @@ class VectorIndex:
         # A JSON true equals 1 in Python, so the types are compared too.
         if any((type(got.get(k)), got.get(k)) != (type(v), v) for k, v in _FORMAT.items()):
             raise FormatError(f"{meta.where} does not declare {_FORMAT}")
-        ids = meta.get("ids", list)
+        ids = meta.only_keys((*_FORMAT, "ids", "encoder")).get("ids", list)
         encoder = encoder_from_json(meta.at("encoder"))
         # Stored vectors are kept without re-normalization, so save/load
         # round-trips bit-exactly.

@@ -525,6 +525,14 @@ class TestAccount:
             f"[load] facts {facts}: [0]: unknown keys: lifecycle_stages\n"
         )
 
+    def test_unknown_keys_beside_facts_are_refused(self, tmp_path, capsys):
+        _, factors = self._write_inputs(tmp_path)
+        facts = tmp_path / "extracted.json"
+        entry = {"key": "electricity_use", "value": 2, "unit": "kWh"}
+        facts.write_text(json.dumps({"facts": [entry], "fcts": []}), encoding="utf-8")
+        assert main(["account", "--facts", str(facts), "--factors", str(factors)]) == 1
+        assert capsys.readouterr().err == f"[load] facts {facts}: unknown keys: fcts\n"
+
     def test_missing_factor_reports_the_accounting_stage(self, tmp_path, capsys):
         _, factors = self._write_inputs(tmp_path)
         facts = tmp_path / "unpriced.json"
@@ -709,6 +717,33 @@ class TestBenchAndReport:
         assert "ID: n/a" in capsys.readouterr().out
         row = csv_path.read_text(encoding="utf-8").splitlines()[1]
         assert row == 'alumina_consumption,true,,2.0,t,"{""lower"": 1.5, ""upper"": 2.5}",t'
+
+    def test_report_refuses_unknown_keys(self, benchmark_tree, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        argv = ["bench", "--benchmark", str(benchmark_tree.benchmark)]
+        main([*argv, "--backend", f"mock:{benchmark_tree.mock_variant}", "--out", str(report_path)])
+        capsys.readouterr()
+        saved = json.loads(report_path.read_text(encoding="utf-8"))
+        for where, edit in (
+            ("", lambda o: o.update(irr=100.0)),
+            ("ad: ", lambda o: o["ad"].update(ad=0.0)),
+            ("footprint: ", lambda o: o["footprint"].update(extra=1)),
+            ("footprint.per_item[0]: ", lambda o: o["footprint"]["per_item"][0].update(stage="use")),
+            ("per_fact[0]: ", lambda o: o["per_fact"][0].update(retreived=True)),
+        ):
+            obj = json.loads(json.dumps(saved))
+            edit(obj)
+            report_path.write_text(json.dumps(obj), encoding="utf-8")
+            assert main(["report", "--in", str(report_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"[load] report {report_path}: {where}unknown keys: "), err
+        # metadata is free-form, and the extracted fields are optional.
+        saved["metadata"]["note"] = "kept"
+        for record in saved["per_fact"]:
+            del record["extracted_value"], record["extracted_unit"]
+        report_path.write_text(json.dumps(saved), encoding="utf-8")
+        assert main(["report", "--in", str(report_path)]) == 0
+        assert MetricsReport.load(report_path).metadata["note"] == "kept"
 
     def test_flags_override_the_config_file(self, benchmark_tree, tmp_path):
         config_path = tmp_path / "config.json"

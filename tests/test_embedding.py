@@ -60,7 +60,7 @@ class TestTokenHashing:
     @settings(max_examples=300, deadline=None)
     @given(text=_TOKENIZER_TEXTS)
     def test_tokenize_is_the_regex_on_any_text(self, text):
-        """The ASCII fast path and the regex path give the regex's tokens."""
+        """The ASCII translate and the regex path give the regex's tokens."""
         assert tokenize(text) == [w.encode("utf-8") for w in _TOKEN_RE.findall(text.lower())]
 
     def test_counts_are_deterministic_and_sum_to_token_count(self):
@@ -195,8 +195,7 @@ _TEXTS = st.tuples(
 @settings(max_examples=60, deadline=None)
 @given(texts=_TEXTS)
 def test_every_batch_row_is_bit_identical_to_embed(encoder, texts):
-    """Rows are counted in blocks or through one token -> bucket dict per call,
-    yet each equals its own embed."""
+    """Rows are counted in blocks or text by text, yet each equals its own embed."""
     matrix = encoder.embed_batch(texts)
     assert matrix.shape == (len(texts), encoder.dims)
     alone = {text: encoder.embed(text).tobytes() for text in set(texts)}
@@ -298,22 +297,30 @@ class TestBlockKernel:
     @pytest.mark.parametrize(
         "texts, blocks",
         [
-            (["ab1 " * (_KERNEL_MIN_CHARS // 4 - 1) + "abc", "é b"], []),
-            (["ab1 " * (_KERNEL_MIN_CHARS // 4), "é b"], [1]),
+            (["ab1 " * (_KERNEL_MIN_CHARS // 4 - 1) + "ab", "é"], []),
+            (["ab1 " * (_KERNEL_MIN_CHARS // 4 - 1) + "ab", "é "], [2]),
+            (["émission 电池 " * 40] * 10, [10]),
             (["x" * (_KERNEL_MIN_CHARS // 8) + " !"] * (_BLOCK_TEXTS + 1), [_BLOCK_TEXTS, 1]),
-            (["é"] + ["a b " * (_BLOCK_CHARS // 8)] * 3 + ["..."], [2, 2]),
+            (["é"] + ["a b " * (_BLOCK_CHARS // 8)] * 3 + ["..."], [3, 2]),
         ],
-        ids=["below the cut", "at the cut", "past the text bound", "past the char bound"],
+        ids=[
+            "below the cut",
+            "at the cut",
+            "non-ASCII only",
+            "past the text bound",
+            "past the char bound",
+        ],
     )
     def test_block_boundaries(self, monkeypatch, texts, blocks):
+        """The cut counts every char; non-ASCII texts join the blocks."""
         sizes = []
-        kernel = embedding._ascii_block_counts
+        kernel = embedding._block_counts
 
         def spy(block, dims):
             sizes.append(len(block))
             return kernel(block, dims)
 
-        monkeypatch.setattr(embedding, "_ascii_block_counts", spy)
+        monkeypatch.setattr(embedding, "_block_counts", spy)
         _assert_counts_are_the_oracle(texts, 64)
         assert sizes == blocks
 

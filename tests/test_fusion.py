@@ -3,11 +3,13 @@
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carbonrag import Strategy, build_prompt, fragments_from_hits, select_strategy
 from carbonrag.corpus import LengthClass
 from carbonrag.errors import InputError
-from carbonrag.fusion import PromptFragment, fragments_from_documents
+from carbonrag.fusion import PromptFragment, _render, fragments_from_documents
 from carbonrag.generation import ANSWER_SCHEMA_INSTRUCTION
 from carbonrag.index import RetrievalHit
 
@@ -158,3 +160,58 @@ class TestBudget:
         assert prompt.fragments == ()
         assert len(prompt.notes) == len(_FRAGS)
         assert "Reference information:" not in prompt.rendered
+
+
+def _oracle_prompt(query, fragments, budget, lengths=None):
+    """Collapse duplicates, then re-render after each single drop: the loop
+    ``build_prompt`` replaced. Each rendering's length goes to ``lengths``."""
+    lengths = [] if lengths is None else lengths
+    notes, kept, seen_texts = [], [], {}
+    for frag in fragments:
+        if frag.text in seen_texts:
+            notes.append(
+                f"collapsed duplicate fragment {frag.ref} (same text as {seen_texts[frag.text]})"
+            )
+            continue
+        seen_texts[frag.text] = frag.ref
+        kept.append(frag)
+    rendered = _render(query, kept)
+    lengths.append(len(rendered))
+    while len(rendered) > budget and kept:
+        drop_idx = min(
+            range(len(kept)),
+            key=lambda i: (
+                kept[i].similarity if kept[i].similarity is not None else float("-inf"),
+                -i,
+            ),
+        )
+        dropped = kept.pop(drop_idx)
+        sim = "none" if dropped.similarity is None else f"{dropped.similarity:.4f}"
+        notes.append(f"dropped fragment {dropped.ref} (similarity {sim}) to fit budget {budget}")
+        rendered = _render(query, kept)
+        lengths.append(len(rendered))
+    return rendered, tuple(kept), tuple(notes)
+
+
+_FRAGMENT_LISTS = st.lists(
+    st.builds(
+        PromptFragment,
+        ref=st.text(alphabet="abc:0", max_size=4),
+        # a few shared texts make duplicates; lengths 0-300 make drops matter
+        text=st.sampled_from(["same text", "other", ""]) | st.text(max_size=300),
+        # ties, no score, and any other finite score
+        similarity=st.none() | st.sampled_from([0.5, -0.0, 0.0]) | st.floats(allow_nan=False),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fragments=_FRAGMENT_LISTS, data=st.data())
+def test_budget_drops_are_the_one_at_a_time_loop(fragments, data):
+    lengths = []  # the rendering's length after 0, 1, 2, ... drops
+    _oracle_prompt("q", fragments, 0, lengths)
+    near_a_fit = st.sampled_from(lengths).flatmap(lambda n: st.sampled_from([n - 1, n, n + 1]))
+    budget = data.draw((near_a_fit | st.integers(1, lengths[0] + 20)).filter(lambda b: b > 0))
+    prompt = build_prompt("q", Strategy.RAG_LONG, fragments, budget=budget)
+    assert (prompt.rendered, prompt.fragments, prompt.notes) == _oracle_prompt("q", fragments, budget)

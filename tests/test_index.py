@@ -409,6 +409,7 @@ class TestPersistence:
             (json.dumps({"format": "carbonrag-index", "version": 2, "ids": []}), "missing 'encoder'"),
             (_manifest(["c\udc00"]), r"manifest holds a lone surrogate '\\udc00'"),
             ('{"ids": [], "ids": []}', "manifest is not JSON: duplicate key 'ids'"),
+            (_manifest(["c:0"], extra=1), "manifest: unknown keys: extra$"),
             ('["\ud800"]', "manifest is not JSON: .*codec can't decode"),  # not UTF-8
             # The encoder record is read as an encoder file is, and must fit the rows.
             (_manifest(["c:0"], encoder={"kind": "mystery"}), "manifest: encoder: unknown kind 'mystery'"),
