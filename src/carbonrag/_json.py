@@ -13,12 +13,7 @@ the file and the JSON path of a bad value, such as
 
 ``write_json`` writes that dialect: a non-finite number or a lone surrogate
 fails the write, so every file it writes reads back. ``dump_json`` renders
-it. A value made only of plain dicts, lists, numbers, booleans, None and
-ASCII strings goes through the standard library's ASCII escaper, about twice
-as fast on long strings as the escaper that keeps non-ASCII as itself, and
-on such input the two write the same bytes. DEL (``\x7f``) is the one ASCII
-character they write differently (``\u007f`` against the raw byte), so a
-string holding it, like any other value, takes the second escaper.
+it.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from ._files import write_file
 
 _MISSING = object()
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
-_PLAIN_SCALARS = frozenset((int, float, bool, type(None)))
 _KIND_NAMES = {
     str: "a string",
     int: "an integer",
@@ -86,33 +80,9 @@ def dump_json(obj, *, indent: int | None = 2) -> str:
     """``obj`` as JSON text in the dialect ``parse_json`` reads: keys in dict
     order, non-ASCII as itself, ``indent`` spaces per level and a final
     newline, or one line when ``indent`` is None. A non-finite number is a
-    ``ValueError``; a lone surrogate fails when the text is encoded.
-
-    ``_plain_ascii`` picks the escaper, which never shows in the text (see
-    the module docstring). A lone surrogate is not ASCII, so it still reaches
-    the UTF-8 encoder as itself and fails there."""
-    text = json.dumps(obj, ensure_ascii=_plain_ascii(obj), allow_nan=False, indent=indent)
+    ``ValueError``; a lone surrogate fails when the text is encoded."""
+    text = json.dumps(obj, ensure_ascii=False, allow_nan=False, indent=indent)
     return text if indent is None else text + "\n"
-
-
-def _plain_ascii(value) -> bool:
-    """Whether ``value`` is made of plain dicts, lists, ints, floats, bools
-    and None, and of strings and keys that are ASCII without DEL; a subclass,
-    such as a str-valued enum, or a tuple is not plain."""
-    todo = [value]
-    for node in todo:  # the loop also visits what it appends
-        kind = type(node)
-        if kind is str:
-            if not node.isascii() or "\x7f" in node:
-                return False
-        elif kind is dict:
-            todo += node
-            todo += node.values()
-        elif kind is list:
-            todo += node
-        elif kind not in _PLAIN_SCALARS:
-            return False
-    return True
 
 
 def write_json(path: str | Path, what: str, obj) -> None:

@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="add datasource documents to a catalog")
     p.add_argument("payloads", nargs="+", metavar="PAYLOAD", help="file path, URL, or raw text per --source")
-    p.add_argument("--catalog", required=True, help="catalog JSON to create or extend")
+    p.add_argument("--catalog", required=True, help="catalog file to create or extend")
     p.add_argument(
         "--source",
         choices=["local_file", "raw_text", "url_fetch"],
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("question", nargs="?", help="the question (omit with --interactive)")
     p.add_argument("--interactive", action="store_true", help="read questions line by line from stdin")
     _add_config_flags(p)
-    p.add_argument("--catalog", dest="catalog_path", help="document catalog JSON")
+    p.add_argument("--catalog", dest="catalog_path", help="document catalog file")
     p.add_argument("--index", dest="index_path", help="vector index file from 'index build'")
     p.set_defaults(func=cmd_query)
 

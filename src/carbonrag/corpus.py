@@ -4,6 +4,16 @@ Documents hold normalized plain text. Chunk boundaries are a pure function
 of ``(body, chunk_size, overlap)``, so the catalog persists documents only
 and chunks are recomputed on load.
 
+A catalog file (format 2) is one line of JSON, the header
+``{"format": "carbonrag-catalog", "version": 2, "documents": [...]}``, with
+one record per document (``doc_id``, ``title``, ``source``,
+``industry_tag``, ``fetched_at`` and ``bytes``, its body's UTF-8 length),
+then a newline, then each body's UTF-8 bytes back to back in record order
+and nothing after the last. The bodies are thus neither escaped on save nor
+parsed on load. A format-1 catalog, a JSON list of records that hold their
+``body``, is still read (its first non-blank byte is ``[``, not ``{``), and
+the next save rewrites it as format 2.
+
 Normalization rules (applied once, at ingest):
   1. CRLF becomes LF.
   2. Remaining C0 control characters other than LF become a single space.
@@ -24,7 +34,8 @@ from typing import Iterable, Mapping
 
 import requests
 
-from ._json import read_json, write_json
+from ._files import write_file
+from ._json import Node, dump_json, parse_json
 from .errors import ConfigError, EncodingError, FetchError, FormatError, InputError
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -38,6 +49,11 @@ _DOC_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _C0_EXCEPT_LF_RE = re.compile(r"[\x00-\x09\x0b-\x1f]")
 # The same mapping for ASCII text, where one byte translate replaces the regex.
 _C0_EXCEPT_LF_TABLE = bytes(0x20 if c < 0x20 and c != 0x0A else c for c in range(256))
+
+_FORMAT = {"format": "carbonrag-catalog", "version": 2}
+_FIELDS = ("doc_id", "title", "source", "industry_tag", "fetched_at")
+# JSON's blanks, then the byte that tells the formats apart.
+_FIRST_BYTE_RE = re.compile(rb"[ \t\n\r]*(.)", re.DOTALL)
 
 
 class SourceKind(str, Enum):
@@ -274,34 +290,89 @@ class Catalog:
         return Chunk(chunk_id, doc_id, start, end, doc.body[start:end])
 
     def save(self, path: str | Path) -> None:
-        records = [
-            {
-                "doc_id": d.doc_id,
-                "title": d.title,
-                "source": d.source.value,
-                "industry_tag": d.industry_tag,
-                "body": d.body,
-                "fetched_at": d.fetched_at,
-            }
-            for d in self._documents.values()
-        ]
-        write_json(path, "catalog", records)
+        """Write the catalog in format 2 (see the module docstring). A string
+        that UTF-8 cannot hold, a lone surrogate, ends in ``[save]`` and
+        leaves no file."""
+        docs = list(self._documents.values())
+
+        def write(fh) -> None:
+            bodies = [d.body.encode("utf-8") for d in docs]
+            records = [
+                {
+                    "doc_id": d.doc_id,
+                    "title": d.title,
+                    "source": d.source.value,
+                    "industry_tag": d.industry_tag,
+                    "fetched_at": d.fetched_at,
+                    "bytes": len(body),
+                }
+                for d, body in zip(docs, bodies)
+            ]
+            header = dump_json({**_FORMAT, "documents": records}, indent=None)
+            fh.write(header.encode("utf-8") + b"\n")
+            fh.writelines(bodies)
+
+        write_file(path, "catalog", write, binary=True)
 
     @classmethod
     def load(cls, path: str | Path) -> "Catalog":
+        """Read a catalog of format 2, or of format 1 (a JSON list of records)."""
+        label = f"catalog {path}"
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise FormatError(f"cannot load {label}: {exc}") from None
         catalog = cls()
-        keys = ("doc_id", "title", "source", "body", "fetched_at", "industry_tag")
-        for rec in read_json(path, "catalog", FormatError).elements(keys):
-            doc = Document(
-                doc_id=rec.get("doc_id", str),
-                title=rec.get("title", str),
-                source=rec.get("source", SourceKind),
-                body=rec.get("body", str),
-                fetched_at=rec.get("fetched_at", str),
-                industry_tag=rec.get("industry_tag", str, default=None, nullable=True),
-            )
+        first = _FIRST_BYTE_RE.match(data)
+        if first is None or first[1] != b"{":
+            for rec in parse_json(data, label, FormatError).elements((*_FIELDS, "body")):
+                catalog._add_record(rec)
+            return catalog
+
+        end = data.find(b"\n", first.end())
+        if end < 0:
+            raise FormatError(f"{label}: the header line has no end")
+        header = parse_json(data[:end], f"{label}: header", FormatError)
+        got = header.value  # an object: its text starts with "{"
+        # A JSON 2.0 equals 2 in Python, so the types are compared too.
+        if any((type(got.get(k)), got.get(k)) != (type(v), v) for k, v in _FORMAT.items()):
+            raise FormatError(f"{header.where} does not declare {_FORMAT}")
+        records = header.only_keys((*_FORMAT, "documents")).at("documents")
+        view, start = memoryview(data), end + 1
+        for rec in records.elements((*_FIELDS, "bytes")):
+            size = rec.get("bytes", int)
+            if size < 0:
+                raise FormatError(f"{rec.where}.bytes must be >= 0, got {size}")
+            end = start + size
+            if end > len(data):
+                raise FormatError(
+                    f"{label}: the body of {rec.path} needs {size} bytes, "
+                    f"but only {len(data) - start} are left"
+                )
             try:
-                catalog.add(doc)
-            except InputError as exc:
-                rec.fail(str(exc))
+                body = str(view[start:end], "utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"{label}: the body of {rec.path} is not valid UTF-8: {exc}"
+                ) from None
+            catalog._add_record(rec, body)
+            start = end
+        if start != len(data):
+            raise FormatError(f"{label}: trailing bytes after the last body: {len(data) - start}")
         return catalog
+
+    def _add_record(self, rec: Node, body: str | None = None) -> None:
+        """Add the document of catalog record ``rec``, whose body is ``body``
+        or, when that is None, the record's own ``body`` field."""
+        doc = Document(
+            doc_id=rec.get("doc_id", str),
+            title=rec.get("title", str),
+            source=rec.get("source", SourceKind),
+            body=rec.get("body", str) if body is None else body,
+            fetched_at=rec.get("fetched_at", str),
+            industry_tag=rec.get("industry_tag", str, default=None, nullable=True),
+        )
+        try:
+            self.add(doc)
+        except InputError as exc:
+            rec.fail(str(exc))

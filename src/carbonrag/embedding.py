@@ -88,16 +88,22 @@ _BLOCK_CHARS = 1 << 17
 _KERNEL_MAX_TOKEN = 64
 
 
-def _tokens_by_length(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start offsets and lengths of the runs of non-space bytes in ``data``,
-    stably sorted by length (lengths past 255 count as 255)."""
+def _tokens_by_length(
+    data: np.ndarray, text_ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start offsets, lengths and text rows of the runs of non-space bytes
+    in ``data``, where text ``i`` ends before offset ``text_ends[i]``, stably
+    sorted by length (lengths past 255 count as 255)."""
     in_token = np.zeros(len(data) + 2, dtype=bool)
     in_token[1:-1] = data != 0x20
     edges = np.flatnonzero(in_token[1:] != in_token[:-1])
     starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+    # Each text's tokens are one run of the starts while they are in order.
+    per_text = np.diff(np.searchsorted(starts, text_ends), prepend=0)
+    rows = np.repeat(np.arange(len(text_ends)), per_text)
     # A uint8 key sorts by radix.
     order = np.argsort(np.minimum(lengths, 255).astype(np.uint8), kind="stable")
-    return starts[order], lengths[order]
+    return starts[order], lengths[order], rows[order]
 
 
 def _block_counts(block: Sequence[bytes], dims: int) -> np.ndarray:
@@ -107,7 +113,7 @@ def _block_counts(block: Sequence[bytes], dims: int) -> np.ndarray:
     with spaces, so no token crosses two rows.
     """
     data = np.frombuffer(b" ".join(block), np.uint8)
-    starts, lengths = _tokens_by_length(data)
+    starts, lengths, rows = _tokens_by_length(data, np.cumsum([len(b) + 1 for b in block]))
     n_short = int(np.count_nonzero(lengths <= _KERNEL_MAX_TOKEN))
     passes = int(lengths[n_short - 1]) if n_short else 0
     h = np.full(len(starts), _FNV_OFFSET, dtype=np.uint64)
@@ -120,8 +126,6 @@ def _block_counts(block: Sequence[bytes], dims: int) -> np.ndarray:
     for i in range(n_short, len(starts)):
         h[i] = _fnv1a64(data[starts[i] : starts[i] + lengths[i]].tobytes())
     h %= np.uint64(dims)
-
-    rows = np.searchsorted(np.cumsum([len(b) + 1 for b in block]), starts, side="right")
     cells = rows * dims + h.astype(np.intp)
     return np.bincount(cells, minlength=len(block) * dims).reshape(len(block), dims)
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carbonrag import Catalog, classify_datasource
+from carbonrag.cli import main
 from carbonrag.corpus import (
     Chunk,
     Document,
@@ -26,6 +27,25 @@ from carbonrag.errors import ConfigError, EncodingError, FetchError, FormatError
 
 def _doc(body: str, doc_id: str = "d1") -> Document:
     return Document(doc_id, "t", SourceKind.RAW_TEXT, body, "2026-01-01T00:00:00+00:00")
+
+
+_V2 = {"format": "carbonrag-catalog", "version": 2}
+_V2_RECORD = {"doc_id": "a", "title": "t", "source": "raw_text", "fetched_at": "x", "bytes": 3}
+
+
+def _v2_file(records, bodies: bytes = b"abc", **header) -> bytes:
+    """A format-2 catalog: the one-line header, a newline, then ``bodies``."""
+    return json.dumps({**_V2, "documents": records, **header}).encode() + b"\n" + bodies
+
+
+# Empty and newline-only text, text of chars a JSON escaper may rewrite (DEL, quote,
+# backslash, U+2028) and of one- to four-byte UTF-8 chars, and any text.
+_CATALOG_TEXT = st.one_of(
+    st.just(""),
+    st.text(alphabet="\n", max_size=3),
+    st.text(alphabet="a \x7f\\\"\u2028\u00e9\u4e2d\U0001f600", max_size=12),
+    st.text(max_size=12),
+)
 
 
 class TestNormalization:
@@ -341,6 +361,98 @@ class TestCatalogPersistence:
                 Catalog.load(path)
         path.write_text(json.dumps([{**record, "industry_tag": None}]), encoding="utf-8")
         assert Catalog.load(path).get("a").industry_tag is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        docs=st.lists(
+            st.tuples(
+                _CATALOG_TEXT,
+                _CATALOG_TEXT,
+                st.sampled_from(SourceKind),
+                _CATALOG_TEXT,
+                st.none() | _CATALOG_TEXT,
+            ),
+            max_size=4,
+        )
+    )
+    def test_save_load_round_trips_any_documents(self, tmp_path_factory, docs):
+        catalog = Catalog()
+        for i, (title, body, source, fetched_at, tag) in enumerate(docs):
+            catalog.add(Document(f"d{i}", title, source, body, fetched_at, tag))
+        first, second = (tmp_path_factory.mktemp("round") / "c.catalog" for _ in range(2))
+        catalog.save(first)
+        loaded = Catalog.load(first)
+        assert loaded.documents == catalog.documents
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_save_writes_the_header_line_then_the_raw_bodies(self, tmp_path):
+        catalog = Catalog()
+        catalog.add(Document("a", "t\u00e9", SourceKind.LOCAL_FILE, "x\n\"\u00e9", "2026", "steel"))
+        catalog.add(Document("b", "u", SourceKind.RAW_TEXT, "", "2027"))
+        path = tmp_path / "c.catalog"
+        catalog.save(path)
+        records = [
+            {"doc_id": "a", "title": "t\u00e9", "source": "local_file", "industry_tag": "steel",
+             "fetched_at": "2026", "bytes": 5},
+            {"doc_id": "b", "title": "u", "source": "raw_text", "industry_tag": None,
+             "fetched_at": "2027", "bytes": 0},
+        ]
+        header = json.dumps({**_V2, "documents": records}, ensure_ascii=False)
+        assert path.read_bytes() == f"{header}\nx\n\"\u00e9".encode()
+
+    def test_save_refuses_a_lone_surrogate_and_leaves_no_file(self, tmp_path):
+        catalog = Catalog()
+        catalog.add(_doc("text \udcff"))
+        path = tmp_path / "c.catalog"
+        with pytest.raises(FormatError, match=r"cannot write catalog .*surrogate") as info:
+            catalog.save(path)
+        assert info.value.stage_name == "save"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (json.dumps({**_V2, "documents": []}).encode(), "the header line has no end"),
+            (b"{not json\nabc", "header is not JSON"),
+            (_v2_file([_V2_RECORD], format="carbonrag-index"), "header does not declare"),
+            (_v2_file([_V2_RECORD], version=1), "header does not declare"),
+            (_v2_file([_V2_RECORD], version=True), "header does not declare"),
+            (_v2_file([_V2_RECORD], version="2"), "header does not declare"),
+            (_v2_file([_V2_RECORD], version=2.0), "header does not declare"),
+            (_v2_file([_V2_RECORD], extra=[]), "header: unknown keys: extra"),
+            (_v2_file([{**_V2_RECORD, "body": "abc"}]), r"header: documents\[0\]: unknown keys: body"),
+            (_v2_file([{**_V2_RECORD, "bytes": -1}]), r"documents\[0\]\.bytes must be >= 0, got -1"),
+            (_v2_file([{**_V2_RECORD, "bytes": 3.0}]), r"documents\[0\]\.bytes must be an integer"),
+            (_v2_file([{**_V2_RECORD, "bytes": True}]), r"documents\[0\]\.bytes must be an integer"),
+            (_v2_file([_V2_RECORD], b"ab"), r"body of documents\[0\] needs 3 bytes, but only 2"),
+            (_v2_file([_V2_RECORD], b"abcd"), "trailing bytes after the last body: 1"),
+            (
+                _v2_file([{**_V2_RECORD, "bytes": 1}, {**_V2_RECORD, "doc_id": "b", "bytes": 1}], b"\xc3\xa9"),
+                r"body of documents\[0\] is not valid UTF-8",
+            ),
+            (_v2_file([_V2_RECORD], b"\xed\xa0\x80"), r"body of documents\[0\] is not valid UTF-8"),
+            (_v2_file([_V2_RECORD], b"a\xffc"), r"body of documents\[0\] is not valid UTF-8"),
+            (_v2_file([_V2_RECORD, _V2_RECORD], b"abcabc"), r"documents\[1\]: duplicate doc_id 'a'"),
+        ],
+    )
+    def test_ingest_onto_a_bad_format_2_catalog_fails_to_load(self, tmp_path, capsys, data, message):
+        path = tmp_path / "c.catalog"
+        path.write_bytes(data)
+        assert main(["ingest", "--source", "raw_text", "--catalog", str(path), "more"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"\[load\] catalog {re.escape(str(path))}: .*{message}.*\n", err), err
+        assert path.read_bytes() == data
+        assert [p.name for p in tmp_path.iterdir()] == ["c.catalog"]
+
+    def test_ingest_rewrites_a_format_1_catalog_as_format_2(self, tmp_path, capsys):
+        path = tmp_path / "c.catalog"
+        record = {"doc_id": "a", "title": "t", "source": "raw_text", "body": "b\u00e9", "fetched_at": "x"}
+        path.write_text(json.dumps([record]), encoding="utf-8")
+        before = Catalog.load(path).documents
+        assert main(["ingest", "--source", "raw_text", "--catalog", str(path), "more"]) == 0
+        assert path.read_bytes().startswith(b'{"format": "carbonrag-catalog", "version": 2, ')
+        assert Catalog.load(path).documents[:1] == before
 
     def test_load_rejects_non_array(self, tmp_path):
         path = tmp_path / "catalog.json"

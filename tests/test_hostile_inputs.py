@@ -70,6 +70,22 @@ def _files(*valid):
     )
 
 
+_CATALOG_RECORD = {"doc_id": "a", "title": "t", "source": "raw_text", "fetched_at": ""}
+
+
+def _catalogs():
+    """Bytes of a format-1 catalog as ``_files`` makes them, or of a format-2
+    catalog: a header line valid, mutated or any value, then valid or any bytes."""
+    header = {
+        "format": "carbonrag-catalog",
+        "version": 2,
+        "documents": [{**_CATALOG_RECORD, "bytes": 2}],
+    }
+    bodies = st.sampled_from([b"\xc3\xa9", b"\xc3", b"", b"ab\n"]) | st.binary()
+    v2 = st.tuples(_values(header), bodies).map(lambda hb: json.dumps(hb[0]).encode() + b"\n" + hb[1])
+    return v2 | _files([{**_CATALOG_RECORD, "body": ""}])
+
+
 _FACT = {"key": "electricity_use", "value": {"lower": 1, "upper": 2}, "unit": "kWh"}
 _REPORT = {
     "industry": "steel",
@@ -148,7 +164,7 @@ def _csv_text(rows):
 # name -> (inputs, run(path, input), the type of a valid result)
 _READERS = {
     "catalog": (
-        _files([{"doc_id": "a", "title": "t", "source": "raw_text", "body": "", "fetched_at": ""}]),
+        _catalogs(),
         _from_file(Catalog.load),
         Catalog,
     ),
