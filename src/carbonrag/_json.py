@@ -5,7 +5,9 @@
 repeated in one object); any failure to read, decode or parse, nesting too
 deep included, becomes the caller's error class naming the file. So does a
 lone surrogate, such as the escape ``"\\ud800"``: it is valid JSON but not
-text, and would fail only later, when it is printed or saved.
+text, and would fail only later, when it is printed or saved. The decoded
+value is searched for one only when the text can hold one: when it has a
+``\\u`` escape, or is a non-ASCII ``str`` argument.
 ``parse_json`` does the same for a reply body or a string. Both return a
 ``Node``, whose getters apply JSON's types rather than Python's and name
 the file and the JSON path of a bad value, such as
@@ -70,9 +72,12 @@ def parse_json(data: bytes | str, label: str, error_cls: Callable[[str], Excepti
         value = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise error_cls(f"{label} is not JSON: {exc}") from None
-    surrogate = lone_surrogate(value)
-    if surrogate is not None:
-        raise error_cls(f"{label} holds a lone surrogate {surrogate!r}, which is not text")
+    # Strict UTF-8 decoding refuses surrogates, so text decoded from bytes
+    # holds one only through a \u escape; a str argument may hold a raw one.
+    if "\\u" in text or (text is data and not text.isascii()):
+        surrogate = lone_surrogate(value)
+        if surrogate is not None:
+            raise error_cls(f"{label} holds a lone surrogate {surrogate!r}, which is not text")
     return Node(value, label, error_cls)
 
 
@@ -95,9 +100,11 @@ def write_json(path: str | Path, what: str, obj) -> None:
 def lone_surrogate(value) -> str | None:
     """The first surrogate code point in a key or string of ``value``, if any.
 
-    A decoded string holds one only when the JSON held a ``\\udxxx`` escape
-    that is not half of a pair. Only a non-ASCII string can, and
-    ``str.isascii`` costs nothing, so the scan is one loop over the nodes.
+    A string decoded from JSON bytes holds one only when the JSON held a
+    ``\\udxxx`` escape that is not half of a pair, so ``parse_json`` calls
+    this only on text with a ``\\u`` escape or on a non-ASCII ``str``
+    argument. Only a non-ASCII string can hold one, and ``str.isascii``
+    costs nothing, so the scan is one loop over the nodes.
     """
     todo = [value]
     for node in todo:  # the loop also visits what it appends

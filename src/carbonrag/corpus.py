@@ -68,7 +68,7 @@ class LengthClass(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     doc_id: str
     title: str
@@ -78,7 +78,7 @@ class Document:
     industry_tag: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chunk:
     chunk_id: str
     doc_id: str
@@ -88,7 +88,7 @@ class Chunk:
 
 
 def normalize_text(raw: str) -> str:
-    text = raw.replace("\r\n", "\n")
+    text = raw.replace("\r\n", "\n") if "\r" in raw else raw
     if text.isascii():
         data = text.encode("ascii")
         cleaned = data.translate(_C0_EXCEPT_LF_TABLE)
@@ -246,15 +246,23 @@ class Catalog:
             default_title = payload
 
         body = normalize_text(body)
-        digest = hashlib.sha256(_encode_utf8(body, f"{source.value} payload")).hexdigest()[:8]
+        what = f"{source.value} payload"
+        # A default is made only for a key that is absent: the hash and the
+        # clock cost something on every body. Encoding refuses a lone
+        # surrogate, which only non-ASCII text can hold.
+        if "doc_id" not in metadata:
+            digest = hashlib.sha256(_encode_utf8(body, what)).hexdigest()[:8]
+            metadata["doc_id"] = f"doc-{len(self._documents):04d}-{digest}"
+        elif not body.isascii():
+            _encode_utf8(body, what)
+        if "fetched_at" not in metadata:
+            metadata["fetched_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
         doc = Document(
-            doc_id=metadata.get("doc_id", f"doc-{len(self._documents):04d}-{digest}"),
+            doc_id=metadata["doc_id"],
             title=metadata.get("title", default_title),
             source=source,
             body=body,
-            fetched_at=metadata.get(
-                "fetched_at", datetime.now(timezone.utc).isoformat(timespec="seconds")
-            ),
+            fetched_at=metadata["fetched_at"],
             industry_tag=metadata.get("industry_tag"),
         )
         # The catalog could not be saved with a lone surrogate in a title

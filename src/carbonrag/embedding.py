@@ -173,7 +173,7 @@ def _unit_rows(vectors: Sequence[np.ndarray], texts: Sequence[str], dims: int) -
 
 
 def _require_text(text: str) -> str:
-    if not text or not text.strip():
+    if not text or text.isspace():  # the whitespace of strip(), without its copy
         raise InputError("cannot embed empty text")
     return text
 

@@ -54,7 +54,7 @@ class IndexEntry:
     vector: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RetrievalHit:
     chunk_id: str
     similarity: float

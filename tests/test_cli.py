@@ -95,14 +95,16 @@ class TestIngest:
         assert code == 1
         assert "[ingest]" in capsys.readouterr().err
 
-    def test_non_utf8_argument_reports_the_ingest_stage(self, tmp_path, capsys):
+    @pytest.mark.parametrize("doc_id", [[], ["--doc-id", "d9"]], ids=["default id", "given id"])
+    def test_non_utf8_argument_reports_the_ingest_stage(self, tmp_path, capsys, doc_id):
         """A non-UTF-8 argv byte reaches Python as a lone surrogate ('\\xff' as
-        '\\udcff'); it cannot be hashed or saved, so nothing is ingested."""
+        '\\udcff'); it cannot be hashed or saved, so nothing is ingested, even
+        when the id is given and the body need not be hashed."""
         catalog = tmp_path / "catalog.json"
         main(["ingest", "first body", "--source", "raw_text", "--catalog", str(catalog)])
         before = catalog.read_bytes()
         capsys.readouterr()
-        argv = ["ingest", "--source", "raw_text", "--catalog", str(catalog), "more \udcff"]
+        argv = ["ingest", "--source", "raw_text", "--catalog", str(catalog), *doc_id, "more \udcff"]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("[ingest] raw_text payload is not valid UTF-8 text: "), err

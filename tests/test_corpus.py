@@ -1,5 +1,6 @@
 """Normalization, segmentation, classification, and catalog persistence."""
 
+import dataclasses
 import http.server
 import json
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carbonrag import Catalog, classify_datasource
+from carbonrag import Catalog, classify_datasource, corpus
 from carbonrag.cli import main
 from carbonrag.corpus import (
     Chunk,
@@ -23,6 +24,7 @@ from carbonrag.corpus import (
     segment,
 )
 from carbonrag.errors import ConfigError, EncodingError, FetchError, FormatError, InputError
+from carbonrag.index import RetrievalHit
 
 
 def _doc(body: str, doc_id: str = "d1") -> Document:
@@ -49,8 +51,17 @@ _CATALOG_TEXT = st.one_of(
 
 
 class TestNormalization:
-    def test_crlf_becomes_lf(self):
-        assert normalize_text("a\r\nb") == "a\nb"
+    @pytest.mark.parametrize(
+        "raw, text",
+        [
+            ("a\r\nb", "a\nb"),
+            ("a\rb", "a b"),  # a lone CR is a control char
+            ("a\r\r\nb", "a \nb"),
+            ("é\r\r\n", "é \n"),
+        ],
+    )
+    def test_crlf_becomes_lf(self, raw, text):
+        assert normalize_text(raw) == text
 
     def test_control_chars_become_spaces(self):
         assert normalize_text("a\x00b\tc\x1fd") == "a b c d"
@@ -191,6 +202,27 @@ class TestChunkIds:
                 parse_chunk_id(chunk_id)
 
 
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (Chunk, ("d:00000000-00000001", "d", 0, 1, "x")),
+        (Document, ("d", "t", SourceKind.RAW_TEXT, "x", "2024")),
+        (RetrievalHit, ("d:00000000-00000001", 0.5, 1)),
+    ],
+    ids=["Chunk", "Document", "RetrievalHit"],
+)
+def test_records_are_frozen_values_without_a_dict(cls, args):
+    a, b = cls(*args), cls(*args)
+    assert a == b and hash(a) == hash(b) and a is not b
+    fields = dataclasses.fields(a)
+    shown = ", ".join(f"{f.name}={getattr(a, f.name)!r}" for f in fields)
+    assert repr(a) == f"{cls.__name__}({shown})"
+    assert not hasattr(a, "__dict__")
+    for field in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, field.name, getattr(b, field.name))
+
+
 class TestClassification:
     def test_empty_is_none(self):
         assert classify_datasource([]) is LengthClass.NONE
@@ -229,6 +261,30 @@ class TestCatalogIngest:
         doc = catalog.ingest("raw_text", "line1\r\nline2", {"doc_id": "d1"})
         assert doc.body == "line1\nline2"
         assert catalog.get("d1") is doc
+
+    def test_default_id_is_the_count_and_the_hash_of_the_stored_body(self):
+        """The first 8 hex digits of sha256(b"CO\\xe2\\x82\\x82 1.2 t\\nline two\\n")."""
+        catalog = Catalog()
+        catalog.ingest("raw_text", "x", {"doc_id": "d1"})
+        doc = catalog.ingest("raw_text", "CO₂ 1.2 t\r\nline two\r\n")
+        assert doc.doc_id == "doc-0001-b0ed0895"
+
+    def test_given_keys_are_used_as_given_without_hash_or_clock(self, monkeypatch):
+        def no_call(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(corpus.hashlib, "sha256", no_call)
+        monkeypatch.setattr(corpus, "datetime", None)
+        metadata = {"doc_id": "d1", "fetched_at": "2024-05-01", "title": "t"}
+        doc = Catalog().ingest("raw_text", "body é", metadata)
+        assert (doc.doc_id, doc.fetched_at, doc.title) == ("d1", "2024-05-01", "t")
+
+    @pytest.mark.parametrize("metadata", [{}, {"doc_id": "d1"}])
+    def test_a_lone_surrogate_is_an_encoding_error(self, metadata):
+        catalog = Catalog()
+        with pytest.raises(EncodingError, match=r"^raw_text payload is not valid UTF-8 text: "):
+            catalog.ingest("raw_text", "CO₂ \udcff", metadata)
+        assert len(catalog) == 0
 
     def test_generated_ids_are_deterministic_and_unique(self):
         catalog = Catalog()

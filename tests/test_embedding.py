@@ -38,6 +38,14 @@ from carbonrag.errors import ConfigError, FormatError, InputError, TransportErro
 # (whitespace to ``str.split``), DEL, and two letters whose lowercase is
 # ASCII or longer: the Kelvin sign and the dotted capital I.
 _TRICKY = "_09aZ \x00\x1c\x1d\x1e\x1f\x7f\u212a\u0130"
+# Every whitespace char of str.strip, ASCII and Unicode, then chars that only
+# look like it (zero-width spaces, the Mongolian vowel separator, the BOM) and
+# a letter.
+_BLANKS = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004"
+    "\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+    "\u180e\u200b\u2060\ufeffa"
+)
 _TOKENIZER_TEXTS = (
     st.text(alphabet=st.characters(max_codepoint=127) | st.sampled_from(_TRICKY))
     | st.text(alphabet=st.characters() | st.sampled_from(_TRICKY))
@@ -113,6 +121,17 @@ class TestLexicalEncoder:
     def test_empty_text_rejected(self):
         with pytest.raises(InputError):
             LexicalEncoder().embed("   ")
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(alphabet=_BLANKS), st.text()))
+    def test_a_text_is_refused_exactly_when_strip_leaves_nothing(self, text):
+        """``isspace`` knows the same whitespace as ``strip``, without its copy."""
+        try:
+            embedding._require_text(text)
+        except InputError:
+            assert not text.strip()
+        else:
+            assert text.strip()
 
     def test_tokenless_text_falls_back_to_basis_vector(self, caplog):
         with caplog.at_level("WARNING"):

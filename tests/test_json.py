@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carbonrag._json import dump_json, parse_json, read_json, write_json
+from carbonrag._json import dump_json, lone_surrogate, parse_json, read_json, write_json
 from carbonrag.errors import ConfigError, FormatError
 
 
@@ -39,6 +39,39 @@ class TestLoneSurrogates:
     )
     def test_text_that_only_looks_like_one_is_read(self, data, value):
         assert parse_json(data, "doc", FormatError).value == value
+
+
+# Pieces of a JSON string's text: plain and non-ASCII chars, \\u escapes of
+# any code unit (surrogates drawn more often), a pair, an escaped backslash
+# before text that reads like an escape, and raw surrogates, which a str
+# argument can hold and strict UTF-8 bytes cannot.
+_STRING_PIECES = st.one_of(
+    st.sampled_from(["a", "é", "\U0001f600", "\\\\", "ud800", "\\ud83d\\ude00"]),
+    st.integers(0, 0xFFFF).map("\\u{:04x}".format),
+    st.integers(0xD800, 0xDFFF).map("\\u{:04X}".format),
+    st.integers(0xD800, 0xDFFF).map(chr),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(pieces=st.lists(_STRING_PIECES, max_size=6), as_key=st.booleans(), as_bytes=st.booleans())
+def test_a_skipped_surrogate_search_would_have_found_none(pieces, as_key, as_bytes):
+    """Searching every value for a lone surrogate gives the same value or error."""
+    text = "".join(pieces).join(['{"', '": 0}'] if as_key else ['["', '"]'])
+    data = text.encode("utf-8", "surrogatepass") if as_bytes else text
+    try:
+        value = json.loads(data.decode("utf-8") if as_bytes else data)
+    except UnicodeDecodeError:  # an encoded surrogate is not UTF-8
+        with pytest.raises(FormatError, match="^doc is not JSON: 'utf-8' codec"):
+            parse_json(data, "doc", FormatError)
+        return
+    surrogate = lone_surrogate(value)
+    if surrogate is None:
+        assert parse_json(data, "doc", FormatError).value == value
+    else:
+        with pytest.raises(FormatError) as err:
+            parse_json(data, "doc", FormatError)
+        assert str(err.value) == f"doc holds a lone surrogate {surrogate!r}, which is not text"
 
 
 @pytest.mark.parametrize(
