@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,16 +149,18 @@ class EmissionFactorDb:
     def from_csv(cls, path: str | Path) -> "EmissionFactorDb":
         path = Path(path)
         try:
-            rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+            # Not splitlines(): a note may hold U+2028, \x0c and other breaks.
+            reader = csv.reader(io.StringIO(path.read_text(encoding="utf-8"), newline=""))
+            rows = [(reader.line_num, row) for row in reader]
         except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise FormatError(f"cannot read factor database {path}: {exc}") from None
-        if not rows or rows[0] != FACTOR_CSV_HEADER:
+        if not rows or rows[0][1] != FACTOR_CSV_HEADER:
             raise FormatError(
                 f"factor database {path} must start with header "
                 f"{','.join(FACTOR_CSV_HEADER)!r}"
             )
         db = cls()
-        for lineno, row in enumerate(rows[1:], start=2):
+        for lineno, row in rows[1:]:
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != 4:

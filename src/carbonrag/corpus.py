@@ -44,8 +44,8 @@ DEFAULT_LENGTH_THRESHOLD = 4000
 
 # Offsets are recoverable from the id alone, so chunk texts can be resolved
 # against a catalog without re-running segmentation.
-_CHUNK_ID_RE = re.compile(r"^(?P<doc>.+):(?P<start>\d{8,})-(?P<end>\d{8,})$")
-_DOC_ID_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_CHUNK_ID_RE = re.compile(r"(?P<doc>.+):(?P<start>[0-9]{8,})-(?P<end>[0-9]{8,})")
+_DOC_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 _C0_EXCEPT_LF_RE = re.compile(r"[\x00-\x09\x0b-\x1f]")
 # The same mapping for ASCII text, where one byte translate replaces the regex.
 _C0_EXCEPT_LF_TABLE = bytes(0x20 if c < 0x20 and c != 0x0A else c for c in range(256))
@@ -106,7 +106,7 @@ def chunk_id_for(doc_id: str, start: int, end: int) -> str:
 
 
 def parse_chunk_id(chunk_id: str) -> tuple[str, int, int]:
-    m = _CHUNK_ID_RE.match(chunk_id)
+    m = _CHUNK_ID_RE.fullmatch(chunk_id)
     if m is None:
         raise InputError(f"malformed chunk id {chunk_id!r}")
     return m.group("doc"), int(m.group("start")), int(m.group("end"))
@@ -201,7 +201,7 @@ class Catalog:
             raise InputError(f"no document {doc_id!r} in catalog") from None
 
     def add(self, doc: Document) -> None:
-        if not _DOC_ID_RE.match(doc.doc_id):
+        if not _DOC_ID_RE.fullmatch(doc.doc_id):
             raise InputError(
                 f"doc_id {doc.doc_id!r} must match [A-Za-z0-9._-]+ (colon is reserved)"
             )

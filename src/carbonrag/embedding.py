@@ -3,8 +3,9 @@ r"""Text encoders over one shared vector space, plus cosine similarity.
 Every encoder implements ``embed_batch``: one unit-norm float64 row per
 text, each row computed from its own text only. The lexical baseline and
 the trained dual-tower encoder are fully deterministic across runs and
-platforms; the remote encoder wraps an HTTP endpoint and re-normalizes
-whatever it returns.
+platforms; the remote encoder wraps an HTTP endpoint. Every encoder hands
+its raw rows (counts, tower projections or the endpoint's reply) to
+``_unit_rows``, the one step that makes a row unit-norm.
 
 Token features are hashed bag-of-words. A token is the UTF-8 bytes of a
 ``[^\W_]+`` run (letters and digits) of the lowercased text; ASCII text
@@ -155,20 +156,20 @@ def hashed_counts(texts: Sequence[str], dims: int) -> np.ndarray:
 _ZERO_ROW_WARNING = "embedding of %r is a zero vector; using basis e_0"
 
 
-def _unit_rows(vectors: Sequence[np.ndarray], texts: Sequence[str], dims: int) -> np.ndarray:
-    """Stack ``vectors`` as rows, each scaled to unit norm on its own.
+def _unit_rows(rows: np.ndarray, texts: Sequence[str]) -> np.ndarray:
+    """Scale each row of the float64 ``(n, dims)`` array ``rows`` to unit norm, in place.
 
-    An all-zero vector cannot be normalized; it becomes the basis vector
-    e_0 so downstream cosines stay finite.
+    One stacked ``matmul`` gives each row's dot with itself from the kernel
+    that ``np.linalg.norm(row)`` runs, so a row is ``row / np.linalg.norm(row)``
+    bit for bit. A row of norm 0 (all zeros, or so small that its squares
+    underflow) becomes the basis vector e_0, so downstream cosines stay finite.
     """
-    rows = np.zeros((len(vectors), dims), dtype=np.float64)
-    for row, vector, text in zip(rows, vectors, texts):
-        norm = float(np.linalg.norm(vector))
-        if norm == 0.0:
-            logger.warning(_ZERO_ROW_WARNING, text[:40])
-            row[0] = 1.0
-        else:
-            row[:] = vector / norm
+    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows)))
+    for i in np.flatnonzero(norms == 0.0):
+        logger.warning(_ZERO_ROW_WARNING, texts[i][:40])
+        rows[i] = 0.0
+        rows[i, 0] = norms[i] = 1.0
+    rows /= norms[:, None]
     return rows
 
 
@@ -228,18 +229,7 @@ class LexicalEncoder(Encoder):
         return {"kind": self.kind, "dims": self.dims}
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """The batch is normalised in one vectorised step, whatever its size.
-
-        Its rows equal ``_unit_rows``' bit for bit: counts are integers, so
-        their squares sum exactly (below 2**53) in any order.
-        """
-        counts = hashed_counts([_require_text(t) for t in texts], self.dims)
-        norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
-        for i in np.flatnonzero(norms == 0.0):
-            logger.warning(_ZERO_ROW_WARNING, texts[i][:40])
-            counts[i, 0] = norms[i] = 1.0
-        counts /= norms[:, None]
-        return counts
+        return _unit_rows(hashed_counts([_require_text(t) for t in texts], self.dims), texts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,22 +266,24 @@ class DualTowerEncoder(Encoder):
     def spec(self) -> dict:
         return {"kind": self.kind, "dims": self.dims, "matrix": self.matrix.tolist()}
 
-    def features(self, texts: Sequence[str]) -> np.ndarray:
-        """Hashed token counts scaled to unit norm, one row per text.
-
-        A tokenless text keeps its all-zero row.
-        """
-        counts = hashed_counts(texts, self.feature_dims)
-        norms = np.linalg.norm(counts, axis=1)
-        nonzero = norms > 0.0
-        counts[nonzero] /= norms[nonzero, None]
-        return counts
-
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        # A tokenless text has zero features, so its projection is zero too.
-        features = self.features([_require_text(t) for t in texts])
-        projections = [self.matrix @ f for f in features]
-        return _unit_rows(projections, texts, self.dims)
+        # A tokenless text projects to zero. The stacked matmul is ``matrix @ f`` bit for bit.
+        features = _tower_features([_require_text(t) for t in texts], self.feature_dims)
+        projections = np.matmul(self.matrix, features[:, :, None])
+        return _unit_rows(projections.reshape(len(texts), self.dims), texts)
+
+
+def _tower_features(texts: Sequence[str], feature_dims: int) -> np.ndarray:
+    """Hashed token counts scaled to unit norm, one row per text.
+
+    A tokenless text keeps its all-zero row. These bits feed every tower's
+    projection, so the scaling stays ``norm(axis=1)``, not ``_unit_rows``.
+    """
+    counts = hashed_counts(texts, feature_dims)
+    norms = np.linalg.norm(counts, axis=1)
+    nonzero = norms > 0.0
+    counts[nonzero] /= norms[nonzero, None]
+    return counts
 
 
 @dataclass(frozen=True)
@@ -379,9 +371,8 @@ def train_dual_tower(
         0.0, 1.0 / np.sqrt(DEFAULT_FEATURE_DIMS), size=(dims, DEFAULT_FEATURE_DIMS)
     )
 
-    probe = DualTowerEncoder(matrix=W)
-    feats_a = probe.features([p.text_a for p in pairs])
-    feats_b = probe.features([p.text_b for p in pairs])
+    feats_a = _tower_features([p.text_a for p in pairs], DEFAULT_FEATURE_DIMS)
+    feats_b = _tower_features([p.text_b for p in pairs], DEFAULT_FEATURE_DIMS)
     feats = [(fa, fb, p.related) for fa, fb, p in zip(feats_a, feats_b, pairs)]
 
     losses = []
@@ -423,7 +414,7 @@ class RemoteEncoder(Encoder):
         for t in texts:
             _require_text(t)
         if not texts:
-            return _unit_rows([], texts, self.dims)
+            return np.zeros((0, self.dims))
         response = post_json(
             self,
             {"input": list(texts)},
@@ -437,7 +428,7 @@ class RemoteEncoder(Encoder):
         vectors = reply.get("embeddings", list[list[float]])
         if len(vectors) != len(texts) or any(len(v) != self.dims for v in vectors):
             reply.fail(f"expected {len(texts)} embeddings of width {self.dims}, got {len(vectors)}")
-        return _unit_rows(np.asarray(vectors, dtype=np.float64), texts, self.dims)
+        return _unit_rows(np.asarray(vectors, dtype=np.float64), texts)
 
 
 def load_encoder(path: str | Path):

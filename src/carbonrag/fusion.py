@@ -74,8 +74,9 @@ def fragments_from_hits(
 
 
 def fragments_from_documents(docs: Iterable[Document]) -> list[PromptFragment]:
-    """Whole documents as fragments, for the short-datasource strategy."""
-    return [PromptFragment(ref=d.doc_id, text=d.body) for d in docs]
+    """Whole documents as fragments, for the short-datasource strategy; a
+    blank body holds no chunk and, as in ``classify_datasource``, counts for nothing."""
+    return [PromptFragment(ref=d.doc_id, text=d.body) for d in docs if d.body.strip()]
 
 
 def _render(query: str, fragments: Sequence[PromptFragment]) -> str:

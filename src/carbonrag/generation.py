@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 logger = logging.getLogger(__name__)
 
-FACT_KEY_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
+FACT_KEY_RE = re.compile(r"[a-z0-9_]+(\.[a-z0-9_]+)*")
 
 ANSWER_SCHEMA_INSTRUCTION = (
     "Answer with a single fenced JSON block of the form:\n"
@@ -241,7 +241,7 @@ def parse_extraction(
         if not isinstance(key, str):
             warnings.append(ParseWarning("missing_key", f"facts[{i}] has no string key"))
             continue
-        if not FACT_KEY_RE.match(key):
+        if not FACT_KEY_RE.fullmatch(key):
             warnings.append(
                 ParseWarning(
                     "bad_key",

@@ -124,6 +124,20 @@ class TestFactorDb:
         with pytest.raises(FormatError, match=":2:"):
             EmissionFactorDb.from_csv(path)
 
+        path.write_text(FACTOR_CSV_HEADER + '\nelectricity,0.5,kWh,"a\nb"\nsteel,x,kg,y\n', encoding="utf-8")
+        with pytest.raises(FormatError, match=":4:.*'x'"):
+            EmissionFactorDb.from_csv(path)
+
+    @pytest.mark.parametrize("brk", list("\u2028\u2029\x85\x0b\x0c\x1c\x1d\x1e"))
+    @pytest.mark.parametrize("quoted", [False, True], ids=["unquoted", "quoted"])
+    def test_a_unicode_line_break_in_a_note_stays_in_its_row(self, tmp_path, brk, quoted):
+        note = f'"a{brk}b"' if quoted else f"a{brk}b"
+        path = tmp_path / "factors.csv"
+        path.write_text(f"{FACTOR_CSV_HEADER}\nelectricity,0.5,kWh,{note}\nsteel,2,kg,x\n", encoding="utf-8")
+        db = EmissionFactorDb.from_csv(path)
+        assert db.get("electricity") == EmissionFactor("electricity", 0.5, "kWh")
+        assert db.get("steel") == EmissionFactor("steel", 2.0, "kg")
+
 
 _DB = EmissionFactorDb(
     [

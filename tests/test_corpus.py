@@ -197,7 +197,14 @@ class TestChunkIds:
         assert parse_chunk_id(cid) == (doc_id, start, start + length)
 
     def test_malformed_id_rejected(self):
-        for chunk_id in ("nonsense", "d:0000001-0000002"):
+        # A trailing newline, and offsets 0 and 10 in Arabic-Indic digits.
+        arabic_indic = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+        for chunk_id in (
+            "nonsense",
+            "d:0000001-0000002",
+            "plant:00000000-00000010\n",
+            "plant:00000000-00000010".translate(arabic_indic),
+        ):
             with pytest.raises(InputError):
                 parse_chunk_id(chunk_id)
 
@@ -302,6 +309,10 @@ class TestCatalogIngest:
     def test_colon_in_doc_id_rejected(self):
         with pytest.raises(InputError, match="reserved"):
             Catalog().ingest("raw_text", "x", {"doc_id": "a:b"})
+
+    def test_doc_id_with_a_trailing_newline_rejected(self):
+        with pytest.raises(InputError, match=r"'plant\\n' must match"):
+            Catalog().ingest("raw_text", "x", {"doc_id": "plant\n"})
 
     def test_local_file(self, tmp_path):
         path = tmp_path / "doc.txt"

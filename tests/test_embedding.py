@@ -3,6 +3,7 @@
 import http.server
 import json
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,12 +18,15 @@ from carbonrag.embedding import (
     _KERNEL_MAX_TOKEN,
     _KERNEL_MIN_CHARS,
     _TOKEN_RE,
+    _ZERO_ROW_WARNING,
     DEFAULT_FEATURE_DIMS,
     DualTowerEncoder,
     TrainingPair,
     _fnv1a64,
     _loss_and_grad,
     _pair_cosine_grad,
+    _tower_features,
+    _unit_rows,
     cosine_similarity,
     encoder_from_json,
     hashed_counts,
@@ -235,6 +239,50 @@ def _oracle_unit(vector):
     if norm == 0.0:
         return np.eye(len(vector))[0]
     return vector / norm
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 300),
+    # Each row's scale exponent; None makes the row all zeros. Below 1e-162
+    # the squares underflow to a zero norm; above 1e150 they could overflow.
+    exponents=st.lists(st.none() | st.integers(-170, 150), max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_unit_rows_divides_each_row_by_its_own_norm(width, exponents, seed):
+    """Bit for bit ``row / np.linalg.norm(row)``; a zero row is e_0, with one warning."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((len(exponents), width))
+    for row, exponent in zip(rows, exponents):
+        if exponent is not None:
+            row[:] = rng.normal(size=width) * 10.0**exponent
+    texts = [f"text {i}" for i in range(len(rows))]
+    with mock.patch.object(embedding.logger, "warning") as warning:
+        unit = _unit_rows(rows.copy(), texts)
+    norms = [np.linalg.norm(row) for row in rows]
+    zeros = [i for i, norm in enumerate(norms) if norm == 0.0]
+    assert warning.call_args_list == [mock.call(_ZERO_ROW_WARNING, texts[i]) for i in zeros]
+    assert unit.shape == rows.shape
+    for i, (row, norm) in enumerate(zip(rows, norms)):
+        expected = np.eye(width)[0] if i in zeros else row / norm
+        assert unit[i].tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=_TEXTS,
+    dims=st.integers(1, 80),
+    feature_dims=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tower_rows_are_each_texts_own_projection(texts, dims, feature_dims, seed):
+    """A batch row is ``matrix @ f``, normalised, for its own text's features ``f``."""
+    matrix = np.random.default_rng(seed).normal(size=(dims, feature_dims))
+    rows = DualTowerEncoder(matrix=matrix).embed_batch(texts)
+    assert rows.shape == (len(texts), dims)
+    for text, row in zip(texts, rows):
+        projection = matrix @ _tower_features([text], feature_dims)[0]
+        assert row.tobytes() == _oracle_unit(projection).tobytes()
 
 
 class TestHashedCountsOracle:

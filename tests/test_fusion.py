@@ -97,6 +97,16 @@ class TestFragmentSources:
         assert frag.text == "whole text"
         assert frag.similarity is None
 
+    def test_blank_documents_are_not_fragments(self):
+        docs = [
+            SimpleNamespace(doc_id=doc_id, body=body)
+            for doc_id, body in [("a", "a"), ("blank", " \n\t"), ("empty", ""), ("b", "b")]
+        ]
+        frags = fragments_from_documents(docs)
+        assert [f.ref for f in frags] == ["a", "b"]
+        rendered = build_prompt("q", Strategy.SHORT_DIRECT, frags).rendered
+        assert "[1] a\n[2] b\n" in rendered and "[3]" not in rendered
+
     def test_uninterpretable_fragment_rejected(self):
         for bad in (42, ("r1", "text one")):
             with pytest.raises(InputError):

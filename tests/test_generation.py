@@ -87,11 +87,11 @@ class TestScriptedMock:
 class TestFactKeyPattern:
     def test_accepts_dotted_lowercase(self):
         for key in ("electricity_use", "site.energy.total", "a1.b2"):
-            assert FACT_KEY_RE.match(key)
+            assert FACT_KEY_RE.fullmatch(key)
 
     def test_rejects_other_shapes(self):
-        for key in ("Electricity", "a-b", ".leading", "trailing.", "a..b", ""):
-            assert not FACT_KEY_RE.match(key)
+        for key in ("Electricity", "a-b", ".leading", "trailing.", "a..b", "", "electricity_use\n"):
+            assert not FACT_KEY_RE.fullmatch(key)
 
 
 class TestParseExtraction:
@@ -192,6 +192,11 @@ class TestParseExtraction:
     def test_non_canonical_key_is_flagged(self):
         _, codes = self._warns([{"key": "Bad-Key", "value": 1, "unit": "kg"}])
         assert codes == ["bad_key"]
+
+    def test_key_with_a_trailing_newline_is_flagged(self):
+        entry = {"key": "electricity_use\n", "value": 1, "unit": "kg"}
+        facts, codes = self._warns([entry], expected_keys=["electricity_use"])
+        assert facts == [] and codes == ["bad_key", "missing_fact"]
 
     def test_duplicate_keys_keep_the_first_value(self):
         facts, codes = self._warns(
