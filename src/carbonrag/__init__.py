@@ -7,17 +7,25 @@ ground truth (retrieval rate, value deviation, footprint deviation).
 
 The names below are the ones a pipeline run needs; everything else is
 imported from the module that defines it (``carbonrag.accounting``,
-``carbonrag.errors``, ...).
+``carbonrag.errors``, ...). Each name is imported from its module on first
+access, so ``import carbonrag`` loads neither numpy nor ``requests``: numpy
+comes with the first name from ``embedding`` or ``index``, and ``requests``
+with the first request sent.
 """
 
-from .config import RunConfig
-from .corpus import Catalog, classify_datasource
-from .embedding import LexicalEncoder, RemoteEncoder, encoder_from_spec
-from .errors import CarbonRagError
-from .evaluation import run_benchmark
-from .fusion import Strategy, build_prompt, fragments_from_hits, select_strategy
-from .generation import RemoteChatBackend, ScriptedMockBackend, parse_extraction
-from .index import VectorIndex, build_index
+import importlib
+
+_EXPORTS = {
+    "config": ("RunConfig",),
+    "corpus": ("Catalog", "classify_datasource"),
+    "embedding": ("LexicalEncoder", "RemoteEncoder", "encoder_from_spec"),
+    "errors": ("CarbonRagError",),
+    "evaluation": ("run_benchmark",),
+    "fusion": ("Strategy", "build_prompt", "fragments_from_hits", "select_strategy"),
+    "generation": ("RemoteChatBackend", "ScriptedMockBackend", "parse_extraction"),
+    "index": ("VectorIndex", "build_index"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "CarbonRagError",
@@ -38,3 +46,16 @@ __all__ = [
     "run_benchmark",
     "select_strategy",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -1,26 +1,47 @@
-"""The one JSON-over-HTTP retry loop shared by the remote clients."""
+"""The one JSON-over-HTTP retry loop shared by the remote clients.
+
+``requests`` is imported by the first request, not by this module, so a
+command that sends no request never loads it.
+"""
 
 from __future__ import annotations
 
-import http.cookiejar
 import os
+import threading
 import time
-
-import requests
+from typing import TYPE_CHECKING
 
 from .errors import TransportError
 
-# One keep-alive session for every remote client in the process, created at
-# import so that setting up a client builds no Session and frees no pooled
+if TYPE_CHECKING:  # pragma: no cover
+    import requests
+
+# One keep-alive session for every remote client in the process, created by
+# the first request, under the lock so that concurrent first requests still
+# make only one; setting up a client builds no Session and frees no pooled
 # sockets. It keeps no cookies: a cookie set by one endpoint's reply would
 # otherwise ride along on every other client's requests.
-_SESSION = requests.Session()
-_SESSION.cookies.set_policy(http.cookiejar.DefaultCookiePolicy(allowed_domains=[]))
+_SESSION: requests.Session | None = None
+_SESSION_LOCK = threading.Lock()
 
 # The retry policy of every remote client: failed attempt n is followed by a
 # wait of BACKOFF_BASE_S * 2 ** (n - 1) seconds, so 0.5 s and then 1 s.
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 0.5
+
+
+def _session() -> requests.Session:
+    global _SESSION
+    with _SESSION_LOCK:
+        if _SESSION is None:
+            import http.cookiejar
+
+            import requests
+
+            session = requests.Session()
+            session.cookies.set_policy(http.cookiejar.DefaultCookiePolicy(allowed_domains=[]))
+            _SESSION = session
+    return _SESSION
 
 
 def post_json(
@@ -41,6 +62,9 @@ def post_json(
     fails at once. The ``TransportError`` raised on failure carries the
     number of attempts made.
     """
+    session = _session()
+    import requests  # loaded by _session
+
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(client.api_key_env, "")
     if key:
@@ -48,7 +72,7 @@ def post_json(
     last_error = None
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
-            response = _SESSION.post(
+            response = session.post(
                 client.endpoint, json=body, headers=headers, timeout=client.timeout
             )
         except requests.RequestException as exc:

@@ -2,6 +2,9 @@
 
 Every subcommand is a thin wrapper over library calls; failures surface as
 ``[stage] message`` on stderr with exit code 1, usage mistakes exit 2.
+The numpy-backed modules, ``embedding`` and ``index``, are imported inside
+the commands that embed, so ``ingest``, ``account`` and ``report`` never
+load numpy.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ._files import check_writable
 from ._json import read_json, write_json
@@ -22,12 +26,13 @@ from .accounting import (
 )
 from .config import RunConfig
 from .corpus import Catalog, check_chunking, classify_datasource
-from .embedding import TrainingPair, encoder_from_spec, train_dual_tower
 from .errors import CarbonRagError, ConfigError, FormatError
 from .evaluation import MetricsReport, answer_query, run_benchmark
 from .fusion import Strategy, select_strategy
-from .index import VectorIndex, build_index
 from .quantity import Quantity
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .embedding import TrainingPair
 
 
 def _load_or_new_catalog(path: str) -> Catalog:
@@ -54,6 +59,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_index_build(args) -> int:
+    from .embedding import encoder_from_spec
+    from .index import build_index
+
     check_chunking(args.chunk_size, args.overlap)
     catalog = Catalog.load(args.catalog)
     encoder = encoder_from_spec(args.encoder)
@@ -68,6 +76,8 @@ def cmd_index_build(args) -> int:
 
 
 def _read_training_pairs(path: str) -> list[TrainingPair]:
+    from .embedding import TrainingPair
+
     pairs = read_json(path, "training pairs", FormatError).elements(("text_a", "text_b", "related"))
     return [
         TrainingPair(p.get("text_a", str), p.get("text_b", str), p.get("related", bool))
@@ -76,6 +86,8 @@ def _read_training_pairs(path: str) -> list[TrainingPair]:
 
 
 def cmd_train_encoder(args) -> int:
+    from .embedding import train_dual_tower
+
     pairs = _read_training_pairs(args.pairs)
     result = train_dual_tower(pairs)
     write_json(args.out, "encoder", result.encoder.spec)
@@ -120,7 +132,11 @@ def cmd_query(args) -> int:
         raise ConfigError(
             f"datasource routes to {strategy.value}, which does not retrieve: drop --index"
         )
-    index = VectorIndex.load(config.index_path) if retrieves else None
+    index = None
+    if retrieves:
+        from .index import VectorIndex
+
+        index = VectorIndex.load(config.index_path)
     backend = config.build_backend()
 
     def answer(question: str) -> None:

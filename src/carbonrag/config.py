@@ -22,11 +22,11 @@ from .corpus import (
     DEFAULT_OVERLAP,
     check_chunking,
 )
-from .embedding import encoder_from_spec
 from .errors import ConfigError
 from .fusion import DEFAULT_PROMPT_BUDGET
 from .generation import backend_from_spec
-from .index import DEFAULT_K
+
+DEFAULT_K = 5  # fragments retrieved per query
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,8 @@ class RunConfig:
         return value
 
     def build_encoder(self):
+        from .embedding import encoder_from_spec  # loads numpy: only embedding needs it
+
         return encoder_from_spec(self.encoder)
 
     def build_backend(self):

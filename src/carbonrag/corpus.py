@@ -32,8 +32,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-import requests
-
 from ._files import write_file
 from ._json import Node, dump_json, parse_json
 from .errors import ConfigError, EncodingError, FetchError, FormatError, InputError
@@ -236,6 +234,8 @@ class Catalog:
             body = _decode_utf8(data, str(path))
             default_title = path.name
         else:  # SourceKind.URL_FETCH
+            import requests  # only a fetch pays for loading it
+
             try:
                 response = requests.get(payload, timeout=30)
             except requests.RequestException as exc:

@@ -87,6 +87,8 @@ _BLOCK_CHARS = 1 << 17
 # pass; longer ones one at a time by ``_fnv1a64``, so a block makes at most
 # this many passes whatever its input.
 _KERNEL_MAX_TOKEN = 64
+# A block's cell index, ``row * dims + bucket``, must fit ``np.intp``.
+_MAX_LEXICAL_DIMS = int(np.iinfo(np.intp).max) // _BLOCK_TEXTS
 
 
 def _tokens_by_length(
@@ -156,15 +158,20 @@ def hashed_counts(texts: Sequence[str], dims: int) -> np.ndarray:
 _ZERO_ROW_WARNING = "embedding of %r is a zero vector; using basis e_0"
 
 
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's dot with itself, from the kernel ``np.linalg.norm(row)`` runs."""
+    return np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows))
+
+
 def _unit_rows(rows: np.ndarray, texts: Sequence[str]) -> np.ndarray:
     """Scale each row of the float64 ``(n, dims)`` array ``rows`` to unit norm, in place.
 
-    One stacked ``matmul`` gives each row's dot with itself from the kernel
-    that ``np.linalg.norm(row)`` runs, so a row is ``row / np.linalg.norm(row)``
-    bit for bit. A row of norm 0 (all zeros, or so small that its squares
-    underflow) becomes the basis vector e_0, so downstream cosines stay finite.
+    One stacked ``matmul`` gives each row's squared norm, so a row is
+    ``row / np.linalg.norm(row)`` bit for bit. A row of norm 0 (all zeros,
+    or so small that its squares underflow) becomes the basis vector e_0, so
+    downstream cosines stay finite.
     """
-    norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).reshape(len(rows)))
+    norms = np.sqrt(_squared_norms(rows))
     for i in np.flatnonzero(norms == 0.0):
         logger.warning(_ZERO_ROW_WARNING, texts[i][:40])
         rows[i] = 0.0
@@ -223,6 +230,8 @@ class LexicalEncoder(Encoder):
     def __post_init__(self):
         if self.dims <= 0:
             raise ConfigError(f"dims must be positive, got {self.dims}")
+        if self.dims > _MAX_LEXICAL_DIMS:
+            raise ConfigError(f"dims must be at most {_MAX_LEXICAL_DIMS}, got {self.dims}")
 
     @property
     def spec(self) -> dict:
@@ -391,7 +400,9 @@ class RemoteEncoder(Encoder):
 
     Wire contract: ``POST {"input": [texts]}`` returns
     ``{"embeddings": [[...], ...]}``. Vectors are re-normalized locally so
-    the unit-norm contract never depends on the server.
+    the unit-norm contract never depends on the server. A reply with a
+    value or a squared row norm past the float64 range has no unit row: it
+    is refused, naming the endpoint and the row.
     """
 
     endpoint: str
@@ -424,11 +435,16 @@ class RemoteEncoder(Encoder):
         )
         # A bad reply ends in the stage a failed request does, in every command.
         error = partial(FormatError, stage="embedding")
-        reply = parse_json(response.content, "embedding endpoint reply", error)
-        vectors = reply.get("embeddings", list[list[float]])
+        reply = parse_json(response.content, f"embedding endpoint {self.endpoint} reply", error)
+        vectors = reply.get("embeddings", list[list[float]])  # finite numbers only
         if len(vectors) != len(texts) or any(len(v) != self.dims for v in vectors):
             reply.fail(f"expected {len(texts)} embeddings of width {self.dims}, got {len(vectors)}")
-        return _unit_rows(np.asarray(vectors, dtype=np.float64), texts)
+        rows = np.asarray(vectors, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            overflowed = np.flatnonzero(np.isinf(_squared_norms(rows)))
+        if len(overflowed):
+            reply.fail(f"embeddings[{overflowed[0]}] has a squared norm past the float64 range")
+        return _unit_rows(rows, texts)
 
 
 def load_encoder(path: str | Path):

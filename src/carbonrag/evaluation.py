@@ -26,9 +26,7 @@ from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ._files import check_writable, write_file
 from ._json import dump_json, read_json, write_json
@@ -56,8 +54,12 @@ from .fusion import (
     select_strategy,
 )
 from .generation import ExtractedFact, ParseWarning, RawAnswer, parse_extraction
-from .index import RetrievalHit, VectorIndex
 from .quantity import Quantity
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
+    from .index import RetrievalHit, VectorIndex
 
 logger = logging.getLogger(__name__)
 
@@ -521,6 +523,8 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
     yet started are cancelled. An unwritable ``report_out`` fails before
     any question is asked.
     """
+    from .index import VectorIndex
+
     if config.report_out is not None:
         check_writable(config.report_out, "report")
     bench = load_benchmark(config.require("benchmark_path"))

@@ -12,12 +12,14 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .corpus import Document, LengthClass
 from .errors import InputError
 from .generation import ANSWER_SCHEMA_INSTRUCTION
-from .index import RetrievalHit
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .index import RetrievalHit
 
 TEMPLATE_VERSION = "cfa-rag-prompt/1"
 

@@ -34,7 +34,6 @@ from ._json import dump_json, parse_json
 from .embedding import encoder_from_json
 from .errors import FormatError, InputError
 
-DEFAULT_K = 5
 _NORM_TOLERANCE = 1e-6
 # Below this norm a query's squared components may underflow to zero.
 _TINY_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
@@ -118,7 +117,7 @@ class VectorIndex:
     def dims(self) -> int:
         return self._matrix.shape[1]
 
-    def top_k(self, query: np.ndarray, k: int = DEFAULT_K) -> list[RetrievalHit]:
+    def top_k(self, query: np.ndarray, k: int) -> list[RetrievalHit]:
         """The ``min(k, size)`` most similar entries, similarity descending,
         bitwise-equal similarities by ascending chunk id.
 

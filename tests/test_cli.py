@@ -193,6 +193,17 @@ class TestIndexBuild:
                 assert capsys.readouterr().err.startswith("[config] chunk_size must exceed")
                 assert not out.exists()
 
+    def test_a_lexical_width_past_the_kernel_is_a_config_error(self, tmp_path, capsys):
+        catalog, out = tmp_path / "catalog.json", tmp_path / "index.npz"
+        catalog.write_text("[]", encoding="utf-8")
+        argv = ["index", "build", "--catalog", str(catalog), "--out", str(out)]
+        assert main([*argv, "--encoder", "lexical:99999999999999999999"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[config] dims must be at most ") and err.endswith(
+            ", got 99999999999999999999\n"
+        ), err
+        assert not out.exists()
+
     def test_whitespace_only_chunks_are_left_out(self, tmp_path, capsys):
         # A run of 2,500 spaces holds two whole 1,000-character chunks; they
         # have nothing to embed, and the lexical encoder refuses them.
@@ -929,7 +940,8 @@ class TestOneStagePerFailure:
         ):
             assert main(argv) == 1, argv
             assert capsys.readouterr().err == (
-                "[embedding] embedding endpoint reply: embeddings must be a list, got 'nope'\n"
+                f"[embedding] embedding endpoint {url} reply: "
+                "embeddings must be a list, got 'nope'\n"
             ), argv
 
     def test_a_missing_emission_factor_ends_in_accounting(self, benchmark_tree, tmp_path, capsys):

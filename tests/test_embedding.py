@@ -145,6 +145,16 @@ class TestLexicalEncoder:
         np.testing.assert_array_equal(v, expected)
         assert any("zero vector" in m or "e_0" in m for m in caplog.messages)
 
+    @pytest.mark.parametrize("dims", [10**20, 2**62])
+    def test_dims_past_the_kernels_cell_index_are_a_config_error(self, dims):
+        """A block's ``row * dims + bucket`` must fit ``np.intp``; these widths
+        are refused before any array is made."""
+        limit = np.iinfo(np.intp).max // _BLOCK_TEXTS
+        with pytest.raises(ConfigError, match=f"dims must be at most {limit}, got {dims}$"):
+            LexicalEncoder(dims=dims)
+        with pytest.raises(ConfigError, match="dims must be at most"):
+            encoder_from_spec(f"lexical:{dims}")
+
 
 class TestDualTowerEncoder:
     def _encoder(self, dims=8, feature_dims=32, seed=5):
@@ -619,6 +629,11 @@ class TestEncoderProvenance:
         assert all(a != b for i, a in enumerate(specs) for b in specs[i + 1 :])
 
 
+# Rows whose squares underflow to a zero norm (the first and last), one
+# whose squared norm, 1e308, is just inside the float64 range, and a plain one.
+_EDGE_ROWS = [[1e-170, 0, 0, 0], [1e154, 0, 0, 0], [3.0, 4.0, 0, 0], [1e-200, 1e-170, 0, 0]]
+
+
 class _EmbedHandler(http.server.BaseHTTPRequestHandler):
     flaky_failures = 0
 
@@ -643,6 +658,14 @@ class _EmbedHandler(http.server.BaseHTTPRequestHandler):
             self._send(200, {"embeddings": [[True, False, False, False] for _ in texts]})
         elif self.path == "/huge":
             self._send(200, {"embeddings": [[10**400, 0, 0, 0] for _ in texts]})
+        elif self.path == "/overflow":
+            # The second row's squared norm, 4e400, is past the float64 range.
+            self._send(200, {"embeddings": [[1.0, 0, 0, 0], [1e200] * 4][: len(texts)]})
+        elif self.path == "/inf":
+            # 1e400 is a JSON number that parses to inf.
+            self._send_raw(200, b'{"embeddings": [[1, 0, 0, 0], [1e400, 0, 0, 0]]}')
+        elif self.path == "/edge":
+            self._send(200, {"embeddings": _EDGE_ROWS[: len(texts)]})
         elif self.path == "/short":
             self._send(200, {"embeddings": []})
         elif self.path == "/notjson":
@@ -730,17 +753,31 @@ class TestRemoteEncoder:
         assert len(embed_server.requests) == 1
 
     def test_malformed_reply_is_a_format_error(self, embed_server):
+        """The error names the endpoint and the JSON path. A value or a row
+        past the float64 range has no unit row: it is the reply's fault, not
+        the chunk's."""
         for path, message in (
             ("/nan", "non-finite"),
             ("/words", r"embeddings\[0\]\[0\] must be a number, got 'a'"),
             ("/array", "reply must be an object"),
             ("/bools", r"embeddings\[0\]\[0\] must be a number, got True"),
             ("/huge", r"embeddings\[0\]\[0\] must be a number, got 1000"),
+            ("/inf", r"embeddings\[1\]\[0\] must be a number, got inf"),
+            ("/overflow", r"embeddings\[1\] has a squared norm past the float64 range"),
             ("/short", "expected 2 embeddings of width 4, got 0"),
         ):
-            enc = RemoteEncoder(_url(embed_server, path), dims=4)
-            with pytest.raises(FormatError, match=message):
-                enc.embed_batch(["x", "y"])
+            url = _url(embed_server, path)
+            with pytest.raises(FormatError, match=message) as err:
+                RemoteEncoder(url, dims=4).embed_batch(["x", "y"])
+            assert err.value.stage_name == "embedding"
+            assert str(err.value).startswith(f"embedding endpoint {url} reply"), path
+
+    def test_rows_near_the_float64_limits_are_scaled_as_before(self, embed_server):
+        """Squares that underflow still give e_0; 1e154 squared still fits."""
+        vectors = RemoteEncoder(_url(embed_server, "/edge"), dims=4).embed_batch(["a"] * 4)
+        rows = np.array(_EDGE_ROWS)
+        expected = [np.eye(4)[0], rows[1] / np.linalg.norm(rows[1]), rows[2] / 5.0, np.eye(4)[0]]
+        assert vectors.tobytes() == np.array(expected).tobytes()
 
     def test_bearer_token_from_environment(self, embed_server, monkeypatch):
         monkeypatch.setenv("EMBEDDING_API_KEY", "sk-test")
