@@ -9,9 +9,11 @@ from __future__ import annotations
 import os
 import threading
 import time
+from functools import partial
 from typing import TYPE_CHECKING
 
-from .errors import TransportError
+from ._json import Node, parse_json
+from .errors import FormatError, TransportError
 
 if TYPE_CHECKING:  # pragma: no cover
     import requests
@@ -51,8 +53,9 @@ def post_json(
     name: str,
     gave_up: str,
     stage: str | None = None,
-) -> requests.Response:
-    """POST ``body`` to ``client.endpoint``; return the first reply below 400.
+) -> Node:
+    """POST ``body`` to ``client.endpoint``; return the first reply below 400
+    as JSON, labelled ``"{name} {endpoint} reply"``.
 
     ``client`` supplies ``endpoint``, ``timeout`` and ``api_key_env``, whose
     variable, when set, becomes a bearer token. Every request goes through
@@ -60,7 +63,8 @@ def post_json(
     reused. Connection errors and 5xx replies are retried up to
     ``MAX_ATTEMPTS`` attempts in all, with exponential backoff; a 4xx reply
     fails at once. The ``TransportError`` raised on failure carries the
-    number of attempts made.
+    number of attempts made; a reply that is not JSON is a ``FormatError``.
+    Both carry ``stage``.
     """
     session = _session()
     import requests  # loaded by _session
@@ -80,7 +84,8 @@ def post_json(
         else:
             status = response.status_code
             if status < 400:
-                return response
+                label = f"{name} {client.endpoint} reply"
+                return parse_json(response.content, label, partial(FormatError, stage=stage))
             if status < 500:
                 raise TransportError(
                     f"{name} rejected the request: HTTP {status}", attempts=attempt, stage=stage

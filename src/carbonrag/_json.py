@@ -5,13 +5,14 @@
 repeated in one object); any failure to read, decode or parse, nesting too
 deep included, becomes the caller's error class naming the file. So does a
 lone surrogate, such as the escape ``"\\ud800"``: it is valid JSON but not
-text, and would fail only later, when it is printed or saved. The decoded
-value is searched for one only when the text can hold one: when it has a
-``\\u`` escape, or is a non-ASCII ``str`` argument.
-``parse_json`` does the same for a reply body or a string. Both return a
-``Node``, whose getters apply JSON's types rather than Python's and name
-the file and the JSON path of a bad value, such as
+text, and would fail only later, when it is printed or saved. Strict UTF-8
+decoding refuses an encoded surrogate, so the decoded value is searched for
+one only when the text has a ``\\u`` escape.
+``parse_json`` does the same for bytes already read, such as a reply body.
+Both return a ``Node``, whose getters apply JSON's types rather than
+Python's and name the file and the JSON path of a bad value, such as
 ``benchmark b.json: truths[3].true_value must be a number, got 'x'``.
+``Node.declares`` is the one check of a file's format declaration.
 
 ``write_json`` writes that dialect: a non-finite number or a lone surrogate
 fails the write, so every file it writes reads back. ``dump_json`` renders
@@ -65,16 +66,16 @@ def read_json(path: str | Path, what: str, error_cls: Callable[[str], Exception]
     return parse_json(data, label, error_cls)
 
 
-def parse_json(data: bytes | str, label: str, error_cls: Callable[[str], Exception]) -> "Node":
-    """The JSON document in ``data``, UTF-8 if bytes; errors name it as ``label``."""
+def parse_json(data: bytes, label: str, error_cls: Callable[[str], Exception]) -> "Node":
+    """The JSON document in the UTF-8 bytes ``data``; errors name it as ``label``."""
     try:
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        text = data.decode("utf-8")
         value = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise error_cls(f"{label} is not JSON: {exc}") from None
-    # Strict UTF-8 decoding refuses surrogates, so text decoded from bytes
-    # holds one only through a \u escape; a str argument may hold a raw one.
-    if "\\u" in text or (text is data and not text.isascii()):
+    # Strict UTF-8 decoding refuses surrogates, so the text holds one only
+    # through a \u escape.
+    if "\\u" in text:
         surrogate = lone_surrogate(value)
         if surrogate is not None:
             raise error_cls(f"{label} holds a lone surrogate {surrogate!r}, which is not text")
@@ -102,9 +103,9 @@ def lone_surrogate(value) -> str | None:
 
     A string decoded from JSON bytes holds one only when the JSON held a
     ``\\udxxx`` escape that is not half of a pair, so ``parse_json`` calls
-    this only on text with a ``\\u`` escape or on a non-ASCII ``str``
-    argument. Only a non-ASCII string can hold one, and ``str.isascii``
-    costs nothing, so the scan is one loop over the nodes.
+    this only on text with a ``\\u`` escape. Only a non-ASCII string can
+    hold one, and ``str.isascii`` costs nothing, so the scan is one loop
+    over the nodes.
     """
     todo = [value]
     for node in todo:  # the loop also visits what it appends
@@ -222,6 +223,15 @@ class Node:
         if unknown:
             self.fail(f"unknown keys: {', '.join(unknown)}")
         return self
+
+    def declares(self, fmt: dict, keys: Collection[str]) -> "Node":
+        """This object, when it holds every ``fmt`` key with that value and
+        JSON type (``2.0`` and ``true`` equal ``2`` and ``1`` in Python, but
+        declare nothing) and no key outside ``fmt`` and ``keys``."""
+        got = self.value if type(self.value) is dict else {}
+        if any((type(got.get(k)), got.get(k)) != (type(v), v) for k, v in fmt.items()):
+            raise self._error(f"{self.where} does not declare {fmt}")
+        return self.only_keys((*fmt, *keys))
 
     def elements(self, keys: Collection[str] | None = None) -> list["Node"]:
         """One node per element of this list; given ``keys``, each ``only_keys(keys)``."""

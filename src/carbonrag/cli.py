@@ -41,16 +41,12 @@ def _load_or_new_catalog(path: str) -> Catalog:
 
 def cmd_ingest(args) -> int:
     catalog = _load_or_new_catalog(args.catalog)
-    if args.doc_id and len(args.payloads) != 1:
+    if args.doc_id is not None and len(args.payloads) != 1:
         raise ConfigError("--doc-id only applies when ingesting a single payload")
+    # A flag given as "" is kept as given, to be stored or refused.
+    flags = {"doc_id": args.doc_id, "title": args.title, "industry_tag": args.industry_tag}
+    metadata = {key: value for key, value in flags.items() if value is not None}
     for payload in args.payloads:
-        metadata = {}
-        if args.doc_id:
-            metadata["doc_id"] = args.doc_id
-        if args.title:
-            metadata["title"] = args.title
-        if args.industry_tag:
-            metadata["industry_tag"] = args.industry_tag
         doc = catalog.ingest(args.source, payload, metadata)
         print(f"ingested {doc.doc_id} ({len(doc.body)} chars) from {args.source}")
     catalog.save(args.catalog)

@@ -16,7 +16,9 @@ the next save rewrites it as format 2.
 
 Normalization rules (applied once, at ingest):
   1. CRLF becomes LF.
-  2. Remaining C0 control characters other than LF become a single space.
+  2. Remaining C0 control characters other than LF become a single space,
+     by one byte map over the UTF-8 encoding, whatever the script: in UTF-8
+     the bytes 0x00-0x1F stand only for those characters.
   3. Runs of more than two blank lines collapse to two (four or more
      consecutive newlines become three).
 """
@@ -44,8 +46,6 @@ DEFAULT_LENGTH_THRESHOLD = 4000
 # against a catalog without re-running segmentation.
 _CHUNK_ID_RE = re.compile(r"(?P<doc>.+):(?P<start>[0-9]{8,})-(?P<end>[0-9]{8,})")
 _DOC_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
-_C0_EXCEPT_LF_RE = re.compile(r"[\x00-\x09\x0b-\x1f]")
-# The same mapping for ASCII text, where one byte translate replaces the regex.
 _C0_EXCEPT_LF_TABLE = bytes(0x20 if c < 0x20 and c != 0x0A else c for c in range(256))
 
 _FORMAT = {"format": "carbonrag-catalog", "version": 2}
@@ -87,13 +87,11 @@ class Chunk:
 
 def normalize_text(raw: str) -> str:
     text = raw.replace("\r\n", "\n") if "\r" in raw else raw
-    if text.isascii():
-        data = text.encode("ascii")
-        cleaned = data.translate(_C0_EXCEPT_LF_TABLE)
-        if cleaned != data:  # a clean text stays the same object, as re.sub leaves it
-            text = cleaned.decode("ascii")
-    else:
-        text = _C0_EXCEPT_LF_RE.sub(" ", text)
+    # A lone surrogate passes through, to be refused where the body is encoded.
+    data = text.encode("utf-8", "surrogatepass")
+    cleaned = data.translate(_C0_EXCEPT_LF_TABLE)
+    if cleaned != data:  # a clean text stays the same object
+        text = cleaned.decode("utf-8", "surrogatepass")
     if "\n\n\n\n" in text:
         text = re.sub(r"\n{4,}", "\n\n\n", text)
     return text
@@ -341,11 +339,7 @@ class Catalog:
         if end < 0:
             raise FormatError(f"{label}: the header line has no end")
         header = parse_json(data[:end], f"{label}: header", FormatError)
-        got = header.value  # an object: its text starts with "{"
-        # A JSON 2.0 equals 2 in Python, so the types are compared too.
-        if any((type(got.get(k)), got.get(k)) != (type(v), v) for k, v in _FORMAT.items()):
-            raise FormatError(f"{header.where} does not declare {_FORMAT}")
-        records = header.only_keys((*_FORMAT, "documents")).at("documents")
+        records = header.declares(_FORMAT, ("documents",)).at("documents")
         view, start = memoryview(data), end + 1
         for rec in records.elements((*_FIELDS, "bytes")):
             size = rec.get("bytes", int)

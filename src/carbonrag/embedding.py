@@ -27,14 +27,13 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from ._http import post_json
-from ._json import Node, parse_json, read_json
+from ._json import Node, read_json
 from .errors import ConfigError, FormatError, InputError
 
 logger = logging.getLogger(__name__)
@@ -426,16 +425,14 @@ class RemoteEncoder(Encoder):
             _require_text(t)
         if not texts:
             return np.zeros((0, self.dims))
-        response = post_json(
+        # A bad reply ends in the stage a failed request does, in every command.
+        reply = post_json(
             self,
             {"input": list(texts)},
             name="embedding endpoint",
             gave_up="unreachable",
             stage="embedding",
         )
-        # A bad reply ends in the stage a failed request does, in every command.
-        error = partial(FormatError, stage="embedding")
-        reply = parse_json(response.content, f"embedding endpoint {self.endpoint} reply", error)
         vectors = reply.get("embeddings", list[list[float]])  # finite numbers only
         if len(vectors) != len(texts) or any(len(v) != self.dims for v in vectors):
             reply.fail(f"expected {len(texts)} embeddings of width {self.dims}, got {len(vectors)}")

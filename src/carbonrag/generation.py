@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._http import post_json
-from ._json import parse_json, read_json
+from ._json import read_json
 from .errors import ConfigError, ExtractionError, FormatError, InputError, MockMissError
 from .quantity import Quantity
 
@@ -127,8 +127,7 @@ class RemoteChatBackend:
             "temperature": 0,
         }
         with self._slots:
-            response = post_json(self, body, name="generation endpoint", gave_up="failed")
-        reply = parse_json(response.content, "generation endpoint reply", FormatError)
+            reply = post_json(self, body, name="generation endpoint", gave_up="failed")
         choices = reply.at("choices").elements()
         if not choices:
             reply.fail("choices is empty")

@@ -203,11 +203,7 @@ class VectorIndex:
                 f"index {path}: manifest is not UTF-8 bytes, as in version 2; {_REBUILD}"
             )
         meta = parse_json(manifest.tobytes(), f"index {path} manifest", FormatError)
-        got = meta.value if isinstance(meta.value, dict) else {}
-        # A JSON true equals 1 in Python, so the types are compared too.
-        if any((type(got.get(k)), got.get(k)) != (type(v), v) for k, v in _FORMAT.items()):
-            raise FormatError(f"{meta.where} does not declare {_FORMAT}")
-        ids = meta.only_keys((*_FORMAT, "ids", "encoder")).get("ids", list)
+        ids = meta.declares(_FORMAT, ("ids", "encoder")).get("ids", list)
         encoder = encoder_from_json(meta.at("encoder"))
         # Stored vectors are kept without re-normalization, so save/load
         # round-trips bit-exactly.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fixtures
-from carbonrag import RemoteEncoder, RunConfig, VectorIndex
+from carbonrag import Catalog, RemoteEncoder, RunConfig, VectorIndex
 from carbonrag.cli import main
 from carbonrag.embedding import DualTowerEncoder, load_encoder
 from carbonrag.errors import ConfigError
@@ -87,6 +87,22 @@ class TestIngest:
         )
         assert code == 1
         assert "[config]" in capsys.readouterr().err
+
+    def test_empty_flags_are_kept_as_given(self, tmp_path, capsys):
+        """An empty ``--doc-id`` is refused as an id, not replaced by a made-up
+        one; an empty title or tag is stored as given, not as the default."""
+        catalog = tmp_path / "c.catalog"
+        doc = tmp_path / "a.txt"
+        doc.write_text("body", encoding="utf-8")
+        argv = ["ingest", "--catalog", str(catalog)]
+        assert main([*argv, "--doc-id", "", str(doc)]) == 1
+        assert capsys.readouterr().err.startswith("[input] doc_id '' must match ")
+        assert main([*argv, "--doc-id", "", str(doc), str(doc)]) == 1
+        assert capsys.readouterr().err.startswith("[config] --doc-id only applies")
+        assert not catalog.exists()
+        assert main([*argv, "--title", "", "--industry-tag", "", str(doc)]) == 0
+        (stored,) = Catalog.load(catalog).documents
+        assert (stored.title, stored.industry_tag) == ("", "")
 
     def test_missing_file_reports_the_ingest_stage(self, tmp_path, capsys):
         code = main(

@@ -605,7 +605,7 @@ class TestEncoderProvenance:
         ):
             # Not a method: a proxy that times every method call must see a value.
             assert enc.spec == spec and not callable(enc.spec)
-            rebuilt = encoder_from_json(parse_json(json.dumps(enc.spec), "spec", FormatError))
+            rebuilt = encoder_from_json(parse_json(json.dumps(enc.spec).encode(), "spec", FormatError))
             assert type(rebuilt) is type(enc) and rebuilt.spec == spec
             if isinstance(enc, RemoteEncoder):
                 assert rebuilt == enc  # nothing listens on port 9: rebuilding sends no request

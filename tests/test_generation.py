@@ -7,7 +7,9 @@ import time
 import pytest
 
 from carbonrag import (
+    Catalog,
     RemoteChatBackend,
+    RunConfig,
     ScriptedMockBackend,
     Strategy,
     build_prompt,
@@ -20,6 +22,7 @@ from carbonrag.errors import (
     MockMissError,
     TransportError,
 )
+from carbonrag.evaluation import answer_query
 from carbonrag.generation import FACT_KEY_RE, RawAnswer, backend_from_spec
 from carbonrag.quantity import Quantity
 
@@ -344,14 +347,30 @@ class TestRemoteChat:
             backend.generate(_prompt())
 
     def test_missing_choices_is_a_format_error(self, chat_server):
+        """The error names the endpoint, and through ``answer_query`` it ends
+        in ``generate``, as an encoder reply's ends in ``embedding``."""
         for path, message in (
+            ("/notjson", "reply is not JSON"),
             ("/badshape", "reply is missing 'choices'"),
             ("/nochoices", "choices is empty"),
             ("/nullcontent", r"choices\[0\]\.message\.content must be a string, got None"),
         ):
-            backend = RemoteChatBackend(_url(chat_server, path))
-            with pytest.raises(FormatError, match=message):
+            url = _url(chat_server, path)
+            backend = RemoteChatBackend(url)
+            with pytest.raises(FormatError, match=message) as err:
                 backend.generate(_prompt())
+            assert str(err.value).startswith(f"generation endpoint {url} reply"), path
+            with pytest.raises(FormatError, match=message) as err:
+                answer_query(
+                    "How much electricity?",
+                    Strategy.NO_DATASOURCE,
+                    catalog=Catalog(),
+                    index=None,
+                    query_vector=None,
+                    backend=backend,
+                    config=RunConfig(),
+                )
+            assert err.value.stage_name == "generate", path
 
     def test_unreachable_endpoint_exhausts_attempts(self, fast_retries):
         fast_retries(2)

@@ -163,14 +163,14 @@ def test_concurrent_first_requests_make_one_session(http_server, monkeypatch):
 
     def first_request(_):
         start.wait()
-        return _http.post_json(client, {}, name="test endpoint", gave_up="unreachable").status_code
+        return _http.post_json(client, {}, name="test endpoint", gave_up="unreachable").value
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            statuses = list(pool.map(first_request, range(8), timeout=30))
-        assert statuses == [200] * 8
+            replies = list(pool.map(first_request, range(8), timeout=30))
+        assert replies == [{}] * 8
         assert len(made) == 1 and _http._SESSION is made[0]
     finally:
         sys.setswitchinterval(interval)

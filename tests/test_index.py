@@ -401,6 +401,12 @@ class TestPersistence:
             (json.dumps({"format": "carbonrag-index", "version": 1, "ids": []}), "not declare"),
             (json.dumps({"format": "carbonrag-index", "version": True, "ids": []}), "not declare"),
             (json.dumps({"ids": []}), "does not declare"),
+            # A declaration is exact in value and JSON type, as the catalog's is.
+            (_manifest(["c:0"], format="carbonrag-catalog"), "manifest does not declare"),
+            (_manifest(["c:0"], version=1), "manifest does not declare"),
+            (_manifest(["c:0"], version=True), "manifest does not declare"),
+            (_manifest(["c:0"], version="2"), "manifest does not declare"),
+            (_manifest(["c:0"], version=2.0), "manifest does not declare"),
             (_manifest("c:0"), "manifest: ids must be a list, got 'c:0'"),
             (_manifest({"c:0": 0}), "manifest: ids must be a list, got {"),
             (_manifest(None), "manifest: ids must be a list, got None"),

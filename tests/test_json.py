@@ -20,8 +20,7 @@ class TestLoneSurrogates:
             (b'{"a": {"b\\uDFFF": 1}}', "\\udfff"),
             (b'[[["ok", "\\udc00 after a low half"]]]', "\\udc00"),
             (b'"\\ud83d"', "\\ud83d"),  # a high half with no low half after it
-            ('{"ids": ["c\\udc00"]}', "\\udc00"),  # a string argument, escaped
-            ('["raw \ud800"]', "\\ud800"),  # a string argument that holds one itself
+            (b'{"ids": ["c\\udc00"]}', "\\udc00"),
         ],
     )
     def test_are_the_callers_error(self, data, surrogate):
@@ -34,7 +33,7 @@ class TestLoneSurrogates:
         [
             (b'"\\ud83d\\ude00"', "\U0001f600"),  # a pair is one character
             (b'"\\\\ud800"', "\\ud800"),  # an escaped backslash, then text
-            ('"\U0001f600 CO₂"', "\U0001f600 CO₂"),
+            ('"\U0001f600 CO₂"'.encode(), "\U0001f600 CO₂"),
         ],
     )
     def test_text_that_only_looks_like_one_is_read(self, data, value):
@@ -43,8 +42,8 @@ class TestLoneSurrogates:
 
 # Pieces of a JSON string's text: plain and non-ASCII chars, \\u escapes of
 # any code unit (surrogates drawn more often), a pair, an escaped backslash
-# before text that reads like an escape, and raw surrogates, which a str
-# argument can hold and strict UTF-8 bytes cannot.
+# before text that reads like an escape, and raw surrogates, which strict
+# UTF-8 bytes cannot hold.
 _STRING_PIECES = st.one_of(
     st.sampled_from(["a", "é", "\U0001f600", "\\\\", "ud800", "\\ud83d\\ude00"]),
     st.integers(0, 0xFFFF).map("\\u{:04x}".format),
@@ -54,13 +53,13 @@ _STRING_PIECES = st.one_of(
 
 
 @settings(max_examples=500, deadline=None)
-@given(pieces=st.lists(_STRING_PIECES, max_size=6), as_key=st.booleans(), as_bytes=st.booleans())
-def test_a_skipped_surrogate_search_would_have_found_none(pieces, as_key, as_bytes):
+@given(pieces=st.lists(_STRING_PIECES, max_size=6), as_key=st.booleans())
+def test_a_skipped_surrogate_search_would_have_found_none(pieces, as_key):
     """Searching every value for a lone surrogate gives the same value or error."""
     text = "".join(pieces).join(['{"', '": 0}'] if as_key else ['["', '"]'])
-    data = text.encode("utf-8", "surrogatepass") if as_bytes else text
+    data = text.encode("utf-8", "surrogatepass")
     try:
-        value = json.loads(data.decode("utf-8") if as_bytes else data)
+        value = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError:  # an encoded surrogate is not UTF-8
         with pytest.raises(FormatError, match="^doc is not JSON: 'utf-8' codec"):
             parse_json(data, "doc", FormatError)
@@ -79,7 +78,7 @@ def test_a_skipped_surrogate_search_would_have_found_none(pieces, as_key, as_byt
     [
         (b'{"k": 5, "k": 50}', "'k'"),
         (b'[{"a": 1}, {"b": {"x": 1, "y": 2, "x": 3}}]', "'x'"),
-        ('{"\\u00e9": 1, "é": 2}', "'é'"),  # one key, escaped and not
+        ('{"\\u00e9": 1, "é": 2}'.encode(), "'é'"),  # one key, escaped and not
     ],
 )
 def test_a_repeated_key_is_the_callers_error(data, key):
