@@ -8,9 +8,9 @@ ground truth (retrieval rate, value deviation, footprint deviation).
 The names below are the ones a pipeline run needs; everything else is
 imported from the module that defines it (``carbonrag.accounting``,
 ``carbonrag.errors``, ...). Each name is imported from its module on first
-access, so ``import carbonrag`` loads neither numpy nor ``requests``: numpy
-comes with the first name from ``embedding`` or ``index``, and ``requests``
-with the first request sent.
+access, so ``import carbonrag`` loads neither numpy nor ``http.client``:
+numpy comes with the first name from ``embedding`` or ``index``, and
+``http.client`` with the first request sent.
 """
 
 import importlib

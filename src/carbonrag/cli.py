@@ -2,9 +2,11 @@
 
 Every subcommand is a thin wrapper over library calls; failures surface as
 ``[stage] message`` on stderr with exit code 1, usage mistakes exit 2.
-The numpy-backed modules, ``embedding`` and ``index``, are imported inside
-the commands that embed, so ``ingest``, ``account`` and ``report`` never
-load numpy.
+Each command imports the modules it uses: ``embedding`` and ``index``
+(numpy) only in the commands that embed, ``evaluation`` and ``fusion`` in
+``query``, ``bench`` and ``report``, and ``accounting`` in ``account``. So
+``ingest`` loads neither numpy, nor the pipeline past the catalog, nor any
+networking code unless it fetches a URL.
 """
 
 from __future__ import annotations
@@ -17,22 +19,18 @@ from typing import TYPE_CHECKING
 
 from ._files import check_writable
 from ._json import read_json, write_json
-from .accounting import (
-    EmissionFactorDb,
-    InventoryItem,
-    LifecycleStage,
-    Scope,
-    compute_footprint,
-)
 from .config import RunConfig
 from .corpus import Catalog, check_chunking, classify_datasource
 from .errors import CarbonRagError, ConfigError, FormatError
-from .evaluation import MetricsReport, answer_query, run_benchmark
-from .fusion import Strategy, select_strategy
 from .quantity import Quantity
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .accounting import InventoryItem
     from .embedding import TrainingPair
+
+# The values of accounting.Scope, spelt out so that building the parser
+# does not import accounting; a test keeps the two equal.
+_SCOPES = ("cradle_to_gate", "cradle_to_grave")
 
 
 def _load_or_new_catalog(path: str) -> Catalog:
@@ -110,6 +108,9 @@ def _print_result(result, catalog) -> None:
 
 
 def cmd_query(args) -> int:
+    from .evaluation import answer_query
+    from .fusion import Strategy, select_strategy
+
     if args.interactive and args.question is not None:
         raise ConfigError("give a question or use --interactive, not both")
     if not args.interactive and not (args.question or "").strip():
@@ -165,6 +166,8 @@ def cmd_query(args) -> int:
 
 
 def _parse_fact_entries(path: str) -> list[InventoryItem]:
+    from .accounting import InventoryItem, LifecycleStage
+
     root = read_json(path, "facts", FormatError)
     items = []
     entries = root.only_keys(("facts",)).at("facts") if isinstance(root.value, dict) else root
@@ -182,6 +185,8 @@ def _parse_fact_entries(path: str) -> list[InventoryItem]:
 
 
 def cmd_account(args) -> int:
+    from .accounting import EmissionFactorDb, Scope, compute_footprint
+
     items = _parse_fact_entries(args.facts)
     factors = EmissionFactorDb.from_csv(args.factors)
     result = compute_footprint(
@@ -200,6 +205,8 @@ def cmd_account(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .evaluation import run_benchmark
+
     config = _effective_config(args)
     if args.csv is not None:
         check_writable(args.csv, "per-fact CSV")
@@ -214,6 +221,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .evaluation import MetricsReport
+
     report = MetricsReport.load(args.report)
     print(report.summary_text())
     if args.csv is not None:
@@ -292,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors", required=True, help="emission factor CSV")
     p.add_argument(
         "--scope",
-        choices=[s.value for s in Scope],
-        default=Scope.CRADLE_TO_GATE.value,
+        choices=_SCOPES,
+        default=_SCOPES[0],
     )
     p.add_argument("--functional-unit", dest="functional_unit", default="unit")
     p.add_argument("--out", help="write result JSON here")

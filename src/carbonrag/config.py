@@ -23,10 +23,9 @@ from .corpus import (
     check_chunking,
 )
 from .errors import ConfigError
-from .fusion import DEFAULT_PROMPT_BUDGET
-from .generation import backend_from_spec
 
 DEFAULT_K = 5  # fragments retrieved per query
+DEFAULT_PROMPT_BUDGET = 12000  # characters of a rendered prompt
 
 
 @dataclass(frozen=True)
@@ -93,4 +92,6 @@ class RunConfig:
         return encoder_from_spec(self.encoder)
 
     def build_backend(self):
+        from .generation import backend_from_spec  # only query and bench need a backend
+
         return backend_from_spec(self.require("backend"), model=self.model)

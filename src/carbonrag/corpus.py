@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from ._files import write_file
+from ._http import http_url, request_target
 from ._json import Node, dump_json, parse_json
 from .errors import ConfigError, EncodingError, FetchError, FormatError, InputError
 
@@ -172,6 +173,43 @@ def _encode_utf8(text: str, what: str) -> bytes:
         raise EncodingError(f"{what} is not valid UTF-8 text: {exc}") from None
 
 
+def _fetch(url: str) -> bytes:
+    """The body of the ``http`` or ``https`` URL ``url``, through the proxies
+    the environment names. Any other URL is refused before anything is
+    opened, and so is a redirect to one: no handler for ``file:``, ``ftp:``
+    or ``data:`` URLs is installed.
+    """
+    parts = http_url(url)
+    if parts is None:
+        raise FetchError(f"cannot fetch {url}: not an http or https URL with a host")
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    opener = urllib.request.OpenerDirector()
+    for handler in (
+        urllib.request.ProxyHandler(),
+        urllib.request.UnknownHandler(),
+        urllib.request.HTTPHandler(),
+        urllib.request.HTTPSHandler(),
+        urllib.request.HTTPDefaultErrorHandler(),
+        urllib.request.HTTPRedirectHandler(),
+        urllib.request.HTTPErrorProcessor(),
+    ):
+        opener.add_handler(handler)
+    quoted = f"{parts.scheme}://{parts.netloc}{request_target(parts)}"
+    try:
+        with opener.open(quoted, timeout=30) as response:
+            return response.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        raise FetchError(f"cannot fetch {url}: HTTP {exc.code}") from None
+    except (OSError, ValueError, http.client.HTTPException) as exc:
+        # URLError is an OSError; a malformed URL is a ValueError
+        reason = getattr(exc, "reason", exc)
+        raise FetchError(f"cannot fetch {url}: {reason}") from None
+
+
 class Catalog:
     """Ordered collection of documents with unique ids.
 
@@ -232,15 +270,7 @@ class Catalog:
             body = _decode_utf8(data, str(path))
             default_title = path.name
         else:  # SourceKind.URL_FETCH
-            import requests  # only a fetch pays for loading it
-
-            try:
-                response = requests.get(payload, timeout=30)
-            except requests.RequestException as exc:
-                raise FetchError(f"cannot fetch {payload}: {exc}") from None
-            if response.status_code >= 400:
-                raise FetchError(f"cannot fetch {payload}: HTTP {response.status_code}")
-            body = _decode_utf8(response.content, payload)
+            body = _decode_utf8(_fetch(payload), payload)
             default_title = payload
 
         body = normalize_text(body)

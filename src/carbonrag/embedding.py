@@ -32,7 +32,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ._http import post_json
+from ._http import check_endpoint, post_json
 from ._json import Node, read_json
 from .errors import ConfigError, FormatError, InputError
 
@@ -414,6 +414,7 @@ class RemoteEncoder(Encoder):
     def __post_init__(self):
         if self.dims <= 0:
             raise ConfigError(f"dims must be positive, got {self.dims}")
+        check_endpoint(self.endpoint, "embedding endpoint")
 
     @property
     def spec(self) -> dict:

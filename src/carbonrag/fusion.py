@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+from .config import DEFAULT_PROMPT_BUDGET
 from .corpus import Document, LengthClass
 from .errors import InputError
 from .generation import ANSWER_SCHEMA_INSTRUCTION
@@ -22,8 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .index import RetrievalHit
 
 TEMPLATE_VERSION = "cfa-rag-prompt/1"
-
-DEFAULT_PROMPT_BUDGET = 12000
 
 _ROLE_HEADER = (
     "You are a carbon footprint accounting assistant. Ground every figure in "

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ._http import post_json
+from ._http import check_endpoint, post_json
 from ._json import read_json
 from .errors import ConfigError, ExtractionError, FormatError, InputError, MockMissError
 from .quantity import Quantity
@@ -114,6 +114,7 @@ class RemoteChatBackend:
     max_in_flight = 4
 
     def __init__(self, endpoint: str, model: str = "default"):
+        check_endpoint(endpoint, "generation endpoint")
         self.endpoint = endpoint
         self.model = model
         self._slots = threading.BoundedSemaphore(self.max_in_flight)

@@ -68,7 +68,9 @@ def http_server():
     """Factory: ``http_server(handler_class)`` starts a loopback server.
 
     Each server starts with an empty ``requests`` list for handlers that
-    record what they receive, and is shut down and closed on teardown.
+    record what they receive, and is shut down and closed on teardown,
+    after the remote clients' idle connections are closed, so no kept-alive
+    connection outlives its test.
     """
     started = []
 
@@ -84,6 +86,9 @@ def http_server():
         return server
 
     yield start
+    from carbonrag import _http
+
+    _http.close_idle()
     for server, thread in started:
         server.shutdown()
         server.server_close()

@@ -346,12 +346,17 @@ class TestCatalogIngest:
 
 class _TextHandler(http.server.BaseHTTPRequestHandler):
     def do_GET(self):
-        if self.path == "/doc.txt":
+        if self.path in ("/doc.txt", "/a%20doc.txt"):
             body = "fetched over http\n".encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
+        elif self.path == "/to-ftp":
+            self.send_response(302)
+            self.send_header("Location", "ftp://127.0.0.1:1/doc.txt")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
         else:
             self.send_error(404)
 
@@ -379,6 +384,30 @@ class TestCatalogUrlFetch:
     def test_unreachable_host_is_a_fetch_error(self):
         with pytest.raises(FetchError):
             Catalog().ingest("url_fetch", "http://127.0.0.1:1/doc.txt")
+
+    def test_a_space_in_the_path_is_sent_quoted(self, text_server):
+        assert Catalog().ingest("url_fetch", f"{text_server}/a doc.txt").body == "fetched over http\n"
+
+    def test_a_url_that_is_not_http_is_refused_before_it_is_opened(self, tmp_path, capsys):
+        """A ``file:`` URL naming a file that exists is not read, and the
+        catalog is left as it was."""
+        secret = tmp_path / "secret.txt"
+        secret.write_text("not for the catalog", encoding="utf-8")
+        catalog = tmp_path / "corpus.catalog"
+        assert main(["ingest", "--source", "raw_text", "--catalog", str(catalog), "kept"]) == 0
+        before = catalog.read_bytes()
+        capsys.readouterr()
+        for url in (secret.as_uri(), f"data:text/plain,{secret}", "ftp://127.0.0.1:1/doc.txt"):
+            argv = ["ingest", "--source", "url_fetch", "--catalog", str(catalog), url]
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"[ingest] cannot fetch {url}: not an http or https URL with a host\n"
+            )
+            assert catalog.read_bytes() == before
+
+    def test_a_redirect_to_another_scheme_is_not_followed(self, text_server):
+        with pytest.raises(FetchError, match="unknown url type: ftp"):
+            Catalog().ingest("url_fetch", f"{text_server}/to-ftp")
 
 
 class TestCatalogChunks:

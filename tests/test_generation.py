@@ -2,19 +2,24 @@
 
 import http.server
 import json
+import socket
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from carbonrag import (
     Catalog,
     RemoteChatBackend,
+    RemoteEncoder,
     RunConfig,
     ScriptedMockBackend,
     Strategy,
     build_prompt,
     parse_extraction,
 )
+from carbonrag import _http
 from carbonrag.errors import (
     ConfigError,
     ExtractionError,
@@ -271,6 +276,11 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
                 self._send(200, {"choices": [{"message": {"content": "recovered"}}]})
         elif self.path == "/reject":
             self._send(401, {"error": "bad key"})
+        elif self.path == "/moved":
+            self.send_response(301)
+            self.send_header("Location", "/chat")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
         elif self.path == "/notjson":
             self._send_raw(200, b"<html>oops</html>")
         elif self.path == "/badshape":
@@ -299,6 +309,39 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
 @pytest.fixture()
 def chat_server(http_server):
     return http_server(_ChatHandler)
+
+
+class _CloseAfterOneHandler(http.server.BaseHTTPRequestHandler):
+    """Answers over HTTP/1.1 keep-alive, then closes each connection after
+    its first reply without saying so, as a server ending an idle
+    keep-alive connection does; ``server.closed`` is set once it has."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        with self.server.lock:
+            self.server.connections += 1
+        data = json.dumps({"choices": [{"message": {"content": "fresh"}}]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+        self.wfile.flush()
+        self.connection.shutdown(socket.SHUT_RDWR)
+        self.close_connection = True
+        self.server.closed.set()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """The backoff waits the remote clients take, recorded instead of slept."""
+    taken = []
+    monkeypatch.setattr(_http, "time", SimpleNamespace(sleep=taken.append))
+    return taken
 
 
 def _url(server, path):
@@ -378,6 +421,52 @@ class TestRemoteChat:
         with pytest.raises(TransportError) as err:
             backend.generate(_prompt())
         assert err.value.attempts == 2
+
+    def test_an_endpoint_that_is_not_an_http_url_is_refused_when_the_client_is_made(
+        self, sleeps
+    ):
+        for endpoint in (
+            "localhost:8000/chat",
+            "ftp://127.0.0.1/chat",
+            "file:///etc/hosts",
+            "http:///chat",
+            "http://127.0.0.1:port/chat",
+            "",
+        ):
+            for make in (RemoteChatBackend, RemoteEncoder):
+                with pytest.raises(ConfigError, match="not an http or https URL") as err:
+                    make(endpoint)
+                assert err.value.stage_name == "config", (make, endpoint)
+            with pytest.raises(ConfigError):
+                backend_from_spec(f"remote:{endpoint}")
+        assert sleeps == []
+
+    def test_a_redirect_fails_at_once_and_is_not_followed(self, chat_server, sleeps):
+        url = _url(chat_server, "/moved")
+        for call in (
+            lambda: RemoteChatBackend(url).generate(_prompt()),
+            lambda: RemoteEncoder(url, dims=4).embed("x"),
+        ):
+            with pytest.raises(TransportError, match="redirected the request: HTTP 301 to /chat") as err:
+                call()
+            assert err.value.attempts == 1
+        assert [r["path"] for r in chat_server.requests] == ["/moved", "/moved"]
+        assert sleeps == []
+
+    def test_a_connection_the_server_closed_is_replaced_without_a_retry(
+        self, http_server, fast_retries, sleeps
+    ):
+        fast_retries(1)  # a failed attempt would end the call
+        server = http_server(_CloseAfterOneHandler)
+        server.lock = threading.Lock()
+        server.connections = 0
+        server.closed = threading.Event()
+        backend = RemoteChatBackend(_url(server, "/chat"))
+        assert backend.generate(_prompt()).text == "fresh"
+        assert server.closed.wait(timeout=10)
+        assert backend.generate(_prompt()).text == "fresh"
+        assert server.connections == 2
+        assert sleeps == []
 
     def test_max_in_flight_must_be_positive(self):
         assert RemoteChatBackend("http://127.0.0.1:1/chat").max_in_flight == 4

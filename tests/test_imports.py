@@ -1,29 +1,30 @@
-"""Each command imports only what it uses.
+"""Each command imports only what it uses, and no command needs ``requests``.
 
 numpy is loaded only by the modules that compute with it (``embedding`` and
-``index``), and ``requests`` only by the first request sent. The commands
+``index``), and ``http.client`` only by the first request sent. The commands
 here run in a fresh interpreter, so what the test process has imported does
-not count.
+not count. ``requests`` is blocked in them: a run that loaded it would fail.
 """
 
 import http.server
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-import requests
 
 import fixtures
 from carbonrag import _http
-from carbonrag.cli import main
+from carbonrag.accounting import Scope
+from carbonrag.cli import _SCOPES, main
+from carbonrag.embedding import LexicalEncoder
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # Setting a module to None in sys.modules makes importing it fail.
@@ -31,16 +32,26 @@ _BLOCK = "sys.modules['numpy'] = sys.modules['requests'] = None; "
 _RUN_CLI = "from carbonrag.cli import main; sys.exit(main(sys.argv[1:]))"
 _RUN_CLI_AND_LIST = (
     "import sys; from carbonrag.cli import main; code = main(sys.argv[1:]); "
-    "print('loaded:', *[m for m in ('numpy', 'requests') if m in sys.modules]); "
+    "print('loaded:', *[m for m in ('numpy', 'requests', 'http.client') if m in sys.modules]); "
     "sys.exit(code)"
+)
+# What ingest never needs: the pipeline past the catalog, the worker pool
+# that answers questions, and the HTTP client.
+_NOT_FOR_INGEST = (
+    "carbonrag.evaluation",
+    "carbonrag.accounting",
+    "carbonrag.generation",
+    "carbonrag.fusion",
+    "concurrent.futures",
+    "http.client",
 )
 
 
-def _python(code: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+def _python(code: str, *args: str, cwd: Path, flags: tuple = ()) -> subprocess.CompletedProcess:
     path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -67,7 +78,7 @@ def command_inputs(tmp_path):
 def test_import_carbonrag_loads_neither_numpy_nor_requests(tmp_path):
     code = (
         "import sys, carbonrag; "
-        "print(*[m for m in ('numpy', 'requests') if m in sys.modules]); "
+        "print(*[m for m in ('numpy', 'requests', 'http.client') if m in sys.modules]); "
         "print(all(name in dir(carbonrag) for name in carbonrag.__all__))"
     )
     result = _python(code, cwd=tmp_path)
@@ -130,49 +141,124 @@ def test_a_mock_backend_query_never_loads_requests(tmp_path):
             assert "electricity_use = 13.5 MWh" in result.stdout
 
 
-class _OkHandler(http.server.BaseHTTPRequestHandler):
+
+
+def test_ingest_loads_only_the_catalog_code(tmp_path):
+    code = (
+        "import sys; " + _BLOCK + "from carbonrag.cli import main; code = main(sys.argv[1:]); "
+        f"print(*[m for m in {_NOT_FOR_INGEST!r} if m in sys.modules]); sys.exit(code)"
+    )
+    argv = ["ingest", "--source", "raw_text", "--catalog", "corpus.catalog", "Gas was 600 kWh."]
+    result = _python(code, *argv, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == ""
+
+
+def test_the_scope_choices_are_the_accounting_scopes():
+    assert _SCOPES == tuple(scope.value for scope in Scope)
+    assert _SCOPES[0] == Scope.CRADLE_TO_GATE.value  # the default
+
+
+class _EchoHandler(http.server.BaseHTTPRequestHandler):
+    """Echoes each JSON body over HTTP/1.1 keep-alive; counts connections."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5  # idle keep-alive connections end after the test
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
     def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        data = self.rfile.read(int(self.headers["Content-Length"]))
         self.send_response(200)
-        self.send_header("Content-Length", "2")
+        self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        self.wfile.write(b"{}")
+        self.wfile.write(data)
 
     def log_message(self, *args):
         pass
 
 
-def test_concurrent_first_requests_make_one_session(http_server, monkeypatch):
-    made = []
-
-    class CountingSession(requests.Session):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
-            time.sleep(0.05)  # a second caller not held by the lock would start here
-
-    monkeypatch.setattr(_http, "_SESSION", None)
-    monkeypatch.setattr(requests, "Session", CountingSession)
-    server = http_server(_OkHandler)
+def test_connections_are_pooled_across_threads(http_server):
+    """Eight threads that send their first request at once open at most
+    eight connections, and eight requests after them open none."""
+    server = http_server(_EchoHandler)
+    server.lock = threading.Lock()
+    server.connections = 0
     client = SimpleNamespace(
-        endpoint=f"http://127.0.0.1:{server.server_address[1]}/",
+        endpoint=f"http://127.0.0.1:{server.server_address[1]}/echo",
         timeout=10.0,
         api_key_env="CARBONRAG_TEST_NO_SUCH_KEY",
     )
     start = threading.Barrier(8, timeout=10)
 
-    def first_request(_):
-        start.wait()
-        return _http.post_json(client, {}, name="test endpoint", gave_up="unreachable").value
+    def request(n, wait=False):
+        if wait:
+            start.wait()
+        return _http.post_json(client, {"n": n}, name="test endpoint", gave_up="unreachable").value
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            replies = list(pool.map(first_request, range(8), timeout=30))
-        assert replies == [{}] * 8
-        assert len(made) == 1 and _http._SESSION is made[0]
+            replies = list(pool.map(lambda n: request(n, wait=True), range(8), timeout=30))
     finally:
         sys.setswitchinterval(interval)
-        for session in made:
-            session.close()
+    replies += [request(n) for n in range(8, 16)]
+    assert replies == [{"n": n} for n in range(16)]
+    assert 1 <= server.connections <= 8
+
+
+class _ModelHandler(http.server.BaseHTTPRequestHandler):
+    """Embedding and chat endpoints for the fixture benchmark over HTTP/1.1
+    keep-alive: lexical vectors, and the perfect script's answer to each
+    question."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5  # idle keep-alive connections end after the test
+    answers = {q["query_text"]: fixtures.PERFECT_SCRIPT[q["query_id"]] for q in fixtures.QUERIES}
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.path == "/embed":
+            reply = {"embeddings": LexicalEncoder().embed_batch(body["input"]).tolist()}
+        else:
+            rendered = body["messages"][0]["content"]
+            question = re.search(r"^Question: (.*)$", rendered, re.MULTILINE).group(1)
+            reply = {"choices": [{"message": {"content": self.answers[question]}}]}
+        data = json.dumps(reply).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_a_remote_bench_runs_without_requests(http_server, benchmark_tree, tmp_path, monkeypatch):
+    """With ``requests`` blocked, a bench over a remote encoder and chat
+    backend writes the report the test process writes. In development mode,
+    a socket left open at exit would print a ``ResourceWarning``."""
+    url = f"http://127.0.0.1:{http_server(_ModelHandler).server_address[1]}"
+    bench = [
+        "bench", "--benchmark", str(benchmark_tree.benchmark), "--out", "report.json",
+        "--encoder", f"remote:{url}/embed", "--backend", f"remote:{url}/chat",
+    ]
+    for mode in ("in-process", "blocked"):
+        (tmp_path / mode).mkdir()
+    monkeypatch.chdir(tmp_path / "in-process")
+    assert main(bench) == 0
+    code = "import sys; sys.modules['requests'] = None; " + _RUN_CLI
+    result = _python(code, *bench, cwd=tmp_path / "blocked", flags=("-X", "dev"))
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning" not in result.stderr
+    reports = []
+    for mode in ("in-process", "blocked"):
+        report = json.loads((tmp_path / mode / "report.json").read_text(encoding="utf-8"))
+        report.pop("generated_at")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["irr_pct"] == 100.0
