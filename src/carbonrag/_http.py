@@ -1,8 +1,10 @@
-"""The one JSON-over-HTTP retry loop shared by the remote clients.
+"""The package's one HTTP client: the JSON POSTs of the remote clients,
+with their retry loop, and the GETs of ``url_fetch``.
 
 Requests go out through ``http.client``, which is imported by the first
 request, not by this module, so a command that sends no request loads no
-networking code. Connections are kept alive in one process-wide pool.
+networking code. Connections are kept alive in one process-wide pool, and
+no proxy variable is read: every request connects to its host directly.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import threading
 import time
 from functools import partial
 from typing import TYPE_CHECKING
-from urllib.parse import SplitResult, quote, urlsplit
+from urllib.parse import SplitResult, quote, urljoin, urlsplit
 
 from ._json import Node, parse_json
-from .errors import ConfigError, FormatError, TransportError
+from .errors import ConfigError, FetchError, FormatError, TransportError
 
 if TYPE_CHECKING:  # pragma: no cover
     import http.client
@@ -28,7 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover
 MAX_ATTEMPTS = 3
 BACKOFF_BASE_S = 0.5
 
-# The idle kept-alive connections of every remote client in the process, by
+# A fetch is not retried; it follows at most MAX_REDIRECTS redirects, and
+# waits up to FETCH_TIMEOUT_S seconds on each one's socket.
+MAX_REDIRECTS = 5
+FETCH_TIMEOUT_S = 30.0
+
+# The idle kept-alive connections of every request in the process, by
 # (scheme, host, port). One pool, not one per thread: run_benchmark answers
 # on a new set of worker threads every run, and their connections would die
 # with them. A request takes a connection out and puts it back only once its
@@ -40,21 +47,30 @@ _POOL_LOCK = threading.Lock()
 # a space or a non-ASCII character, is sent percent-encoded as UTF-8.
 _TARGET_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
+# Why a URL is refused; the user-info reason gets a hint for endpoints.
+_NOT_HTTP = "not an http or https URL with a host"
+_USER_INFO = "an http URL with user info, which no request carries"
 
-def http_url(url: str) -> SplitResult | None:
-    """``url`` split into its parts if it is an ``http`` or ``https`` URL
-    with a host and a valid port, else None."""
+
+def _http_parts(url: str) -> SplitResult:
+    """``url`` split into its parts; a ``ValueError`` says why it is not an
+    ``http`` or ``https`` URL that a request can be sent to as written."""
     try:
         parts = urlsplit(url)
-        parts.port  # noqa: B018 - raises ValueError on a port that is not a number
+        port = parts.port  # raises ValueError on a port that is not a number
+        (parts.hostname or "").encode("idna")  # a UnicodeError on a name no lookup takes
     except ValueError:
-        return None
+        raise ValueError(_NOT_HTTP) from None
     if parts.scheme not in ("http", "https") or not parts.hostname:
-        return None
+        raise ValueError(_NOT_HTTP)
+    if port == 0:
+        raise ValueError("an http URL with port 0, to which no request can be sent")
+    if parts.username is not None:
+        raise ValueError(_USER_INFO)
     return parts
 
 
-def request_target(parts: SplitResult) -> str:
+def _request_target(parts: SplitResult) -> str:
     """The path and query of ``parts``, quoted for a request line; a byte
     that is not UTF-8 (a lone surrogate escape) is sent as that byte."""
     target = parts.path or "/"
@@ -63,10 +79,16 @@ def request_target(parts: SplitResult) -> str:
     return quote(target, safe=_TARGET_SAFE, errors="surrogateescape")
 
 
-def check_endpoint(endpoint: str, what: str) -> None:
-    """Refuse an endpoint no request could be sent to, before any is."""
-    if http_url(endpoint) is None:
-        raise ConfigError(f"{what} {endpoint!r} is not an http or https URL with a host")
+def check_endpoint(endpoint: str, what: str, key_env: str) -> None:
+    """Refuse an endpoint no request could be sent to, before any is. Its
+    token goes in the variable ``key_env``, not in the URL."""
+    try:
+        _http_parts(endpoint)
+    except ValueError as exc:
+        reason = str(exc)
+        if reason == _USER_INFO:
+            reason += f"; set {key_env} to send a bearer token"
+        raise ConfigError(f"{what} {endpoint!r} is {reason}") from None
 
 
 def close_idle() -> None:
@@ -95,19 +117,33 @@ def _dropped(conn: http.client.HTTPConnection) -> bool:
 
 def _take(key: tuple[str, str, int], timeout: float) -> http.client.HTTPConnection:
     """An idle connection for ``key`` that the server has not closed, or a
-    new one, which connects on its first request."""
+    new one, which connects on its first request. Before a new one is made,
+    every idle connection the server has closed, for any key, is closed and
+    forgotten, so the pool keeps no key of a server that is gone."""
     while True:
         with _POOL_LOCK:
             idle = _IDLE.get(key)
-            conn = idle.pop() if idle else None
-        if conn is None:
-            break
+            if not idle:
+                break
+            conn = idle.pop()
+            if not idle:
+                del _IDLE[key]
         if _dropped(conn):
             conn.close()
             continue
         conn.timeout = timeout
         conn.sock.settimeout(timeout)
         return conn
+    dropped = []
+    with _POOL_LOCK:
+        for other in list(_IDLE):
+            kept = []
+            for conn in _IDLE.pop(other):
+                (dropped if _dropped(conn) else kept).append(conn)
+            if kept:
+                _IDLE[other] = kept
+    for conn in dropped:
+        conn.close()
     import http.client
 
     scheme, host, port = key
@@ -117,14 +153,14 @@ def _take(key: tuple[str, str, int], timeout: float) -> http.client.HTTPConnecti
 
 
 def _exchange(
-    parts: SplitResult, data: bytes, headers: dict, timeout: float
+    method: str, parts: SplitResult, data: bytes | None, headers: dict, timeout: float
 ) -> tuple[int, str | None, bytes]:
-    """One POST on a pooled connection: the reply's status, ``Location``
+    """One request on a pooled connection: the reply's status, ``Location``
     header and whole body. A connection that fails is closed."""
     key = (parts.scheme, parts.hostname, parts.port or (443 if parts.scheme == "https" else 80))
     conn = _take(key, timeout)
     try:
-        conn.request("POST", request_target(parts), body=data, headers=headers)
+        conn.request(method, _request_target(parts), body=data, headers=headers)
         response = conn.getresponse()
         content = response.read()
     except BaseException:
@@ -136,6 +172,32 @@ def _exchange(
         with _POOL_LOCK:
             _IDLE.setdefault(key, []).append(conn)
     return response.status, response.getheader("Location"), content
+
+
+def fetch(url: str) -> bytes:
+    """The body of the ``http`` or ``https`` URL ``url``, by GET with no
+    retry. At most ``MAX_REDIRECTS`` redirects are followed, each only to
+    an ``http`` or ``https`` URL: any other URL is refused before a request
+    is sent to it. Every failure is a ``FetchError``."""
+    import http.client
+
+    target = url
+    for hop in range(MAX_REDIRECTS + 1):
+        try:
+            parts = _http_parts(target)
+        except ValueError as exc:
+            where = f"redirected to {target}, which is " if hop else ""
+            raise FetchError(f"cannot fetch {url}: {where}{exc}") from None
+        try:
+            status, location, content = _exchange("GET", parts, None, {}, FETCH_TIMEOUT_S)
+        except (OSError, http.client.HTTPException) as exc:
+            raise FetchError(f"cannot fetch {url}: {str(exc) or type(exc).__name__}") from None
+        if 200 <= status < 300:
+            return content
+        if status not in (301, 302, 303, 307, 308) or not location:
+            raise FetchError(f"cannot fetch {url}: HTTP {status}")
+        target = urljoin(target, location)
+    raise FetchError(f"cannot fetch {url}: more than {MAX_REDIRECTS} redirects")
 
 
 def post_json(
@@ -170,7 +232,7 @@ def post_json(
     last_error = None
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
-            status, location, content = _exchange(parts, data, headers, client.timeout)
+            status, location, content = _exchange("POST", parts, data, headers, client.timeout)
         except (OSError, http.client.HTTPException) as exc:
             last_error = str(exc) or type(exc).__name__
         else:

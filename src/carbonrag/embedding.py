@@ -414,7 +414,7 @@ class RemoteEncoder(Encoder):
     def __post_init__(self):
         if self.dims <= 0:
             raise ConfigError(f"dims must be positive, got {self.dims}")
-        check_endpoint(self.endpoint, "embedding endpoint")
+        check_endpoint(self.endpoint, "embedding endpoint", self.api_key_env)
 
     @property
     def spec(self) -> dict:

@@ -114,7 +114,7 @@ class RemoteChatBackend:
     max_in_flight = 4
 
     def __init__(self, endpoint: str, model: str = "default"):
-        check_endpoint(endpoint, "generation endpoint")
+        check_endpoint(endpoint, "generation endpoint", self.api_key_env)
         self.endpoint = endpoint
         self.model = model
         self._slots = threading.BoundedSemaphore(self.max_in_flight)

@@ -69,7 +69,7 @@ def http_server():
 
     Each server starts with an empty ``requests`` list for handlers that
     record what they receive, and is shut down and closed on teardown,
-    after the remote clients' idle connections are closed, so no kept-alive
+    after the HTTP pool's idle connections are closed, so no kept-alive
     connection outlives its test.
     """
     started = []

@@ -345,16 +345,30 @@ class TestCatalogIngest:
 
 
 class _TextHandler(http.server.BaseHTTPRequestHandler):
+    """Serves one text over HTTP/1.1 keep-alive and records each request's
+    client address and path. ``/hop/<n>`` redirects to the relative
+    ``<n - 1>`` until ``/hop/0``, which serves the text, with each status a
+    redirect may have."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5  # idle keep-alive connections end after the test
+
     def do_GET(self):
-        if self.path in ("/doc.txt", "/a%20doc.txt"):
+        self.server.requests.append((self.client_address, self.path))
+        hop = re.fullmatch(r"/hop/([0-9]+)", self.path)
+        if self.path in ("/doc.txt", "/a%20doc.txt", "/hop/0"):
             body = "fetched over http\n".encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
-        elif self.path == "/to-ftp":
-            self.send_response(302)
-            self.send_header("Location", "ftp://127.0.0.1:1/doc.txt")
+        elif hop or self.path in ("/to-ftp", "/no-location"):
+            n = int(hop.group(1)) if hop else 0
+            self.send_response((301, 302, 303, 307, 308)[n % 5])
+            if hop:
+                self.send_header("Location", str(n - 1))
+            elif self.path == "/to-ftp":
+                self.send_header("Location", "ftp://127.0.0.1:1/doc.txt")
             self.send_header("Content-Length", "0")
             self.end_headers()
         else:
@@ -366,19 +380,21 @@ class _TextHandler(http.server.BaseHTTPRequestHandler):
 
 @pytest.fixture()
 def text_server(http_server):
-    return f"http://127.0.0.1:{http_server(_TextHandler).server_address[1]}"
+    server = http_server(_TextHandler)
+    server.url = f"http://127.0.0.1:{server.server_address[1]}"
+    return server
 
 
 class TestCatalogUrlFetch:
     def test_fetch_success(self, text_server):
-        doc = Catalog().ingest("url_fetch", f"{text_server}/doc.txt")
+        doc = Catalog().ingest("url_fetch", f"{text_server.url}/doc.txt")
         assert doc.body == "fetched over http\n"
         assert doc.source is SourceKind.URL_FETCH
 
     def test_http_error_status_is_a_fetch_error(self, text_server):
         catalog = Catalog()
         with pytest.raises(FetchError, match="404"):
-            catalog.ingest("url_fetch", f"{text_server}/missing.txt")
+            catalog.ingest("url_fetch", f"{text_server.url}/missing.txt")
         assert len(catalog) == 0
 
     def test_unreachable_host_is_a_fetch_error(self):
@@ -386,28 +402,74 @@ class TestCatalogUrlFetch:
             Catalog().ingest("url_fetch", "http://127.0.0.1:1/doc.txt")
 
     def test_a_space_in_the_path_is_sent_quoted(self, text_server):
-        assert Catalog().ingest("url_fetch", f"{text_server}/a doc.txt").body == "fetched over http\n"
+        doc = Catalog().ingest("url_fetch", f"{text_server.url}/a doc.txt")
+        assert doc.body == "fetched over http\n"
 
     def test_a_url_that_is_not_http_is_refused_before_it_is_opened(self, tmp_path, capsys):
         """A ``file:`` URL naming a file that exists is not read, and the
-        catalog is left as it was."""
+        catalog is left as it was. So is a URL with port 0, and one with
+        user info, which a request would not carry."""
         secret = tmp_path / "secret.txt"
         secret.write_text("not for the catalog", encoding="utf-8")
         catalog = tmp_path / "corpus.catalog"
         assert main(["ingest", "--source", "raw_text", "--catalog", str(catalog), "kept"]) == 0
         before = catalog.read_bytes()
         capsys.readouterr()
-        for url in (secret.as_uri(), f"data:text/plain,{secret}", "ftp://127.0.0.1:1/doc.txt"):
+        not_http = "not an http or https URL with a host"
+        port_0 = "an http URL with port 0, to which no request can be sent"
+        user_info = "an http URL with user info, which no request carries"
+        for url, reason in (
+            (secret.as_uri(), not_http),
+            (f"data:text/plain,{secret}", not_http),
+            ("ftp://127.0.0.1:1/doc.txt", not_http),
+            ("http://a..b/doc.txt", not_http),
+            ("http://127.0.0.1:0/doc.txt", port_0),
+            ("http://user:pw@127.0.0.1:1/doc.txt", user_info),
+            ("http://@127.0.0.1:1/doc.txt", user_info),
+        ):
             argv = ["ingest", "--source", "url_fetch", "--catalog", str(catalog), url]
             assert main(argv) == 1
-            assert capsys.readouterr().err == (
-                f"[ingest] cannot fetch {url}: not an http or https URL with a host\n"
-            )
+            assert capsys.readouterr().err == f"[ingest] cannot fetch {url}: {reason}\n"
             assert catalog.read_bytes() == before
 
     def test_a_redirect_to_another_scheme_is_not_followed(self, text_server):
-        with pytest.raises(FetchError, match="unknown url type: ftp"):
-            Catalog().ingest("url_fetch", f"{text_server}/to-ftp")
+        catalog = Catalog()
+        url = f"{text_server.url}/to-ftp"
+        message = (
+            f"cannot fetch {url}: redirected to ftp://127.0.0.1:1/doc.txt, "
+            "which is not an http or https URL with a host"
+        )
+        with pytest.raises(FetchError, match=re.escape(message)):
+            catalog.ingest("url_fetch", url)
+        assert len(catalog) == 0
+
+    def test_redirects_with_a_relative_location_are_followed_up_to_the_limit(self, text_server):
+        """``/hop/5`` takes five redirects, one of each status; ``/hop/6``
+        takes one too many, and its sixth ``Location`` is not requested."""
+        url = f"{text_server.url}/hop/5"
+        assert Catalog().ingest("url_fetch", url).body == "fetched over http\n"
+        paths = [path for _, path in text_server.requests]
+        assert paths == [f"/hop/{n}" for n in range(5, -1, -1)]
+        catalog = Catalog()
+        url = f"{text_server.url}/hop/6"
+        message = f"cannot fetch {url}: more than 5 redirects"
+        with pytest.raises(FetchError, match=re.escape(message)):
+            catalog.ingest("url_fetch", url)
+        assert len(catalog) == 0
+        paths = [path for _, path in text_server.requests[6:]]
+        assert paths == [f"/hop/{n}" for n in range(6, 0, -1)]
+
+    def test_a_redirect_without_a_location_is_its_status(self, text_server):
+        url = f"{text_server.url}/no-location"
+        with pytest.raises(FetchError, match=re.escape(f"cannot fetch {url}: HTTP 301")):
+            Catalog().ingest("url_fetch", url)
+
+    def test_urls_on_one_server_share_a_kept_alive_connection(self, text_server):
+        catalog = Catalog()
+        for path in ("/doc.txt", "/a doc.txt"):
+            catalog.ingest("url_fetch", f"{text_server.url}{path}")
+        assert len(catalog) == 2
+        assert len({address for address, _ in text_server.requests}) == 1
 
 
 class TestCatalogChunks:

@@ -2,6 +2,7 @@
 
 import http.server
 import json
+import re
 import socket
 import threading
 import time
@@ -425,16 +426,28 @@ class TestRemoteChat:
     def test_an_endpoint_that_is_not_an_http_url_is_refused_when_the_client_is_made(
         self, sleeps
     ):
-        for endpoint in (
-            "localhost:8000/chat",
-            "ftp://127.0.0.1/chat",
-            "file:///etc/hosts",
-            "http:///chat",
-            "http://127.0.0.1:port/chat",
-            "",
+        """So is one whose host name DNS cannot hold, one with port 0,
+        which would be sent to port 80, and one with user info, which would
+        be dropped: its message names the variable a token goes in."""
+        not_http = "not an http or https URL with a host"
+        user_info = "an http URL with user info, which no request carries; set {} to send"
+        for endpoint, reason in (
+            ("localhost:8000/chat", not_http),
+            ("ftp://127.0.0.1/chat", not_http),
+            ("file:///etc/hosts", not_http),
+            ("http:///chat", not_http),
+            ("http://127.0.0.1:port/chat", not_http),
+            ("http://a..b/chat", not_http),
+            ("", not_http),
+            ("http://127.0.0.1:0/chat", "an http URL with port 0, to which no request"),
+            ("http://user:pw@127.0.0.1:1/chat", user_info),
+            ("https://sk-secret@127.0.0.1:1/chat", user_info),
         ):
-            for make in (RemoteChatBackend, RemoteEncoder):
-                with pytest.raises(ConfigError, match="not an http or https URL") as err:
+            for make, key_env in (
+                (RemoteChatBackend, "GENERATION_API_KEY"),
+                (RemoteEncoder, "EMBEDDING_API_KEY"),
+            ):
+                with pytest.raises(ConfigError, match=re.escape(reason.format(key_env))) as err:
                     make(endpoint)
                 assert err.value.stage_name == "config", (make, endpoint)
             with pytest.raises(ConfigError):
@@ -467,6 +480,27 @@ class TestRemoteChat:
         assert backend.generate(_prompt()).text == "fresh"
         assert server.connections == 2
         assert sleeps == []
+
+    def test_the_pool_forgets_servers_that_are_gone(self, http_server):
+        """After one request to each of five servers that then close their
+        connections and shut down, the new connection to a sixth is the
+        only one left in the pool."""
+        _http.close_idle()
+        servers = []
+        for _ in range(6):
+            server = http_server(_CloseAfterOneHandler)
+            server.lock = threading.Lock()
+            server.connections = 0
+            server.closed = threading.Event()
+            servers.append(server)
+        for server in servers[:5]:
+            assert RemoteChatBackend(_url(server, "/chat")).generate(_prompt()).text == "fresh"
+        for server in servers[:5]:
+            assert server.closed.wait(timeout=10)
+            server.shutdown()
+            server.server_close()
+        assert RemoteChatBackend(_url(servers[5], "/chat")).generate(_prompt()).text == "fresh"
+        assert list(_http._IDLE) == [("http", "127.0.0.1", servers[5].server_address[1])]
 
     def test_max_in_flight_must_be_positive(self):
         assert RemoteChatBackend("http://127.0.0.1:1/chat").max_in_flight == 4

@@ -1,7 +1,8 @@
 """Each command imports only what it uses, and no command needs ``requests``.
 
 numpy is loaded only by the modules that compute with it (``embedding`` and
-``index``), and ``http.client`` only by the first request sent. The commands
+``index``), and ``http.client`` only by the first request sent, which is
+the one HTTP client: nothing loads ``urllib.request``. The commands
 here run in a fresh interpreter, so what the test process has imported does
 not count. ``requests`` is blocked in them: a run that loaded it would fail.
 """
@@ -44,6 +45,7 @@ _NOT_FOR_INGEST = (
     "carbonrag.fusion",
     "concurrent.futures",
     "http.client",
+    "urllib.request",
 )
 
 
@@ -152,6 +154,45 @@ def test_ingest_loads_only_the_catalog_code(tmp_path):
     result = _python(code, *argv, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == ""
+
+
+class _TextHandler(http.server.BaseHTTPRequestHandler):
+    """Serves ``/doc.txt`` over HTTP/1.1 keep-alive; ``/doc`` redirects to it."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 5  # idle keep-alive connections end after the test
+
+    def do_GET(self):
+        body = b"fetched over http\n" if self.path == "/doc.txt" else b""
+        self.send_response(200 if body else 301)
+        if not body:
+            self.send_header("Location", "doc.txt")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_url_fetch_ingest_loads_http_client_and_not_urllib_request(http_server, tmp_path):
+    """A fetch that follows a redirect, and one on the connection it left
+    open, load ``http.client`` alone. In development mode, a socket left
+    open at exit would print a ``ResourceWarning``."""
+    url = f"http://127.0.0.1:{http_server(_TextHandler).server_address[1]}"
+    code = (
+        "import sys; " + _BLOCK + "from carbonrag.cli import main; code = main(sys.argv[1:]); "
+        "print(*[m for m in ('http.client', 'urllib.request') if m in sys.modules]); "
+        "sys.exit(code)"
+    )
+    argv = ["ingest", "--source", "url_fetch", "--catalog", "corpus.catalog"]
+    argv += [f"{url}/doc", f"{url}/doc.txt"]
+    result = _python(code, *argv, cwd=tmp_path, flags=("-X", "dev"))
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning" not in result.stderr
+    assert result.stdout.splitlines()[-1] == "http.client"
+    stored = (tmp_path / "corpus.catalog").read_bytes()
+    assert stored.endswith(b"\nfetched over http\nfetched over http\n")
 
 
 def test_the_scope_choices_are_the_accounting_scopes():
