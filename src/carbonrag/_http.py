@@ -12,6 +12,7 @@ from __future__ import annotations
 import atexit
 import json
 import os
+import re
 import select
 import threading
 import time
@@ -47,6 +48,9 @@ _POOL_LOCK = threading.Lock()
 # a space or a non-ASCII character, is sent percent-encoded as UTF-8.
 _TARGET_SAFE = "!#$%&'()*+,/:;=?@[]~"
 
+# The host characters that http.client refuses to send.
+_HOST_REFUSED_RE = re.compile("[\x00-\x20\x7f]")
+
 # Why a URL is refused; the user-info reason gets a hint for endpoints.
 _NOT_HTTP = "not an http or https URL with a host"
 _USER_INFO = "an http URL with user info, which no request carries"
@@ -63,6 +67,8 @@ def _http_parts(url: str) -> SplitResult:
         raise ValueError(_NOT_HTTP) from None
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(_NOT_HTTP)
+    if _HOST_REFUSED_RE.search(parts.hostname):
+        raise ValueError("an http URL whose host holds a space or a control character")
     if port == 0:
         raise ValueError("an http URL with port 0, to which no request can be sent")
     if parts.username is not None:

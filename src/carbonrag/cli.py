@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 from ._files import check_writable
 from ._json import read_json, write_json
 from .config import RunConfig
-from .corpus import Catalog, check_chunking, classify_datasource
+from .corpus import Catalog, SourceKind, check_chunking, classify_datasource
 from .errors import CarbonRagError, ConfigError, FormatError
 from .quantity import Quantity
 
@@ -265,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", required=True, help="catalog file to create or extend")
     p.add_argument(
         "--source",
-        choices=["local_file", "raw_text", "url_fetch"],
-        default="local_file",
+        choices=[kind.value for kind in SourceKind],
+        default=SourceKind.LOCAL_FILE.value,
     )
     p.add_argument("--doc-id", help="explicit document id (single payload only)")
     p.add_argument("--title")

@@ -10,9 +10,8 @@ one record per document (``doc_id``, ``title``, ``source``,
 ``industry_tag``, ``fetched_at`` and ``bytes``, its body's UTF-8 length),
 then a newline, then each body's UTF-8 bytes back to back in record order
 and nothing after the last. The bodies are thus neither escaped on save nor
-parsed on load. A format-1 catalog, a JSON list of records that hold their
-``body``, is still read (its first non-blank byte is ``[``, not ``{``), and
-the next save rewrites it as format 2.
+parsed on load. Only this form is read: a file whose first byte is not
+``{`` is refused as not a format-2 catalog.
 
 Normalization rules (applied once, at ingest):
   1. CRLF becomes LF.
@@ -36,7 +35,7 @@ from typing import Iterable, Mapping
 
 from ._files import write_file
 from ._http import fetch
-from ._json import Node, dump_json, parse_json
+from ._json import dump_json, parse_json
 from .errors import ConfigError, EncodingError, FetchError, FormatError, InputError
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -50,9 +49,7 @@ _DOC_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 _C0_EXCEPT_LF_TABLE = bytes(0x20 if c < 0x20 and c != 0x0A else c for c in range(256))
 
 _FORMAT = {"format": "carbonrag-catalog", "version": 2}
-_FIELDS = ("doc_id", "title", "source", "industry_tag", "fetched_at")
-# JSON's blanks, then the byte that tells the formats apart.
-_FIRST_BYTE_RE = re.compile(rb"[ \t\n\r]*(.)", re.DOTALL)
+_FIELDS = ("doc_id", "title", "source", "industry_tag", "fetched_at", "bytes")
 
 
 class SourceKind(str, Enum):
@@ -315,26 +312,22 @@ class Catalog:
 
     @classmethod
     def load(cls, path: str | Path) -> "Catalog":
-        """Read a catalog of format 2, or of format 1 (a JSON list of records)."""
+        """Read a catalog of format 2, the one form ``save`` writes."""
         label = f"catalog {path}"
         try:
             data = Path(path).read_bytes()
         except OSError as exc:
             raise FormatError(f"cannot load {label}: {exc}") from None
+        if not data.startswith(b"{"):
+            raise FormatError(f"{label}: not a format-2 catalog (its first byte is not '{{')")
         catalog = cls()
-        first = _FIRST_BYTE_RE.match(data)
-        if first is None or first[1] != b"{":
-            for rec in parse_json(data, label, FormatError).elements((*_FIELDS, "body")):
-                catalog._add_record(rec)
-            return catalog
-
-        end = data.find(b"\n", first.end())
+        end = data.find(b"\n")
         if end < 0:
             raise FormatError(f"{label}: the header line has no end")
         header = parse_json(data[:end], f"{label}: header", FormatError)
         records = header.declares(_FORMAT, ("documents",)).at("documents")
         view, start = memoryview(data), end + 1
-        for rec in records.elements((*_FIELDS, "bytes")):
+        for rec in records.elements(_FIELDS):
             size = rec.get("bytes", int)
             if size < 0:
                 raise FormatError(f"{rec.where}.bytes must be >= 0, got {size}")
@@ -350,24 +343,19 @@ class Catalog:
                 raise FormatError(
                     f"{label}: the body of {rec.path} is not valid UTF-8: {exc}"
                 ) from None
-            catalog._add_record(rec, body)
+            doc = Document(
+                doc_id=rec.get("doc_id", str),
+                title=rec.get("title", str),
+                source=rec.get("source", SourceKind),
+                body=body,
+                fetched_at=rec.get("fetched_at", str),
+                industry_tag=rec.get("industry_tag", str, nullable=True),
+            )
+            try:
+                catalog.add(doc)
+            except InputError as exc:
+                rec.fail(str(exc))
             start = end
         if start != len(data):
             raise FormatError(f"{label}: trailing bytes after the last body: {len(data) - start}")
         return catalog
-
-    def _add_record(self, rec: Node, body: str | None = None) -> None:
-        """Add the document of catalog record ``rec``, whose body is ``body``
-        or, when that is None, the record's own ``body`` field."""
-        doc = Document(
-            doc_id=rec.get("doc_id", str),
-            title=rec.get("title", str),
-            source=rec.get("source", SourceKind),
-            body=rec.get("body", str) if body is None else body,
-            fetched_at=rec.get("fetched_at", str),
-            industry_tag=rec.get("industry_tag", str, default=None, nullable=True),
-        )
-        try:
-            self.add(doc)
-        except InputError as exc:
-            rec.fail(str(exc))

@@ -463,11 +463,7 @@ def encoder_from_json(node: Node):
             node.only_keys(("kind", "dims", "endpoint"))
             return RemoteEncoder(endpoint=node.get("endpoint", str), dims=node.get("dims", int))
         if kind == DualTowerEncoder.kind:
-            # A tower file from before may also hold its training seed and hash_seed 0.
-            dims = node.only_keys(("kind", "dims", "matrix", "seed", "hash_seed")).get("dims", int)
-            hash_seed = node.get("hash_seed", int, default=0)
-            if hash_seed != 0:  # it would change every vector
-                node.fail(f"hash_seed must be 0, got {hash_seed}")
+            dims = node.only_keys(("kind", "dims", "matrix")).get("dims", int)
             try:
                 matrix = np.asarray(node.get("matrix", list[list[float]]), dtype=np.float64)
             except ValueError as exc:  # rows of different lengths

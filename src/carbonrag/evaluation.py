@@ -375,10 +375,8 @@ class MetricsReport:
                 deviation_pct=r.get("deviation_pct", float, nullable=True),
                 true_value=r.get("true_value", float),
                 true_unit=r.get("true_unit", str),
-                extracted_value=r.get(
-                    "extracted_value", _quantity_json, default=None, nullable=True
-                ),
-                extracted_unit=r.get("extracted_unit", str, default=None, nullable=True),
+                extracted_value=r.get("extracted_value", _quantity_json, nullable=True),
+                extracted_unit=r.get("extracted_unit", str, nullable=True),
             )
             for r in root.at("per_fact").elements(_field_names(PerFactRecord))
         )
@@ -396,9 +394,9 @@ class MetricsReport:
             per_fact=per_fact,
             footprint=footprint,
             true_footprint=root.get("true_footprint", float),
-            warnings=tuple(root.get("warnings", list[str], default=[])),
-            metadata=root.get("metadata", dict, default={}),
-            generated_at=root.get("generated_at", str, default=""),
+            warnings=tuple(root.get("warnings", list[str])),
+            metadata=root.get("metadata", dict),
+            generated_at=root.get("generated_at", str),
         )
 
     def write_per_fact_csv(self, path: str | Path) -> None:

@@ -154,13 +154,17 @@ class TestIngest:
         """A JSON-escaped lone surrogate is refused where the catalog is read,
         before anything could fail to print or save it."""
         catalog = tmp_path / "catalog.json"
-        record = {"doc_id": "a", "title": "t", "source": "raw_text", "body": "x\ud800"}
-        catalog.write_text(json.dumps([{**record, "fetched_at": "2024"}]), encoding="utf-8")
+        record = {"doc_id": "a", "title": "t\ud800", "source": "raw_text", "industry_tag": None,
+                  "fetched_at": "2024", "bytes": 1}
+        header = {"format": "carbonrag-catalog", "version": 2, "documents": [record]}
+        catalog.write_bytes(json.dumps(header).encode() + b"\nx")
         before = catalog.read_bytes()
         argv = ["ingest", "--source", "raw_text", "--catalog", str(catalog), "more"]
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err == f"[load] catalog {catalog} holds a lone surrogate '\\ud800', which is not text\n"
+        assert err == (
+            f"[load] catalog {catalog}: header holds a lone surrogate '\\ud800', which is not text\n"
+        )
         assert catalog.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
 
@@ -211,7 +215,7 @@ class TestIndexBuild:
 
     def test_a_lexical_width_past_the_kernel_is_a_config_error(self, tmp_path, capsys):
         catalog, out = tmp_path / "catalog.json", tmp_path / "index.npz"
-        catalog.write_text("[]", encoding="utf-8")
+        Catalog().save(catalog)
         argv = ["index", "build", "--catalog", str(catalog), "--out", str(out)]
         assert main([*argv, "--encoder", "lexical:99999999999999999999"]) == 1
         err = capsys.readouterr().err
@@ -766,10 +770,22 @@ class TestBenchAndReport:
             assert main(["report", "--in", str(report_path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(f"[load] report {report_path}: {where}unknown keys: "), err
-        # metadata is free-form, and the extracted fields are optional.
+        # Every field that bench --out writes must be there.
+        for where, field in (
+            ("", "warnings"),
+            ("", "metadata"),
+            ("", "generated_at"),
+            (": per_fact[0]", "extracted_value"),
+            (": per_fact[0]", "extracted_unit"),
+        ):
+            obj = json.loads(json.dumps(saved))
+            del (obj["per_fact"][0] if where else obj)[field]
+            report_path.write_text(json.dumps(obj), encoding="utf-8")
+            assert main(["report", "--in", str(report_path)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"[load] report {report_path}{where} is missing {field!r}\n", err
+        # metadata is free-form.
         saved["metadata"]["note"] = "kept"
-        for record in saved["per_fact"]:
-            del record["extracted_value"], record["extracted_unit"]
         report_path.write_text(json.dumps(saved), encoding="utf-8")
         assert main(["report", "--in", str(report_path)]) == 0
         assert MetricsReport.load(report_path).metadata["note"] == "kept"
@@ -1149,7 +1165,7 @@ class TestUnwritableFiles:
             "odd_script": tmp_path / "mock\udcff.json",  # the report records this path
         }
         paths["directory"].mkdir()
-        paths["empty"].write_text("[]", encoding="utf-8")
+        Catalog().save(paths["empty"])
         paths["odd_script"].write_bytes(benchmark_tree.mock_perfect.read_bytes())
         aluminum_catalog.save(paths["catalog"])
         paths["facts"].write_text(

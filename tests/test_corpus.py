@@ -33,6 +33,9 @@ def _doc(body: str, doc_id: str = "d1") -> Document:
 
 _V2 = {"format": "carbonrag-catalog", "version": 2}
 _V2_RECORD = {"doc_id": "a", "title": "t", "source": "raw_text", "fetched_at": "x", "bytes": 3}
+_V2_SAVED = {**_V2_RECORD, "industry_tag": None}  # every key that ``save`` writes
+_V1_RECORD = {"doc_id": "a", "title": "t", "source": "raw_text", "body": "b", "fetched_at": "x"}
+_NOT_V2 = r"not a format-2 catalog \(its first byte is not '\{'\)"
 
 
 def _v2_file(records, bodies: bytes = b"abc", **header) -> bytes:
@@ -407,8 +410,9 @@ class TestCatalogUrlFetch:
 
     def test_a_url_that_is_not_http_is_refused_before_it_is_opened(self, tmp_path, capsys):
         """A ``file:`` URL naming a file that exists is not read, and the
-        catalog is left as it was. So is a URL with port 0, and one with
-        user info, which a request would not carry."""
+        catalog is left as it was. So is a URL with port 0, one with user
+        info, which a request would not carry, and one whose host holds a
+        character that no request line can."""
         secret = tmp_path / "secret.txt"
         secret.write_text("not for the catalog", encoding="utf-8")
         catalog = tmp_path / "corpus.catalog"
@@ -418,6 +422,7 @@ class TestCatalogUrlFetch:
         not_http = "not an http or https URL with a host"
         port_0 = "an http URL with port 0, to which no request can be sent"
         user_info = "an http URL with user info, which no request carries"
+        bad_host = "an http URL whose host holds a space or a control character"
         for url, reason in (
             (secret.as_uri(), not_http),
             (f"data:text/plain,{secret}", not_http),
@@ -426,6 +431,8 @@ class TestCatalogUrlFetch:
             ("http://127.0.0.1:0/doc.txt", port_0),
             ("http://user:pw@127.0.0.1:1/doc.txt", user_info),
             ("http://@127.0.0.1:1/doc.txt", user_info),
+            ("http://127.0.0.1 /doc.txt", bad_host),
+            ("http://a\x7fb/doc.txt", bad_host),
         ):
             argv = ["ingest", "--source", "url_fetch", "--catalog", str(catalog), url]
             assert main(argv) == 1
@@ -504,10 +511,12 @@ class TestCatalogPersistence:
 
     def test_load_names_the_offending_record(self, tmp_path):
         path = tmp_path / "catalog.json"
-        record = {"doc_id": "a", "title": "t", "source": "raw_text", "body": "b", "fetched_at": "x"}
+        record = _V2_SAVED
         for records, message in (
-            ([{"title": "missing ids"}], r"\[0\] is missing 'doc_id'"),
-            ([{**record, "body": ["not", "text"]}], r"\[0\]\.body must be a string"),
+            ([{"title": "missing ids", "bytes": 3}], r"\[0\] is missing 'doc_id'"),
+            # save always writes the tag, as a string or null
+            ([_V2_RECORD], r"\[0\] is missing 'industry_tag'"),
+            ([{**record, "bytes": "3"}], r"\[0\]\.bytes must be an integer"),
             ([record, {**record, "doc_id": "b", "title": 5}], r"\[1\]\.title must be a string"),
             ([{**record, "fetched_at": None}], r"\[0\]\.fetched_at must be a string"),
             ([{**record, "industry_tag": 3}], r"\[0\]\.industry_tag must be a string or null"),
@@ -518,10 +527,10 @@ class TestCatalogPersistence:
             # ingest would rewrite the catalog without it
             ([{**record, "industry": "steel"}], r"\[0\]: unknown keys: industry"),
         ):
-            path.write_text(json.dumps(records), encoding="utf-8")
+            path.write_bytes(_v2_file(records, b"abc" * len(records)))
             with pytest.raises(FormatError, match=message):
                 Catalog.load(path)
-        path.write_text(json.dumps([{**record, "industry_tag": None}]), encoding="utf-8")
+        path.write_bytes(_v2_file([record]))
         assert Catalog.load(path).get("a").industry_tag is None
 
     @settings(max_examples=60, deadline=None)
@@ -588,14 +597,17 @@ class TestCatalogPersistence:
             (_v2_file([{**_V2_RECORD, "bytes": 3.0}]), r"documents\[0\]\.bytes must be an integer"),
             (_v2_file([{**_V2_RECORD, "bytes": True}]), r"documents\[0\]\.bytes must be an integer"),
             (_v2_file([_V2_RECORD], b"ab"), r"body of documents\[0\] needs 3 bytes, but only 2"),
-            (_v2_file([_V2_RECORD], b"abcd"), "trailing bytes after the last body: 1"),
+            (_v2_file([_V2_SAVED], b"abcd"), "trailing bytes after the last body: 1"),
             (
                 _v2_file([{**_V2_RECORD, "bytes": 1}, {**_V2_RECORD, "doc_id": "b", "bytes": 1}], b"\xc3\xa9"),
                 r"body of documents\[0\] is not valid UTF-8",
             ),
             (_v2_file([_V2_RECORD], b"\xed\xa0\x80"), r"body of documents\[0\] is not valid UTF-8"),
             (_v2_file([_V2_RECORD], b"a\xffc"), r"body of documents\[0\] is not valid UTF-8"),
-            (_v2_file([_V2_RECORD, _V2_RECORD], b"abcabc"), r"documents\[1\]: duplicate doc_id 'a'"),
+            (_v2_file([_V2_SAVED, _V2_SAVED], b"abcabc"), r"documents\[1\]: duplicate doc_id 'a'"),
+            # a JSON list of records (format 1), whatever its line breaks
+            (json.dumps([_V1_RECORD]).encode(), _NOT_V2),
+            (json.dumps([_V1_RECORD], indent=2).encode(), _NOT_V2),
         ],
     )
     def test_ingest_onto_a_bad_format_2_catalog_fails_to_load(self, tmp_path, capsys, data, message):
@@ -606,15 +618,6 @@ class TestCatalogPersistence:
         assert re.fullmatch(rf"\[load\] catalog {re.escape(str(path))}: .*{message}.*\n", err), err
         assert path.read_bytes() == data
         assert [p.name for p in tmp_path.iterdir()] == ["c.catalog"]
-
-    def test_ingest_rewrites_a_format_1_catalog_as_format_2(self, tmp_path, capsys):
-        path = tmp_path / "c.catalog"
-        record = {"doc_id": "a", "title": "t", "source": "raw_text", "body": "b\u00e9", "fetched_at": "x"}
-        path.write_text(json.dumps([record]), encoding="utf-8")
-        before = Catalog.load(path).documents
-        assert main(["ingest", "--source", "raw_text", "--catalog", str(path), "more"]) == 0
-        assert path.read_bytes().startswith(b'{"format": "carbonrag-catalog", "version": 2, ')
-        assert Catalog.load(path).documents[:1] == before
 
     def test_load_rejects_non_array(self, tmp_path):
         path = tmp_path / "catalog.json"

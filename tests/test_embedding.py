@@ -517,14 +517,15 @@ class TestEncoderPersistence:
         text = "electricity intensity"
         np.testing.assert_array_equal(loaded.embed(text), result.encoder.embed(text))
 
-    def test_tower_file_with_a_training_seed_still_loads(self, tmp_path):
-        """Tower files from earlier versions hold ``seed`` and ``hash_seed: 0``."""
+    def test_tower_file_with_a_training_seed_is_refused(self, tmp_path):
+        """A tower file holds ``kind``, ``dims`` and ``matrix``, and nothing else."""
         path = tmp_path / "tower.json"
         write_json(path, "encoder", DualTowerEncoder(matrix=np.eye(2, 3)).spec)
         obj = json.loads(path.read_text(encoding="utf-8"))
         assert sorted(obj) == ["dims", "kind", "matrix"]
-        path.write_text(json.dumps({**obj, "seed": 7, "hash_seed": 0}), encoding="utf-8")
-        assert load_encoder(path).spec == DualTowerEncoder(matrix=np.eye(2, 3)).spec
+        path.write_text(json.dumps({**obj, "seed": 7}), encoding="utf-8")
+        with pytest.raises(FormatError, match=r"tower.json: unknown keys: seed$"):
+            load_encoder(path)
 
     def test_load_rejects_unknown_kind(self, tmp_path):
         path = tmp_path / "enc.json"
@@ -543,9 +544,8 @@ class TestEncoderPersistence:
             # credentials come only from the environment
             ({**remote, "api_key": "secret"}, "enc.json: unknown keys: api_key$"),
             ({**remote, "dims": -1}, "dims must be positive"),
-            ({**tower, "hash_seed": 1.5}, "hash_seed must be an integer, got 1.5"),
-            # ignoring it would silently change every vector
-            ({**tower, "hash_seed": 3}, r"enc.json: hash_seed must be 0, got 3$"),
+            ({**tower, "hash_seed": 1.5}, r"enc.json: unknown keys: hash_seed$"),
+            ({**tower, "hash_seed": 3}, r"enc.json: unknown keys: hash_seed$"),
             ({**tower, "matrix": [[1.0, True]]}, r"matrix\[0\]\[1\] must be a number, got True"),
             ({**tower, "matrix": [[]]}, "non-empty"),
             ({**tower, "dims": 2, "matrix": [[1.0], []]}, "matrix: "),

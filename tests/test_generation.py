@@ -426,11 +426,13 @@ class TestRemoteChat:
     def test_an_endpoint_that_is_not_an_http_url_is_refused_when_the_client_is_made(
         self, sleeps
     ):
-        """So is one whose host name DNS cannot hold, one with port 0,
-        which would be sent to port 80, and one with user info, which would
-        be dropped: its message names the variable a token goes in."""
+        """So is one whose host name DNS cannot hold, one whose host holds a
+        space or a control character, which no request line can, one with
+        port 0, which would be sent to port 80, and one with user info, which
+        would be dropped: its message names the variable a token goes in."""
         not_http = "not an http or https URL with a host"
         user_info = "an http URL with user info, which no request carries; set {} to send"
+        bad_host = "an http URL whose host holds a space or a control character"
         for endpoint, reason in (
             ("localhost:8000/chat", not_http),
             ("ftp://127.0.0.1/chat", not_http),
@@ -439,6 +441,8 @@ class TestRemoteChat:
             ("http://127.0.0.1:port/chat", not_http),
             ("http://a..b/chat", not_http),
             ("", not_http),
+            ("http://a b/chat", bad_host),
+            ("http://a\x00b/chat", bad_host),
             ("http://127.0.0.1:0/chat", "an http URL with port 0, to which no request"),
             ("http://user:pw@127.0.0.1:1/chat", user_info),
             ("https://sk-secret@127.0.0.1:1/chat", user_info),

@@ -8,9 +8,7 @@ that hold a path; the index is pinned by its manifest (chunk ids and encoder
 spec), not by its matrix bytes, whose last bits depend on the BLAS build.
 The catalog is pinned as the bytes ``ingest`` wrote (``corpus.catalog``, format
 2), each ``fetched_at`` masked, so it also pins the JSON writer's own output.
-``catalog.json`` is not an output: it is the same catalog in format 1, as
-``ingest`` wrote it before format 2, kept as it is to show that such a file
-still loads to the same documents and builds the same index.
+Every file here is an output.
 """
 
 import json
@@ -20,11 +18,9 @@ from pathlib import Path
 import numpy as np
 
 import fixtures
-from carbonrag import Catalog
 from carbonrag.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-V1_CATALOG = GOLDEN / "catalog.json"
 _PATH_KEYS = ("backend", "benchmark_path", "report_out")
 _FETCHED_AT_RE = re.compile(rb'("fetched_at": )"[^"]*"')
 
@@ -70,17 +66,7 @@ def _fixture_outputs(work: Path, capsys) -> dict[str, str]:
 
 def test_fixture_outputs_match_the_golden_files(tmp_path, capsys):
     outputs = _fixture_outputs(tmp_path, capsys)
-    assert sorted([*outputs, V1_CATALOG.name]) == sorted(p.name for p in GOLDEN.iterdir())
+    assert sorted(outputs) == sorted(p.name for p in GOLDEN.iterdir())
     for name, text in outputs.items():
         assert text == (GOLDEN / name).read_text(encoding="utf-8"), name
 
-
-def test_a_format_1_catalog_loads_and_indexes_as_its_format_2_rewrite(tmp_path):
-    v2 = GOLDEN / "corpus.catalog"
-    docs = Catalog.load(V1_CATALOG).documents
-    assert [d.doc_id for d in docs] == [doc_id for doc_id, _, _ in fixtures.CORPUS_DOCS]
-    assert Catalog.load(v2).documents == docs
-    indexes = [tmp_path / "v1.npz", tmp_path / "v2.npz"]
-    for catalog, index in zip((V1_CATALOG, v2), indexes):
-        assert main(["index", "build", "--catalog", str(catalog), "--out", str(index)]) == 0
-    assert indexes[0].read_bytes() == indexes[1].read_bytes()

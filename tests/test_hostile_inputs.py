@@ -70,12 +70,15 @@ def _files(*valid):
     )
 
 
-_CATALOG_RECORD = {"doc_id": "a", "title": "t", "source": "raw_text", "fetched_at": ""}
+_CATALOG_RECORD = {
+    "doc_id": "a", "title": "t", "source": "raw_text", "industry_tag": None, "fetched_at": ""
+}
 
 
 def _catalogs():
-    """Bytes of a format-1 catalog as ``_files`` makes them, or of a format-2
-    catalog: a header line valid, mutated or any value, then valid or any bytes."""
+    """Bytes of a format-2 catalog: a header line valid, mutated or any value,
+    then valid or any bytes; or, as ``_files`` makes them, of a format-1
+    catalog (a JSON list of records holding their bodies), which is refused."""
     header = {
         "format": "carbonrag-catalog",
         "version": 2,
@@ -176,7 +179,7 @@ _READERS = {
     "encoder": (
         _files(
             {"kind": "toy_dual_tower", "dims": 2, "matrix": [[1, 0.5], [0, 2]]},
-            {"kind": "toy_dual_tower", "dims": 1, "seed": 0, "hash_seed": 0, "matrix": [[1, 0]]},
+            {"kind": "toy_dual_tower", "dims": 1, "matrix": [[1, 0]]},
             {"kind": "remote", "endpoint": "http://localhost:9/embed", "dims": 4},
         ),
         _from_file(load_encoder),
