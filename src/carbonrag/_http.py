@@ -51,6 +51,11 @@ _TARGET_SAFE = "!#$%&'()*+,/:;=?@[]~"
 # The host characters that http.client refuses to send.
 _HOST_REFUSED_RE = re.compile("[\x00-\x20\x7f]")
 
+# What urlsplit drops from a URL without a word: a tab, CR or LF anywhere,
+# and a leading space or control character (which of these it drops differs
+# between patch releases, so the URL is checked as written).
+_DROPPED_RE = re.compile("[\t\r\n]|^[\x00-\x20]")
+
 # Why a URL is refused; the user-info reason gets a hint for endpoints.
 _NOT_HTTP = "not an http or https URL with a host"
 _USER_INFO = "an http URL with user info, which no request carries"
@@ -59,6 +64,8 @@ _USER_INFO = "an http URL with user info, which no request carries"
 def _http_parts(url: str) -> SplitResult:
     """``url`` split into its parts; a ``ValueError`` says why it is not an
     ``http`` or ``https`` URL that a request can be sent to as written."""
+    if _DROPPED_RE.search(url):
+        raise ValueError("a URL with a tab, CR or LF, or a leading space or control character")
     try:
         parts = urlsplit(url)
         port = parts.port  # raises ValueError on a port that is not a number
@@ -85,16 +92,17 @@ def _request_target(parts: SplitResult) -> str:
     return quote(target, safe=_TARGET_SAFE, errors="surrogateescape")
 
 
-def check_endpoint(endpoint: str, what: str, key_env: str) -> None:
-    """Refuse an endpoint no request could be sent to, before any is. Its
-    token goes in the variable ``key_env``, not in the URL."""
+def check_endpoint(client) -> None:
+    """Refuse ``client.endpoint`` if no request could be sent to it, before
+    any is. Its token goes in the variable ``client.api_key_env``, not in
+    the URL."""
     try:
-        _http_parts(endpoint)
+        _http_parts(client.endpoint)
     except ValueError as exc:
         reason = str(exc)
         if reason == _USER_INFO:
-            reason += f"; set {key_env} to send a bearer token"
-        raise ConfigError(f"{what} {endpoint!r} is {reason}") from None
+            reason += f"; set {client.api_key_env} to send a bearer token"
+        raise ConfigError(f"{client.name} {client.endpoint!r} is {reason}") from None
 
 
 def close_idle() -> None:
@@ -202,28 +210,23 @@ def fetch(url: str) -> bytes:
             return content
         if status not in (301, 302, 303, 307, 308) or not location:
             raise FetchError(f"cannot fetch {url}: HTTP {status}")
-        target = urljoin(target, location)
+        # urljoin would drop what _http_parts refuses, so such a location is
+        # not joined but refused as it is.
+        target = location if _DROPPED_RE.search(location) else urljoin(target, location)
     raise FetchError(f"cannot fetch {url}: more than {MAX_REDIRECTS} redirects")
 
 
-def post_json(
-    client,
-    body: dict,
-    *,
-    name: str,
-    gave_up: str,
-    stage: str | None = None,
-) -> Node:
+def post_json(client, body: dict, *, stage: str | None = None) -> Node:
     """POST ``body`` to ``client.endpoint``; return a 2xx reply as JSON,
     labelled ``"{name} {endpoint} reply"``.
 
-    ``client`` supplies ``endpoint``, ``timeout`` and ``api_key_env``, whose
-    variable, when set, becomes a bearer token. Connections to an endpoint
-    are kept alive and reused; an idle one the server has closed is
-    replaced before use, at no cost of an attempt. Connection errors and
-    5xx replies are retried up to ``MAX_ATTEMPTS`` attempts in all, with
-    exponential backoff; a 3xx reply (redirects are not followed) or a 4xx
-    reply fails at once. The ``TransportError`` raised on failure carries
+    ``client`` supplies ``name``, ``endpoint``, ``timeout`` and
+    ``api_key_env``, whose variable, when set, becomes a bearer token.
+    Connections to an endpoint are kept alive and reused; an idle one the
+    server has closed is replaced before use, at no cost of an attempt.
+    Connection errors and 5xx replies are retried up to ``MAX_ATTEMPTS``
+    attempts in all, with exponential backoff; a 3xx reply (redirects are
+    not followed) or a 4xx reply fails at once. The ``TransportError`` raised on failure carries
     the number of attempts made; a reply that is not JSON is a
     ``FormatError``. Both carry ``stage``.
     """
@@ -235,6 +238,7 @@ def post_json(
     key = os.environ.get(client.api_key_env, "")
     if key:
         headers["Authorization"] = f"Bearer {key}"
+    name = client.name
     last_error = None
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
@@ -259,7 +263,7 @@ def post_json(
         if attempt < MAX_ATTEMPTS:
             time.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1))
     raise TransportError(
-        f"{name} {gave_up} after {MAX_ATTEMPTS} attempts: {last_error}",
+        f"{name} failed after {MAX_ATTEMPTS} attempts: {last_error}",
         attempts=MAX_ATTEMPTS,
         stage=stage,
     )

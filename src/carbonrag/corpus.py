@@ -13,11 +13,11 @@ and nothing after the last. The bodies are thus neither escaped on save nor
 parsed on load. Only this form is read: a file whose first byte is not
 ``{`` is refused as not a format-2 catalog.
 
-Normalization rules (applied once, at ingest):
+Normalization rules (applied once, at ingest, to the body's UTF-8 bytes,
+whatever the script: in UTF-8 the bytes 0x00-0x1F stand only for the C0
+control characters; raw text is encoded, and so checked, first):
   1. CRLF becomes LF.
-  2. Remaining C0 control characters other than LF become a single space,
-     by one byte map over the UTF-8 encoding, whatever the script: in UTF-8
-     the bytes 0x00-0x1F stand only for those characters.
+  2. Remaining C0 control characters other than LF become a single space.
   3. Runs of more than two blank lines collapse to two (four or more
      consecutive newlines become three).
 """
@@ -83,16 +83,15 @@ class Chunk:
     text: str
 
 
-def normalize_text(raw: str) -> str:
-    text = raw.replace("\r\n", "\n") if "\r" in raw else raw
-    # A lone surrogate passes through, to be refused where the body is encoded.
-    data = text.encode("utf-8", "surrogatepass")
-    cleaned = data.translate(_C0_EXCEPT_LF_TABLE)
-    if cleaned != data:  # a clean text stays the same object
-        text = cleaned.decode("utf-8", "surrogatepass")
-    if "\n\n\n\n" in text:
-        text = re.sub(r"\n{4,}", "\n\n\n", text)
-    return text
+def normalize_text(data: bytes) -> bytes:
+    """UTF-8 ``data`` under the three rules; bytes that need no change come
+    back as the same object."""
+    # Searching for the one byte is much faster than for the pair.
+    cleaned = data.replace(b"\r\n", b"\n") if b"\r" in data else data
+    cleaned = cleaned.translate(_C0_EXCEPT_LF_TABLE)
+    if b"\n\n\n\n" in cleaned:
+        cleaned = re.sub(rb"\n{4,}", b"\n\n\n", cleaned)
+    return data if cleaned == data else cleaned
 
 
 def chunk_id_for(doc_id: str, start: int, end: int) -> str:
@@ -213,13 +212,13 @@ class Catalog:
         """Read a datasource, normalize it, and append it.
 
         ``payload`` is the text itself, a file path or a URL, by ``source``.
-        A file or URL body must be UTF-8. Nothing is appended when fetching
-        or decoding fails.
+        Raw text must encode as UTF-8 and a file or URL body must be UTF-8
+        as read. Nothing is appended when fetching or either check fails.
         """
         source = SourceKind(source)
         metadata = dict(metadata or {})
         if source is SourceKind.RAW_TEXT:
-            body = payload
+            body, data = payload, _encode_utf8(payload, f"{source.value} payload")
             default_title = "inline text"
         elif source is SourceKind.LOCAL_FILE:
             path = Path(payload)
@@ -230,19 +229,18 @@ class Catalog:
             body = _decode_utf8(data, str(path))
             default_title = path.name
         else:  # SourceKind.URL_FETCH
-            body = _decode_utf8(fetch(payload), payload)
+            data = fetch(payload)
+            body = _decode_utf8(data, payload)
             default_title = payload
 
-        body = normalize_text(body)
-        what = f"{source.value} payload"
+        cleaned = normalize_text(data)
+        if cleaned is not data:  # only ASCII bytes changed, so it is still UTF-8
+            data, body = cleaned, cleaned.decode("utf-8")
         # A default is made only for a key that is absent: the hash and the
-        # clock cost something on every body. Encoding refuses a lone
-        # surrogate, which only non-ASCII text can hold.
+        # clock cost something on every body.
         if "doc_id" not in metadata:
-            digest = hashlib.sha256(_encode_utf8(body, what)).hexdigest()[:8]
+            digest = hashlib.sha256(data).hexdigest()[:8]
             metadata["doc_id"] = f"doc-{len(self._documents):04d}-{digest}"
-        elif not body.isascii():
-            _encode_utf8(body, what)
         if "fetched_at" not in metadata:
             metadata["fetched_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
         doc = Document(

@@ -408,13 +408,14 @@ class RemoteEncoder(Encoder):
     dims: int = DEFAULT_DIMS
 
     kind = "remote"
+    name = "embedding endpoint"
     timeout = 30.0  # seconds per attempt
     api_key_env = "EMBEDDING_API_KEY"
 
     def __post_init__(self):
         if self.dims <= 0:
             raise ConfigError(f"dims must be positive, got {self.dims}")
-        check_endpoint(self.endpoint, "embedding endpoint", self.api_key_env)
+        check_endpoint(self)
 
     @property
     def spec(self) -> dict:
@@ -427,13 +428,7 @@ class RemoteEncoder(Encoder):
         if not texts:
             return np.zeros((0, self.dims))
         # A bad reply ends in the stage a failed request does, in every command.
-        reply = post_json(
-            self,
-            {"input": list(texts)},
-            name="embedding endpoint",
-            gave_up="unreachable",
-            stage="embedding",
-        )
+        reply = post_json(self, {"input": list(texts)}, stage="embedding")
         vectors = reply.get("embeddings", list[list[float]])  # finite numbers only
         if len(vectors) != len(texts) or any(len(v) != self.dims for v in vectors):
             reply.fail(f"expected {len(texts)} embeddings of width {self.dims}, got {len(vectors)}")

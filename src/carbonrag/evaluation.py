@@ -133,10 +133,11 @@ def fact_deviation(fact: ExtractedFact, truth: GroundTruthRecord) -> float:
 
 
 def _deviations(
-    facts: Iterable[ExtractedFact], truths: Sequence[GroundTruthRecord]
+    facts: Iterable[ExtractedFact], truths: Sequence[GroundTruthRecord], warnings: list[str]
 ) -> list[tuple[float, str]]:
     """``(deviation, fact_key)`` of each fact that matches a truth key, in
-    fact order; zero-valued truths are skipped with a warning."""
+    fact order; zero-valued truths are skipped with a warning, which is
+    logged and appended to ``warnings``."""
     truth_map = {t.fact_key: t for t in truths}
     deviations = []
     for fact in facts:
@@ -144,10 +145,9 @@ def _deviations(
         if truth is None:
             continue
         if truth.true_value == 0:
-            logger.warning(
-                "excluding %r from the deviation mean: truth value is zero",
-                fact.fact_key,
-            )
+            warning = f"excluding {fact.fact_key!r} from the deviation mean: truth value is zero"
+            logger.warning("%s", warning)
+            warnings.append(warning)
             continue
         deviations.append((fact_deviation(fact, truth), fact.fact_key))
     return deviations
@@ -173,7 +173,7 @@ def compute_id(
     a warning since a percentage against zero has no meaning. A mean too
     large for a float is an error naming the largest deviation's fact.
     """
-    return _mean_deviation(_deviations(facts, truths))
+    return _mean_deviation(_deviations(facts, truths, []))
 
 
 def compute_ad(total: Quantity, true_footprint: float) -> AccountingDeviation:
@@ -603,7 +603,7 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
 
     irr = compute_irr(facts_by_key.keys(), truth_map.keys())
     # Each deviation is computed once, for the ID mean and for its record.
-    deviations = _deviations(facts_by_key.values(), bench.truths)
+    deviations = _deviations(facts_by_key.values(), bench.truths, warnings)
     id_pct = _mean_deviation(deviations)
     ad = compute_ad(footprint.total, bench.true_footprint)
 

@@ -109,13 +109,14 @@ class RemoteChatBackend:
     """
 
     kind = "remote"
+    name = "generation endpoint"
     timeout = 60.0  # seconds per attempt
     api_key_env = "GENERATION_API_KEY"
     max_in_flight = 4
 
     def __init__(self, endpoint: str, model: str = "default"):
-        check_endpoint(endpoint, "generation endpoint", self.api_key_env)
         self.endpoint = endpoint
+        check_endpoint(self)
         self.model = model
         self._slots = threading.BoundedSemaphore(self.max_in_flight)
 
@@ -128,7 +129,7 @@ class RemoteChatBackend:
             "temperature": 0,
         }
         with self._slots:
-            reply = post_json(self, body, name="generation endpoint", gave_up="failed")
+            reply = post_json(self, body)
         choices = reply.at("choices").elements()
         if not choices:
             reply.fail("choices is empty")

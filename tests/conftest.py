@@ -4,6 +4,7 @@ import http.server
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -61,6 +62,16 @@ def fast_retries(monkeypatch):
 
     monkeypatch.setattr(_http, "BACKOFF_BASE_S", 0.0)
     return lambda attempts: monkeypatch.setattr(_http, "MAX_ATTEMPTS", attempts)
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """The backoff waits the remote clients take, recorded instead of slept."""
+    from carbonrag import _http
+
+    taken = []
+    monkeypatch.setattr(_http, "time", SimpleNamespace(sleep=taken.append))
+    return taken
 
 
 @pytest.fixture()

@@ -128,6 +128,26 @@ class TestIngest:
         assert catalog.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["catalog.json"]
 
+    def test_a_bad_byte_after_crlf_lines_is_named_at_its_offset_in_the_file(
+        self, tmp_path, capsys
+    ):
+        """A file is checked as read, before CRLF becomes LF, so the error
+        names the bad byte's offset in the file."""
+        catalog = tmp_path / "catalog.json"
+        main(["ingest", "first body", "--source", "raw_text", "--catalog", str(catalog)])
+        before = catalog.read_bytes()
+        capsys.readouterr()
+        doc = tmp_path / "crlf.txt"
+        data = b"one\r\ntwo\r\nthree\r\n\xff"
+        doc.write_bytes(data)
+        assert main(["ingest", "--catalog", str(catalog), str(doc)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"[ingest] {doc} is not valid UTF-8 text: "), err
+        assert f"in position {len(data) - 1}: " in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert out == ""
+        assert catalog.read_bytes() == before
+
     @pytest.mark.parametrize("source", ["raw_text title", "local_file name"])
     def test_non_utf8_title_is_refused_before_anything_is_ingested(self, tmp_path, capsys, source):
         """A title from ``--title`` or a file's name can hold a lone surrogate

@@ -815,6 +815,6 @@ class TestRemoteEncoder:
     def test_unreachable_endpoint_exhausts_attempts(self, fast_retries):
         fast_retries(2)
         enc = RemoteEncoder("http://127.0.0.1:1/embed", dims=4)
-        with pytest.raises(TransportError) as err:
+        with pytest.raises(TransportError, match="^embedding endpoint failed after 2 attempts: ") as err:
             enc.embed("x")
         assert err.value.attempts == 2

@@ -337,14 +337,6 @@ class _CloseAfterOneHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def sleeps(monkeypatch):
-    """The backoff waits the remote clients take, recorded instead of slept."""
-    taken = []
-    monkeypatch.setattr(_http, "time", SimpleNamespace(sleep=taken.append))
-    return taken
-
-
 def _url(server, path):
     return f"http://127.0.0.1:{server.server_address[1]}{path}"
 
@@ -419,7 +411,7 @@ class TestRemoteChat:
     def test_unreachable_endpoint_exhausts_attempts(self, fast_retries):
         fast_retries(2)
         backend = RemoteChatBackend("http://127.0.0.1:1/chat")
-        with pytest.raises(TransportError) as err:
+        with pytest.raises(TransportError, match="^generation endpoint failed after 2 attempts: ") as err:
             backend.generate(_prompt())
         assert err.value.attempts == 2
 
@@ -428,11 +420,14 @@ class TestRemoteChat:
     ):
         """So is one whose host name DNS cannot hold, one whose host holds a
         space or a control character, which no request line can, one with
-        port 0, which would be sent to port 80, and one with user info, which
-        would be dropped: its message names the variable a token goes in."""
+        port 0, which would be sent to port 80, one with a tab, CR or LF or a
+        leading space or control character, which urlsplit would drop without
+        a word, and one with user info, which would be dropped: its message
+        names the variable a token goes in."""
         not_http = "not an http or https URL with a host"
         user_info = "an http URL with user info, which no request carries; set {} to send"
         bad_host = "an http URL whose host holds a space or a control character"
+        dropped = "a URL with a tab, CR or LF, or a leading space or control character"
         for endpoint, reason in (
             ("localhost:8000/chat", not_http),
             ("ftp://127.0.0.1/chat", not_http),
@@ -443,6 +438,12 @@ class TestRemoteChat:
             ("", not_http),
             ("http://a b/chat", bad_host),
             ("http://a\x00b/chat", bad_host),
+            ("http://a\tb/chat", dropped),
+            ("http://h/ch\tat", dropped),
+            ("http://h/chat?q=\r", dropped),
+            (" http://h/chat", dropped),
+            ("\x00http://h/chat", dropped),
+            ("http://h/chat\n", dropped),
             ("http://127.0.0.1:0/chat", "an http URL with port 0, to which no request"),
             ("http://user:pw@127.0.0.1:1/chat", user_info),
             ("https://sk-secret@127.0.0.1:1/chat", user_info),

@@ -230,6 +230,7 @@ def test_connections_are_pooled_across_threads(http_server):
     server.connections = 0
     client = SimpleNamespace(
         endpoint=f"http://127.0.0.1:{server.server_address[1]}/echo",
+        name="test endpoint",
         timeout=10.0,
         api_key_env="CARBONRAG_TEST_NO_SUCH_KEY",
     )
@@ -238,7 +239,7 @@ def test_connections_are_pooled_across_threads(http_server):
     def request(n, wait=False):
         if wait:
             start.wait()
-        return _http.post_json(client, {"n": n}, name="test endpoint", gave_up="unreachable").value
+        return _http.post_json(client, {"n": n}).value
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
