@@ -200,20 +200,20 @@ def fetch(url: str) -> bytes:
         try:
             parts = _http_parts(target)
         except ValueError as exc:
-            where = f"redirected to {target}, which is " if hop else ""
-            raise FetchError(f"cannot fetch {url}: {where}{exc}") from None
+            where = f"redirected to {target!r}, which is " if hop else ""
+            raise FetchError(f"cannot fetch {url!r}: {where}{exc}") from None
         try:
             status, location, content = _exchange("GET", parts, None, {}, FETCH_TIMEOUT_S)
         except (OSError, http.client.HTTPException) as exc:
-            raise FetchError(f"cannot fetch {url}: {str(exc) or type(exc).__name__}") from None
+            raise FetchError(f"cannot fetch {url!r}: {str(exc) or type(exc).__name__}") from None
         if 200 <= status < 300:
             return content
         if status not in (301, 302, 303, 307, 308) or not location:
-            raise FetchError(f"cannot fetch {url}: HTTP {status}")
+            raise FetchError(f"cannot fetch {url!r}: HTTP {status}")
         # urljoin would drop what _http_parts refuses, so such a location is
         # not joined but refused as it is.
         target = location if _DROPPED_RE.search(location) else urljoin(target, location)
-    raise FetchError(f"cannot fetch {url}: more than {MAX_REDIRECTS} redirects")
+    raise FetchError(f"cannot fetch {url!r}: more than {MAX_REDIRECTS} redirects")
 
 
 def post_json(client, body: dict, *, stage: str | None = None) -> Node:

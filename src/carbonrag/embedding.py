@@ -10,12 +10,17 @@ its raw rows (counts, tower projections or the endpoint's reply) to
 Token features are hashed bag-of-words. A token is the UTF-8 bytes of a
 ``[^\W_]+`` run (letters and digits) of the lowercased text; ASCII text
 finds them by one byte translate table, other text by the regex. Each
-token goes to a bucket by the standard, unseeded FNV-1a 64-bit hash.
+token goes to a bucket by the standard, unseeded FNV-1a 64-bit hash. The
+bucket of a power-of-two bucket count ``2**k`` is the hash's low ``k``
+bits, and XOR and multiplication commute with taking a value mod
+``2**k``: such a count is hashed in those bits only, on small Python ints
+or the narrowest numpy dtype that holds them, and gets the same buckets.
 ``hashed_counts`` counts a whole batch, by one of two paths chosen by the
 batch's size alone. A batch of fewer than ``_KERNEL_MIN_CHARS`` chars,
 such as one question, is hashed token by token in Python. A larger batch,
 whatever its script, is hashed and counted by numpy a block of texts at a
-time. No cache outlives a call, and either path gives each row the same
+time; an all-ASCII block is tokenised by one translate of its joined
+texts. No cache outlives a call, and either path gives each row the same
 counts, bit for bit, from its own text only.
 
 An encoder's ``spec``, the JSON record ``encoder_from_json`` rebuilds it
@@ -55,12 +60,23 @@ _FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
+def _fnv1a64(data: bytes, mask: int = _U64) -> int:
+    """FNV-1a 64 of ``data`` in the bits of ``mask``, which is ``2**k - 1``.
+
+    XOR and multiplication commute with taking a value mod ``2**k``, so the
+    hash is computed in those bits alone, on small ints when ``k`` is small.
+    """
+    h = _FNV_OFFSET & mask
+    prime = _FNV_PRIME & mask
     for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _U64
+        h = ((h ^ byte) * prime) & mask
     return h
+
+
+def _hash_mask(dims: int) -> int:
+    """The low bits of FNV-1a that decide ``h % dims``: all of them unless
+    ``dims`` is a power of two."""
+    return dims - 1 if dims & (dims - 1) == 0 else _U64
 
 
 def _token_bytes(text: str) -> bytes:
@@ -78,8 +94,8 @@ def tokenize(text: str) -> list[bytes]:
 # A batch with fewer chars than this is counted text by text: for one short
 # question the block kernel's fixed numpy cost exceeds the whole job.
 _KERNEL_MIN_CHARS = 4096
-# A block closes at this many texts or token bytes, so its arrays stay in
-# cache and a batch of huge texts never joins into one huge buffer.
+# A block closes at this many texts or chars, so its arrays stay in cache
+# and a batch of huge texts never joins into one huge buffer.
 _BLOCK_TEXTS = 128
 _BLOCK_CHARS = 1 << 17
 # Tokens up to this many bytes are hashed by numpy, one byte position per
@@ -108,28 +124,45 @@ def _tokens_by_length(
     return starts[order], lengths[order], rows[order]
 
 
-def _block_counts(block: Sequence[bytes], dims: int) -> np.ndarray:
-    """Hashed token counts of a block of ``_token_bytes`` rows, computed by numpy.
+def _block_counts(texts: Sequence[str], dims: int) -> np.ndarray:
+    """Hashed token counts of a block of texts, computed by numpy.
 
-    Equal to counting each row's tokens on its own: the rows are joined
-    with spaces, so no token crosses two rows.
+    Equal to counting each text's tokens on its own: the texts' tokens are
+    joined with spaces, so no token crosses two texts. An ASCII block is
+    tokenised by one translate of the joined texts. FNV-1a runs in the
+    narrowest unsigned dtype that holds ``_hash_mask(dims)``, so a
+    power-of-two ``dims`` up to ``2**32`` is hashed in its low bits only.
     """
-    data = np.frombuffer(b" ".join(block), np.uint8)
-    starts, lengths, rows = _tokens_by_length(data, np.cumsum([len(b) + 1 for b in block]))
+    joined = " ".join(texts)
+    if joined.isascii():
+        data = joined.encode("ascii").translate(_ASCII_TOKEN_TABLE)
+        text_ends = np.cumsum([len(t) + 1 for t in texts])
+    else:
+        block = [_token_bytes(t) for t in texts]
+        data = b" ".join(block)
+        text_ends = np.cumsum([len(b) + 1 for b in block])
+    data = np.frombuffer(data, np.uint8)
+    starts, lengths, rows = _tokens_by_length(data, text_ends)
     n_short = int(np.count_nonzero(lengths <= _KERNEL_MAX_TOKEN))
     passes = int(lengths[n_short - 1]) if n_short else 0
-    h = np.full(len(starts), _FNV_OFFSET, dtype=np.uint64)
-    prime = np.uint64(_FNV_PRIME)
+    mask = _hash_mask(dims)
+    dtype = np.min_scalar_type(mask)
+    # numpy 1.24 casts by value: every operand is an array or a ``dtype`` scalar.
+    h = np.full(len(starts), _FNV_OFFSET & mask, dtype=dtype)
+    prime = dtype.type(_FNV_PRIME & mask)
     # The short tokens longer than j bytes are a suffix of the short ones,
     # so pass j updates one slice.
     for j, a in enumerate(np.searchsorted(lengths[:n_short], np.arange(passes), side="right")):
         h[a:n_short] ^= data[j:][starts[a:n_short]]
         h[a:n_short] *= prime
     for i in range(n_short, len(starts)):
-        h[i] = _fnv1a64(data[starts[i] : starts[i] + lengths[i]].tobytes())
-    h %= np.uint64(dims)
+        h[i] = _fnv1a64(data[starts[i] : starts[i] + lengths[i]].tobytes(), mask)
+    if mask == _U64:
+        h %= np.uint64(dims)
+    else:  # a power of two: the bucket is the low bits, and ``&`` is no division
+        h &= dtype.type(mask)
     cells = rows * dims + h.astype(np.intp)
-    return np.bincount(cells, minlength=len(block) * dims).reshape(len(block), dims)
+    return np.bincount(cells, minlength=len(texts) * dims).reshape(len(texts), dims)
 
 
 def hashed_counts(texts: Sequence[str], dims: int) -> np.ndarray:
@@ -141,13 +174,14 @@ def hashed_counts(texts: Sequence[str], dims: int) -> np.ndarray:
     """
     counts = np.zeros((len(texts), dims), dtype=np.float64)
     if sum(map(len, texts)) < _KERNEL_MIN_CHARS:
+        mask = _hash_mask(dims)
         for row, text in zip(counts, texts):
-            row[:] = np.bincount([_fnv1a64(t) % dims for t in tokenize(text)], minlength=dims)
+            row[:] = np.bincount([_fnv1a64(t, mask) % dims for t in tokenize(text)], minlength=dims)
         return counts
     block, chars = [], 0
     for i, text in enumerate(texts):
-        block.append(_token_bytes(text))
-        chars += len(block[-1])
+        block.append(text)
+        chars += len(text)
         if len(block) == _BLOCK_TEXTS or chars >= _BLOCK_CHARS or i == len(texts) - 1:
             counts[i + 1 - len(block) : i + 1] = _block_counts(block, dims)
             block, chars = [], 0

@@ -136,8 +136,8 @@ def _deviations(
     facts: Iterable[ExtractedFact], truths: Sequence[GroundTruthRecord], warnings: list[str]
 ) -> list[tuple[float, str]]:
     """``(deviation, fact_key)`` of each fact that matches a truth key, in
-    fact order; zero-valued truths are skipped with a warning, which is
-    logged and appended to ``warnings``."""
+    fact order; zero-valued truths are skipped with a warning appended to
+    ``warnings``."""
     truth_map = {t.fact_key: t for t in truths}
     deviations = []
     for fact in facts:
@@ -145,9 +145,9 @@ def _deviations(
         if truth is None:
             continue
         if truth.true_value == 0:
-            warning = f"excluding {fact.fact_key!r} from the deviation mean: truth value is zero"
-            logger.warning("%s", warning)
-            warnings.append(warning)
+            warnings.append(
+                f"excluding {fact.fact_key!r} from the deviation mean: truth value is zero"
+            )
             continue
         deviations.append((fact_deviation(fact, truth), fact.fact_key))
     return deviations
@@ -172,8 +172,13 @@ def compute_id(
     absent, never as a flattering zero. Zero-valued truths are skipped with
     a warning since a percentage against zero has no meaning. A mean too
     large for a float is an error naming the largest deviation's fact.
+    With no report to hold them, the warnings are logged.
     """
-    return _mean_deviation(_deviations(facts, truths, []))
+    warnings: list[str] = []
+    deviations = _deviations(facts, truths, warnings)
+    for warning in warnings:
+        logger.warning("%s", warning)
+    return _mean_deviation(deviations)
 
 
 def compute_ad(total: Quantity, true_footprint: float) -> AccountingDeviation:

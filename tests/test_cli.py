@@ -3,6 +3,7 @@
 import http.server
 import io
 import json
+import logging
 import os
 
 import numpy as np
@@ -656,6 +657,21 @@ class TestBenchAndReport:
         assert report_path.is_file()
         assert csv_path.is_file()
         assert MetricsReport.load(report_path).irr_pct == 100.0
+
+    def test_a_zero_truths_exclusion_is_printed_once(self, benchmark_tree, capsys, caplog):
+        """In the summary's warnings, not also as a log line on stderr."""
+        obj = fixtures.benchmark_obj()
+        next(t for t in obj["truths"] if t["fact_key"] == "natural_gas_use")["true_value"] = 0.0
+        benchmark_tree.benchmark.write_text(json.dumps(obj), encoding="utf-8")
+        argv = ["bench", "--benchmark", str(benchmark_tree.benchmark)]
+        with caplog.at_level(logging.WARNING):
+            assert main([*argv, "--backend", f"mock:{benchmark_tree.mock_perfect}"]) == 0
+        out, err = capsys.readouterr()
+        assert "truth value is zero" not in err
+        assert [m for m in caplog.messages if "truth value is zero" in m] == []
+        warning = "excluding 'natural_gas_use' from the deviation mean: truth value is zero"
+        assert out.count("truth value is zero") == 1
+        assert f"  - {warning}\n" in out
 
     def test_whitespace_only_datasource_is_scored(self, benchmark_tree, tmp_path, capsys):
         # 5,000 spaces hold no chunk, so the questions go out with no datasource.

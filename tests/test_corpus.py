@@ -456,7 +456,7 @@ class TestCatalogUrlFetch:
         ):
             argv = ["ingest", "--source", "url_fetch", "--catalog", str(catalog), url]
             assert main(argv) == 1
-            assert capsys.readouterr().err == f"[ingest] cannot fetch {url}: {reason}\n"
+            assert capsys.readouterr().err == f"[ingest] cannot fetch {url!r}: {reason}\n"
             assert catalog.read_bytes() == before
         assert text_server.requests == []
         assert sleeps == []
@@ -480,7 +480,7 @@ class TestCatalogUrlFetch:
         not joined, which would drop the tab."""
         catalog = Catalog()
         url = f"{text_server.url}{path}"
-        message = f"cannot fetch {url}: redirected to {location}, which is {reason}"
+        message = f"cannot fetch {url!r}: redirected to {location!r}, which is {reason}"
         with pytest.raises(FetchError, match=re.escape(message)):
             catalog.ingest("url_fetch", url)
         assert len(catalog) == 0
@@ -495,7 +495,7 @@ class TestCatalogUrlFetch:
         assert paths == [f"/hop/{n}" for n in range(5, -1, -1)]
         catalog = Catalog()
         url = f"{text_server.url}/hop/6"
-        message = f"cannot fetch {url}: more than 5 redirects"
+        message = f"cannot fetch {url!r}: more than 5 redirects"
         with pytest.raises(FetchError, match=re.escape(message)):
             catalog.ingest("url_fetch", url)
         assert len(catalog) == 0
@@ -504,7 +504,7 @@ class TestCatalogUrlFetch:
 
     def test_a_redirect_without_a_location_is_its_status(self, text_server):
         url = f"{text_server.url}/no-location"
-        with pytest.raises(FetchError, match=re.escape(f"cannot fetch {url}: HTTP 301")):
+        with pytest.raises(FetchError, match=re.escape(f"cannot fetch {url!r}: HTTP 301")):
             Catalog().ingest("url_fetch", url)
 
     def test_urls_on_one_server_share_a_kept_alive_connection(self, text_server):

@@ -63,6 +63,13 @@ class TestTokenHashing:
         assert _fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert _fnv1a64(b"foobar") == 0x85944171F73967E8
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=80), k=st.integers(0, 64))
+    def test_fnv1a64_in_k_bits_is_its_low_k_bits(self, data, k):
+        """XOR and multiplication commute with taking a value mod 2**k."""
+        mask = (1 << k) - 1
+        assert _fnv1a64(data, mask) == _fnv1a64(data) & mask
+
     def test_tokenize_lowercases_and_splits(self):
         assert tokenize("CO2-eq per kWh_3") == [b"co2", b"eq", b"per", b"kwh", b"3"]
 
@@ -357,6 +364,13 @@ _KERNEL_PIECES = st.one_of(
 )
 
 
+# Two texts, each below the kernel's cut and together past it, of distinct
+# tokens of 1 to 80 bytes: buckets spread over every width, and tokens past
+# ``_KERNEL_MAX_TOKEN`` bytes are hashed one at a time.
+_WIDE_ASCII = " ".join(format(i * 2654435761 % 10**12, "x") * (1 + i % 8) for i in range(90))
+_WIDE_UNICODE = " ".join(f"é{i}电{'k' * (i % 70)}" for i in range(90))
+
+
 class TestBlockKernel:
     """``hashed_counts`` on batches that take its block kernel, or just miss it."""
 
@@ -400,6 +414,52 @@ class TestBlockKernel:
         monkeypatch.setattr(embedding, "_block_counts", spy)
         _assert_counts_are_the_oracle(texts, 64)
         assert sizes == blocks
+
+    @pytest.mark.parametrize(
+        "dims, dtype",
+        [
+            (1, np.uint8),
+            (2, np.uint8),
+            (64, np.uint8),
+            (255, np.uint64),
+            (256, np.uint8),
+            (257, np.uint64),
+            (65535, np.uint64),
+            (65536, np.uint16),
+            (65537, np.uint64),
+            (131072, np.uint32),
+        ],
+    )
+    def test_counts_are_the_oracle_at_every_hash_width(self, dims, dtype):
+        """A power of two is hashed in the narrowest dtype that holds its
+        buckets, any other width in uint64; either way, in the block kernel
+        and text by text, every row is the oracle's."""
+        assert np.min_scalar_type(embedding._hash_mask(dims)) == dtype
+        for texts in ([_WIDE_ASCII, _WIDE_ASCII[::-1]], [_WIDE_ASCII, _WIDE_UNICODE]):
+            assert sum(map(len, texts)) >= _KERNEL_MIN_CHARS
+            _assert_counts_are_the_oracle(texts, dims)
+        for text in (_WIDE_ASCII, _WIDE_UNICODE):
+            assert len(text) < _KERNEL_MIN_CHARS
+            _assert_counts_are_the_oracle([text], dims)
+
+    def test_an_ascii_block_is_tokenised_by_one_translate(self, monkeypatch):
+        """An all-ASCII block never tokenises a text on its own; one non-ASCII
+        text sends each text of its block through ``_token_bytes``."""
+        calls = []
+        token_bytes = embedding._token_bytes
+
+        def spy(text):
+            calls.append(text)
+            return token_bytes(text)
+
+        monkeypatch.setattr(embedding, "_token_bytes", spy)
+        ascii_texts = ["Bath\x00RATIO\x1cco2\x1f_kWh_3\x7fbath\tx " * 20] * 8
+        assert sum(map(len, ascii_texts)) >= _KERNEL_MIN_CHARS
+        _assert_counts_are_the_oracle(ascii_texts, 64)
+        assert calls == []
+        mixed = ascii_texts[:7] + ["émission 电池 " * 40]
+        _assert_counts_are_the_oracle(mixed, 64)
+        assert calls == mixed
 
     def test_a_one_megabyte_token_is_the_oracle(self):
         letters = np.random.default_rng(1).integers(ord("a"), ord("z") + 1, 1 << 20, dtype=np.uint8)
