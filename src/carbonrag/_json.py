@@ -17,19 +17,28 @@ Python's and name the file and the JSON path of a bad value, such as
 ``write_json`` writes that dialect: a non-finite number or a lone surrogate
 fails the write, so every file it writes reads back. ``dump_json`` renders
 it.
+
+A framed file, the layout of the catalog and of the index, is one line of
+that JSON, the header, which may end in spaces, then a newline and raw
+bytes, the payload. ``write_framed`` pads the header line so that the
+payload starts at a multiple of 8 bytes, where a reader that maps the file
+finds an array of 8-byte numbers aligned; ``read_framed`` reads any such
+file and checks its header's format declaration.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from collections import Counter
 from pathlib import Path
 from types import GenericAlias
-from typing import Callable, Collection, NoReturn
+from typing import Callable, Collection, Iterable, NoReturn
 
 from ._files import write_file
+from .errors import FormatError
 
 _MISSING = object()
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
@@ -66,6 +75,42 @@ def read_json(path: str | Path, what: str, error_cls: Callable[[str], Exception]
     return parse_json(data, label, error_cls)
 
 
+def read_framed(
+    path: str | Path,
+    what: str,
+    fmt: dict,
+    keys: Collection[str],
+    alloc: Callable[[int], object] | None = None,
+) -> tuple["Node", memoryview]:
+    """The header and the payload of the framed file ``path``, whose header
+    ``declares(fmt, keys)``. Any other file is a ``FormatError`` naming it
+    as ``what``: one that cannot be read, whose first byte is not ``{``,
+    whose header line has no end or is not JSON, or that declares another
+    format. The payload is read into ``alloc(size)``, writable memory such
+    as an aligned array, when given, else into new bytes, and comes back as
+    a read-only view of it."""
+    label = f"{what} {path}"
+    try:
+        with open(path, "rb") as fh:
+            line = fh.readline()
+            size = max(os.fstat(fh.fileno()).st_size - len(line), 0)
+            if alloc is None:
+                payload = memoryview(fh.read(size))
+            else:
+                payload = memoryview(alloc(size))
+                payload = payload[: fh.readinto(payload)]
+    except OSError as exc:
+        raise FormatError(f"cannot load {label}: {exc}") from None
+    if not line.startswith(b"{"):
+        raise FormatError(
+            f"{label}: not a format-{fmt['version']} {what} (its first byte is not '{{')"
+        )
+    if not line.endswith(b"\n"):
+        raise FormatError(f"{label}: the header line has no end")
+    header = parse_json(line, f"{label}: header", FormatError)
+    return header.declares(fmt, keys), payload.toreadonly()
+
+
 def parse_json(data: bytes, label: str, error_cls: Callable[[str], Exception]) -> "Node":
     """The JSON document in the UTF-8 bytes ``data``; errors name it as ``label``."""
     try:
@@ -96,6 +141,23 @@ def write_json(path: str | Path, what: str, obj) -> None:
     ``write_file``: a value that JSON or UTF-8 cannot hold ends in
     ``[save] cannot write <what> <path>: …`` and leaves no file."""
     write_file(path, what, lambda fh: fh.write(dump_json(obj)))
+
+
+def write_framed(path: str | Path, what: str, frame: Callable[[], tuple[object, Iterable]]) -> None:
+    """Write the framed file ``path`` from the header and the payload
+    buffers that ``frame()`` returns: the header as ``dump_json`` renders it
+    on one line, spaces up to a multiple of 8 bytes with the newline, the
+    newline, then the buffers back to back. ``frame`` runs inside
+    ``write_file``, so a value that JSON or UTF-8 cannot hold ends in
+    ``[save] cannot write <what> <path>: …`` and leaves no file."""
+
+    def write(fh) -> None:
+        header, payload = frame()
+        line = dump_json(header, indent=None).encode("utf-8")
+        fh.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
+        fh.writelines(payload)
+
+    write_file(path, what, write, binary=True)
 
 
 def lone_surrogate(value) -> str | None:

@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     index_sub = p_index.add_subparsers(dest="index_command", required=True)
     p = index_sub.add_parser("build", help="chunk a catalog and embed every chunk")
     p.add_argument("--catalog", required=True)
-    p.add_argument("--out", required=True, help="index file (.npz archive) to write")
+    p.add_argument("--out", required=True, help="index file to write (a JSON header line, then the raw float64 rows)")
     p.add_argument("--encoder", default=defaults.encoder)
     p.add_argument("--chunk-size", dest="chunk_size", type=int, default=defaults.chunk_size)
     p.add_argument("--overlap", dest="overlap", type=int, default=defaults.overlap)

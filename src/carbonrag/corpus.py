@@ -4,14 +4,15 @@ Documents hold normalized plain text. Chunk boundaries are a pure function
 of ``(body, chunk_size, overlap)``, so the catalog persists documents only
 and chunks are recomputed on load.
 
-A catalog file (format 2) is one line of JSON, the header
+A catalog file (format 2) is a framed file (see ``_json``): one line of
+JSON, the header
 ``{"format": "carbonrag-catalog", "version": 2, "documents": [...]}``, with
 one record per document (``doc_id``, ``title``, ``source``,
 ``industry_tag``, ``fetched_at`` and ``bytes``, its body's UTF-8 length),
-then a newline, then each body's UTF-8 bytes back to back in record order
-and nothing after the last. The bodies are thus neither escaped on save nor
-parsed on load. Only this form is read: a file whose first byte is not
-``{`` is refused as not a format-2 catalog.
+which may end in spaces, then a newline, then each body's UTF-8 bytes back
+to back in record order and nothing after the last. The bodies are thus
+neither escaped on save nor parsed on load. Only this form is read: a file
+whose first byte is not ``{`` is refused as not a format-2 catalog.
 
 Normalization rules (applied once, at ingest, to the body's UTF-8 bytes,
 whatever the script: in UTF-8 the bytes 0x00-0x1F stand only for the C0
@@ -33,9 +34,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from ._files import write_file
 from ._http import fetch
-from ._json import dump_json, parse_json
+from ._json import read_framed, write_framed
 from .errors import ConfigError, EncodingError, FetchError, FormatError, InputError
 
 DEFAULT_CHUNK_SIZE = 1000
@@ -289,7 +289,7 @@ class Catalog:
         leaves no file."""
         docs = list(self._documents.values())
 
-        def write(fh) -> None:
+        def frame() -> tuple[dict, list[bytes]]:
             bodies = [d.body.encode("utf-8") for d in docs]
             records = [
                 {
@@ -302,41 +302,29 @@ class Catalog:
                 }
                 for d, body in zip(docs, bodies)
             ]
-            header = dump_json({**_FORMAT, "documents": records}, indent=None)
-            fh.write(header.encode("utf-8") + b"\n")
-            fh.writelines(bodies)
+            return {**_FORMAT, "documents": records}, bodies
 
-        write_file(path, "catalog", write, binary=True)
+        write_framed(path, "catalog", frame)
 
     @classmethod
     def load(cls, path: str | Path) -> "Catalog":
         """Read a catalog of format 2, the one form ``save`` writes."""
+        header, payload = read_framed(path, "catalog", _FORMAT, ("documents",))
         label = f"catalog {path}"
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise FormatError(f"cannot load {label}: {exc}") from None
-        if not data.startswith(b"{"):
-            raise FormatError(f"{label}: not a format-2 catalog (its first byte is not '{{')")
         catalog = cls()
-        end = data.find(b"\n")
-        if end < 0:
-            raise FormatError(f"{label}: the header line has no end")
-        header = parse_json(data[:end], f"{label}: header", FormatError)
-        records = header.declares(_FORMAT, ("documents",)).at("documents")
-        view, start = memoryview(data), end + 1
-        for rec in records.elements(_FIELDS):
+        start = 0
+        for rec in header.at("documents").elements(_FIELDS):
             size = rec.get("bytes", int)
             if size < 0:
                 raise FormatError(f"{rec.where}.bytes must be >= 0, got {size}")
             end = start + size
-            if end > len(data):
+            if end > len(payload):
                 raise FormatError(
                     f"{label}: the body of {rec.path} needs {size} bytes, "
-                    f"but only {len(data) - start} are left"
+                    f"but only {len(payload) - start} are left"
                 )
             try:
-                body = str(view[start:end], "utf-8")
+                body = str(payload[start:end], "utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(
                     f"{label}: the body of {rec.path} is not valid UTF-8: {exc}"
@@ -354,6 +342,6 @@ class Catalog:
             except InputError as exc:
                 rec.fail(str(exc))
             start = end
-        if start != len(data):
-            raise FormatError(f"{label}: trailing bytes after the last body: {len(data) - start}")
+        if start != len(payload):
+            raise FormatError(f"{label}: trailing bytes after the last body: {len(payload) - start}")
         return catalog

@@ -10,41 +10,46 @@ rank by ascending chunk id, and the result equals a full stable sort cut to
 k. Mathematically equal cosines can still differ by an ulp of rounding, and
 are then ordered by that rounding.
 
-An index file is one uncompressed numpy ``.npz`` archive with two
-entries: ``matrix``, the float64 rows in chunk-id order, and ``manifest``,
-the UTF-8 bytes of a JSON object with the format name and version, the chunk
-ids in row order and the spec of the encoder that built the index, which
-``load`` rebuilds.
-Saving one index twice gives the same bytes. JSON index files are not read.
+An index file (format 3) is a framed file (see ``_json``), as the catalog
+is: one line of JSON, the header
+``{"format": "carbonrag-index", "version": 3, "ids": [...], "encoder": {...}}``,
+with the chunk ids in row order and the spec of the encoder that built the
+index, which ``load`` rebuilds; spaces up to a multiple of 8 bytes; a
+newline; then the rows, ``len(ids) * encoder.dims`` little-endian float64
+values in row (chunk-id) order. ``load`` reads the rows into 64-byte
+aligned memory and uses them there, without a copy. Saving one index twice gives the same bytes. Any other file, such as
+the ``.npz`` archive of format 2, is refused with a hint to rebuild it.
 """
 
 from __future__ import annotations
 
 import operator
-import zipfile
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._files import write_file
-from ._json import dump_json, parse_json
+from ._json import read_framed, write_framed
 from .embedding import encoder_from_json
 from .errors import FormatError, InputError
 
 _NORM_TOLERANCE = 1e-6
 # Below this norm a query's squared components may underflow to zero.
 _TINY_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
-_FORMAT = {"format": "carbonrag-index", "version": 2}
+_FORMAT = {"format": "carbonrag-index", "version": 3}
 _REBUILD = "rebuild it with 'carbonrag index build'"
-_ZIP_MAGIC = b"PK\x03\x04"
-# What np.load and reading its entries raise on a damaged archive: a
-# truncated archive or a bad CRC is a BadZipFile, a missing entry a
-# KeyError, an object array or a cut .npy entry a ValueError, a corrupt
-# deflated entry a zlib.error.
-_READ_ERRORS = (OSError, KeyError, ValueError, zipfile.BadZipFile, zlib.error)
+
+
+def _aligned(size: int) -> np.ndarray:
+    """``size`` bytes of new memory that start at a multiple of 64, for
+    the rows ``load`` reads, whatever their offset in the file. The matrix
+    product of ``top_k`` over 3,100 rows of 64 dims ran about 6 % slower on
+    rows that did not start at a multiple of 32 bytes, and 4.6 times slower
+    on rows not at a multiple of 8."""
+    raw = np.empty(size + 63, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + size]
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,42 +176,30 @@ class VectorIndex:
         ]
 
     def save(self, path: str | Path) -> None:
+        """Write the index in format 3 (see the module docstring)."""
         if self.encoder is None:
             raise InputError("cannot save an index without the encoder that built it")
         meta = {**_FORMAT, "ids": self._ids, "encoder": self.encoder.spec}
-
-        def write(fh):  # rendered here, so what JSON or UTF-8 cannot hold ends in [save]
-            manifest = np.frombuffer(dump_json(meta, indent=None).encode("utf-8"), dtype=np.uint8)
-            # Given a name rather than a file, np.savez would append ".npz" to it.
-            np.savez(fh, matrix=self._matrix, manifest=manifest)
-
-        write_file(path, "index", write, binary=True)
+        # A matrix kept as the caller gave it may be strided or big-endian.
+        rows = np.ascontiguousarray(self._matrix, dtype="<f8")
+        write_framed(path, "index", lambda: (meta, [rows]))
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorIndex":
-        path = Path(path)
         try:
-            with open(path, "rb") as fh:
-                if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
-                    raise FormatError(f"index {path} is not a binary index; {_REBUILD}")
-                fh.seek(0)
-                with np.load(fh, allow_pickle=False) as archive:
-                    matrix, manifest = archive["matrix"], archive["manifest"]
-        except _READ_ERRORS as exc:
-            raise FormatError(f"cannot load index {path}: {exc}") from None
-        # An entry that is not a .npy array comes back as raw bytes.
-        if not isinstance(matrix, np.ndarray) or matrix.dtype != np.float64:
-            raise FormatError(f"index {path}: matrix is not a float64 array")
-        # A version-1 manifest is a numpy unicode string.
-        if not isinstance(manifest, np.ndarray) or manifest.dtype != np.uint8 or manifest.ndim != 1:
-            raise FormatError(
-                f"index {path}: manifest is not UTF-8 bytes, as in version 2; {_REBUILD}"
-            )
-        meta = parse_json(manifest.tobytes(), f"index {path} manifest", FormatError)
-        ids = meta.declares(_FORMAT, ("ids", "encoder")).get("ids", list)
+            meta, payload = read_framed(path, "index", _FORMAT, ("ids", "encoder"), _aligned)
+        except FormatError as exc:
+            raise FormatError(f"{exc}; {_REBUILD}") from None
+        ids = meta.get("ids", list)
         encoder = encoder_from_json(meta.at("encoder"))
-        # Stored vectors are kept without re-normalization, so save/load
-        # round-trips bit-exactly.
+        size = len(ids) * encoder.dims * 8
+        if len(payload) != size:
+            raise FormatError(
+                f"index {path}: {len(ids)} rows of {encoder.dims} float64 values need "
+                f"{size} bytes after the header, got {len(payload)}"
+            )
+        # A view of the bytes read, so save/load round-trips bit-exactly.
+        matrix = np.frombuffer(payload, "<f8").reshape(len(ids), encoder.dims)
         try:
             return cls(ids, matrix, encoder=encoder)
         except InputError as exc:

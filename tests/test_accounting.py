@@ -68,6 +68,10 @@ class TestUnitConversion:
         with pytest.raises(UnitError, match="furlong"):
             _convert(1, "furlong", "km")
 
+    def test_unknown_target_unit_is_an_error(self):
+        with pytest.raises(UnitError, match=r"^unknown unit 'furlong' \(converting from 'km'\)$"):
+            _convert(1, "km", "furlong")
+
 
 class TestInventoryValidation:
     def test_negative_quantity_rejected(self):

@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import os
+import re
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ class TestIndexBuild:
         assert len(VectorIndex.load(large)) < len(VectorIndex.load(small))
 
     def test_bad_chunking_fails_before_the_catalog_is_read(self, tmp_path, capsys):
-        catalog, out = tmp_path / "catalog.json", tmp_path / "index.npz"
+        catalog, out = tmp_path / "catalog.json", tmp_path / "corpus.index"
         catalog.write_text("[]", encoding="utf-8")
         for flags in (["--chunk-size", "5", "--overlap", "10"], ["--overlap", "-1"]):
             for path in (catalog, tmp_path / "missing.json"):
@@ -235,7 +236,7 @@ class TestIndexBuild:
                 assert not out.exists()
 
     def test_a_lexical_width_past_the_kernel_is_a_config_error(self, tmp_path, capsys):
-        catalog, out = tmp_path / "catalog.json", tmp_path / "index.npz"
+        catalog, out = tmp_path / "catalog.json", tmp_path / "corpus.index"
         Catalog().save(catalog)
         argv = ["index", "build", "--catalog", str(catalog), "--out", str(out)]
         assert main([*argv, "--encoder", "lexical:99999999999999999999"]) == 1
@@ -252,7 +253,7 @@ class TestIndexBuild:
         padded = tmp_path / "padded.txt"
         padded.write_text(body[:1500] + " " * 2500 + body[1500:], encoding="utf-8")
         for payload, source, kept in ((str(padded), "local_file", 12), ("   ", "raw_text", 0)):
-            catalog, index = tmp_path / f"{source}.json", tmp_path / f"{source}.npz"
+            catalog, index = tmp_path / f"{source}.json", tmp_path / f"{source}.index"
             assert main(["ingest", "--source", source, "--catalog", str(catalog), payload]) == 0
             assert main(["index", "build", "--catalog", str(catalog), "--out", str(index)]) == 0
             assert f"indexed {kept} chunks from 1 documents" in capsys.readouterr().out
@@ -320,6 +321,33 @@ class TestQuery:
         assert "[1] " in out
         assert "electricity_use = 13500 kWh  (sources: 1)" in out
 
+    def test_notes_warnings_and_an_answer_without_facts_are_printed(
+        self, pipeline_files, tmp_path, capsys
+    ):
+        """A fragment dropped to fit the prompt budget is a note on stderr, an
+        answer that yields no fact prints "no facts extracted", and each parse
+        warning is a line on stderr."""
+        script = tmp_path / "answers.json"
+        unitless = {"facts": [{"key": "electricity_use", "value": 13500}]}
+        for answer, warnings in (
+            ({"facts": []}, []),
+            (unitless, ["warning: missing_unit: key 'electricity_use' has no unit"]),
+        ):
+            script.write_text(json.dumps({_QUESTION: json.dumps(answer)}), encoding="utf-8")
+            argv = ["query", _QUESTION, "--catalog", str(pipeline_files["catalog"])]
+            argv += ["--index", str(pipeline_files["index"]), "--backend", f"mock:{script}"]
+            assert main([*argv, "--prompt-budget", "2500"]) == 0
+            captured = capsys.readouterr()
+            assert captured.out.endswith("\nno facts extracted\n")
+            lines = captured.err.splitlines()
+            notes = [line for line in lines if line.startswith("note: ")]
+            assert notes and lines == notes + warnings
+            assert all(
+                re.fullmatch(r"note: dropped fragment \S+ \(similarity [0-9.]+\) to fit budget 2500", n)
+                for n in notes
+            ), notes
+            assert len(notes) < 5  # the budget keeps some of the k = 5 fragments
+
     def test_long_datasource_without_an_index_is_a_config_error(self, pipeline_files, capsys):
         code = main(
             [
@@ -364,14 +392,14 @@ class TestQuery:
     ):
         """A short catalog inlines its documents, so its index would be loaded
         and ignored: refused before the index is read or a line is."""
-        catalog, index = tmp_path / "short.json", tmp_path / "short.npz"
+        catalog, index = tmp_path / "short.json", tmp_path / "short.index"
         main(["ingest", "--source", "raw_text", "--catalog", str(catalog), "21 characters of text"])
         main(["index", "build", "--catalog", str(catalog), "--out", str(index)])
         capsys.readouterr()
         stdin = io.StringIO(f"{_QUESTION}\n")
         monkeypatch.setattr("sys.stdin", stdin)
         argv = ["query", "--catalog", str(catalog), "--backend", f"mock:{pipeline_files['script']}"]
-        for given in (["--index", str(index)], ["--index", str(tmp_path / "absent.npz")]):
+        for given in (["--index", str(index)], ["--index", str(tmp_path / "absent.index")]):
             for question in ([_QUESTION], ["--interactive"]):
                 assert main([*argv, *given, *question]) == 1
                 captured = capsys.readouterr()
@@ -408,16 +436,16 @@ class TestQuery:
     def test_json_index_reports_the_load_stage(self, pipeline_files, tmp_path, capsys):
         old = tmp_path / "old-index.json"
         old.write_text('{"dims": 2, "entries": []}\n', encoding="utf-8")
-        # Version 1 stored the manifest as a numpy unicode string, and a
-        # tower only as a digest of its matrix.
+        # Version 1 stored the manifest in an .npz archive as a numpy unicode
+        # string, and a tower only as a digest of its matrix.
         v1 = tmp_path / "v1-index.npz"
         manifest = {"format": "carbonrag-index", "version": 1, "ids": ["c:0"],
                     "encoder": {"kind": "lexical_baseline", "dims": 2, "seed": 0}}
         with open(v1, "wb") as fh:
             np.savez(fh, matrix=np.eye(1, 2), manifest=np.array(json.dumps(manifest)))
         for index, problem in (
-            (old, f"index {old} is not a binary index"),
-            (v1, f"index {v1}: manifest is not UTF-8 bytes, as in version 2"),
+            (old, f"index {old}: header does not declare {{'format': 'carbonrag-index', 'version': 3}}"),
+            (v1, f"index {v1}: not a format-3 index (its first byte is not '{{')"),
         ):
             code = main(
                 [
@@ -446,7 +474,7 @@ class TestQuery:
                     "--catalog",
                     str(pipeline_files["catalog"]),
                     "--index",
-                    str(tmp_path / "absent.npz"),
+                    str(tmp_path / "absent.index"),
                     "--backend",
                     f"mock:{pipeline_files['script']}",
                 ]
@@ -461,7 +489,7 @@ class TestQuery:
         config.write_text(json.dumps({"index_path": str(pipeline_files["index"])}), encoding="utf-8")
         for index in (
             ["--index", str(pipeline_files["index"])],
-            ["--index", str(tmp_path / "absent.npz")],
+            ["--index", str(tmp_path / "absent.index")],
             ["--config", str(config)],
         ):
             code = main(["query", _QUESTION, *index, "--backend", f"mock:{pipeline_files['script']}"])
@@ -486,7 +514,7 @@ class TestQuery:
                 "--catalog",
                 str(pipeline_files["catalog"]),
                 "--index",
-                str(tmp_path / "absent.npz"),
+                str(tmp_path / "absent.index"),
                 "--backend",
                 f"mock:{pipeline_files['script']}",
             ]
@@ -903,7 +931,7 @@ class TestBenchAndReport:
             # keys the command has no flag for would be silently ignored
             (query, {"chunk_size": 500, "overlap": 100}, "query does not read chunk_size, overlap"),
             (query, {"report_out": "r.json", "benchmark_path": "b.json"}, "query does not read benchmark_path, report_out"),
-            (bench, {"index_path": "/nonexistent/i.npz"}, "bench does not read index_path"),
+            (bench, {"index_path": "/nonexistent/i.index"}, "bench does not read index_path"),
             (bench, {"catalog_path": "c.json", "k": 3}, "bench does not read catalog_path"),
             # query embeds with the encoder its index was built with
             (query, {"encoder": "lexical"}, "query does not read encoder"),
@@ -995,11 +1023,11 @@ class TestOneStagePerFailure:
         server = http_server(_BadEmbeddingReply)
         url = f"http://127.0.0.1:{server.server_address[1]}/embed"
         # query embeds the question with the encoder the index was built with
-        index = tmp_path / "remote.npz"
+        index = tmp_path / "remote.index"
         VectorIndex(["c:0"], np.eye(1, 64), encoder=RemoteEncoder(url)).save(index)
         catalog = str(pipeline_files["catalog"])
         for argv in (
-            ["index", "build", "--catalog", catalog, "--out", str(tmp_path / "i.npz"),
+            ["index", "build", "--catalog", catalog, "--out", str(tmp_path / "i.index"),
              "--encoder", f"remote:{url}"],
             ["query", _QUESTION, "--catalog", catalog, "--index", str(index),
              "--backend", f"mock:{pipeline_files['script']}"],
@@ -1086,7 +1114,7 @@ class TestOneStagePerFailure:
             "bad_csv": bad_csv,
             "bad_csv_benchmark": bad_csv_benchmark,
             "facts": facts,
-            "out": tmp_path / "out.npz",
+            "out": tmp_path / "out.index",
         }
         for argv in (first, second):
             assert main([arg.format(**paths) for arg in argv]) == 1, argv
@@ -1151,7 +1179,7 @@ class TestUnwritableFiles:
             (["bench", "--backend", "mock:{script}", "--out", "{missing}/r.json"], "report", "{missing}/r.json"),
             (["bench", "--backend", "mock:{script}", "--csv", "{missing}/f.csv"], "per-fact CSV", "{missing}/f.csv"),
             (["bench", "--backend", "mock:{script}", "--out", "{directory}"], "report", "{directory}"),
-            (["index", "build", "--catalog", "{catalog}", "--out", "{missing}/i.npz"], "index", "{missing}/i.npz"),
+            (["index", "build", "--catalog", "{catalog}", "--out", "{missing}/i.index"], "index", "{missing}/i.index"),
             (["account", "--facts", "{facts}", "--factors", "{factors}", "--out", "{missing}/o.json"], "footprint", "{missing}/o.json"),
             (["account", "--facts", "{facts}", "--factors", "{factors}", "--csv", "{missing}/o.csv"], "footprint CSV", "{missing}/o.csv"),
             (["train-encoder", "--pairs", "{pairs}", "--out", "{missing}/e.json"], "encoder", "{missing}/e.json"),
@@ -1163,7 +1191,7 @@ class TestUnwritableFiles:
             (["account", "--facts", "{facts}", "--factors", "{factors}", "--out", ""], "footprint", "''"),
             (["account", "--facts", "{facts}", "--factors", "{factors}", "--csv", ""], "footprint CSV", "''"),
             # a lone surrogate, as a non-UTF-8 argv byte gives, is text no reader takes back
-            (["index", "build", "--catalog", "{empty}", "--out", "{here}/i.npz", "--encoder", "remote:http://127.0.0.1:9/\udcff"], "index", "{here}/i.npz"),
+            (["index", "build", "--catalog", "{empty}", "--out", "{here}/i.index", "--encoder", "remote:http://127.0.0.1:9/\udcff"], "index", "{here}/i.index"),
             (["bench", "--backend", "mock:{odd_script}", "--out", "{here}/r.json"], "report", "{here}/r.json"),
         ],
         ids=[

@@ -539,6 +539,12 @@ class TestCatalogPersistence:
         loaded = Catalog.load(path)
         assert loaded.documents == aluminum_catalog.documents
 
+    def test_load_of_a_missing_file_is_a_load_error(self, tmp_path):
+        path = tmp_path / "absent.catalog"
+        with pytest.raises(FormatError, match=f"^cannot load catalog {re.escape(str(path))}: ") as err:
+            Catalog.load(path)
+        assert err.value.stage_name == "load"
+
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -605,8 +611,11 @@ class TestCatalogPersistence:
             {"doc_id": "b", "title": "u", "source": "raw_text", "industry_tag": None,
              "fetched_at": "2027", "bytes": 0},
         ]
-        header = json.dumps({**_V2, "documents": records}, ensure_ascii=False)
-        assert path.read_bytes() == f"{header}\nx\n\"\u00e9".encode()
+        header = json.dumps({**_V2, "documents": records}, ensure_ascii=False).encode()
+        # Spaces pad the header line to a multiple of 8 bytes with its newline.
+        padding = b" " * (-(len(header) + 1) % 8)
+        assert (len(header) + len(padding) + 1) % 8 == 0
+        assert path.read_bytes() == header + padding + "\nx\n\"\u00e9".encode()
 
     def test_save_refuses_a_lone_surrogate_and_leaves_no_file(self, tmp_path):
         catalog = Catalog()

@@ -2,6 +2,7 @@
 
 import http.server
 import json
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -609,6 +610,7 @@ class TestEncoderPersistence:
             ({**tower, "matrix": [[1.0, True]]}, r"matrix\[0\]\[1\] must be a number, got True"),
             ({**tower, "matrix": [[]]}, "non-empty"),
             ({**tower, "dims": 2, "matrix": [[1.0], []]}, "matrix: "),
+            ({**tower, "dims": 2}, r"enc.json: matrix shape \(1, 2\) does not match dims 2$"),
         ):
             path.write_text(json.dumps(obj), encoding="utf-8")
             with pytest.raises(FormatError, match=message):
@@ -627,6 +629,13 @@ class TestEncoderPersistence:
 
     def test_spec_lexical_with_dims(self):
         assert encoder_from_spec("lexical:16").dims == 16
+
+    def test_bad_specs_are_config_errors(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^bad lexical encoder spec 'lexical:abc'$"):
+            encoder_from_spec("lexical:abc")
+        absent = str(tmp_path / "absent.json")
+        with pytest.raises(ConfigError, match=rf"^unknown encoder spec '{re.escape(absent)}' \(expected"):
+            encoder_from_spec(absent)
 
     def test_spec_remote(self):
         enc = encoder_from_spec("remote:http://localhost:9/embed")

@@ -261,7 +261,7 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
                 "cookie": self.headers.get("Cookie"),
             }
         )
-        if self.path == "/chat":
+        if self.path.partition("?")[0] == "/chat":
             self._send(
                 200,
                 {
@@ -352,6 +352,13 @@ class TestRemoteChat:
         assert body["model"] == "cfa-1"
         assert body["temperature"] == 0
         assert body["messages"] == [{"role": "user", "content": prompt.rendered}]
+
+    def test_an_endpoint_query_is_sent_on_the_request_line(self, chat_server):
+        """The query of an endpoint URL, such as an API version, goes out
+        after its path; a space in it is percent-encoded."""
+        backend = RemoteChatBackend(_url(chat_server, "/chat?api-version=2024-06-01&tag=a b"))
+        assert backend.generate(_prompt()).text == _ANSWER
+        assert chat_server.requests[-1]["path"] == "/chat?api-version=2024-06-01&tag=a%20b"
 
     def test_bearer_token_from_environment(self, chat_server, monkeypatch):
         monkeypatch.setenv("GENERATION_API_KEY", "sk-chat")

@@ -4,8 +4,8 @@
 returns each output under the name of its file in ``tests/golden``. A change
 that alters an output on purpose regenerates them by writing each returned
 text to that file. Reports leave out ``generated_at`` and the config keys
-that hold a path; the index is pinned by its manifest (chunk ids and encoder
-spec), not by its matrix bytes, whose last bits depend on the BLAS build.
+that hold a path; the index is pinned by its header line (chunk ids and
+encoder spec), not by its row bytes, whose last bits depend on the BLAS build.
 The catalog is pinned as the bytes ``ingest`` wrote (``corpus.catalog``, format
 2), each ``fetched_at`` masked, so it also pins the JSON writer's own output.
 Every file here is an output.
@@ -14,8 +14,6 @@ Every file here is an output.
 import json
 import re
 from pathlib import Path
-
-import numpy as np
 
 import fixtures
 from carbonrag.cli import main
@@ -43,15 +41,14 @@ def _fixture_outputs(work: Path, capsys) -> dict[str, str]:
         outputs[f"bench_{name}.json"] = _report_text(report)
         outputs[f"per_fact_{name}.csv"] = csv.read_text(encoding="utf-8")
 
-    catalog, index = work / "corpus.catalog", work / "index.npz"
+    catalog, index = work / "corpus.catalog", work / "corpus.index"
     for doc_id, title, body in fixtures.CORPUS_DOCS:
         ingest = ["ingest", "--source", "raw_text", "--doc-id", doc_id, "--title", title]
         assert main([*ingest, "--catalog", str(catalog), body]) == 0
     masked = _FETCHED_AT_RE.sub(rb'\1"<fetched_at>"', catalog.read_bytes())
     outputs["corpus.catalog"] = masked.decode("utf-8")
     assert main(["index", "build", "--catalog", str(catalog), "--out", str(index)]) == 0
-    with np.load(index, allow_pickle=False) as archive:
-        manifest = json.loads(archive["manifest"].tobytes())
+    manifest = json.loads(index.read_bytes().split(b"\n", 1)[0])
     outputs["index_manifest.json"] = json.dumps(manifest, indent=2) + "\n"
 
     question = fixtures.QUERIES[0]["query_text"]

@@ -127,21 +127,20 @@ _REPORT = {
 }
 _MANIFEST = {
     "format": "carbonrag-index",
-    "version": 2,
+    "version": 3,
     "ids": ["d:00000000-00000005"],
     "encoder": {"kind": "lexical_baseline", "dims": 2},
 }
 
 
 def _load_index(path, data):
-    """An archive holding the UTF-8 of ``data`` as its manifest when ``data``
-    is a string; ``data`` itself as the file when it is bytes."""
-    if isinstance(data, bytes):
-        path.write_bytes(data)
-    else:
-        manifest = np.frombuffer(data.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-        with open(path, "wb") as fh:
-            np.savez(fh, matrix=np.array([[1.0, 0.0]]), manifest=manifest)
+    """A format-3 index whose header line is the UTF-8 of ``data``, followed
+    by one row of two float64 values, when ``data`` is a string; ``data``
+    itself as the file when it is bytes."""
+    if not isinstance(data, bytes):
+        row = np.array([[1.0, 0.0]], dtype="<f8").tobytes()
+        data = data.encode("utf-8", "surrogatepass") + b"\n" + row
+    path.write_bytes(data)
     return VectorIndex.load(path)
 
 

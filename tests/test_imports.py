@@ -1,10 +1,12 @@
-"""Each command imports only what it uses, and no command needs ``requests``.
+"""Each command imports only what it uses.
 
 numpy is loaded only by the modules that compute with it (``embedding`` and
 ``index``), and ``http.client`` only by the first request sent, which is
-the one HTTP client: nothing loads ``urllib.request``. The commands
-here run in a fresh interpreter, so what the test process has imported does
-not count. ``requests`` is blocked in them: a run that loaded it would fail.
+the one HTTP client: nothing loads ``urllib.request``, and no command needs
+``requests``. The commands here run in a fresh interpreter, so what the
+test process has imported does not count. A command that sends no request
+runs with ``http.client`` blocked, and one that embeds nothing with numpy
+blocked too: a run that loaded either would fail.
 """
 
 import http.server
@@ -29,7 +31,7 @@ from carbonrag.embedding import LexicalEncoder
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # Setting a module to None in sys.modules makes importing it fail.
-_BLOCK = "sys.modules['numpy'] = sys.modules['requests'] = None; "
+_BLOCK = "sys.modules['numpy'] = sys.modules['http.client'] = None; "
 _RUN_CLI = "from carbonrag.cli import main; sys.exit(main(sys.argv[1:]))"
 _RUN_CLI_AND_LIST = (
     "import sys; from carbonrag.cli import main; code = main(sys.argv[1:]); "
@@ -95,7 +97,7 @@ def test_a_name_the_package_does_not_export_is_an_attribute_error():
         carbonrag.nope  # noqa: B018
 
 
-def test_commands_that_do_not_embed_run_without_numpy_or_requests(command_inputs, tmp_path):
+def test_commands_that_do_not_embed_run_without_numpy_or_http_client(command_inputs, tmp_path):
     """Blocked and unblocked runs print the same; each gets its own copy of
     the inputs, since ``ingest`` writes its catalog."""
     docs = sorted(f"docs/{path.name}" for path in (command_inputs / "docs").iterdir())
@@ -148,7 +150,7 @@ def test_a_mock_backend_query_never_loads_requests(tmp_path):
 def test_ingest_loads_only_the_catalog_code(tmp_path):
     code = (
         "import sys; " + _BLOCK + "from carbonrag.cli import main; code = main(sys.argv[1:]); "
-        f"print(*[m for m in {_NOT_FOR_INGEST!r} if m in sys.modules]); sys.exit(code)"
+        f"print(*[m for m in {_NOT_FOR_INGEST!r} if sys.modules.get(m)]); sys.exit(code)"
     )
     argv = ["ingest", "--source", "raw_text", "--catalog", "corpus.catalog", "Gas was 600 kWh."]
     result = _python(code, *argv, cwd=tmp_path)
@@ -181,7 +183,8 @@ def test_url_fetch_ingest_loads_http_client_and_not_urllib_request(http_server, 
     open at exit would print a ``ResourceWarning``."""
     url = f"http://127.0.0.1:{http_server(_TextHandler).server_address[1]}"
     code = (
-        "import sys; " + _BLOCK + "from carbonrag.cli import main; code = main(sys.argv[1:]); "
+        "import sys; sys.modules['numpy'] = None; "
+        "from carbonrag.cli import main; code = main(sys.argv[1:]); "
         "print(*[m for m in ('http.client', 'urllib.request') if m in sys.modules]); "
         "sys.exit(code)"
     )

@@ -1,9 +1,8 @@
 """Exact retrieval: oracle equivalence, tie-breaks, and persistence."""
 
 import json
-import struct
+import re
 import time
-import zipfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -207,32 +206,35 @@ class TestValidation:
         assert index.top_k(np.array([1.0, 0.0, 0.0]), k=1)[0].chunk_id == "c:0"
 
 
-def _manifest(ids, **fields):
+def _header(ids, **fields):
     return json.dumps(
-        {"format": "carbonrag-index", "version": 2, "ids": ids, "encoder": _SPEC, **fields}
+        {"format": "carbonrag-index", "version": 3, "ids": ids, "encoder": _SPEC, **fields}
     )
 
 
-def _utf8(text):
-    """A manifest entry as an index file stores it: the UTF-8 bytes of ``text``."""
-    return np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+def _write_index(path, ids, matrix, header=None):
+    """A format-3 index written by hand: ``header`` (by default one that
+    declares ``ids``), a newline, then the bytes of ``matrix`` as given.
+    The header is not padded, so the rows may start at any offset."""
+    header = _header(ids) if header is None else header
+    raw = header.encode("utf-8", "surrogatepass") + b"\n" + np.asarray(matrix).tobytes()
+    path.write_bytes(raw)
 
 
-def _write_archive(path, **entries):
-    """An ``.npz`` holding ``entries`` as given, whatever their type."""
-    with open(path, "wb") as fh:
-        np.savez(fh, **entries)
+def _assert_same_rows(loaded, index):
+    assert [e.chunk_id for e in loaded.entries()] == [e.chunk_id for e in index.entries()]
+    for before, after in zip(index.entries(), loaded.entries()):
+        assert after.vector.tobytes() == before.vector.tobytes()
 
 
-def _write_index(path, ids, matrix):
-    _write_archive(path, matrix=np.asarray(matrix), manifest=_utf8(_manifest(ids)))
+_REBUILD = "; rebuild it with 'carbonrag index build'$"
 
 
 class TestPersistence:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(25)
         index = _random_index(rng, 40, 8)
-        path = tmp_path / "index.json"
+        path = tmp_path / "corpus.index"
         index.save(path)
         loaded = VectorIndex.load(path)
         assert len(loaded) == len(index)
@@ -243,12 +245,65 @@ class TestPersistence:
     def test_round_trip_preserves_rankings(self, tmp_path):
         rng = np.random.default_rng(26)
         index = _random_index(rng, 60, 12)
-        path = tmp_path / "index.json"
+        path = tmp_path / "corpus.index"
         index.save(path)
         loaded = VectorIndex.load(path)
         for _ in range(10):
             query = rng.normal(size=12)
             assert index.top_k(query, k=8) == loaded.top_k(query, k=8)
+
+    def test_zero_rows_and_a_strided_matrix_round_trip(self, tmp_path):
+        """A matrix the constructor kept as given, such as every other row
+        of one, is written as its rows, not as the buffer it views."""
+        strided = np.eye(4)[::2]
+        assert not strided.flags.c_contiguous
+        for index in (
+            VectorIndex([], np.empty((0, 4)), encoder=LexicalEncoder(dims=4)),
+            VectorIndex(["c:0", "c:1"], strided, encoder=LexicalEncoder(dims=4)),
+        ):
+            path = tmp_path / f"{len(index)}.index"
+            index.save(path)
+            loaded = VectorIndex.load(path)
+            assert (len(loaded), loaded.dims) == (len(index), 4)
+            _assert_same_rows(loaded, index)
+            loaded.save(tmp_path / "again.index")
+            assert (tmp_path / "again.index").read_bytes() == path.read_bytes()
+
+    def test_save_writes_the_padded_header_line_then_the_raw_rows(self, tmp_path):
+        """The header line ends in spaces up to a multiple of 8 bytes with its
+        newline, so the little-endian rows after it start 8-byte aligned."""
+        for n in range(1, 10):
+            ids = [f"c:{i:0{n}d}" for i in range(n)]
+            index = VectorIndex(ids, np.eye(n, 9), encoder=LexicalEncoder(dims=9))
+            path = tmp_path / "corpus.index"
+            index.save(path)
+            spec = LexicalEncoder(dims=9).spec
+            header = json.dumps({"format": "carbonrag-index", "version": 3, "ids": ids, "encoder": spec}).encode()
+            padding = b" " * (-(len(header) + 1) % 8)
+            assert path.read_bytes() == header + padding + b"\n" + np.eye(n, 9).astype("<f8").tobytes()
+            assert (len(header) + len(padding) + 1) % 8 == 0
+
+    def test_a_loaded_matrix_is_aligned_and_nothing_can_write_to_it(self, tmp_path):
+        """The rows are a read-only view of the bytes read, which start at a
+        multiple of 64 in memory, also when a hand-made header leaves them at
+        an odd offset in the file."""
+        path = tmp_path / "corpus.index"
+        _random_index(np.random.default_rng(29), 5, 2).save(path)
+        rows = np.array([[0.6, 0.8], [1.0, 0.0]])
+        header = _header(["c:0", "c:1"])
+        pad = next(pad for pad in range(8) if (len(header) + pad + 1) % 8)  # unaligned rows
+        _write_index(tmp_path / "odd.index", ["c:0", "c:1"], rows, header + " " * pad)
+        for file in (path, tmp_path / "odd.index"):
+            loaded = VectorIndex.load(file)
+            assert next(iter(loaded.entries())).vector.ctypes.data % 64 == 0
+            for entry in loaded.entries():
+                vector = entry.vector
+                assert vector.flags.aligned and not vector.flags.writeable
+                # Nothing that shares its memory can be made writable again.
+                with pytest.raises(ValueError):
+                    vector.flags.writeable = True
+        loaded = VectorIndex.load(tmp_path / "odd.index")
+        assert [e.vector.tolist() for e in loaded.entries()] == rows.tolist()
 
     def test_save_writes_exactly_the_given_path(self, tmp_path):
         index = _random_index(np.random.default_rng(27), 3, 4)
@@ -263,7 +318,7 @@ class TestPersistence:
             LexicalEncoder(dims=16),
         )
         index.save(tmp_path / "a")
-        # A save a day later: no clock reading may reach the archive.
+        # A save a day later: no clock reading may reach the file.
         later = time.time() + 86_400
         localtime = time.localtime
         monkeypatch.setattr(time, "time", lambda: later)
@@ -279,8 +334,8 @@ class TestPersistence:
     def test_non_ascii_ids_round_trip_exactly(self, tmp_path):
         ids = ["électricité:0", "电池:00000000-00000010", "c\x00", "c:0\x00\x00", "\U0001f600", "CO₂"]
         index = VectorIndex(ids, np.eye(len(ids)), encoder=LexicalEncoder(dims=len(ids)))
-        index.save(tmp_path / "index.json")
-        loaded = VectorIndex.load(tmp_path / "index.json")
+        index.save(tmp_path / "corpus.index")
+        loaded = VectorIndex.load(tmp_path / "corpus.index")
         assert [e.chunk_id for e in loaded.entries()] == sorted(ids)
         for i, chunk_id in enumerate(ids):
             assert loaded.top_k(np.eye(len(ids))[i], k=1)[0].chunk_id == chunk_id
@@ -292,16 +347,15 @@ class TestPersistence:
         for encoder in (LexicalEncoder(dims=16), tower):
             index = build_index(chunks, encoder)
             assert index.encoder is encoder
-            index.save(tmp_path / "index.npz")
-            loaded = VectorIndex.load(tmp_path / "index.npz").encoder
+            index.save(tmp_path / "corpus.index")
+            loaded = VectorIndex.load(tmp_path / "corpus.index").encoder
             assert type(loaded) is type(encoder) and loaded.spec == encoder.spec
             texts = ["anode carbon", "potline power use"]
             np.testing.assert_array_equal(loaded.embed_batch(texts), encoder.embed_batch(texts))
-        with np.load(tmp_path / "index.npz") as archive:
-            manifest = json.loads(archive["manifest"].tobytes())
-        assert manifest["encoder"] == {"kind": "toy_dual_tower", "dims": 8, "matrix": tower.matrix.tolist()}
+        header = json.loads((tmp_path / "corpus.index").read_bytes().split(b"\n", 1)[0])
+        assert header["encoder"] == {"kind": "toy_dual_tower", "dims": 8, "matrix": tower.matrix.tolist()}
 
-    def test_what_the_manifest_cannot_hold_is_a_save_error(self, tmp_path):
+    def test_what_the_header_cannot_hold_is_a_save_error(self, tmp_path):
         """A lone surrogate in a chunk id or an encoder endpoint is not text:
         saving fails as [save] and leaves no file, not even a temporary one."""
         e0 = [1.0] + [0.0] * 63
@@ -310,7 +364,7 @@ class TestPersistence:
             (["c:0"], RemoteEncoder("http://127.0.0.1:9/\udcff")),
         ):
             index = VectorIndex(ids, [e0] * len(ids), encoder=encoder)
-            path = tmp_path / "index.npz"
+            path = tmp_path / "corpus.index"
             with pytest.raises(FormatError, match="surrogates not allowed") as err:
                 index.save(path)
             assert err.value.stage == "save"
@@ -322,17 +376,17 @@ class TestPersistence:
         bare = VectorIndex(["c:0"], [[1.0, 0.0]])
         assert bare.top_k(np.array([1.0, 0.0]), k=1)[0].chunk_id == "c:0"
         with pytest.raises(InputError, match="cannot save an index without the encoder"):
-            bare.save(tmp_path / "index.json")
-        assert not (tmp_path / "index.json").exists()
+            bare.save(tmp_path / "corpus.index")
+        assert not (tmp_path / "corpus.index").exists()
 
     def test_load_rejects_duplicate_ids(self, tmp_path):
-        path = tmp_path / "index.json"
+        path = tmp_path / "corpus.index"
         _write_index(path, ["c:0", "c:0"], [[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(FormatError, match="duplicate"):
+        with pytest.raises(FormatError, match="duplicate chunk id 'c:0'"):
             VectorIndex.load(path)
 
     def test_load_rejects_non_unit_vectors(self, tmp_path):
-        path = tmp_path / "index.json"
+        path = tmp_path / "corpus.index"
         for vector, norm in (
             ([3.0, 4.0], "5.0"),
             ([float("nan"), 0.0], "nan"),
@@ -343,18 +397,19 @@ class TestPersistence:
                 VectorIndex.load(path)
 
     def test_load_rejects_wrong_shape(self, tmp_path):
-        path = tmp_path / "index.json"
+        # The shape is the header's: len(ids) rows of encoder.dims values.
+        path = tmp_path / "corpus.index"
         e0 = [1.0, 0.0]
         for ids, matrix, message in (
-            (["c:0"], [e0, e0], r"1 chunk ids need a \(1, dims\) matrix, got shape \(2, 2\)"),
-            (["c:0", "c:1"], [e0], r"2 chunk ids need a \(2, dims\) matrix"),
-            ([], np.empty((0, 0)), r"shape \(0, 0\)"),
-            (["c:0"], np.empty((1, 0)), r"shape \(1, 0\)"),
-            (["c:0"], np.array(e0), r"shape \(2,\)"),
-            (["c:0"], np.ones((1, 1, 1)), r"shape \(1, 1, 1\)"),
-            (["c:0"], np.array([[1, 0]]), "matrix is not a float64 array"),
-            (["c:0"], np.array([[1.0, 0.0]], dtype=np.float32), "matrix is not a float64 array"),
-            (["c:0"], np.array([[True, False]]), "matrix is not a float64 array"),
+            (["c:0"], [e0, e0], "1 rows of 2 float64 values need 16 bytes after the header, got 32$"),
+            (["c:0", "c:1"], [e0], "2 rows of 2 float64 values need 32 bytes after the header, got 16$"),
+            ([], [e0], "0 rows of 2 float64 values need 0 bytes after the header, got 16$"),
+            (["c:0"], np.empty((1, 0)), "need 16 bytes after the header, got 0$"),
+            (["c:0"], np.array([[1.0, 0.0]], dtype=np.float32), "need 16 bytes after the header, got 8$"),
+            (["c:0"], np.frombuffer(np.eye(1, 2).tobytes()[:15], np.uint8), "need 16 bytes after the header, got 15$"),
+            # Any 16 bytes are two float64 values: the integers 1 and 0 read
+            # as 5e-324 and 0, whose norm underflows.
+            (["c:0"], np.array([[1, 0]], dtype=np.int64), r"entry 'c:0' is not unit-norm \(norm 0.0\)"),
             ([["c", 0]], [e0], r"chunk id \['c', 0\]"),
             ([7], [e0], "chunk id 7"),
             (["c:0", None], [e0, e0], "chunk id None"),
@@ -363,132 +418,88 @@ class TestPersistence:
             with pytest.raises(FormatError, match=message):
                 VectorIndex.load(path)
 
-    def test_load_without_dims_rejects_mixed_widths(self, tmp_path):
-        # An archive has no dims field: the width is the matrix's. Rows of
-        # mixed widths can only be stored as an object array, which is
-        # refused without being unpickled, and an archive with no matrix is
-        # refused before its ids are read.
-        path = tmp_path / "index.json"
-        ragged = np.empty(2, dtype=object)
-        ragged[:] = [[1.0, 0.0], [1.0, 0.0, 0.0]]
-        manifest = _utf8(_manifest(["c:0", "c:1"]))
-        _write_archive(path, matrix=ragged, manifest=manifest)
-        with pytest.raises(FormatError, match="Object arrays cannot be loaded"):
-            VectorIndex.load(path)
-        _write_archive(path, manifest=manifest)
-        with pytest.raises(FormatError, match="matrix is not a file in the archive"):
-            VectorIndex.load(path)
-
-    def test_load_rejects_missing_entries(self, tmp_path):
-        path = tmp_path / "index.json"
-        matrix = np.eye(2)
-        manifest = _utf8(_manifest(["c:0", "c:1"]))
-        for entries, missing in (
-            ({"matrix": matrix}, "manifest"),
-            ({"rows": matrix, "manifest": manifest}, "matrix"),
-            ({"arr_0": matrix}, "matrix"),
-        ):
-            _write_archive(path, **entries)
-            with pytest.raises(FormatError, match=f"{missing} is not a file in the archive"):
-                VectorIndex.load(path)
-
     def test_load_rejects_bad_json(self, tmp_path):
-        path = tmp_path / "index.json"
-        for manifest, message in (
-            ("[not json", "manifest is not JSON"),
-            ("[" * 100_000, "manifest is not JSON"),
-            ("[]", "manifest does not declare"),
-            (json.dumps({"format": "carbonrag-index", "version": 1, "ids": []}), "not declare"),
-            (json.dumps({"format": "carbonrag-index", "version": True, "ids": []}), "not declare"),
-            (json.dumps({"ids": []}), "does not declare"),
+        path = tmp_path / "corpus.index"
+        for header, message in (
+            ("{not json", "header is not JSON"),
+            ('{"a": ' + "[" * 100_000, "header is not JSON"),
+            ('{"ids": [], "ids": []}', "header is not JSON: duplicate key 'ids'"),
+            ('{"\ud800": 1}', "header is not JSON: .*codec can't decode"),  # not UTF-8
+            (json.dumps({"format": "carbonrag-index", "version": 2, "ids": []}), "header does not declare"),
+            (json.dumps({"format": "carbonrag-index", "version": True, "ids": []}), "header does not declare"),
+            (json.dumps({"ids": []}), "header does not declare"),
             # A declaration is exact in value and JSON type, as the catalog's is.
-            (_manifest(["c:0"], format="carbonrag-catalog"), "manifest does not declare"),
-            (_manifest(["c:0"], version=1), "manifest does not declare"),
-            (_manifest(["c:0"], version=True), "manifest does not declare"),
-            (_manifest(["c:0"], version="2"), "manifest does not declare"),
-            (_manifest(["c:0"], version=2.0), "manifest does not declare"),
-            (_manifest("c:0"), "manifest: ids must be a list, got 'c:0'"),
-            (_manifest({"c:0": 0}), "manifest: ids must be a list, got {"),
-            (_manifest(None), "manifest: ids must be a list, got None"),
-            (_manifest(["c:0"], encoder="lexical"), "manifest: encoder must be an object, got"),
-            (_manifest(["c:0"], encoder=None), "manifest: encoder must be an object, got None"),
-            (json.dumps({"format": "carbonrag-index", "version": 2, "ids": []}), "missing 'encoder'"),
-            (_manifest(["c\udc00"]), r"manifest holds a lone surrogate '\\udc00'"),
-            ('{"ids": [], "ids": []}', "manifest is not JSON: duplicate key 'ids'"),
-            (_manifest(["c:0"], extra=1), "manifest: unknown keys: extra$"),
-            ('["\ud800"]', "manifest is not JSON: .*codec can't decode"),  # not UTF-8
-            # The encoder record is read as an encoder file is, and must fit the rows.
-            (_manifest(["c:0"], encoder={"kind": "mystery"}), "manifest: encoder: unknown kind 'mystery'"),
-            (_manifest(["c:0"], encoder={**_SPEC, "dims": "2"}), "manifest: encoder.dims must be an integer"),
-            (_manifest(["c:0"], encoder={**_SPEC, "seed": 0}), "manifest: encoder: unknown keys: seed"),
-            (_manifest(["c:0"], encoder={**_SPEC, "dims": 3}), "index .*: encoder has 3 dims, the rows 2"),
+            (_header(["c:0"], format="carbonrag-catalog"), "header does not declare"),
+            (_header(["c:0"], version=2), "header does not declare"),
+            (_header(["c:0"], version=True), "header does not declare"),
+            (_header(["c:0"], version="3"), "header does not declare"),
+            (_header(["c:0"], version=3.0), "header does not declare"),
+            (_header(["c:0"], extra=1), "header: unknown keys: extra"),
         ):
-            _write_archive(path, matrix=np.array([[1.0, 0.0]]), manifest=_utf8(manifest))
-            with pytest.raises(FormatError, match=message):
+            _write_index(path, ["c:0"], [[1.0, 0.0]], header)
+            with pytest.raises(FormatError, match=f"index {re.escape(str(path))}: {message}.*{_REBUILD}"):
+                VectorIndex.load(path)
+        for header, message in (
+            (_header("c:0"), "header: ids must be a list, got 'c:0'"),
+            (_header({"c:0": 0}), "header: ids must be a list, got {"),
+            (_header(None), "header: ids must be a list, got None"),
+            (_header(["c:0"], encoder="lexical"), "header: encoder must be an object, got"),
+            (_header(["c:0"], encoder=None), "header: encoder must be an object, got None"),
+            (json.dumps({"format": "carbonrag-index", "version": 3, "ids": []}), "header is missing 'encoder'"),
+            (_header(["c\udc00"]), r"header holds a lone surrogate '\\udc00'"),
+            # The encoder record is read as an encoder file is, and gives the rows their width.
+            (_header(["c:0"], encoder={"kind": "mystery"}), "header: encoder: unknown kind 'mystery'"),
+            (_header(["c:0"], encoder={**_SPEC, "dims": "2"}), "header: encoder.dims must be an integer"),
+            (_header(["c:0"], encoder={**_SPEC, "seed": 0}), "header: encoder: unknown keys: seed"),
+            (_header(["c:0"], encoder={**_SPEC, "dims": 3}), "1 rows of 3 float64 values need 24 bytes after the header, got 16"),
+        ):
+            _write_index(path, ["c:0"], [[1.0, 0.0]], header)
+            with pytest.raises(FormatError, match=f"index {re.escape(str(path))}: {message}"):
                 VectorIndex.load(path)
 
     def test_json_index_is_refused_with_a_rebuild_hint(self, tmp_path):
-        path = tmp_path / "index.json"
+        """A JSON index from before version 2, on one line or on many, is
+        refused as not format 3, and so are an empty file, a format-2
+        ``.npz`` archive and a ``.npy`` array."""
+        path = tmp_path / "corpus.index"
         old = {"dims": 2, "entries": [{"chunk_id": "c:0", "vector": [1.0, 0.0]}]}
-        for text in (json.dumps(old), "[not json", ""):
-            path.write_text(text, encoding="utf-8")
-            with pytest.raises(
-                FormatError,
-                match=r"is not a binary index; rebuild it with 'carbonrag index build'",
-            ):
+        v2 = {"format": "carbonrag-index", "version": 2, "ids": ["c:0"], "encoder": _SPEC}
+        first_byte = r"not a format-3 index \(its first byte is not '\{'\)"
+        with open(tmp_path / "v2.index", "wb") as fh:
+            np.savez(fh, matrix=np.eye(1, 2), manifest=np.frombuffer(json.dumps(v2).encode(), np.uint8))
+        np.save(tmp_path / "rows.npy", np.eye(2))
+        for data, message in (
+            (b"", first_byte),
+            ((tmp_path / "v2.index").read_bytes(), first_byte),
+            ((tmp_path / "rows.npy").read_bytes(), first_byte),
+            (b"[not json", first_byte),
+            (json.dumps(old).encode(), "the header line has no end"),
+            (json.dumps(old).encode() + b"\n", "header does not declare"),
+            (json.dumps(old, indent=2).encode(), "header is not JSON"),
+        ):
+            path.write_bytes(data)
+            with pytest.raises(FormatError, match=f"index {re.escape(str(path))}: {message}.*{_REBUILD}") as err:
                 VectorIndex.load(path)
-        np.save(path.with_suffix(".npy"), np.eye(2))
-        with pytest.raises(FormatError, match="is not a binary index"):
-            VectorIndex.load(path.with_suffix(".npy"))
+            assert err.value.stage_name == "load"
 
     def test_damaged_files_are_format_errors(self, tmp_path):
-        path = tmp_path / "index.json"
+        path = tmp_path / "corpus.index"
         _random_index(np.random.default_rng(28), 20, 8).save(path)
         whole = path.read_bytes()
-        for cut in (4, 30, len(whole) // 2, len(whole) - 10):
-            path.write_bytes(whole[:cut])
-            with pytest.raises(FormatError, match="cannot load index"):
-                VectorIndex.load(path)
-        with pytest.raises(FormatError, match="cannot load index"):
-            VectorIndex.load(tmp_path / "absent.json")
-        with pytest.raises(FormatError, match="cannot load index"):
-            VectorIndex.load(tmp_path)
-
-    def test_entries_of_the_wrong_kind_are_format_errors(self, tmp_path):
-        path = tmp_path / "index.json"
-        matrix = np.array([[1.0, 0.0]])
-        text = _manifest(["c:0"])
-        for entries, message in (
-            ({"matrix": matrix, "manifest": np.array([text], dtype=object)}, "Object arrays"),
-            ({"matrix": matrix, "manifest": np.array(text)}, "manifest is not UTF-8 bytes"),
-            ({"matrix": matrix, "manifest": np.array(text.encode())}, "manifest is not UTF-8 bytes"),
-            ({"matrix": matrix, "manifest": _utf8(text)[None]}, "manifest is not UTF-8 bytes"),
-            ({"matrix": matrix, "manifest": np.array(5)}, "manifest is not UTF-8 bytes"),
+        header_end = whole.index(b"\n")
+        for cut, message in (
+            (4, "the header line has no end"),
+            (header_end - 1, "the header line has no end"),
+            (header_end + 1, "need 1280 bytes after the header, got 0"),
+            (len(whole) // 2, "need 1280 bytes after the header, got"),
+            (len(whole) - 10, "need 1280 bytes after the header, got 1270"),
         ):
-            _write_archive(path, **entries)
+            path.write_bytes(whole[:cut])
             with pytest.raises(FormatError, match=message):
                 VectorIndex.load(path)
-        # An entry that is not a .npy file at all comes back as raw bytes.
-        with zipfile.ZipFile(path, "w") as archive:
-            archive.writestr("matrix.npy", b"not an array")
-            archive.writestr("manifest.npy", b"not an array")
-        with pytest.raises(FormatError, match="matrix is not a float64 array"):
-            VectorIndex.load(path)
-        # A .npy entry cut short inside its header.
-        with zipfile.ZipFile(path, "w") as archive:
-            archive.writestr("matrix.npy", b"\x93NUMPY\x01")
-            archive.writestr("manifest.npy", b"\x93NUMPY\x01")
-        with pytest.raises(FormatError, match="cannot load index"):
-            VectorIndex.load(path)
-        # A deflated entry whose stream starts with an invalid block type.
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, matrix=matrix, manifest=_utf8(text))
-        raw = bytearray(path.read_bytes())
-        name_len, extra_len = struct.unpack_from("<HH", raw, 26)
-        raw[30 + name_len + extra_len] = 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="cannot load index .*invalid block type"):
-            VectorIndex.load(path)
+        for absent in (tmp_path / "absent.index", tmp_path):
+            with pytest.raises(FormatError, match=f"cannot load index {re.escape(str(absent))}: "):
+                VectorIndex.load(absent)
 
 
 class TestBuildIndex:
