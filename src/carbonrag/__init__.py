@@ -5,8 +5,9 @@ extract structured inventory facts from a generator's answer, multiply them
 through an emission-factor database, and score the whole run against expert
 ground truth (retrieval rate, value deviation, footprint deviation).
 
-The names below are the ones a pipeline run needs; everything else is
-imported from the module that defines it (``carbonrag.accounting``,
+The names a pipeline run needs are listed once, in ``_EXPORTS`` under the
+module that defines each; ``__all__`` is their sorted list. Everything else
+is imported from the module that defines it (``carbonrag.accounting``,
 ``carbonrag.errors``, ...). Each name is imported from its module on first
 access, so ``import carbonrag`` loads neither numpy nor ``http.client``:
 numpy comes with the first name from ``embedding`` or ``index``, and
@@ -27,25 +28,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "CarbonRagError",
-    "Catalog",
-    "LexicalEncoder",
-    "RemoteChatBackend",
-    "RemoteEncoder",
-    "RunConfig",
-    "ScriptedMockBackend",
-    "Strategy",
-    "VectorIndex",
-    "build_index",
-    "build_prompt",
-    "classify_datasource",
-    "encoder_from_spec",
-    "fragments_from_hits",
-    "parse_extraction",
-    "run_benchmark",
-    "select_strategy",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

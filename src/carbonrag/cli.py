@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="carbonrag",
         description="Retrieval-augmented carbon footprint accounting pipeline.",
     )
-    parser.add_argument("--verbose", action="store_true", help="log at DEBUG level")
     defaults = RunConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -330,10 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
     except CarbonRagError as exc:

@@ -40,7 +40,7 @@ class RunConfig:
     overlap: int = DEFAULT_OVERLAP
     length_threshold: int = DEFAULT_LENGTH_THRESHOLD
     backend: str | None = None
-    model: str = "default"
+    model: str | None = None  # only a remote backend takes one
     prompt_budget: int = DEFAULT_PROMPT_BUDGET
 
     def __post_init__(self):

@@ -53,7 +53,7 @@ from .fusion import (
     fragments_from_hits,
     select_strategy,
 )
-from .generation import ExtractedFact, ParseWarning, RawAnswer, parse_extraction
+from .generation import FACT_KEY_RE, ExtractedFact, ParseWarning, RawAnswer, parse_extraction
 from .quantity import Quantity
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -239,15 +239,27 @@ _TRUTH_KEYS = ("fact_key", "true_value", "unit")
 _DATASOURCE_METADATA = ("doc_id", "title", "industry_tag", "fetched_at")
 
 
+def _fact_key(node) -> str:
+    """The string at ``node``, when it is a key an answer can carry:
+    ``parse_extraction`` drops any other, so a truth under one could never
+    be retrieved."""
+    key = node.expect(str)
+    if not FACT_KEY_RE.fullmatch(key):
+        node.fail(f"{key!r} is not a fact key (dotted words of a-z, 0-9 and _)")
+    return key
+
+
 def load_benchmark(path: str | Path) -> Benchmark:
     """Read, resolve and check a benchmark file, and its factor CSV.
 
-    Everything that could stop a run before it is scored is refused here,
-    before any question is asked: a blank question, a zero true footprint,
-    a repeated inventory activity, a ``lifecycle_stages`` key that is not an
-    inventory activity, and an inventory activity without a factor or, under
-    ``cradle_to_gate``, with a use or end-of-life stage. The inventory is
-    ``inventory_keys``, or else every truth that has a factor.
+    Everything that could stop a run before it is scored, or keep a truth
+    from ever being retrieved, is refused here, before any question is
+    asked: a blank question, a fact key that no answer can carry, a zero
+    true footprint, a repeated inventory activity, a ``lifecycle_stages``
+    key that is not an inventory activity, and an inventory activity
+    without a factor or, under ``cradle_to_gate``, with a use or
+    end-of-life stage. The inventory is ``inventory_keys``, or else every
+    truth that has a factor.
     """
     path = Path(path)
     root = read_json(path, "benchmark", BenchmarkError).only_keys(_BENCHMARK_KEYS)
@@ -257,14 +269,12 @@ def load_benchmark(path: str | Path) -> Benchmark:
         text = q.get("query_text", str)
         if not text.strip():  # refused before any encoder or backend call is paid for
             raise BenchmarkError(f"{q.at('query_text').where} must not be blank")
-        queries.append(
-            BenchmarkQuery(q.get("query_id", str), text, tuple(q.get("fact_keys", list[str])))
-        )
+        keys = tuple(_fact_key(k) for k in q.at("fact_keys").elements())
+        queries.append(BenchmarkQuery(q.get("query_id", str), text, keys))
     truths = []
     for t in root.at("truths").elements(_TRUTH_KEYS):
-        truths.append(
-            GroundTruthRecord(t.get("fact_key", str), t.get("true_value", float), t.get("unit", str))
-        )
+        key = _fact_key(t.at("fact_key"))
+        truths.append(GroundTruthRecord(key, t.get("true_value", float), t.get("unit", str)))
     for field_name, name, keys in (
         ("queries", "query_id", [q.query_id for q in queries]),
         ("truths", "truth fact_key", [t.fact_key for t in truths]),
@@ -633,7 +643,6 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
         "encoder_kind": encoder.kind,
         "encoder_dims": encoder.dims,
         "backend_kind": backend.kind,
-        "k": config.k,
         "template_version": TEMPLATE_VERSION,
         "strategy": strategy.value,
         "document_count": len(docs),

@@ -10,7 +10,6 @@ are not present in the raw text.
 from __future__ import annotations
 
 import json
-import logging
 import re
 import threading
 from dataclasses import dataclass, field
@@ -19,13 +18,11 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ._http import check_endpoint, post_json
 from ._json import read_json
-from .errors import ConfigError, ExtractionError, FormatError, InputError, MockMissError
+from .errors import ConfigError, ExtractionError, FormatError, MockMissError
 from .quantity import Quantity
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fusion import Prompt
-
-logger = logging.getLogger(__name__)
 
 FACT_KEY_RE = re.compile(r"[a-z0-9_]+(\.[a-z0-9_]+)*")
 
@@ -88,8 +85,6 @@ class ScriptedMockBackend:
         return cls(read_json(path, "mock script", FormatError).expect(dict[str, str]))
 
     def generate(self, prompt: "Prompt") -> RawAnswer:
-        if not prompt.rendered:
-            raise InputError("prompt has an empty rendering")
         key = prompt.query_key or prompt.query
         with self._lock:
             self.calls.append(key)
@@ -121,8 +116,6 @@ class RemoteChatBackend:
         self._slots = threading.BoundedSemaphore(self.max_in_flight)
 
     def generate(self, prompt: "Prompt") -> RawAnswer:
-        if not prompt.rendered:
-            raise InputError("prompt has an empty rendering")
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt.rendered}],
@@ -138,15 +131,19 @@ class RemoteChatBackend:
         return RawAnswer(text=content, usage=usage)
 
 
-def backend_from_spec(spec: str, *, model: str = "default"):
+def backend_from_spec(spec: str, *, model: str | None = None):
     """Build a backend from a CLI-style spec string.
 
-    Accepted forms: ``mock:<script.json>`` or ``remote:<url>``.
+    Accepted forms: ``mock:<script.json>`` or ``remote:<url>``. Only a
+    remote backend takes a ``model``, ``"default"`` when none is given; a
+    model for a mock is refused rather than ignored.
     """
     if spec.startswith("mock:"):
+        if model is not None:
+            raise ConfigError(f"model {model!r} needs a remote backend; a mock takes no model")
         return ScriptedMockBackend.from_file(spec.split(":", 1)[1])
     if spec.startswith("remote:"):
-        return RemoteChatBackend(spec.split(":", 1)[1], model=model)
+        return RemoteChatBackend(spec.split(":", 1)[1], model="default" if model is None else model)
     raise ConfigError(
         f"unknown backend spec {spec!r} (expected 'mock:<script.json>' or 'remote:<url>')"
     )

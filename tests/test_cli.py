@@ -464,6 +464,25 @@ class TestQuery:
                 f"[load] {problem}; rebuild it with 'carbonrag index build'\n"
             )
 
+    def test_an_index_over_documents_the_catalog_lacks_ends_in_retrieve(
+        self, pipeline_files, tmp_path, capsys
+    ):
+        """The same long bodies under other ids: the route retrieves, and
+        no hit of the index resolves in this catalog."""
+        other = Catalog()
+        for doc_id, title, body in fixtures.CORPUS_DOCS:
+            other.ingest("raw_text", body, {"doc_id": f"other-{doc_id}", "title": title})
+        catalog = tmp_path / "other.catalog"
+        other.save(catalog)
+        argv = [
+            "query", _QUESTION, "--catalog", str(catalog), "--index", str(pipeline_files["index"]),
+            "--backend", f"mock:{pipeline_files['script']}",
+        ]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert re.fullmatch(r"\[retrieve\] no document '[^']+' in catalog\n", err), err
+        assert out == ""
+
     def test_question_or_interactive_is_required(self, pipeline_files, tmp_path, capsys):
         # A blank question is refused before the catalog, index or encoder is loaded.
         for question in ([], ["   "], [""]):
@@ -660,6 +679,18 @@ class TestAccount:
         assert code == 1
         assert "[load]" in err and "[0].unit must be a string, got 5" in err
 
+    def test_a_negative_value_is_refused_when_the_facts_are_read(self, tmp_path, capsys):
+        _, factors = self._write_inputs(tmp_path)
+        facts = tmp_path / "negative.json"
+        facts.write_text(
+            json.dumps([{"key": "electricity_use", "value": -2, "unit": "kWh"}]), encoding="utf-8"
+        )
+        assert main(["account", "--facts", str(facts), "--factors", str(factors)]) == 1
+        assert capsys.readouterr().err == (
+            f"[load] facts {facts}: [0]: inventory quantity for 'electricity_use' "
+            "must be nonnegative, got -2\n"
+        )
+
 
 class TestBenchAndReport:
     def test_bench_prints_the_summary_and_writes_outputs(self, benchmark_tree, tmp_path, capsys):
@@ -722,6 +753,38 @@ class TestBenchAndReport:
         assert code == 0, captured.err
         assert "IRR: 100.00% (10/10 truth facts retrieved)" in captured.out
         assert MetricsReport.load(report).metadata["strategy"] == "no_datasource"
+
+    def test_a_negative_answer_ends_in_accounting(self, benchmark_tree, tmp_path, capsys):
+        energy = fixtures.PERFECT_SCRIPT["q_energy"].replace('"value": 600', '"value": -600')
+        script = {**fixtures.PERFECT_SCRIPT, "q_energy": energy}
+        mock = tmp_path / "negative.json"
+        mock.write_text(json.dumps(script), encoding="utf-8")
+        argv = ["bench", "--benchmark", str(benchmark_tree.benchmark), "--backend", f"mock:{mock}"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == (
+            "[accounting] inventory quantity for 'natural_gas_use' must be nonnegative, got -600\n"
+        )
+        assert out == ""
+
+    def test_a_model_needs_a_remote_backend(self, benchmark_tree, pipeline_files, tmp_path, capsys):
+        """A model beside a mock would be accepted and then ignored."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "gpt-x"}), encoding="utf-8")
+        bench = ["bench", "--benchmark", str(benchmark_tree.benchmark)]
+        query = [
+            "query", _QUESTION, "--catalog", str(pipeline_files["catalog"]),
+            "--index", str(pipeline_files["index"]),
+        ]
+        for command, mock in (
+            (bench, benchmark_tree.mock_perfect),
+            (query, pipeline_files["script"]),
+        ):
+            for given in (["--model", "gpt-x"], ["--config", str(config)]):
+                assert main([*command, "--backend", f"mock:{mock}", *given]) == 1
+                out, err = capsys.readouterr()
+                assert err == "[config] model 'gpt-x' needs a remote backend; a mock takes no model\n"
+                assert out == ""
 
     def test_report_rerenders_a_saved_report(self, benchmark_tree, tmp_path, capsys):
         report_path = tmp_path / "report.json"
@@ -872,7 +935,6 @@ class TestBenchAndReport:
         )
         assert code == 0
         report = MetricsReport.load(report_path)
-        assert report.metadata["k"] == 7
         assert report.metadata["config"]["k"] == 7
 
     def test_a_reports_config_reruns_the_same_benchmark(self, benchmark_tree, tmp_path, capsys):

@@ -153,6 +153,10 @@ class TestLexicalEncoder:
         np.testing.assert_array_equal(v, expected)
         assert any("zero vector" in m or "e_0" in m for m in caplog.messages)
 
+    def test_nonpositive_dims_are_a_config_error(self):
+        with pytest.raises(ConfigError, match="^dims must be positive, got 0$"):
+            LexicalEncoder(dims=0)
+
     @pytest.mark.parametrize("dims", [10**20, 2**62])
     def test_dims_past_the_kernels_cell_index_are_a_config_error(self, dims):
         """A block's ``row * dims + bucket`` must fit ``np.intp``; these widths
@@ -566,6 +570,12 @@ class TestTrainer:
     def test_requires_pairs(self):
         with pytest.raises(ConfigError):
             train_dual_tower([])
+
+    def test_nonpositive_dims_and_negative_epochs_are_config_errors(self):
+        with pytest.raises(ConfigError, match="^dims must be positive, got 0$"):
+            train_dual_tower(_PAIRS, dims=0)
+        with pytest.raises(ConfigError, match="^epochs must be >= 0, got -1$"):
+            train_dual_tower(_PAIRS, epochs=-1)
 
 
 class TestEncoderPersistence:

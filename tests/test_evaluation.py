@@ -275,6 +275,30 @@ class TestLoadBenchmark:
             assert str(err.value) == f"benchmark {path}: {where}unknown keys: {keys}"
             assert err.value.stage_name == "benchmark"
 
+    def test_fact_keys_no_answer_can_carry_are_refused(self, tmp_path):
+        """The parser drops an answer's fact under such a key, so its truth
+        could never be retrieved: the run is refused before any question."""
+        for mutate, where in (
+            (
+                lambda o: o["truths"][0].update(fact_key="Electricity Use"),
+                "truths[0].fact_key: 'Electricity Use'",
+            ),
+            (
+                lambda o: o["queries"][1]["fact_keys"].append("anode-use"),
+                "queries[1].fact_keys[3]: 'anode-use'",
+            ),
+            (lambda o: o["truths"][2].update(fact_key="alumina."), "truths[2].fact_key: 'alumina.'"),
+        ):
+            path = self._write(tmp_path, mutate)
+            backend = ScriptedMockBackend(fixtures.PERFECT_SCRIPT)
+            with pytest.raises(BenchmarkError) as err:
+                run_benchmark(RunConfig(benchmark_path=str(path)), backend=backend)
+            assert str(err.value) == (
+                f"benchmark {path}: {where} is not a fact key (dotted words of a-z, 0-9 and _)"
+            )
+            assert err.value.stage_name == "benchmark"
+            assert backend.calls == []
+
     def test_unknown_scope_rejected(self, tmp_path):
         path = self._write(tmp_path, lambda o: o.update(scope="gate_to_gate"))
         with pytest.raises(BenchmarkError, match="scope"):

@@ -166,6 +166,7 @@ class TestParseExtraction:
             (('{"a":' * 900 + "x}") * 22, 0.25),
             ('{"x": {"b":1}, "y": ' * 5000, 0.25),
             ("1" * 5000, 1.0),
+            ('{"a": ' + "1" * 5000 + "}", 1.0),
         ):
             start = time.perf_counter()
             with pytest.raises(ExtractionError) as err:
@@ -531,6 +532,15 @@ class TestBackendSpecs:
         assert isinstance(backend, RemoteChatBackend)
         assert backend.endpoint == "http://localhost:9/chat"
         assert backend.model == "m"
+        assert backend_from_spec("remote:http://localhost:9/chat").model == "default"
+
+    def test_a_mock_takes_no_model(self, tmp_path):
+        """A model beside a mock would be accepted and then ignored."""
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps({"q_energy": "canned"}), encoding="utf-8")
+        message = "^model 'm' needs a remote backend; a mock takes no model$"
+        with pytest.raises(ConfigError, match=message):
+            backend_from_spec(f"mock:{path}", model="m")
 
     def test_unknown_spec_rejected(self):
         with pytest.raises(ConfigError):

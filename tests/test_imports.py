@@ -283,25 +283,28 @@ class _ModelHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-def test_a_remote_bench_runs_without_requests(http_server, benchmark_tree, tmp_path, monkeypatch):
-    """With ``requests`` blocked, a bench over a remote encoder and chat
-    backend writes the report the test process writes. In development mode,
-    a socket left open at exit would print a ``ResourceWarning``."""
+def test_a_remote_bench_in_a_subprocess_closes_its_sockets(
+    http_server, benchmark_tree, tmp_path, monkeypatch
+):
+    """A bench over a remote encoder and chat backend, run in a fresh
+    interpreter in development mode, leaves no socket open at exit (one
+    would print a ``ResourceWarning``) and writes the report the test
+    process writes."""
     url = f"http://127.0.0.1:{http_server(_ModelHandler).server_address[1]}"
     bench = [
         "bench", "--benchmark", str(benchmark_tree.benchmark), "--out", "report.json",
         "--encoder", f"remote:{url}/embed", "--backend", f"remote:{url}/chat",
     ]
-    for mode in ("in-process", "blocked"):
+    for mode in ("in-process", "subprocess"):
         (tmp_path / mode).mkdir()
     monkeypatch.chdir(tmp_path / "in-process")
     assert main(bench) == 0
-    code = "import sys; sys.modules['requests'] = None; " + _RUN_CLI
-    result = _python(code, *bench, cwd=tmp_path / "blocked", flags=("-X", "dev"))
+    code = "import sys; " + _RUN_CLI
+    result = _python(code, *bench, cwd=tmp_path / "subprocess", flags=("-X", "dev"))
     assert result.returncode == 0, result.stderr
     assert "ResourceWarning" not in result.stderr
     reports = []
-    for mode in ("in-process", "blocked"):
+    for mode in ("in-process", "subprocess"):
         report = json.loads((tmp_path / mode / "report.json").read_text(encoding="utf-8"))
         report.pop("generated_at")
         reports.append(report)

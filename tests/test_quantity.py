@@ -75,6 +75,11 @@ class TestJsonMapping:
         with pytest.raises(ValueError, match="exceeds upper"):
             Quantity.from_json_value({"lower": 5, "upper": 2})
 
+    def test_integer_beyond_the_float_range_rejected(self):
+        for obj in (10**400, {"lower": 0, "upper": 10**400}):
+            with pytest.raises(ValueError, match="^quantity bounds must be finite$"):
+                Quantity.from_json_value(obj)
+
     def test_string_rejected(self):
         with pytest.raises(ValueError):
             Quantity.from_json_value("12")
