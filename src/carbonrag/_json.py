@@ -147,15 +147,16 @@ def write_framed(path: str | Path, what: str, frame: Callable[[], tuple[object, 
     """Write the framed file ``path`` from the header and the payload
     buffers that ``frame()`` returns: the header as ``dump_json`` renders it
     on one line, spaces up to a multiple of 8 bytes with the newline, the
-    newline, then the buffers back to back. ``frame`` runs inside
-    ``write_file``, so a value that JSON or UTF-8 cannot hold ends in
-    ``[save] cannot write <what> <path>: …`` and leaves no file."""
+    newline, then the buffers back to back. The whole file goes out in one
+    write: the catalog's bodies are mostly smaller than the file buffer,
+    and written one by one they cost about one system call each. ``frame``
+    runs inside ``write_file``, so a value that JSON or UTF-8 cannot hold
+    ends in ``[save] cannot write <what> <path>: …`` and leaves no file."""
 
     def write(fh) -> None:
         header, payload = frame()
         line = dump_json(header, indent=None).encode("utf-8")
-        fh.write(line + b" " * (-(len(line) + 1) % 8) + b"\n")
-        fh.writelines(payload)
+        fh.write(b"".join([line, b" " * (-(len(line) + 1) % 8), b"\n", *payload]))
 
     write_file(path, what, write, binary=True)
 

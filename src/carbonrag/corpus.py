@@ -26,6 +26,7 @@ control characters; raw text is encoded, and so checked, first):
 from __future__ import annotations
 
 import hashlib
+import operator
 import re
 import threading
 from dataclasses import dataclass
@@ -50,12 +51,19 @@ _C0_EXCEPT_LF_TABLE = bytes(0x20 if c < 0x20 and c != 0x0A else c for c in range
 
 _FORMAT = {"format": "carbonrag-catalog", "version": 2}
 _FIELDS = ("doc_id", "title", "source", "industry_tag", "fetched_at", "bytes")
+_FIELD_SET = frozenset(_FIELDS)
+_RECORD = operator.itemgetter(*_FIELDS)
+# The types of a record's fields as ``save`` writes them, tag null or not.
+_PLAIN_TYPES = frozenset({(str, str, str, tag, str, int) for tag in (str, type(None))})
 
 
 class SourceKind(str, Enum):
     LOCAL_FILE = "local_file"
     RAW_TEXT = "raw_text"
     URL_FETCH = "url_fetch"
+
+
+_SOURCES = {kind.value: kind for kind in SourceKind}
 
 
 class LengthClass(Enum):
@@ -308,40 +316,75 @@ class Catalog:
 
     @classmethod
     def load(cls, path: str | Path) -> "Catalog":
-        """Read a catalog of format 2, the one form ``save`` writes."""
+        """Read a catalog of format 2, the one form ``save`` writes.
+
+        A record as ``save`` writes it passes plain type tests and is taken
+        as it is; only one that fails them goes through the ``Node`` getters
+        and ``add``, which name its fault in the order they always have."""
         header, payload = read_framed(path, "catalog", _FORMAT, ("documents",))
         label = f"catalog {path}"
+        records = header.at("documents")
+        rows = list(map(_plain_fields, records.expect(list)))
+        # A record that is not an object or has a key save never writes is
+        # named before any body is read.
+        nodes = records.elements(_FIELDS) if None in rows else None
         catalog = cls()
+        documents = catalog._documents  # no other thread can see it yet
         start = 0
-        for rec in header.at("documents").elements(_FIELDS):
-            size = rec.get("bytes", int)
+        for i, fields in enumerate(rows):
+            rec = None
+            if fields is None or fields[0] in documents:  # add names a repeated id
+                rec = (nodes or records.elements(_FIELDS))[i]
+            size = fields[5] if rec is None else rec.get("bytes", int)
             if size < 0:
                 raise FormatError(f"{rec.where}.bytes must be >= 0, got {size}")
             end = start + size
             if end > len(payload):
                 raise FormatError(
-                    f"{label}: the body of {rec.path} needs {size} bytes, "
+                    f"{label}: the body of documents[{i}] needs {size} bytes, "
                     f"but only {len(payload) - start} are left"
                 )
             try:
                 body = str(payload[start:end], "utf-8")
             except UnicodeDecodeError as exc:
                 raise FormatError(
-                    f"{label}: the body of {rec.path} is not valid UTF-8: {exc}"
+                    f"{label}: the body of documents[{i}] is not valid UTF-8: {exc}"
                 ) from None
-            doc = Document(
-                doc_id=rec.get("doc_id", str),
-                title=rec.get("title", str),
-                source=rec.get("source", SourceKind),
-                body=body,
-                fetched_at=rec.get("fetched_at", str),
-                industry_tag=rec.get("industry_tag", str, nullable=True),
-            )
-            try:
-                catalog.add(doc)
-            except InputError as exc:
-                rec.fail(str(exc))
+            if rec is None:
+                doc_id, title, source, industry_tag, fetched_at, _ = fields
+                documents[doc_id] = Document(doc_id, title, source, body, fetched_at, industry_tag)
+            else:
+                doc = Document(
+                    doc_id=rec.get("doc_id", str),
+                    title=rec.get("title", str),
+                    source=rec.get("source", SourceKind),
+                    body=body,
+                    fetched_at=rec.get("fetched_at", str),
+                    industry_tag=rec.get("industry_tag", str, nullable=True),
+                )
+                try:
+                    catalog.add(doc)
+                except InputError as exc:
+                    rec.fail(str(exc))
             start = end
         if start != len(payload):
             raise FormatError(f"{label}: trailing bytes after the last body: {len(payload) - start}")
         return catalog
+
+
+def _plain_fields(rec) -> tuple | None:
+    """The values of ``_FIELDS`` in ``rec``, the source as a ``SourceKind``,
+    when ``rec`` is a record that the ``Node`` getters and ``add`` would
+    take as it is, but for a doc id already in the catalog; else None."""
+    if type(rec) is not dict or rec.keys() != _FIELD_SET:
+        return None
+    fields = _RECORD(rec)
+    doc_id, title, source, industry_tag, fetched_at, size = fields
+    if (
+        tuple(map(type, fields)) in _PLAIN_TYPES
+        and size >= 0
+        and source in _SOURCES
+        and _DOC_ID_RE.fullmatch(doc_id)
+    ):
+        return doc_id, title, _SOURCES[source], industry_tag, fetched_at, size
+    return None

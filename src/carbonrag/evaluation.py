@@ -254,12 +254,12 @@ def load_benchmark(path: str | Path) -> Benchmark:
 
     Everything that could stop a run before it is scored, or keep a truth
     from ever being retrieved, is refused here, before any question is
-    asked: a blank question, a fact key that no answer can carry, a zero
-    true footprint, a repeated inventory activity, a ``lifecycle_stages``
-    key that is not an inventory activity, and an inventory activity
-    without a factor or, under ``cradle_to_gate``, with a use or
-    end-of-life stage. The inventory is ``inventory_keys``, or else every
-    truth that has a factor.
+    asked: a blank question, a fact key or inventory activity that no
+    answer can carry, a zero true footprint, a repeated inventory activity,
+    a ``lifecycle_stages`` key that is not an inventory activity, and an
+    inventory activity without a factor or, under ``cradle_to_gate``, with
+    a use or end-of-life stage. The inventory is ``inventory_keys``, or else
+    every truth that has a factor.
     """
     path = Path(path)
     root = read_json(path, "benchmark", BenchmarkError).only_keys(_BENCHMARK_KEYS)
@@ -305,7 +305,7 @@ def load_benchmark(path: str | Path) -> Benchmark:
     if activities is not None:
         seen = set()
         for key in listed.elements():
-            if key.value in seen:
+            if _fact_key(key) in seen:
                 key.fail(f"duplicate inventory activity {key.value!r}")
             seen.add(key.value)
     factors = EmissionFactorDb.from_csv(path.parent / root.get("factor_db", str))

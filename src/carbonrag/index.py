@@ -17,8 +17,9 @@ with the chunk ids in row order and the spec of the encoder that built the
 index, which ``load`` rebuilds; spaces up to a multiple of 8 bytes; a
 newline; then the rows, ``len(ids) * encoder.dims`` little-endian float64
 values in row (chunk-id) order. ``load`` reads the rows into 64-byte
-aligned memory and uses them there, without a copy. Saving one index twice gives the same bytes. Any other file, such as
-the ``.npz`` archive of format 2, is refused with a hint to rebuild it.
+aligned memory and uses them there, without a copy. Saving one index twice
+gives the same bytes. Any other file, such as the ``.npz`` archive of
+format 2, is refused with a hint to rebuild it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._json import read_framed, write_framed
-from .embedding import encoder_from_json
+from .embedding import _squared_norms, encoder_from_json
 from .errors import FormatError, InputError
 
 _NORM_TOLERANCE = 1e-6
@@ -102,7 +103,7 @@ class VectorIndex:
             if duplicate is not None:
                 raise InputError(f"duplicate chunk id {duplicate!r}")
             matrix = matrix[order]
-        norms = np.linalg.norm(matrix, axis=1)
+        norms = np.sqrt(_squared_norms(matrix))
         # A NaN or infinite row makes its norm NaN or inf, which fails this test.
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOLERANCE))
         if bad.size:

@@ -566,6 +566,12 @@ class TestCatalogPersistence:
             ([{**record, "doc_id": 5}], r"\[0\]\.doc_id must be a string, got 5"),
             ([{**record, "source": "ftp"}], r"\[0\]\.source: 'ftp' is not a valid SourceKind"),
             ([record, record], r"\[1\]: duplicate doc_id 'a'"),
+            ([{**record, "doc_id": "a:b"}], r"\[0\]: doc_id 'a:b' must match .*colon is reserved"),
+            ([5], r"header: documents\[0\] must be an object, got 5"),
+            (
+                [record, {**record, "doc_id": "b"}, {**record, "doc_id": "c", "source": "ftp"}],
+                r"\[2\]\.source: 'ftp' is not a valid SourceKind",
+            ),
             # ingest would rewrite the catalog without it
             ([{**record, "industry": "steel"}], r"\[0\]: unknown keys: industry"),
         ):
@@ -596,6 +602,26 @@ class TestCatalogPersistence:
         catalog.save(first)
         loaded = Catalog.load(first)
         assert loaded.documents == catalog.documents
+        loaded.save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_a_large_catalog_round_trips_byte_for_byte(self, tmp_path):
+        """300 documents of ASCII and non-ASCII bodies, null and string tags
+        and every source load as saved, and save again to the same bytes."""
+        sources = list(SourceKind)
+        catalog = Catalog()
+        for i in range(300):
+            body = f"Document {i} uses {i * 7} kWh.\n" * (i % 5)
+            if i % 3 == 0:
+                body += "caf\u00e9 \u4e2d\U0001f600 \u2028\n"
+            tag = None if i % 2 else f"tag-{i % 7}"
+            title = f"title {i}" + ("" if i % 4 else " \u00e9")
+            catalog.add(Document(f"doc-{i:04d}", title, sources[i % 3], body, "2026", tag))
+        first, second = tmp_path / "first.catalog", tmp_path / "second.catalog"
+        catalog.save(first)
+        loaded = Catalog.load(first)
+        assert loaded.documents == catalog.documents
+        assert {d.source for d in loaded.documents} == set(SourceKind)
         loaded.save(second)
         assert second.read_bytes() == first.read_bytes()
 

@@ -356,6 +356,20 @@ class TestInventoryIsCheckedWhenRead:
         )
         assert err.stage_name == "benchmark"
 
+    def test_an_activity_no_answer_can_carry_is_refused(self, benchmark_tree):
+        """Priced or not, such an activity could never be retrieved, so the
+        footprint would silently lack it."""
+        with benchmark_tree.factors.open("a", encoding="utf-8") as fh:
+            fh.write("Natural Gas,0.25,kWh,standard combustion factor per kWh fuel\n")
+        err = _refused_before_any_question(
+            benchmark_tree,
+            lambda o: o.update(inventory_keys=["electricity_use", "Natural Gas"]),
+            BenchmarkError,
+            r"benchmark\.json: inventory_keys\[1\]: 'Natural Gas' is not a fact key "
+            r"\(dotted words of a-z, 0-9 and _\)$",
+        )
+        assert err.stage_name == "benchmark"
+
     def test_a_stage_for_no_inventory_activity_is_refused(self, benchmark_tree):
         for stages, key in (
             ({"electricity_usee": "distribution"}, "electricity_usee"),

@@ -5,7 +5,6 @@ import json
 import re
 import socket
 import threading
-import time
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +19,7 @@ from carbonrag import (
     build_prompt,
     parse_extraction,
 )
-from carbonrag import _http
+from carbonrag import _http, generation
 from carbonrag.errors import (
     ConfigError,
     ExtractionError,
@@ -152,27 +151,50 @@ class TestParseExtraction:
             _parse("Sorry, I cannot help with that.")
         assert err.value.raw_text == "Sorry, I cannot help with that."
 
-    def test_hostile_answers_fail_fast(self):
-        """Unmatched braces, truncated objects and nesting deeper than the
-        recursion limit end in a parse-stage ExtractionError, each within a
-        second, a 100 kB nest within 50 ms, and 100 kB of nests split by
-        ``}`` or of objects nested past the limit within 250 ms; a facts
-        object after such a nest is still found."""
-        for text, bound_s in (
-            ("{" * 4000, 1.0),
-            ('{"a": [1,2,3' * 2000, 1.0),
-            ('{"a":' * 4000, 1.0),
-            ('{"a":' * 20000, 0.05),
-            (('{"a":' * 900 + "x}") * 22, 0.25),
-            ('{"x": {"b":1}, "y": ' * 5000, 0.25),
-            ("1" * 5000, 1.0),
-            ('{"a": ' + "1" * 5000 + "}", 1.0),
+    def test_hostile_answers_fail_fast(self, monkeypatch):
+        """Unmatched braces, truncated objects, nesting deeper than the
+        recursion limit and over-long integers end in a parse-stage
+        ExtractionError, and a facts object after such a nest is still
+        found. The work is bounded, not timed: the ``{`` probes stop once
+        they have read ``_PROBE_READ_FACTOR`` times the answer's length, and
+        the last one reads at most the answer, so probes and the chars they
+        read each stay within ``(_PROBE_READ_FACTOR + 1) * len(text)``."""
+        probes = []
+
+        class CountingDecoder:
+            def raw_decode(self, text, start):
+                # A probe that fails without a position is charged to the
+                # end of the text, as the parser's budget charges it.
+                read = len(text) - start
+                try:
+                    obj, stop = decoder.raw_decode(text, start)
+                    read = stop - start
+                    return obj, stop
+                except json.JSONDecodeError as exc:
+                    read = exc.pos - start + 1
+                    raise
+                finally:
+                    probes.append(read)
+
+        decoder = generation._DECODER
+        monkeypatch.setattr(generation, "_DECODER", CountingDecoder())
+        bound = generation._PROBE_READ_FACTOR + 1
+        for text in (
+            "{" * 4000,
+            '{"a": [1,2,3' * 2000,
+            '{"a":' * 4000,
+            '{"a":' * 20000,
+            ('{"a":' * 900 + "x}") * 22,
+            '{"x": {"b":1}, "y": ' * 5000,
+            "1" * 5000,
+            '{"a": ' + "1" * 5000 + "}",
         ):
-            start = time.perf_counter()
+            probes.clear()
             with pytest.raises(ExtractionError) as err:
                 _parse(text)
-            assert time.perf_counter() - start < bound_s
             assert err.value.stage_name == "parse"
+            assert len(probes) <= bound * len(text)
+            assert sum(probes) <= bound * len(text)
         block = '{"facts": [{"key": "k", "value": 2, "unit": "t"}]}'
         facts, _ = _parse('{"a":' * 4000 + block)
         assert facts[0].fact_key == "k"

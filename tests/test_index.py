@@ -184,6 +184,18 @@ class TestValidation:
         with pytest.raises(InputError, match="encoder has 64 dims, the rows 4"):
             VectorIndex(["c:0"], [e0], encoder=RemoteEncoder("http://localhost:9/embed"))
 
+    def test_unit_norm_tolerance(self):
+        """A row is unit-norm within 1e-6: 1 +- 0.9e-6 passes and 1 +- 1.1e-6 fails."""
+        rows = np.random.default_rng(5).normal(size=(4, 8))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        ids = [f"c:{i}" for i in range(4)]
+        VectorIndex(ids, rows * np.array([[1 + 0.9e-6], [1 - 0.9e-6], [1.0], [1.0]]))
+        for row, scale in ((1, 1 + 1.1e-6), (3, 1 - 1.1e-6)):
+            scaled = rows.copy()
+            scaled[row] *= scale
+            with pytest.raises(InputError, match=rf"entry 'c:{row}' is not unit-norm"):
+                VectorIndex(ids, scaled)
+
     def test_rows_are_sorted_by_id_and_read_only(self):
         rows = np.eye(3)
         index = VectorIndex(["c:2", "c:0", "c:1"], rows)
