@@ -239,8 +239,6 @@ class Node:
         """This value checked against ``kind`` (a number comes back as a
         float), or converted by it; None passes when ``nullable``."""
         value = self.value
-        if type(value) is kind and kind is not float:  # the common case, first for speed
-            return value
         if value is None and nullable:
             return None
         origin = kind.__origin__ if type(kind) is GenericAlias else None
@@ -272,13 +270,9 @@ class Node:
     def get(self, key: str, kind=object, *, default=_MISSING, nullable: bool = False):
         """Field ``key`` of this object as ``expect(kind)`` gives it, or
         ``default`` when the field is absent and a default is given."""
-        fields = self.value if type(self.value) is dict else self.expect(dict)
-        if key not in fields:
-            return self.at(key) if default is _MISSING else default  # ``at`` raises
-        value = fields[key]
-        if type(value) is kind and kind is not float or value is None and nullable:
-            return value  # the common cases of ``expect``, without a node, for speed
-        return self._child(key, value).expect(kind, nullable=nullable)
+        if default is not _MISSING and key not in self.expect(dict):
+            return default
+        return self.at(key).expect(kind, nullable=nullable)
 
     def only_keys(self, known: Collection[str]) -> "Node":
         """This object; a key outside ``known``, such as a misspelt one, is an error."""

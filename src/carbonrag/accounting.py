@@ -106,7 +106,7 @@ class InventoryItem:
 
     def __post_init__(self):
         if self.quantity.lower < 0:
-            raise ValueError(
+            raise AccountingError(
                 f"inventory quantity for {self.activity!r} must be nonnegative, "
                 f"got {self.quantity}"
             )

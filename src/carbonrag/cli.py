@@ -177,10 +177,7 @@ def _parse_fact_entries(path: str) -> list[InventoryItem]:
         quantity = entry.get("value", Quantity.from_json_value)
         unit = entry.get("unit", str)
         stage = entry.get("lifecycle_stage", LifecycleStage, default=LifecycleStage.RAW_MATERIAL)
-        try:
-            items.append(InventoryItem(activity, quantity, unit, stage))
-        except ValueError as exc:
-            entry.fail(str(exc))
+        items.append(InventoryItem(activity, quantity, unit, stage))
     return items
 
 

@@ -443,7 +443,7 @@ class RemoteEncoder(Encoder):
 
     kind = "remote"
     name = "embedding endpoint"
-    timeout = 30.0  # seconds per attempt
+    timeout = 30.0  # seconds per socket operation, not per attempt
     api_key_env = "EMBEDDING_API_KEY"
 
     def __post_init__(self):

@@ -43,7 +43,7 @@ from .accounting import (
 )
 from .config import RunConfig
 from .corpus import Catalog, SourceKind, classify_datasource
-from .errors import AccountingError, BenchmarkError, CarbonRagError, FormatError
+from .errors import BenchmarkError, CarbonRagError, FormatError
 from .fusion import (
     TEMPLATE_VERSION,
     Prompt,
@@ -610,10 +610,7 @@ def run_benchmark(config: RunConfig, *, encoder=None, backend=None) -> MetricsRe
         if fact is None:
             warnings.append(f"inventory activity {key!r} was not retrieved")
             continue
-        try:
-            items.append(InventoryItem(key, fact.value, fact.unit, stage))
-        except ValueError as exc:
-            raise AccountingError(str(exc)) from None
+        items.append(InventoryItem(key, fact.value, fact.unit, stage))
     footprint = compute_footprint(items, bench.factors, bench.scope, bench.functional_unit)
 
     irr = compute_irr(facts_by_key.keys(), truth_map.keys())

@@ -105,7 +105,7 @@ class RemoteChatBackend:
 
     kind = "remote"
     name = "generation endpoint"
-    timeout = 60.0  # seconds per attempt
+    timeout = 60.0  # seconds per socket operation, not per attempt
     api_key_env = "GENERATION_API_KEY"
     max_in_flight = 4
 

@@ -75,7 +75,7 @@ class TestUnitConversion:
 
 class TestInventoryValidation:
     def test_negative_quantity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(AccountingError, match=r"^inventory quantity for 'electricity'"):
             InventoryItem("electricity", Quantity.point(-1.0), "kWh")
 
     def test_negative_factor_rejected(self):

@@ -679,7 +679,7 @@ class TestAccount:
         assert code == 1
         assert "[load]" in err and "[0].unit must be a string, got 5" in err
 
-    def test_a_negative_value_is_refused_when_the_facts_are_read(self, tmp_path, capsys):
+    def test_a_negative_value_ends_in_accounting(self, tmp_path, capsys):
         _, factors = self._write_inputs(tmp_path)
         facts = tmp_path / "negative.json"
         facts.write_text(
@@ -687,8 +687,7 @@ class TestAccount:
         )
         assert main(["account", "--facts", str(facts), "--factors", str(factors)]) == 1
         assert capsys.readouterr().err == (
-            f"[load] facts {facts}: [0]: inventory quantity for 'electricity_use' "
-            "must be nonnegative, got -2\n"
+            "[accounting] inventory quantity for 'electricity_use' must be nonnegative, got -2\n"
         )
 
 
@@ -1120,6 +1119,24 @@ class TestOneStagePerFailure:
             assert main(argv) == 1, argv
             assert capsys.readouterr().err == (
                 "[accounting] no emission factor for: fluoride_consumption\n"
+            ), argv
+
+    def test_a_negative_quantity_ends_in_accounting(self, benchmark_tree, tmp_path, capsys):
+        energy = fixtures.PERFECT_SCRIPT["q_energy"].replace('"value": 600', '"value": -600')
+        mock = tmp_path / "negative.json"
+        mock.write_text(json.dumps({**fixtures.PERFECT_SCRIPT, "q_energy": energy}), encoding="utf-8")
+        facts = tmp_path / "facts.json"
+        facts.write_text(
+            json.dumps([{"key": "natural_gas_use", "value": -600, "unit": "kWh"}]), encoding="utf-8"
+        )
+        for argv in (
+            ["account", "--facts", str(facts), "--factors", str(benchmark_tree.factors)],
+            ["bench", "--benchmark", str(benchmark_tree.benchmark), "--backend", f"mock:{mock}"],
+        ):
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err == (
+                "[accounting] inventory quantity for 'natural_gas_use' must be nonnegative, "
+                "got -600\n"
             ), argv
 
     @pytest.mark.parametrize(

@@ -43,6 +43,45 @@ def _v2_file(records, bodies: bytes = b"abc", **header) -> bytes:
     return json.dumps({**_V2, "documents": records, **header}).encode() + b"\n" + bodies
 
 
+# Any JSON value, and values near those a catalog record's fields hold.
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELD_VALUE = st.one_of(
+    _JSON_VALUE,
+    st.sampled_from(
+        [False, True, 0, 1, 3, 4, 3.0, None, "", "b", "a:b", "ftp", "\ud800"]
+        + [kind.value for kind in SourceKind]
+    ),
+    st.text(alphabet="ab:. _-\u00e9", max_size=4),
+)
+
+
+def _saved_with(docs: list, i: int, field: str, value, out) -> list | None:
+    """``docs`` with ``field`` of ``docs[i]`` set to the JSON ``value``, when
+    ``save`` could write that catalog; else None."""
+    if field == "bytes":
+        return docs if type(value) is int and value == len(docs[i].body.encode()) else None
+    if field == "source":
+        value = next((kind for kind in SourceKind if kind.value == value), None)
+        if type(value) is not SourceKind:
+            return None
+    elif type(value) is not str and not (field == "industry_tag" and value is None):
+        return None
+    edited = [*docs]
+    edited[i] = dataclasses.replace(docs[i], **{field: value})
+    catalog = Catalog()
+    try:
+        for doc in edited:
+            catalog.add(doc)
+        catalog.save(out)
+    except (InputError, FormatError):
+        return None
+    return edited
+
+
 # Empty and newline-only text, text of chars a JSON escaper may rewrite (DEL, quote,
 # backslash, U+2028) and of one- to four-byte UTF-8 chars, and any text.
 _CATALOG_TEXT = st.one_of(
@@ -580,6 +619,56 @@ class TestCatalogPersistence:
                 Catalog.load(path)
         path.write_bytes(_v2_file([record]))
         assert Catalog.load(path).get("a").industry_tag is None
+
+    @settings(max_examples=400, deadline=None)
+    # refusals a plain-type test could skip: a reserved colon, a boolean
+    # size that equals the body's, an unknown source, and an unknown key
+    @example(i=0, action="set", field="doc_id", value="a:b", new_key="")
+    @example(i=1, action="set", field="bytes", value=False, new_key="")
+    @example(i=2, action="set", field="source", value="ftp", new_key="")
+    @example(i=0, action="add", field="title", value=None, new_key="body")
+    @given(
+        i=st.integers(0, 2),
+        action=st.sampled_from(["set", "set", "set", "drop", "add"]),
+        field=st.sampled_from(list(_V2_SAVED)),
+        value=_FIELD_VALUE,
+        new_key=st.text(max_size=8).filter(lambda k: k not in _V2_SAVED),
+    )
+    def test_an_edited_record_loads_only_as_save_writes_it(
+        self, tmp_path_factory, i, action, field, value, new_key
+    ):
+        """The plain-type path of ``load`` and its checked path agree: a
+        record whose field is set to any JSON value loads, with that value,
+        only when ``save`` could have written it, and any other edit of a
+        saved 3-record catalog, a dropped or an added key too, ends in a
+        ``FormatError`` and never another exception."""
+        docs = [
+            Document("a", "t", SourceKind.RAW_TEXT, "abc", "2026", None),
+            Document("b", "u\u00e9", SourceKind.LOCAL_FILE, "", "2027", "steel"),
+            Document("c", "v", SourceKind.URL_FETCH, "\u4e2d\n", "2028", "tag"),
+        ]
+        work = tmp_path_factory.mktemp("edit")
+        catalog = Catalog()
+        for doc in docs:
+            catalog.add(doc)
+        catalog.save(work / "saved.catalog")
+        line, payload = (work / "saved.catalog").read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        record = header["documents"][i]
+        if action == "drop":
+            del record[field]
+        else:
+            record[new_key if action == "add" else field] = value
+        path = work / "edited.catalog"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        expected = None
+        if action == "set":
+            expected = _saved_with(docs, i, field, value, work / "check.catalog")
+        if expected is None:
+            with pytest.raises(FormatError):
+                Catalog.load(path)
+        else:
+            assert Catalog.load(path).documents == expected
 
     @settings(max_examples=60, deadline=None)
     @given(

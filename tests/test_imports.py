@@ -2,9 +2,9 @@
 
 numpy is loaded only by the modules that compute with it (``embedding`` and
 ``index``), and ``http.client`` only by the first request sent, which is
-the one HTTP client: nothing loads ``urllib.request``, and no command needs
-``requests``. The commands here run in a fresh interpreter, so what the
-test process has imported does not count. A command that sends no request
+the one HTTP client: nothing loads ``urllib.request``. The commands here
+run in a fresh interpreter, so what the test process has imported does not
+count. A command that sends no request
 runs with ``http.client`` blocked, and one that embeds nothing with numpy
 blocked too: a run that loaded either would fail.
 """
@@ -35,7 +35,7 @@ _BLOCK = "sys.modules['numpy'] = sys.modules['http.client'] = None; "
 _RUN_CLI = "from carbonrag.cli import main; sys.exit(main(sys.argv[1:]))"
 _RUN_CLI_AND_LIST = (
     "import sys; from carbonrag.cli import main; code = main(sys.argv[1:]); "
-    "print('loaded:', *[m for m in ('numpy', 'requests', 'http.client') if m in sys.modules]); "
+    "print('loaded:', *[m for m in ('numpy', 'http.client') if m in sys.modules]); "
     "sys.exit(code)"
 )
 # What ingest never needs: the pipeline past the catalog, the worker pool
@@ -79,10 +79,10 @@ def command_inputs(tmp_path):
     return inputs
 
 
-def test_import_carbonrag_loads_neither_numpy_nor_requests(tmp_path):
+def test_import_carbonrag_loads_neither_numpy_nor_http_client(tmp_path):
     code = (
         "import sys, carbonrag; "
-        "print(*[m for m in ('numpy', 'requests', 'http.client') if m in sys.modules]); "
+        "print(*[m for m in ('numpy', 'http.client') if m in sys.modules]); "
         "print(all(name in dir(carbonrag) for name in carbonrag.__all__))"
     )
     result = _python(code, cwd=tmp_path)
@@ -120,7 +120,7 @@ def test_commands_that_do_not_embed_run_without_numpy_or_http_client(command_inp
     assert "total: " in stdout["plain"][3] and "IRR: 100.00%" in stdout["plain"][4]
 
 
-def test_a_mock_backend_query_never_loads_requests(tmp_path):
+def test_a_mock_backend_query_never_loads_http_client(tmp_path):
     """A query that retrieves loads numpy; one on a short datasource, which
     inlines its documents, loads neither."""
     catalog = tmp_path / "corpus.catalog"
