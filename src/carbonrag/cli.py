@@ -166,17 +166,29 @@ def cmd_query(args) -> int:
 
 
 def _parse_fact_entries(path: str) -> list[InventoryItem]:
+    """One inventory item per fact entry. An entry names its activity by
+    ``activity`` or else by ``key``; one (activity, lifecycle stage) pair
+    listed twice is refused, as it would be counted twice."""
     from .accounting import InventoryItem, LifecycleStage
 
     root = read_json(path, "facts", FormatError)
     items = []
+    first_at = {}
     entries = root.only_keys(("facts",)).at("facts") if isinstance(root.value, dict) else root
     keys = ("activity", "key", "value", "unit", "lifecycle_stage", "sources")
     for entry in entries.elements(keys):
-        activity = entry.get("activity", str, default=None) or entry.get("key", str)
+        named = entry.at("activity" if "activity" in entry.value else "key")
+        activity = named.expect(str)
+        if not activity.strip():
+            raise FormatError(f"{named.where} must not be blank")
         quantity = entry.get("value", Quantity.from_json_value)
         unit = entry.get("unit", str)
         stage = entry.get("lifecycle_stage", LifecycleStage, default=LifecycleStage.RAW_MATERIAL)
+        first = first_at.setdefault((activity, stage), entry)
+        if first is not entry:
+            entry.fail(
+                f"duplicate activity {activity!r} in stage {stage.value!r}, first at {first.path}"
+            )
         items.append(InventoryItem(activity, quantity, unit, stage))
     return items
 

@@ -153,14 +153,19 @@ def classify_datasource(
     """Classify the combined datasource by total body length.
 
     A body of whitespace only holds no chunk, so it counts for nothing, and
-    a datasource of no length at all is ``NONE``.
+    a datasource of no length at all is ``NONE``. The documents are read
+    only up to the one that takes the total past ``threshold``: the rest
+    cannot change a ``LONG``.
     """
     if threshold <= 0:
         raise ConfigError(f"length threshold must be positive, got {threshold}")
-    total = sum(len(d.body) for d in docs if not d.body.isspace())
-    if total == 0:
-        return LengthClass.NONE
-    return LengthClass.SHORT if total <= threshold else LengthClass.LONG
+    total = 0
+    for doc in docs:
+        if not doc.body.isspace():
+            total += len(doc.body)
+            if total > threshold:
+                return LengthClass.LONG
+    return LengthClass.SHORT if total else LengthClass.NONE
 
 
 def _decode_utf8(data: bytes, origin: str) -> str:

@@ -24,6 +24,7 @@ format 2, is refused with a hint to rebuild it.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,7 +143,7 @@ class VectorIndex:
             raise InputError(f"query has {query.shape[0]} dims, index has {self.dims}")
         norm = float(np.linalg.norm(query))
         # NaN or inf in the query makes the norm NaN or inf.
-        if not np.isfinite(norm):
+        if not math.isfinite(norm):
             raise InputError(f"query vector is not finite or its norm overflows (norm {norm})")
         if norm < _TINY_NORM:
             # x·x underflows for such a query: scale its largest component to 1.
@@ -155,8 +156,11 @@ class VectorIndex:
         ids = self._ids
         if not ids:
             return []
-        # Clip before ordering: clipping can make similarities equal.
-        sims = np.clip(self._matrix @ (query / norm), -1.0, 1.0)
+        # Clip before ordering: clipping can make similarities equal. The
+        # product is a new array, so it is clipped where it stands.
+        sims = self._matrix @ (query / norm)
+        np.minimum(sims, 1.0, out=sims)
+        np.maximum(sims, -1.0, out=sims)
         n = len(ids)
         k = min(k, n)
         kth = np.partition(sims, n - k)[n - k]
@@ -166,8 +170,10 @@ class VectorIndex:
         candidates = np.flatnonzero(sims >= kth)
         order = candidates[np.argsort(-sims[candidates], kind="stable")[:k]]
         return [
-            RetrievalHit(chunk_id=ids[i], similarity=float(sims[i]), rank=rank)
-            for rank, i in enumerate(order, start=1)
+            RetrievalHit(chunk_id=ids[i], similarity=similarity, rank=rank)
+            for rank, (i, similarity) in enumerate(
+                zip(order.tolist(), sims[order].tolist()), start=1
+            )
         ]
 
     def entries(self) -> Iterable[IndexEntry]:

@@ -679,6 +679,52 @@ class TestAccount:
         assert code == 1
         assert "[load]" in err and "[0].unit must be a string, got 5" in err
 
+    def test_a_repeated_activity_in_one_stage_is_refused(self, tmp_path, capsys):
+        _, factors = self._write_inputs(tmp_path)
+        facts = tmp_path / "repeated.json"
+        repeated = [
+            {"key": "electricity_use", "value": 2, "unit": "MWh"},
+            {"key": "alumina_consumption", "value": 1, "unit": "kg"},
+            {"activity": "electricity_use", "value": 3, "unit": "MWh"},
+        ]
+        facts.write_text(json.dumps({"facts": repeated}), encoding="utf-8")
+        assert main(["account", "--facts", str(facts), "--factors", str(factors)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"[load] facts {facts}: facts[2]: duplicate activity 'electricity_use' "
+            "in stage 'raw_material', first at facts[0]\n"
+        )
+
+    def test_one_activity_in_two_stages_is_counted_in_each(self, tmp_path, capsys):
+        _, factors = self._write_inputs(tmp_path)
+        facts = tmp_path / "staged.json"
+        staged = [
+            {"key": "electricity_use", "value": 2, "unit": "kWh"},
+            {"key": "electricity_use", "value": 6, "unit": "kWh", "lifecycle_stage": "manufacturing"},
+        ]
+        facts.write_text(json.dumps(staged), encoding="utf-8")
+        assert main(["account", "--facts", str(facts), "--factors", str(factors)]) == 0
+        out = capsys.readouterr().out
+        assert "electricity_use: 1 kgCO2e  [raw_material]" in out
+        assert "electricity_use: 3 kgCO2e  [manufacturing]" in out
+        assert "total: 4 kgCO2e" in out
+
+    @pytest.mark.parametrize(
+        "entry, named",
+        [
+            ({"activity": "", "value": 2, "unit": "kWh"}, "[0].activity"),
+            ({"activity": " \t", "key": "electricity_use", "value": 2, "unit": "kWh"}, "[0].activity"),
+            ({"key": "", "value": 2, "unit": "kWh"}, "[0].key"),
+        ],
+    )
+    def test_a_blank_activity_is_refused_by_name(self, tmp_path, capsys, entry, named):
+        _, factors = self._write_inputs(tmp_path)
+        facts = tmp_path / "blank.json"
+        facts.write_text(json.dumps([entry]), encoding="utf-8")
+        assert main(["account", "--facts", str(facts), "--factors", str(factors)]) == 1
+        assert capsys.readouterr().err == f"[load] facts {facts}: {named} must not be blank\n"
+
     def test_a_negative_value_ends_in_accounting(self, tmp_path, capsys):
         _, factors = self._write_inputs(tmp_path)
         facts = tmp_path / "negative.json"

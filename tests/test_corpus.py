@@ -315,6 +315,36 @@ class TestClassification:
         with pytest.raises(ConfigError):
             classify_datasource([_doc("x")], 0)
 
+    def test_reading_stops_at_the_document_that_passes_the_threshold(self):
+        def docs():
+            yield _doc(" " * 5000, "a")
+            yield _doc("x" * 3000, "b")
+            yield _doc("x" * 1001, "c")
+            raise AssertionError("read past the document that passed the threshold")
+
+        assert classify_datasource(docs(), 4000) is LengthClass.LONG
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bodies=st.lists(
+            st.one_of(
+                st.just(""),
+                st.text(alphabet=" \t\n\r\x0b\x0c　", min_size=1),
+                st.text(max_size=60),
+            ),
+            max_size=8,
+        ),
+        threshold=st.integers(1, 200),
+    )
+    def test_equals_the_sum_of_every_body_that_is_not_blank(self, bodies, threshold):
+        total = sum(len(body) for body in bodies if not body.isspace())
+        if total == 0:
+            expected = LengthClass.NONE
+        else:
+            expected = LengthClass.SHORT if total <= threshold else LengthClass.LONG
+        docs = [_doc(body, f"d{i}") for i, body in enumerate(bodies)]
+        assert classify_datasource(docs, threshold) is expected
+
 
 class TestCatalogIngest:
     def test_raw_text_is_normalized_and_stored(self):

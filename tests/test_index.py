@@ -111,6 +111,30 @@ class TestTopK:
         assert [h.chunk_id for h in hits] == ["a:0", "b:0", "c:0"]
         assert all(h.similarity == 1.0 for h in hits)
 
+    def test_similarities_past_one_are_clipped_to_exactly_one(self):
+        # Rows of norm 1 + 5e-7 pass the unit-norm test, and their raw
+        # similarities with the query fall just outside [-1, 1].
+        v = np.array([0.6, 0.8, 0.0, 0.0])
+        long = v * (1 + 5e-7)
+        rows = np.stack([long, -long, np.array([0.0, 0.0, 1.0, 0.0]), long, -long])
+        index = VectorIndex(["c:2", "c:3", "c:4", "c:0", "c:1"], rows)
+        raw = rows @ v
+        assert raw.max() > 1.0 and raw.min() < -1.0
+        hits = index.top_k(v, k=5)
+        assert [(h.chunk_id, h.similarity) for h in hits] == [
+            ("c:0", 1.0),
+            ("c:2", 1.0),
+            ("c:4", 0.0),
+            ("c:1", -1.0),
+            ("c:3", -1.0),
+        ]
+        for k in range(1, 6):
+            got = [
+                (h.chunk_id, h.rank, np.float64(h.similarity).tobytes())
+                for h in index.top_k(v, k=k)
+            ]
+            assert got == _full_sort(index, v, k)
+
     def test_k_larger_than_index_returns_everything(self):
         rng = np.random.default_rng(23)
         index = _random_index(rng, 6, 8)
